@@ -9,7 +9,6 @@ functions, and a scenario-driven verification CLI.
 """
 
 from .errors import (
-    ConvergenceError,
     DefinitenessError,
     DegenerateSampleError,
     DimensionError,

@@ -14,10 +14,6 @@ class DimensionError(KformError, ValueError):
     """Array shapes, arities, or degrees are inconsistent with the operation."""
 
 
-class ConvergenceError(KformError, RuntimeError):
-    """An iterative kernel exhausted its sweep budget without converging."""
-
-
 class DefinitenessError(KformError, ValueError):
     """A matrix required to be positive definite is not."""
 

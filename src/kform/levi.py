@@ -29,12 +29,11 @@ import numpy as np
 
 from .errors import DegenerateSampleError, DimensionError, PreconditionError
 from .expressions import MapExpr, compose, evaluate_map, jacobian
-from .linalg import DEFAULT_ZERO_TOL, hermitian_eigen, hermitize, sign_counts
+from .linalg import DEFAULT_ZERO_TOL, cofactor_matrix, hermitian_eigen, hermitize, sign_counts
 from .numdiff import wirtinger_hessian
 from .ppforms import compound_matrix, index_basis, wedge_power_coeffs
 from .spaceforms import (
     SpaceForm,
-    _cofactor_matrix,
     center_automorphism,
     chart_point,
     default_radius,
@@ -142,7 +141,7 @@ def rho_gradient(sf: SpaceForm, p: int, r: float, z, xi):
     rows = [np.asarray(I, dtype=int) - 1 for I in basis]
     for a, i0 in enumerate(rows):
         for b, j0 in enumerate(rows):
-            cof = _cofactor_matrix(g[np.ix_(i0, j0)])
+            cof = cofactor_matrix(g[np.ix_(i0, j0)])
             coeff = xi[a] * np.conj(xi[b])
             for l in range(sf.dim):
                 d_z[l] += coeff * np.sum(cof * dg[l][np.ix_(i0, j0)])
@@ -204,20 +203,9 @@ def tangent_basis(sf: SpaceForm, p: int, z, xi) -> np.ndarray:
         pivot = int(np.argmax(np.abs(d_xi)))
     if abs(d_xi[pivot]) <= _TINY:
         raise DegenerateSampleError("fiber gradient vanishes; point is not on a smooth level set")
-    cols = []
-    for l in range(m):
-        col = np.zeros(m + n_fiber, dtype=np.complex128)
-        col[l] = 1.0
-        col[m + pivot] = -d_z[l] / d_xi[pivot]
-        cols.append(col)
-    for a in range(n_fiber):
-        if a == pivot:
-            continue
-        col = np.zeros(m + n_fiber, dtype=np.complex128)
-        col[m + a] = 1.0
-        col[m + pivot] = -d_xi[a] / d_xi[pivot]
-        cols.append(col)
-    return np.column_stack(cols)
+    cols = np.eye(m + n_fiber, dtype=np.complex128)
+    cols[m + pivot] = -np.concatenate([d_z, d_xi]) / d_xi[pivot]
+    return np.delete(cols, m + pivot, axis=1)
 
 
 def _report_from_form(form: np.ndarray, tol: float) -> LeviReport:

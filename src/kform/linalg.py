@@ -1,39 +1,32 @@
-"""Dense complex linear algebra kernels.
+"""Dense complex linear algebra: validation around numpy's LAPACK kernels.
 
 Everything downstream (metric minors, wedge coefficient matrices, pullback
-systems, Levi forms) reduces to small dense complex matrices, so the kernels
-here are deliberately simple O(n^3) routines whose numerical behavior is easy
-to reason about:
-
-* determinants by LU with partial pivoting,
-* Hermitian eigendecomposition by cyclic Jacobi rotations,
-* generalized eigenvalues via the symmetric reduction g^{-1/2} h g^{-1/2}.
-
-Matrices that are Hermitian by construction are symmetrized on entry to
-absorb floating-point roundoff.
+systems, Levi forms) reduces to small dense complex matrices.  Determinants
+and Hermitian eigen solves come from ``np.linalg``.  Every minor determinant
+in the package (compounds, wedge coefficients, single minors, cofactors) goes
+through ``minor_dets``: one gather of all (I, J) submatrices into a stack and
+one batched ``np.linalg.det``.  Matrices that are Hermitian by construction
+are symmetrized on entry to absorb floating-point roundoff.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, DefinitenessError, DimensionError
+from .errors import DefinitenessError, DimensionError
 
 __all__ = [
     "as_matrix",
     "hermitize",
     "det",
+    "minor_dets",
     "minor_det",
+    "cofactor_matrix",
     "hermitian_eigen",
     "sign_counts",
     "signature",
     "generalized_eigenvalues",
 ]
-
-# Off-diagonal Frobenius threshold (relative to the matrix norm) at which the
-# Jacobi sweep stops, and the hard cap on sweeps.
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
 
 # Absolute |eigenvalue| below which a spectrum entry counts as zero.
 DEFAULT_ZERO_TOL = 1e-9
@@ -65,26 +58,35 @@ def hermitize(m) -> np.ndarray:
 
 
 def det(m) -> complex:
-    """Determinant of a square complex matrix by LU with partial pivoting.
+    """Determinant of a square complex matrix (LAPACK LU via ``np.linalg.det``).
 
-    Returns exactly ``0j`` when a pivot column vanishes identically.
     The independent cofactor-expansion oracle lives in the test suite.
     """
-    a = as_matrix(m).copy()
-    n = a.shape[0]
-    value = 1.0 + 0.0j
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[piv, k] == 0:
-            return 0.0j
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            value = -value
-        value *= a[k, k]
-        if k + 1 < n:
-            a[k + 1 :, k] /= a[k, k]
-            a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    return complex(value)
+    return complex(np.linalg.det(as_matrix(m)))
+
+
+def minor_dets(m, rows, cols) -> np.ndarray:
+    """Determinants of m[rows[a], cols[b]] for 0-based index sets rows (R, k), cols (C, k).
+
+    All minors are gathered into one (R, C, k, k) stack for a single batched
+    ``np.linalg.det``; the result has shape (R, C), and empty minors (k = 0)
+    are 1.
+    """
+    r = np.asarray(rows, dtype=int)
+    c = np.asarray(cols, dtype=int)
+    return np.linalg.det(np.asarray(m)[r[:, None, :, None], c[None, :, None, :]])
+
+
+def cofactor_matrix(m) -> np.ndarray:
+    """Cofactors (-1)^(s+t) det(m without row s, column t) of a p x p matrix.
+
+    Valid for singular matrices; ``[[1]]`` for p = 1.
+    """
+    p = np.shape(m)[-1]
+    keep = np.arange(p - 1)
+    omit = keep[None, :] + (keep[None, :] >= np.arange(p)[:, None])
+    sign = (-1.0) ** np.arange(p)
+    return sign[:, None] * minor_dets(m, omit, omit) * sign
 
 
 def _validated_index(idx, bound: int, label: str) -> np.ndarray:
@@ -113,74 +115,22 @@ def minor_det(m, rows, cols) -> complex:
         raise DimensionError(
             f"row and column multi-indices must have equal length, got {r.size} and {c.size}"
         )
-    return det(a[np.ix_(r, c)])
+    return complex(minor_dets(a, r[None], c[None])[0, 0])
 
 
-def hermitian_eigen(h, max_sweeps: int = _JACOBI_MAX_SWEEPS):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def hermitian_eigen(h):
+    """Eigendecomposition of a Hermitian matrix (LAPACK via ``np.linalg.eigh``).
 
-    Parameters
-    ----------
-    h : array_like
-        Hermitian matrix (symmetrized on entry; a deviation from Hermitian
-        symmetry beyond roundoff scale raises ``ValueError``).
-    max_sweeps : int
-        Sweep budget; exceeding it raises :class:`ConvergenceError`.
-
-    Returns
-    -------
-    (w, v) : (ndarray, ndarray)
-        Ascending real eigenvalues ``w`` and a unitary ``v`` whose columns are
-        the matching eigenvectors, so ``h = v @ diag(w) @ v.conj().T``.
+    ``h`` is symmetrized on entry; a deviation from Hermitian symmetry beyond
+    roundoff scale raises ``ValueError``.  Returns ascending real eigenvalues
+    ``w`` and a unitary ``v`` whose columns are the matching eigenvectors, so
+    ``h = v @ diag(w) @ v.conj().T``.
     """
     a = as_matrix(h)
-    n = a.shape[0]
-    scale = float(np.max(np.abs(a))) if n else 0.0
-    if n and float(np.max(np.abs(a - a.conj().T))) > 1e-8 * max(1.0, scale):
+    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    if a.size and float(np.max(np.abs(a - a.conj().T))) > 1e-8 * max(1.0, scale):
         raise ValueError("matrix is not Hermitian")
-    a = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=np.complex128)
-    if n <= 1:
-        return a.real.diagonal().copy(), v
-
-    norm = float(np.sqrt(np.sum(np.abs(a) ** 2)))
-    stop = _JACOBI_TOL * max(norm, np.finfo(float).tiny)
-    converged = False
-    for _ in range(max_sweeps + 1):
-        off = float(np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2)))
-        if off < stop:
-            converged = True
-            break
-        if _ == max_sweeps:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = abs(a[p, q])
-                if b <= stop / n:
-                    continue
-                phase = a[p, q] / b
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * b)
-                # smaller-magnitude root of t^2 + 2*tau*t - 1 = 0
-                t = -np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                u = np.array(
-                    [[c, -s], [s * np.conj(phase), c * np.conj(phase)]],
-                    dtype=np.complex128,
-                )
-                a[:, [p, q]] = a[:, [p, q]] @ u
-                a[[p, q], :] = u.conj().T @ a[[p, q], :]
-                v[:, [p, q]] = v[:, [p, q]] @ u
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    if not converged:
-        raise ConvergenceError(f"Jacobi sweep budget of {max_sweeps} exhausted")
-
-    w = a.real.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.linalg.eigh(hermitize(a))
 
 
 def sign_counts(eigenvalues, tol: float = DEFAULT_ZERO_TOL):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateSampleError, DimensionError, DomainError
 from .expressions import MapExpr, evaluate_map, jacobian
-from .linalg import det, hermitize
+from .linalg import hermitize, minor_dets
 from .spaceforms import SpaceForm, chart_point, euclidean, in_chart, metric
 
 __all__ = [
@@ -91,15 +91,7 @@ def wedge_power_coeffs(g, p: int) -> PPFormMatrix:
     g = np.asarray(g, dtype=np.complex128)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionError(f"expected a square metric matrix, got shape {g.shape}")
-    basis = index_basis(g.shape[0], p)
-    size = len(basis)
-    out = np.zeros((size, size), dtype=np.complex128)
-    for a, I in enumerate(basis):
-        ia = np.asarray(I) - 1
-        for b, J in enumerate(basis):
-            jb = np.asarray(J) - 1
-            out[a, b] = det(g[np.ix_(ia, jb)])
-    return PPFormMatrix(basis=basis, entries=hermitize(out))
+    return PPFormMatrix(basis=index_basis(g.shape[0], p), entries=hermitize(compound_matrix(g, p)))
 
 
 def compound_matrix(m, p: int) -> np.ndarray:
@@ -113,13 +105,7 @@ def compound_matrix(m, p: int) -> np.ndarray:
         raise DimensionError(f"expected a matrix, got ndim {m.ndim}")
     rows = index_basis(m.shape[0], p)
     cols = index_basis(m.shape[1], p)
-    out = np.zeros((len(rows), len(cols)), dtype=np.complex128)
-    for a, I in enumerate(rows):
-        ia = np.asarray(I) - 1
-        for b, J in enumerate(cols):
-            jb = np.asarray(J) - 1
-            out[a, b] = det(m[np.ix_(ia, jb)])
-    return out
+    return minor_dets(m, np.subtract(rows.members, 1), np.subtract(cols.members, 1))
 
 
 def pullback_pp(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, w) -> PPFormMatrix:
@@ -147,16 +133,26 @@ def pullback_pp(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, w) -> PPForm
     return PPFormMatrix(basis=index_basis(src.dim, p), entries=hermitize(theta))
 
 
-def _pooled_ratio(pairs) -> float:
-    """Least-squares real lambda for sum over pairs |theta - lambda*base|^2."""
+def _pooled_result(pairs, tol: float) -> PullbackResult:
+    """Least-squares real lambda for sum over (base, theta) pairs |theta - lambda*base|^2.
+
+    Returns it with the worst entry residual, the verdict, and the first theta.
+    """
     num = 0.0
     den = 0.0
     for base, theta in pairs:
-        num += float(np.sum(np.conj(base) * theta).real)
+        num += float(np.sum(np.conj(base) * theta.entries).real)
         den += float(np.sum(np.abs(base) ** 2))
     if den == 0.0:
         raise DegenerateSampleError("base form coefficients vanish at every sample point")
-    return num / den
+    lam = num / den
+    resid = max(float(np.abs(theta.entries - lam * base).max()) for base, theta in pairs)
+    return PullbackResult(
+        theta=pairs[0][1],
+        lambdaHat=lam,
+        maxResidual=resid,
+        passed=bool(resid < tol * (1.0 + abs(lam))),
+    )
 
 
 def proportionality_test(
@@ -178,22 +174,12 @@ def proportionality_test(
     if not pts:
         raise DegenerateSampleError("need at least one sample point")
     pairs = []
-    thetas = []
     for w in pts:
         base = wedge_power_coeffs(metric(src, w), p).entries
         if float(np.abs(base).max()) == 0.0:
             raise DegenerateSampleError(f"omega^p coefficients vanish at sample {w!r}")
-        theta = pullback_pp(F, src, tgt, p, w)
-        thetas.append(theta)
-        pairs.append((base, theta.entries))
-    lam = _pooled_ratio(pairs)
-    resid = max(float(np.abs(theta - lam * base).max()) for base, theta in pairs)
-    return PullbackResult(
-        theta=thetas[0],
-        lambdaHat=lam,
-        maxResidual=resid,
-        passed=bool(resid < tol * (1.0 + abs(lam))),
-    )
+        pairs.append((base, pullback_pp(F, src, tgt, p, w)))
+    return _pooled_result(pairs, tol)
 
 
 def relatives_test(
@@ -219,19 +205,10 @@ def relatives_test(
     if not pts:
         raise DegenerateSampleError("need at least one sample point")
     pairs = []
-    thetas = []
     for w in pts:
         theta_f = pullback_pp(F, src, tgt1, p, w)
         theta_g = pullback_pp(G, src, tgt2, p, w)
         if float(np.abs(theta_g.entries).max()) == 0.0:
             raise DegenerateSampleError(f"base pullback vanishes at sample {w!r}")
-        thetas.append(theta_f)
-        pairs.append((theta_g.entries, theta_f.entries))
-    lam = _pooled_ratio(pairs)
-    resid = max(float(np.abs(theta - lam * base).max()) for base, theta in pairs)
-    return PullbackResult(
-        theta=thetas[0],
-        lambdaHat=lam,
-        maxResidual=resid,
-        passed=bool(resid < tol * (1.0 + abs(lam))),
-    )
+        pairs.append((theta_g.entries, theta_f))
+    return _pooled_result(pairs, tol)

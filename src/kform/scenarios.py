@@ -3,8 +3,8 @@
 A scenario selects one mode (pullback, rigidity, levi, umehara, relatives,
 suite), the space forms and maps involved, and sampling and tolerance
 controls.  Running one produces a Report whose canonical JSON form is
-deterministic for a fixed seed: per-check wall-clock timings are kept on the
-Report object only and never serialized.
+deterministic for a fixed seed: each check's wall-clock time is kept on its
+CheckRecord only and never serialized.
 
 Scenario schema (all keys lowercase unless noted):
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,14 +94,12 @@ class Report:
     scenario: dict
     checks: tuple
     overall: str
-    timings: dict = field(default_factory=dict)
 
 
 def _assemble(echo: dict, records) -> Report:
     checks = tuple(sorted(records, key=lambda r: r.name))
     overall = "PASS" if all(r.verdict == "PASS" for r in checks) else "FAIL"
-    timings = {r.name: r.seconds for r in checks}
-    return Report(scenario=echo, checks=checks, overall=overall, timings=timings)
+    return Report(scenario=echo, checks=checks, overall=overall)
 
 
 def report_to_json(report: Report) -> str:

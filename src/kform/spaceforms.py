@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .expressions import BinOp, Const, MapExpr, Var
-from .linalg import det, hermitize
+from .linalg import _validated_index, cofactor_matrix, hermitize
 
 __all__ = [
     "SpaceForm",
@@ -219,28 +219,6 @@ def curvature(sf: SpaceForm, w, eta, u) -> complex:
     return curvature4(sf, w, eta, eta, u, u)
 
 
-def _as_multiindex(idx, n: int) -> np.ndarray:
-    arr = np.asarray(idx, dtype=int).reshape(-1)
-    if arr.size == 0:
-        raise IndexError("multi-index is empty")
-    if arr.min() < 1 or arr.max() > n:
-        raise IndexError(f"multi-index {tuple(arr)} out of range 1..{n}")
-    if np.any(np.diff(arr) <= 0):
-        raise IndexError(f"multi-index {tuple(arr)} is not strictly increasing")
-    return arr - 1
-
-
-def _cofactor_matrix(m: np.ndarray) -> np.ndarray:
-    p = m.shape[0]
-    cof = np.zeros((p, p), dtype=np.complex128)
-    for s in range(p):
-        rows = [r for r in range(p) if r != s]
-        for t in range(p):
-            cols = [c for c in range(p) if c != t]
-            cof[s, t] = (-1) ** (s + t) * det(m[np.ix_(rows, cols)])
-    return cof
-
-
 def wedge_curvature_block(sf: SpaceForm, w, I, J) -> np.ndarray:
     """Matrix B[l, k] of wedge-power curvature pairings over z-directions.
 
@@ -260,12 +238,12 @@ def wedge_curvature_block(sf: SpaceForm, w, I, J) -> np.ndarray:
     """
     z = chart_point(sf, w)
     g = metric(sf, z)
-    i0 = _as_multiindex(I, sf.dim)
-    j0 = _as_multiindex(J, sf.dim)
+    i0 = _validated_index(I, sf.dim, "I")
+    j0 = _validated_index(J, sf.dim, "J")
     if i0.size != j0.size:
         raise IndexError(f"multi-indices have different lengths {i0.size} and {j0.size}")
     sub = g[np.ix_(i0, j0)]
-    cof = _cofactor_matrix(sub)
+    cof = cofactor_matrix(sub)
     half_c = 0.5 * sf.hsc
     # sum_{s,t} cof[s,t] * (g[l,k] g[i_s,j_t] + g[l,j_t] g[i_s,k])
     weight = np.sum(cof * sub)

@@ -2,8 +2,8 @@
 
 Each family c01..c09 exercises one headline identity or obstruction at desk
 scale; c10 reruns the whole battery and byte-compares the canonical JSON, so
-a PASS certifies determinism of everything else.  Wall-clock timings live on
-the Report object only and never reach the serialized form.
+a PASS certifies determinism of everything else.  Wall-clock times live on
+the CheckRecords only and never reach the serialized form.
 """
 
 from __future__ import annotations

@@ -67,6 +67,21 @@ def test_wedge_power_coeffs_matches_bruteforce_minors():
                 sub = g[np.ix_(np.asarray(I) - 1, np.asarray(J) - 1)]
                 assert abs(m.entries[a, b] - cofactor_det(sub)) < 1e-10
         np.testing.assert_allclose(m.entries, m.entries.conj().T, atol=1e-13)
+    # rectangular compounds up to (6, 4); every third input has rank 1
+    for trial in range(30):
+        n = int(rng.integers(1, 7))
+        k = int(rng.integers(1, 5))
+        p = int(rng.integers(1, min(n, k) + 1))
+        a = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        if trial % 3 == 0:
+            a = np.outer(a[:, 0], a[0, :])
+        c = compound_matrix(a, p)
+        rows, cols = increasing_multiindices(n, p), increasing_multiindices(k, p)
+        assert c.shape == (len(rows), len(cols))
+        for x, I in enumerate(rows):
+            for y, J in enumerate(cols):
+                sub = a[np.ix_(np.asarray(I) - 1, np.asarray(J) - 1)]
+                assert abs(c[x, y] - cofactor_det(sub)) < 1e-10
 
 
 def test_compound_matrix_multiplicative():
