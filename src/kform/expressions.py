@@ -1,9 +1,14 @@
-"""Holomorphic maps as expression trees with forward-mode first-order jets.
+"""Holomorphic maps as expression trees, read by one fold.
 
 Maps are kept as small ASTs rather than closures so scenario files can carry
-them as strings.  Evaluation returns exact holomorphic derivatives (value and
-gradient) by the usual forward-mode recurrences; only first-order jets are
-provided because every formula in scope needs F and its Jacobian only.
+them as strings.  Every reading of a tree is :func:`fold`: leaves become
+values of an algebra, combined bottom-up by the values' own ``+ - *``,
+negation and integer powers, and by a quotient passed in.  The algebras are
+complex scalars (:func:`evaluate`), first-order jets (:class:`Jet1`, exact
+value and holomorphic gradient -- every formula in scope needs F and its
+Jacobian only), truncated Taylor arrays on a slice (``kform.umehara``), and
+expression nodes themselves, which makes :func:`compose` a substitution fold.
+The scalar and jet quotient raises :class:`SingularEvaluationError` at a pole.
 
 Grammar accepted by :func:`parse_expr`::
 
@@ -14,12 +19,14 @@ Grammar accepted by :func:`parse_expr`::
 
 Both the ASCII hyphen and the unicode minus sign are accepted, as are the
 unicode multiplication and division signs.  Complex literals are written in
-the form ``a+bi``.
+the form ``a+bi``.  A literal that overflows to infinity is a syntax error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import operator
+import re
 
 import numpy as np
 
@@ -38,12 +45,14 @@ __all__ = [
     "Pow",
     "Jet1",
     "MapExpr",
+    "fold",
     "parse_expr",
     "parse_map",
     "identity_map",
     "evaluate",
     "eval_jet",
     "evaluate_map",
+    "map_jet",
     "jacobian",
     "compose",
 ]
@@ -51,75 +60,54 @@ __all__ = [
 # |denominator| below this is treated as a division by zero at the point
 _DIV_TOL = 1e-15
 
-_MINUS = {"-", "−"}
-_TIMES = {"*", "×"}
-_DIVIDE = {"/", "÷"}
+_set = object.__setattr__
 
 
 class Expr:
-    """Base node of a holomorphic expression tree.  Immutable after build."""
+    """Base node of a holomorphic expression tree.  Immutable after build.
 
-    __slots__ = ()
+    ``top`` is the largest variable index the tree references (0 if none).
+    """
 
-    def _coerce(self, other):
-        if isinstance(other, Expr):
-            return other
-        if isinstance(other, (int, float, complex)):
-            return Const(complex(other))
-        return NotImplemented
+    __slots__ = ("top",)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else BinOp("+", self, other)
+    def __setattr__(self, *_):
+        raise AttributeError("expression nodes are immutable")
 
-    def __radd__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else BinOp("+", other, self)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else BinOp("-", self, other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else BinOp("-", other, self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else BinOp("*", self, other)
-
-    def __rmul__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else BinOp("*", other, self)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else BinOp("/", self, other)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else BinOp("/", other, self)
+    def __repr__(self):
+        fields = ", ".join(repr(getattr(self, name)) for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers are supported")
         return Pow(self, n)
 
     def __neg__(self):
         return Neg(self)
 
 
+def _operator(op: str, reflected: bool):
+    def method(self, other):
+        if isinstance(other, (int, float, complex)):
+            other = Const(other)
+        elif not isinstance(other, Expr):
+            return NotImplemented
+        return BinOp(op, other, self) if reflected else BinOp(op, self, other)
+
+    return method
+
+
+for _op, _name in (("+", "add"), ("-", "sub"), ("*", "mul"), ("/", "truediv")):
+    setattr(Expr, f"__{_name}__", _operator(_op, False))
+    setattr(Expr, f"__r{_name}__", _operator(_op, True))
+_set_top = Expr.top.__set__  # the slot's own setter: cheaper than _set(node, "top", ...)
+
+
 class Const(Expr):
     __slots__ = ("value",)
+    top = 0
 
     def __init__(self, value):
-        object.__setattr__(self, "value", complex(value))
-
-    def __setattr__(self, *_):
-        raise AttributeError("expression nodes are immutable")
-
-    def __repr__(self):
-        return f"Const({self.value})"
+        _set(self, "value", complex(value))
 
 
 class Var(Expr):
@@ -130,26 +118,16 @@ class Var(Expr):
     def __init__(self, index: int):
         if not isinstance(index, int) or index < 1:
             raise IndexError(f"variable index must be a positive integer, got {index!r}")
-        object.__setattr__(self, "index", index)
-
-    def __setattr__(self, *_):
-        raise AttributeError("expression nodes are immutable")
-
-    def __repr__(self):
-        return f"Var(z{self.index})"
+        _set(self, "index", index)
+        _set_top(self, index)
 
 
 class Neg(Expr):
     __slots__ = ("arg",)
 
     def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, *_):
-        raise AttributeError("expression nodes are immutable")
-
-    def __repr__(self):
-        return f"Neg({self.arg!r})"
+        _set(self, "arg", arg)
+        _set_top(self, arg.top)
 
 
 class BinOp(Expr):
@@ -158,15 +136,10 @@ class BinOp(Expr):
     def __init__(self, op: str, left: Expr, right: Expr):
         if op not in ("+", "-", "*", "/"):
             raise ValueError(f"unknown operator {op!r}")
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __setattr__(self, *_):
-        raise AttributeError("expression nodes are immutable")
-
-    def __repr__(self):
-        return f"BinOp({self.op!r}, {self.left!r}, {self.right!r})"
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set_top(self, left.top if left.top > right.top else right.top)
 
 
 class Pow(Expr):
@@ -175,156 +148,146 @@ class Pow(Expr):
     def __init__(self, base: Expr, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-
-    def __setattr__(self, *_):
-        raise AttributeError("expression nodes are immutable")
-
-    def __repr__(self):
-        return f"Pow({self.base!r}, {self.exponent})"
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
+        _set_top(self, base.top)
 
 
-def max_var_index(expr: Expr) -> int:
-    """Largest variable index referenced by ``expr`` (0 if none)."""
-    if isinstance(expr, Var):
-        return expr.index
-    if isinstance(expr, Const):
-        return 0
-    if isinstance(expr, Neg):
-        return max_var_index(expr.arg)
-    if isinstance(expr, Pow):
-        return max_var_index(expr.base)
-    if isinstance(expr, BinOp):
-        return max(max_var_index(expr.left), max_var_index(expr.right))
-    raise TypeError(f"not an expression node: {expr!r}")
+def fold(expr: Expr, const, var, div=operator.truediv):
+    """Value of ``expr`` in an algebra, computed bottom-up.
+
+    ``const(value)`` and ``var(k)`` give the leaves their values, k being the
+    0-based coordinate of the variable z_(k+1); inner nodes combine them with
+    the values' own ``+ - *``, unary ``-`` and ``** n``, and quotients with
+    ``div(numerator, denominator)``.
+    """
+    binary = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": div}
+
+    def walk(e):
+        kind = type(e)
+        if kind is BinOp:
+            return binary[e.op](walk(e.left), walk(e.right))
+        if kind is Var:
+            return var(e.index - 1)
+        if kind is Const:
+            return const(e.value)
+        if kind is Pow:
+            return walk(e.base) ** e.exponent
+        if kind is Neg:
+            return -walk(e.arg)
+        raise TypeError(f"not an expression node: {e!r}")
+
+    return walk(expr)
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
+_TOKEN = re.compile(
+    r"\s*(?:(?P<number>[\d.]+(?:[eE][-+−]?\d+)?i?)"
+    r"|(?P<var>z\d*)"
+    r"|(?P<op>[-+−*×/÷()^])"
+    r"|(?P<i>i)"
+    r"|(?P<end>\Z)"
+    r"|(?P<bad>.))",
+    re.DOTALL,
+)
+_ASCII = {"−": "-", "×": "*", "÷": "/"}
 
-class _Tokenizer:
-    def __init__(self, src: str):
-        self.src = src
-        self.pos = 0
 
-    def _error(self, message: str):
-        raise ExprSyntaxError(message, position=self.pos)
+def _number(text: str, start: int) -> complex:
+    imag = text.endswith("i")
+    digits = text[:-1] if imag else text
+    second_dot = digits.find(".", digits.find(".") + 1)
+    if second_dot >= 0:
+        raise ExprSyntaxError("malformed number", position=start + second_dot)
+    digits = digits.replace("−", "-")
+    try:
+        value = float(digits)
+    except ValueError:
+        raise ExprSyntaxError(f"malformed number {digits!r}", position=start) from None
+    if not math.isfinite(value):
+        raise ExprSyntaxError(f"number {digits!r} is not finite", position=start)
+    return complex(0.0, value) if imag else complex(value)
 
-    def peek(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.src):
-            return ("end", None, self.pos)
-        ch = self.src[self.pos]
-        start = self.pos
-        if ch in "+()^" or ch in _MINUS or ch in _TIMES or ch in _DIVIDE:
-            if ch in _MINUS:
-                return ("-", "-", start)
-            if ch in _TIMES:
-                return ("*", "*", start)
-            if ch in _DIVIDE:
-                return ("/", "/", start)
-            return (ch, ch, start)
-        if ch.isdigit() or ch == ".":
-            j = self.pos
-            seen_dot = False
-            while j < len(self.src) and (self.src[j].isdigit() or self.src[j] == "."):
-                if self.src[j] == ".":
-                    if seen_dot:
-                        self.pos = j
-                        self._error("malformed number")
-                    seen_dot = True
-                j += 1
-            if j < len(self.src) and self.src[j] in "eE":
-                k = j + 1
-                if k < len(self.src) and (self.src[k] in "+-" or self.src[k] in _MINUS):
-                    k += 1
-                if k < len(self.src) and self.src[k].isdigit():
-                    while k < len(self.src) and self.src[k].isdigit():
-                        k += 1
-                    j = k
-            text = self.src[start:j].replace("−", "-")
-            try:
-                value = float(text)
-            except ValueError:
-                self._error(f"malformed number {text!r}")
-            if j < len(self.src) and self.src[j] == "i":
-                return ("number", complex(0.0, value), start, j + 1 - start)
-            return ("number", complex(value), start, j - start)
-        if ch == "i":
-            return ("number", 1j, start, 1)
-        if ch == "z":
-            j = self.pos + 1
-            if j >= len(self.src) or not self.src[j].isdigit():
-                self._error("expected a variable index after 'z'")
-            while j < len(self.src) and self.src[j].isdigit():
-                j += 1
-            return ("var", int(self.src[start + 1 : j]), start, j - start)
-        self._error(f"unexpected character {ch!r}")
 
-    def next(self):
-        tok = self.peek()
-        if tok[0] == "end":
-            return tok
-        width = tok[3] if len(tok) > 3 else 1
-        self.pos += width
-        return tok
+def _tokens(src: str):
+    """Yield (kind, value, position) tokens of ``src``; ("end", ...) repeats."""
+    pos = 0
+    while True:
+        m = _TOKEN.match(src, pos)
+        kind = m.lastgroup
+        text, start, pos = m.group(kind), m.start(kind), m.end()
+        if kind == "number":
+            yield "number", _number(text, start), start
+        elif kind == "var":
+            if len(text) == 1:
+                raise ExprSyntaxError("expected a variable index after 'z'", position=start)
+            yield "var", int(text[1:]), start
+        elif kind == "op":
+            yield _ASCII.get(text, text), None, start
+        elif kind == "i":
+            yield "number", 1j, start
+        elif kind == "end":
+            yield "end", None, start
+        else:
+            raise ExprSyntaxError(f"unexpected character {text!r}", position=start)
 
 
 class _Parser:
+    """Recursive descent over a lazy token stream: a token is lexed only when
+    the grammar looks at it, so the first fault reached is the one reported."""
+
     def __init__(self, src: str, arity: int):
         if not isinstance(arity, int) or arity < 1:
             raise DimensionError(f"arity must be a positive integer, got {arity!r}")
-        self.toks = _Tokenizer(src)
+        self.tokens = _tokens(src)
+        self.ahead = None
         self.arity = arity
+
+    def peek(self):
+        if self.ahead is None:
+            self.ahead = next(self.tokens)
+        return self.ahead
+
+    def next(self):
+        tok = self.peek()
+        self.ahead = None
+        return tok
 
     def parse(self) -> Expr:
         node = self.expr()
-        kind, _, pos, *_ = self.toks.peek()
+        kind, _, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError("unexpected trailing input", position=pos)
         return node
 
+    def chain(self, ops, operand, node: Expr) -> Expr:
+        """Left-associative ``node (op operand)*`` for the operators ``ops``."""
+        while self.peek()[0] in ops:
+            node = BinOp(self.next()[0], node, operand())
+        return node
+
     def expr(self) -> Expr:
-        kind, _, _, *_ = self.toks.peek()
-        negate = False
-        if kind in ("+", "-"):
-            self.toks.next()
-            negate = kind == "-"
+        sign = self.next()[0] if self.peek()[0] in ("+", "-") else "+"
         node = self.term()
-        if negate:
-            node = Neg(node)
-        while True:
-            kind, _, _, *_ = self.toks.peek()
-            if kind not in ("+", "-"):
-                return node
-            self.toks.next()
-            node = BinOp(kind, node, self.term())
+        return self.chain(("+", "-"), self.term, Neg(node) if sign == "-" else node)
 
     def term(self) -> Expr:
-        node = self.factor()
-        while True:
-            kind, _, _, *_ = self.toks.peek()
-            if kind not in ("*", "/"):
-                return node
-            self.toks.next()
-            node = BinOp(kind, node, self.factor())
+        return self.chain(("*", "/"), self.factor, self.factor())
 
     def factor(self) -> Expr:
         node = self.base()
-        kind, _, _, *_ = self.toks.peek()
-        if kind == "^":
-            self.toks.next()
-            kind, value, pos, *_ = self.toks.next()
+        if self.peek()[0] == "^":
+            self.next()
+            kind, value, pos = self.next()
             if kind != "number" or value.imag != 0 or value.real != int(value.real) or value.real < 0:
                 raise ExprSyntaxError("exponent must be a nonnegative integer", position=pos)
             node = Pow(node, int(value.real))
         return node
 
     def base(self) -> Expr:
-        kind, value, pos, *_ = self.toks.next()
+        kind, value, pos = self.next()
         if kind == "number":
             return Const(value)
         if kind == "var":
@@ -335,7 +298,7 @@ class _Parser:
             return Var(value)
         if kind == "(":
             node = self.expr()
-            kind, _, pos, *_ = self.toks.next()
+            kind, _, pos = self.next()
             if kind != ")":
                 raise ExprSyntaxError("expected ')'", position=pos)
             return node
@@ -350,15 +313,7 @@ def parse_expr(src: str, arity: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# maps and evaluation
-
-
-@dataclass(frozen=True)
-class Jet1:
-    """First-order jet: value and holomorphic gradient of one component."""
-
-    value: complex
-    grad: np.ndarray
+# maps
 
 
 class MapExpr:
@@ -375,9 +330,8 @@ class MapExpr:
         for c in components:
             if not isinstance(c, Expr):
                 raise TypeError(f"component is not an expression: {c!r}")
-            top = max_var_index(c)
-            if top > arity:
-                raise IndexError(f"component references z{top} but arity is {arity}")
+            if c.top > arity:
+                raise IndexError(f"component references z{c.top} but arity is {arity}")
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "sources", tuple(sources) if sources is not None else None)
@@ -406,121 +360,6 @@ def identity_map(n: int) -> MapExpr:
     return MapExpr([Var(k + 1) for k in range(n)], n)
 
 
-def _point(pt, arity: int) -> np.ndarray:
-    z = np.asarray(pt, dtype=np.complex128).reshape(-1)
-    if z.size != arity:
-        raise DimensionError(f"point has {z.size} coordinates, expected {arity}")
-    if z.size and not np.isfinite(z).all():
-        raise ValueError("point coordinates must be finite")
-    return z
-
-
-def _eval(expr: Expr, z: np.ndarray) -> complex:
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        return z[expr.index - 1]
-    if isinstance(expr, Neg):
-        return -_eval(expr.arg, z)
-    if isinstance(expr, Pow):
-        return _eval(expr.base, z) ** expr.exponent
-    op = expr.op
-    a = _eval(expr.left, z)
-    b = _eval(expr.right, z)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if abs(b) < _DIV_TOL:
-        raise SingularEvaluationError("division by zero while evaluating expression")
-    return a / b
-
-
-def _eval_jet(expr: Expr, z: np.ndarray):
-    m = z.size
-    if isinstance(expr, Const):
-        return expr.value, np.zeros(m, dtype=np.complex128)
-    if isinstance(expr, Var):
-        g = np.zeros(m, dtype=np.complex128)
-        g[expr.index - 1] = 1.0
-        return z[expr.index - 1], g
-    if isinstance(expr, Neg):
-        v, g = _eval_jet(expr.arg, z)
-        return -v, -g
-    if isinstance(expr, Pow):
-        v, g = _eval_jet(expr.base, z)
-        n = expr.exponent
-        if n == 0:
-            return 1.0 + 0j, np.zeros(m, dtype=np.complex128)
-        return v**n, (n * v ** (n - 1)) * g
-    va, ga = _eval_jet(expr.left, z)
-    vb, gb = _eval_jet(expr.right, z)
-    op = expr.op
-    if op == "+":
-        return va + vb, ga + gb
-    if op == "-":
-        return va - vb, ga - gb
-    if op == "*":
-        return va * vb, vb * ga + va * gb
-    if abs(vb) < _DIV_TOL:
-        raise SingularEvaluationError("division by zero while evaluating expression")
-    v = va / vb
-    return v, (ga - v * gb) / vb
-
-
-def evaluate(expr: Expr, pt) -> complex:
-    """Value of one expression at a point (no derivatives)."""
-    z = np.asarray(pt, dtype=np.complex128).reshape(-1)
-    if z.size and not np.isfinite(z).all():
-        raise ValueError("point coordinates must be finite")
-    top = max_var_index(expr)
-    if top > z.size:
-        raise DimensionError(f"expression references z{top} but point has {z.size} coordinates")
-    return complex(_eval(expr, z))
-
-
-def eval_jet(expr: Expr, pt) -> Jet1:
-    """Value and exact holomorphic gradient of one expression at a point."""
-    z = np.asarray(pt, dtype=np.complex128).reshape(-1)
-    if z.size and not np.isfinite(z).all():
-        raise ValueError("point coordinates must be finite")
-    top = max_var_index(expr)
-    if top > z.size:
-        raise DimensionError(f"expression references z{top} but point has {z.size} coordinates")
-    v, g = _eval_jet(expr, z)
-    return Jet1(complex(v), g)
-
-
-def evaluate_map(f: MapExpr, pt) -> np.ndarray:
-    """Values of all components of ``f`` at ``pt``."""
-    z = _point(pt, f.arity)
-    return np.array([_eval(c, z) for c in f.components], dtype=np.complex128)
-
-
-def jacobian(f: MapExpr, pt) -> np.ndarray:
-    """Jacobian matrix of ``f`` at ``pt``; row i is the gradient of component i."""
-    z = _point(pt, f.arity)
-    rows = []
-    for c in f.components:
-        _, g = _eval_jet(c, z)
-        rows.append(g)
-    return np.array(rows, dtype=np.complex128)
-
-
-def _substitute(expr: Expr, repl) -> Expr:
-    if isinstance(expr, Const):
-        return expr
-    if isinstance(expr, Var):
-        return repl[expr.index - 1]
-    if isinstance(expr, Neg):
-        return Neg(_substitute(expr.arg, repl))
-    if isinstance(expr, Pow):
-        return Pow(_substitute(expr.base, repl), expr.exponent)
-    return BinOp(expr.op, _substitute(expr.left, repl), _substitute(expr.right, repl))
-
-
 def compose(outer: MapExpr, inner: MapExpr) -> MapExpr:
     """Expression-level composition ``outer ∘ inner``."""
     if outer.arity != len(inner.components):
@@ -528,5 +367,105 @@ def compose(outer: MapExpr, inner: MapExpr) -> MapExpr:
             f"cannot compose: outer arity {outer.arity} != inner component count "
             f"{len(inner.components)}"
         )
-    comps = [_substitute(c, inner.components) for c in outer.components]
+    comps = [fold(c, Const, inner.components.__getitem__) for c in outer.components]
     return MapExpr(comps, inner.arity)
+
+
+# ---------------------------------------------------------------------------
+# the numeric algebras
+
+
+class Jet1:
+    """First-order jet: value and holomorphic gradient of one component.
+
+    Jets add, multiply, divide and take powers by the forward-mode rules, so
+    a fold over jets differentiates exactly.  ``abs`` is the value's modulus.
+    """
+
+    __slots__ = ("value", "grad")
+
+    def __init__(self, value, grad):
+        self.value = value
+        self.grad = grad
+
+    def __add__(self, o):
+        return Jet1(self.value + o.value, self.grad + o.grad)
+
+    def __sub__(self, o):
+        return Jet1(self.value - o.value, self.grad - o.grad)
+
+    def __mul__(self, o):
+        return Jet1(self.value * o.value, o.value * self.grad + self.value * o.grad)
+
+    def __truediv__(self, o):
+        v = self.value / o.value
+        return Jet1(v, (self.grad - v * o.grad) / o.value)
+
+    def __neg__(self):
+        return Jet1(-self.value, -self.grad)
+
+    def __pow__(self, n):
+        if n == 0:
+            return Jet1(self.value**0, np.zeros_like(self.grad))
+        return Jet1(self.value**n, (n * self.value ** (n - 1)) * self.grad)
+
+    def __abs__(self):
+        return abs(self.value)
+
+
+def _divide(a, b):
+    """Quotient for the scalar and jet algebras; a pole at the point raises."""
+    if abs(b) < _DIV_TOL:
+        raise SingularEvaluationError("division by zero while evaluating expression")
+    return a / b
+
+
+def _point(pt, arity=None, top=0) -> np.ndarray:
+    z = np.asarray(pt, dtype=np.complex128).reshape(-1)
+    if arity is not None and z.size != arity:
+        raise DimensionError(f"point has {z.size} coordinates, expected {arity}")
+    if z.size and not np.isfinite(z).all():
+        raise ValueError("point coordinates must be finite")
+    if top > z.size:
+        raise DimensionError(f"expression references z{top} but point has {z.size} coordinates")
+    return z
+
+
+def _jet_leaves(z: np.ndarray):
+    zero = np.zeros(z.size, dtype=np.complex128)
+    unit = np.eye(z.size, dtype=np.complex128)
+    return (lambda c: Jet1(c, zero)), (lambda k: Jet1(z[k], unit[k]))
+
+
+def evaluate(expr: Expr, pt) -> complex:
+    """Value of one expression at a point (no derivatives)."""
+    z = _point(pt, top=expr.top)
+    return complex(fold(expr, complex, z.__getitem__, _divide))
+
+
+def eval_jet(expr: Expr, pt) -> Jet1:
+    """Value and exact holomorphic gradient of one expression at a point."""
+    z = _point(pt, top=expr.top)
+    jet = fold(expr, *_jet_leaves(z), _divide)
+    return Jet1(complex(jet.value), jet.grad)
+
+
+def evaluate_map(f: MapExpr, pt) -> np.ndarray:
+    """Values of all components of ``f`` at ``pt``."""
+    z = _point(pt, f.arity)
+    values = [fold(c, complex, z.__getitem__, _divide) for c in f.components]
+    return np.array(values, dtype=np.complex128)
+
+
+def map_jet(f: MapExpr, pt) -> tuple[np.ndarray, np.ndarray]:
+    """``f(pt)`` and the Jacobian at ``pt``, from one jet pass per component."""
+    z = _point(pt, f.arity)
+    const, var = _jet_leaves(z)
+    jets = [fold(c, const, var, _divide) for c in f.components]
+    values = np.array([j.value for j in jets], dtype=np.complex128)
+    return values, np.array([j.grad for j in jets], dtype=np.complex128)
+
+
+def jacobian(f: MapExpr, pt) -> np.ndarray:
+    """Jacobian matrix of ``f`` at ``pt``; row i is the gradient of component i."""
+    return map_jet(f, pt)[1]

@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateSampleError, DimensionError, DomainError
-from .expressions import MapExpr, evaluate_map, jacobian
+from .expressions import MapExpr, map_jet
 from .linalg import hermitize, minor_dets
 from .spaceforms import SpaceForm, chart_point, euclidean, in_chart, metric
 
@@ -124,11 +124,11 @@ def pullback_pp(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, w) -> PPForm
             f"map has {len(F.components)} components, target dim is {tgt.dim}"
         )
     z = chart_point(src, w)
-    fz = evaluate_map(F, z)
+    fz, jf = map_jet(F, z)
     if not in_chart(tgt, fz):
         raise DomainError("map image lies outside the target chart domain")
     wtgt = wedge_power_coeffs(metric(tgt, fz), p)
-    d = compound_matrix(jacobian(F, z), p)
+    d = compound_matrix(jf, p)
     theta = d.T @ wtgt.entries @ np.conj(d)
     return PPFormMatrix(basis=index_basis(src.dim, p), entries=hermitize(theta))
 

@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DegenerateSampleError, PreconditionError
-from .expressions import MapExpr, evaluate_map, jacobian
+from .expressions import MapExpr, map_jet
 from .linalg import det, generalized_eigenvalues, hermitize
 from .ppforms import pullback_pp, wedge_power_coeffs
 from .spaceforms import SpaceForm, metric, ricci
@@ -174,12 +174,12 @@ def ricci_pullback_check(
     worst = 0.0
     skipped = 0
     for k, w in enumerate(pts):
-        jf = jacobian(F, w)
+        fw, jf = map_jet(F, w)
         if abs(det(jf)) < _SINGULAR_JAC_TOL:
             warnings.warn(f"singular Jacobian at sample {k}; point skipped")
             skipped += 1
             continue
-        pulled = jf.T @ ricci(tgt, evaluate_map(F, w)) @ np.conj(jf)
+        pulled = jf.T @ ricci(tgt, fw) @ np.conj(jf)
         resid = float(np.abs(pulled - ricci(src, w)).max())
         worst = max(worst, resid)
     if skipped == len(pts):

@@ -29,6 +29,7 @@ overall is the conjunction of the per-check verdicts.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -150,9 +151,48 @@ def _map_from_json(obj, arity: int, codim: int, where: str) -> MapExpr:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
+def _real(value, field: str) -> float:
+    try:
+        out = float(value)
+    except (TypeError, ValueError, OverflowError):
+        out = math.nan
+    if isinstance(value, bool) or not math.isfinite(out):
+        raise ScenarioError(f"{field} must be a finite number, got {value!r}")
+    return out
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _series_from_json(raw) -> dict:
+    if not isinstance(raw, dict) or not isinstance(raw.get("name"), str):
+        raise ScenarioError("series must be an object with a name and params")
+    params = raw.get("params", {})
+    if not isinstance(params, dict):
+        raise ScenarioError("series.params must be an object")
+    if raw["name"] in ("ball_slice", "proj_slice", "psi"):
+        p = params.get("p")
+        if not _is_int(p) or p < 0:
+            raise ScenarioError(f"series.params.p must be a nonnegative integer, got {p!r}")
+    if raw["name"] in ("psi", "abs_square"):
+        comps = params.get("map")
+        if not isinstance(comps, list) or not all(isinstance(c, str) for c in comps):
+            raise ScenarioError("series.params.map must be a list of expression strings")
+        from .umehara import as_map
+
+        try:
+            as_map(comps)
+        except (KformError, IndexError) as exc:
+            raise ScenarioError(f"series.params.map: {exc}") from exc
+    if "tol" in params:
+        _real(params["tol"], "series.params.tol")
+    return {"name": raw["name"], "params": params}
+
+
 def _int_field(data: dict, key: str, lo: int, hi: int | None = None) -> int:
     value = data.get(key)
-    if not isinstance(value, int) or isinstance(value, bool) or value < lo:
+    if not _is_int(value) or value < lo:
         raise ScenarioError(f"{key} must be an integer >= {lo}, got {value!r}")
     if hi is not None and value > hi:
         raise ScenarioError(f"{key} must be at most {hi}, got {value}")
@@ -190,24 +230,31 @@ def parse_scenario(data) -> Scenario:
     if not isinstance(sampling, dict):
         raise ScenarioError("sampling must be an object")
     count = sampling.get("count", DEFAULT_COUNT)
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+    if not _is_int(count) or count < 1:
         raise ScenarioError(f"sampling.count must be a positive integer, got {count!r}")
     seed = sampling.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_int(seed):
         raise ScenarioError(f"sampling.seed must be an integer, got {seed!r}")
     radius = sampling.get("radius")
     if radius is not None:
-        radius = float(radius)
+        radius = _real(radius, "sampling.radius")
         if not radius > 0:
             raise ScenarioError(f"sampling.radius must be positive, got {radius}")
 
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ScenarioError("tolerances must be an object of named floats")
-    tolerances = {str(k): float(v) for k, v in tolerances.items()}
+    tolerances = {str(k): _real(v, f"tolerances.{k}") for k, v in tolerances.items()}
     expect = data.get("expect", {})
     if not isinstance(expect, dict):
         raise ScenarioError("expect must be an object")
+    signature = expect.get("signature")
+    if signature is not None and (
+        not isinstance(signature, list) or len(signature) != 3 or not all(map(_is_int, signature))
+    ):
+        raise ScenarioError(f"expect.signature must be a list of three integers, got {signature!r}")
+    if expect.get("lambdaHat") is not None:
+        _real(expect["lambdaHat"], "expect.lambdaHat")
 
     source = None
     targets: tuple = ()
@@ -238,7 +285,7 @@ def parse_scenario(data) -> Scenario:
     elif mode == "levi":
         source = _space_from_json(data.get("source"), "source")
         p = _int_field(data, "p", 1, source.dim)
-        r = float(data.get("r", 1.0))
+        r = _real(data.get("r", 1.0), "r")
         if not r > 0:
             raise ScenarioError(f"r must be positive, got {r}")
         echo.update(source=_space_echo(source), p=p, r=r)
@@ -265,20 +312,14 @@ def parse_scenario(data) -> Scenario:
             p=p,
         )
     elif mode == "umehara":
-        raw = data.get("series")
-        if not isinstance(raw, dict) or not isinstance(raw.get("name"), str):
-            raise ScenarioError("series must be an object with a name and params")
-        params = raw.get("params", {})
-        if not isinstance(params, dict):
-            raise ScenarioError("series.params must be an object")
-        series = {"name": raw["name"], "params": params}
+        series = _series_from_json(data.get("series"))
         raw_orders = data.get("orders")
         if (
             not isinstance(raw_orders, list)
             or not raw_orders
-            or not all(isinstance(n, int) and not isinstance(n, bool) for n in raw_orders)
+            or not all(_is_int(n) and n >= 0 for n in raw_orders)
         ):
-            raise ScenarioError("orders must be a nonempty list of integers")
+            raise ScenarioError("orders must be a nonempty list of nonnegative integers")
         orders = tuple(raw_orders)
         verdict = expect.get("verdict")
         if verdict not in ("bounded", "growing"):
@@ -310,8 +351,14 @@ def parse_scenario(data) -> Scenario:
 # mode handlers
 
 
-def _verdict(ok: bool) -> str:
-    return "PASS" if ok else "FAIL"
+def _timed(name: str, ok: bool, start: float, **extra) -> CheckRecord:
+    """A check's record, timed from ``start`` (a perf_counter reading)."""
+    return CheckRecord(
+        name=name,
+        verdict="PASS" if ok else "FAIL",
+        seconds=time.perf_counter() - start,
+        **extra,
+    )
 
 
 def _run_pullback(sc: Scenario) -> list:
@@ -323,15 +370,8 @@ def _run_pullback(sc: Scenario) -> list:
     for deg in degrees:
         start = time.perf_counter()
         res = proportionality_test(F, src, tgt, deg, points, tol=tol)
-        records.append(
-            CheckRecord(
-                name=f"pullback_p{deg}",
-                verdict=_verdict(res.passed),
-                lambdaHat=res.lambdaHat,
-                residual=res.maxResidual,
-                seconds=time.perf_counter() - start,
-            )
-        )
+        fit = {"lambdaHat": res.lambdaHat, "residual": res.maxResidual}
+        records.append(_timed(f"pullback_p{deg}", res.passed, start, **fit))
     return records
 
 
@@ -344,53 +384,26 @@ def _run_rigidity(sc: Scenario) -> list:
     start = time.perf_counter()
     profiles = [profile_from_pullback(F, src, tgt, sc.p, w) for w in points]
     products_ok = all(eigen_products_check(prof, tol=tol) for prof in profiles)
-    records.append(
-        CheckRecord(
-            name="eigen_products",
-            verdict=_verdict(products_ok),
-            seconds=time.perf_counter() - start,
-        )
-    )
+    records.append(_timed("eigen_products", products_ok, start))
 
     if sc.p < src.dim:
         start = time.perf_counter()
         factors = [conclude_isometry_factor(prof, tol=tol) for prof in profiles]
         spread_tol = sc.tolerances.get("factorSpread", 1e-6)
         if any(f is None for f in factors):
-            records.append(
-                CheckRecord(
-                    name="isometry_factor",
-                    verdict="FAIL",
-                    seconds=time.perf_counter() - start,
-                )
-            )
+            records.append(_timed("isometry_factor", False, start))
         else:
             mean = float(np.mean(factors))
             spread = float(max(factors) - min(factors))
             ok = spread <= spread_tol * max(abs(mean), 1e-300)
-            records.append(
-                CheckRecord(
-                    name="isometry_factor",
-                    verdict=_verdict(ok),
-                    lambdaHat=mean,
-                    residual=spread,
-                    seconds=time.perf_counter() - start,
-                )
-            )
+            records.append(_timed("isometry_factor", ok, start, lambdaHat=mean, residual=spread))
 
     if src.dim == tgt.dim:
         start = time.perf_counter()
         ok, worst, _skipped = ricci_pullback_check(
             F, src, tgt, points, tol=sc.tolerances.get("ricci", 1e-8)
         )
-        records.append(
-            CheckRecord(
-                name="ricci_pullback",
-                verdict=_verdict(ok),
-                residual=worst,
-                seconds=time.perf_counter() - start,
-            )
-        )
+        records.append(_timed("ricci_pullback", ok, start, residual=worst))
     return records
 
 
@@ -404,18 +417,11 @@ def _run_levi(sc: Scenario) -> list:
     ok = len(sigs) == 1
     expected = sc.expect.get("signature")
     if expected is not None:
-        ok = ok and sigs == {tuple(int(v) for v in expected)}
+        ok = ok and sigs == {tuple(expected)}
     rep0 = reports[0]
     min_eig = min(float(np.abs(rep.eigenvalues).min()) for rep in reports)
-    return [
-        CheckRecord(
-            name="levi_signature",
-            verdict=_verdict(ok),
-            signature=(rep0.nNeg, rep0.nZero, rep0.nPos),
-            residual=min_eig,
-            seconds=time.perf_counter() - start,
-        )
-    ]
+    signature = (rep0.nNeg, rep0.nZero, rep0.nPos)
+    return [_timed("levi_signature", ok, start, signature=signature, residual=min_eig)]
 
 
 def _run_umehara(sc: Scenario) -> list:
@@ -424,14 +430,7 @@ def _run_umehara(sc: Scenario) -> list:
     start = time.perf_counter()
     table, verdict = rank_growth(sc.series["name"], sc.series["params"], sc.orders)
     ok = verdict == sc.expect["verdict"]
-    return [
-        CheckRecord(
-            name="rank_growth",
-            verdict=_verdict(ok),
-            rankTable=tuple((n, r) for n, r in table),
-            seconds=time.perf_counter() - start,
-        )
-    ]
+    return [_timed("rank_growth", ok, start, rankTable=tuple((n, r) for n, r in table))]
 
 
 def _run_relatives(sc: Scenario) -> list:
@@ -444,27 +443,15 @@ def _run_relatives(sc: Scenario) -> list:
     tol = sc.tolerances.get("proportionality", DEFAULT_TOL)
     start = time.perf_counter()
     res = relatives_test(sc.maps[0], sc.maps[1], t1, t2, m, sc.p, points, tol=tol)
-    records = [
-        CheckRecord(
-            name=f"relatives_p{sc.p}",
-            verdict=_verdict(res.passed),
-            lambdaHat=res.lambdaHat,
-            residual=res.maxResidual,
-            seconds=time.perf_counter() - start,
-        )
-    ]
+    fit = {"lambdaHat": res.lambdaHat, "residual": res.maxResidual}
+    records = [_timed(f"relatives_p{sc.p}", res.passed, start, **fit)]
     expected = sc.expect.get("lambdaHat")
     if expected is not None:
+        start = time.perf_counter()
         tol_l = sc.tolerances.get("lambdaMatch", 1e-8)
         dev = abs(res.lambdaHat - float(expected))
-        records.append(
-            CheckRecord(
-                name="lambda_matches",
-                verdict=_verdict(dev <= tol_l * max(1.0, abs(float(expected)))),
-                lambdaHat=res.lambdaHat,
-                residual=dev,
-            )
-        )
+        ok = dev <= tol_l * max(1.0, abs(float(expected)))
+        records.append(_timed("lambda_matches", ok, start, lambdaHat=res.lambdaHat, residual=dev))
     return records
 
 

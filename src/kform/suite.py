@@ -19,20 +19,11 @@ from .linalg import generalized_eigenvalues, hermitize, sign_counts
 from .numdiff import wirtinger_hessian
 from .ppforms import index_basis, proportionality_test, pullback_pp, relatives_test, wedge_power_coeffs
 from .rigidity import EigenProfile, conclude_isometry_factor, eigen_products_check
-from .scenarios import DEFAULT_COUNT, DEFAULT_SEED, CheckRecord, Report, _assemble, report_to_json
+from .scenarios import DEFAULT_COUNT, DEFAULT_SEED, Report, _assemble, _timed, report_to_json
 from .spaceforms import ball, euclidean, metric, projective, ricci, sample_chart_points
 from .umehara import ball_slice, bi_series, coeff_rank, proj_slice, rank_growth, series_eval
 
 __all__ = ["run_paper_suite"]
-
-
-def _timed(name: str, ok: bool, start: float, **extra) -> CheckRecord:
-    return CheckRecord(
-        name=name,
-        verdict="PASS" if ok else "FAIL",
-        seconds=time.perf_counter() - start,
-        **extra,
-    )
 
 
 def _c01(seed: int) -> list:

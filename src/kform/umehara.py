@@ -33,7 +33,7 @@ from .errors import (
     ScenarioError,
     SingularEvaluationError,
 )
-from .expressions import BinOp, Const, MapExpr, Neg, Pow, Var, parse_map
+from .expressions import MapExpr, fold, parse_map
 
 __all__ = [
     "BiSeries",
@@ -47,6 +47,7 @@ __all__ = [
     "proj_slice",
     "psi",
     "abs_square",
+    "as_map",
     "builtin_series",
     "coeff_rank",
     "rank_growth",
@@ -162,39 +163,46 @@ def _taylor_reciprocal(a: np.ndarray) -> np.ndarray:
     return b
 
 
+class _Taylor:
+    """Taylor coefficients to a fixed order: the slice algebra for ``fold``."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: np.ndarray):
+        self.c = c
+
+    def __add__(self, o):
+        return _Taylor(self.c + o.c)
+
+    def __sub__(self, o):
+        return _Taylor(self.c - o.c)
+
+    def __mul__(self, o):
+        return _Taylor(_taylor_mul(self.c, o.c))
+
+    def __truediv__(self, o):
+        return _Taylor(_taylor_mul(self.c, _taylor_reciprocal(o.c)))
+
+    def __neg__(self):
+        return _Taylor(-self.c)
+
+    def __pow__(self, n: int):
+        """By repeated squaring over the bits of n, so the cost grows with log n."""
+        out = _monomial(self.c.size - 1, 0, 1.0)
+        for bit in bin(n)[2:]:
+            out = out * out * self if bit == "1" else out * out
+        return out
+
+
+def _monomial(n: int, degree: int, value) -> _Taylor:
+    """value * zeta^degree to order n (zero when degree > n)."""
+    return _Taylor(value * np.eye(1, n + 1, degree, dtype=np.complex128)[0])
+
+
 def _slice_taylor(expr, n: int) -> np.ndarray:
     """Taylor coefficients to order n of expr restricted to (zeta, 0, ..., 0)."""
-    out = np.zeros(n + 1, dtype=np.complex128)
-    if isinstance(expr, Const):
-        out[0] = expr.value
-        return out
-    if isinstance(expr, Var):
-        if expr.index == 1:
-            if n >= 1:
-                out[1] = 1.0
-            return out
-        return out
-    if isinstance(expr, Neg):
-        return -_slice_taylor(expr.arg, n)
-    if isinstance(expr, Pow):
-        base = _slice_taylor(expr.base, n)
-        acc = np.zeros(n + 1, dtype=np.complex128)
-        acc[0] = 1.0
-        for _ in range(expr.exponent):
-            acc = _taylor_mul(acc, base)
-        return acc
-    if isinstance(expr, BinOp):
-        left = _slice_taylor(expr.left, n)
-        right = _slice_taylor(expr.right, n)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return _taylor_mul(left, right)
-        if expr.op == "/":
-            return _taylor_mul(left, _taylor_reciprocal(right))
-    raise TypeError(f"unsupported expression node {type(expr).__name__}")
+    # only z1 varies along the slice; the other coordinates are 0
+    return fold(expr, lambda c: _monomial(n, 0, c), lambda k: _monomial(n, 1, float(k == 0))).c
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +240,9 @@ def psi(p: int, F: MapExpr, n: int) -> BiSeries:
     return multiply(power(one_plus, 2 * p), ball_slice(p, n))
 
 
-def _as_map(value) -> MapExpr:
+def as_map(value) -> MapExpr:
+    """A MapExpr as given, or parsed from component strings; the arity is
+    the largest variable index they name (at least 1)."""
     if isinstance(value, MapExpr):
         return value
     sources = [str(c) for c in value]
@@ -254,9 +264,9 @@ def builtin_series(name: str, params: dict, n: int) -> BiSeries:
     if name == "proj_slice":
         return proj_slice(int(params["p"]), n)
     if name == "psi":
-        return psi(int(params["p"]), _as_map(params["map"]), n)
+        return psi(int(params["p"]), as_map(params["map"]), n)
     if name == "abs_square":
-        return abs_square(_as_map(params["map"]), n)
+        return abs_square(as_map(params["map"]), n)
     raise ScenarioError(f"unknown series name {name!r}")
 
 

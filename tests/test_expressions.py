@@ -1,10 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kform.errors import DimensionError, ExprSyntaxError, SingularEvaluationError
 from kform.expressions import (
     BinOp,
     Const,
+    Expr,
     MapExpr,
     Pow,
     Var,
@@ -56,6 +61,35 @@ def test_parse_errors_carry_position():
         parse_expr("z3", 2)
     with pytest.raises(ExprSyntaxError):
         parse_expr("z1^-1", 1)
+    # literals that overflow are rejected where they start, as exponents too
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expr("z1^1e999", 1)
+    assert exc.value.position == 3
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expr("1e999", 1)
+    assert exc.value.position == 0
+
+
+@pytest.mark.parametrize(
+    "src, message, position",
+    [
+        ("1.2.3", "malformed number", 3),
+        ("3 + .", "malformed number '.'", 4),
+        ("3 + .e5", "malformed number '.e5'", 4),
+        ("z1 + z", "expected a variable index after 'z'", 5),
+        ("z1 + $", "unexpected character '$'", 5),
+        ("z1^2.5", "exponent must be a nonnegative integer", 3),
+        ("z1 ^ (2)", "exponent must be a nonnegative integer", 5),
+        ("z1 z1", "unexpected trailing input", 3),
+        ("(z1 ", "expected ')'", 4),
+        ("z1 * ", "expected a number, variable, or '('", 5),
+    ],
+)
+def test_parse_error_messages_and_positions(src, message, position):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expr(src, 1)
+    assert str(exc.value) == f"{message} (position {position})"
+    assert exc.value.position == position
 
 
 def test_eval_jet_pinned_examples():
@@ -167,3 +201,49 @@ def test_map_construction_validates_indices():
         parse_map(["z1*z3"], 2)
     with pytest.raises(DimensionError):
         evaluate_map(identity_map(2), [1.0])
+
+
+# The grammar's alphabet, unicode operators included, plus whitespace.
+_GRAMMAR_TEXT = st.text(alphabet="z0123.+-−*×/÷^()ieE ", max_size=16)
+
+
+def _outcome(fn, *args):
+    """Bits of a complex result, or the exception type it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            value = complex(fn(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return struct.pack("<dd", value.real, value.imag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GRAMMAR_TEXT)
+def test_parse_expr_returns_a_tree_or_a_grammar_error(src):
+    try:
+        expr = parse_expr(src, 2)
+    except (ExprSyntaxError, IndexError):
+        return
+    assert isinstance(expr, Expr)
+    assert 0 <= expr.top <= 2
+
+
+# Well-formed expression strings: every draw parses.
+_EXPR_TEXT = st.recursive(
+    st.sampled_from(["z1", "z2", "0.5", "2i", "1.5e-1", "i", "3"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-−*×/÷"), inner).map(lambda t: "(%s%s%s)" % t),
+        st.tuples(inner, st.integers(0, 5)).map(lambda t: f"({t[0]})^{t[1]}"),
+        inner.map(lambda t: f"(-{t})"),
+    ),
+    max_leaves=12,
+)
+_POINT_COORD = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPR_TEXT, _POINT_COORD, _POINT_COORD)
+def test_jet_value_is_the_scalar_value_bitwise(src, z1, z2):
+    expr = parse_expr(src, 2)
+    jet_value = _outcome(lambda: eval_jet(expr, [z1, z2]).value)
+    assert jet_value == _outcome(evaluate, expr, [z1, z2])

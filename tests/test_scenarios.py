@@ -152,6 +152,15 @@ def test_overrides_update_echo():
     assert report.scenario["sampling"]["count"] == 12
 
 
+def _umehara(params, name="psi"):
+    return {
+        "mode": "umehara",
+        "series": {"name": name, "params": params},
+        "orders": [2, 4, 6],
+        "expect": {"verdict": "growing"},
+    }
+
+
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
@@ -163,6 +172,14 @@ def test_overrides_update_echo():
         (lambda d: d.update(p=5), "p"),
         (lambda d: d.update(sampling={"count": 0}), "sampling.count"),
         (lambda d: d.pop("map"), "map"),
+        (lambda d: d.update(tolerances={"proportionality": "tight"}), "tolerances.proportionality"),
+        (lambda d: d.update(sampling={"radius": "wide"}), "sampling.radius"),
+        (lambda d: d.update(mode="levi", r="big"), "r"),
+        (lambda d: d.update(mode="levi", expect={"signature": [0, "a", 3]}), "expect.signature"),
+        (lambda d: d.update(_umehara({"map": ["z1"]})), "series.params.p"),
+        (lambda d: d.update(_umehara({"p": 1.5, "map": ["z1"]})), "series.params.p"),
+        (lambda d: d.update(_umehara({"p": 1, "map": "z1"})), "series.params.map"),
+        (lambda d: d.update(_umehara({"p": 1, "map": ["z1^"]})), "series.params.map"),
     ],
 )
 def test_scenario_validation_names_the_field(mutate, fragment):
@@ -228,6 +245,28 @@ def test_cli_parse_errors_exit_two(tmp_path, capsys):
     wrong.write_text(json.dumps({"mode": "nope"}))
     assert main(["run", str(wrong)]) == 2
     assert "mode" in capsys.readouterr().err
+
+
+def test_cli_malformed_scenario_fields_exit_two(tmp_path, capsys):
+    for data, fragment in [
+        (dict(_identity_flat(), map=["z1^1e999", "z2"]), "position 3"),
+        (dict(_identity_flat(), tolerances={"ricci": None}), "tolerances.ricci"),
+        (_umehara({"map": ["z1"]}), "series.params.p"),
+    ]:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path)]) == 2
+        assert fragment in capsys.readouterr().err
+
+
+def test_cli_umehara_huge_power_returns(tmp_path, capsys):
+    # the slice Taylor power squares over the exponent's bits, without recursion
+    path = tmp_path / "power.json"
+    data = _umehara({"map": ["z1^100000000000", "z1^1e300"]}, name="abs_square")
+    data["expect"] = {"verdict": "bounded"}
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == 0
+    assert "ranks=2:0,4:0,6:0" in capsys.readouterr().out
 
 
 def test_cli_usage_error_exit_two(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -175,6 +177,37 @@ def test_abs_square_with_division_and_higher_vars():
     assert_allclose(t.coeffs, expected, atol=1e-13)
     with pytest.raises(SingularEvaluationError):
         abs_square(parse_map(["1/z1"], 1), 4)
+
+
+def test_abs_square_of_powers_is_binomial():
+    # (1 + z1)^13 has Taylor coefficients C(13, j); odd and even exponent bits
+    c = np.array([float(math.comb(13, j)) for j in range(9)])
+    s = abs_square(parse_map(["(1+z1)^13"], 1), 8)
+    assert_allclose(s.coeffs, np.outer(c, c), rtol=1e-13)
+
+
+def _literal(z):
+    z = complex(z)
+    return f"({z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}i)"
+
+
+def test_abs_square_matches_fft_of_circle_samples():
+    # second route: Taylor coefficients from the FFT of values on |zeta| = rho
+    rng = np.random.default_rng(23)
+    order, samples, rho = 8, 64, 0.5
+    zeta = rho * np.exp(2j * np.pi * np.arange(samples) / samples)
+    for _ in range(20):
+        sources, values = [], []
+        for _ in range(int(rng.integers(1, 4))):
+            a = rng.normal(size=4) + 1j * rng.normal(size=4)
+            b, c = rng.normal() + 1j * rng.normal(), rng.choice([-1, 1]) * rng.uniform(1.5, 3.0)
+            poly = "+".join(f"{_literal(a[j])}*z1^{j}" for j in range(4))
+            sources.append(f"{poly}+{_literal(b)}/({_literal(c)}+z1)+z2*(z1-3)^2")
+            values.append(np.polyval(a[::-1], zeta) + b / (c + zeta))
+        s = abs_square(parse_map(sources, 2), order)
+        taylor = np.fft.fft(np.array(values), axis=1)[:, : order + 1] / samples
+        taylor /= rho ** np.arange(order + 1)
+        assert_allclose(s.coeffs, taylor.T @ taylor.conj(), atol=1e-10)
 
 
 def test_real_symmetry_preserved_by_arithmetic():
