@@ -13,6 +13,7 @@ from .errors import (
     DegenerateSampleError,
     DimensionError,
     DomainError,
+    EvaluationLimitError,
     ExprSyntaxError,
     KformError,
     PreconditionError,

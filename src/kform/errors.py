@@ -39,6 +39,10 @@ class SingularEvaluationError(KformError, ArithmeticError):
     """A map or series was evaluated at a pole of one of its components."""
 
 
+class EvaluationLimitError(KformError, ArithmeticError):
+    """An expression nests too deeply to evaluate, or a value overflows."""
+
+
 class DegenerateSampleError(KformError, ValueError):
     """A sample point produced an identically vanishing reference form."""
 

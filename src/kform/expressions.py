@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import (
     DimensionError,
+    EvaluationLimitError,
     ExprSyntaxError,
     SingularEvaluationError,
 )
@@ -159,7 +160,8 @@ def fold(expr: Expr, const, var, div=operator.truediv):
     ``const(value)`` and ``var(k)`` give the leaves their values, k being the
     0-based coordinate of the variable z_(k+1); inner nodes combine them with
     the values' own ``+ - *``, unary ``-`` and ``** n``, and quotients with
-    ``div(numerator, denominator)``.
+    ``div(numerator, denominator)``.  A tree deeper than the interpreter's
+    recursion limit, or a value that overflows, raises EvaluationLimitError.
     """
     binary = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": div}
 
@@ -177,7 +179,12 @@ def fold(expr: Expr, const, var, div=operator.truediv):
             return -walk(e.arg)
         raise TypeError(f"not an expression node: {e!r}")
 
-    return walk(expr)
+    try:
+        return walk(expr)
+    except RecursionError:
+        raise EvaluationLimitError("expression is too deep to evaluate") from None
+    except OverflowError as exc:
+        raise EvaluationLimitError(f"expression overflows: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +316,10 @@ def parse_expr(src: str, arity: int) -> Expr:
     """Parse one component expression with variables z1..z<arity>."""
     if not isinstance(src, str):
         raise ExprSyntaxError(f"expression source must be a string, got {type(src).__name__}")
-    return _Parser(src, arity).parse()
+    try:
+        return _Parser(src, arity).parse()
+    except RecursionError:
+        raise ExprSyntaxError("expression nests too deeply") from None
 
 
 # ---------------------------------------------------------------------------

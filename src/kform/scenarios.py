@@ -16,13 +16,15 @@ Scenario schema (all keys lowercase unless noted):
       "p": 1,
       "r": 1.0,                            # levi mode only: bundle level set
       "series": {"name": "psi", "params": {"p": 1, "map": ["z1"]}},  # umehara
-      "orders": [2, 4, 6],                 # umehara
-      "sampling": {"count": 50, "seed": 42, "radius": null},
-      "tolerances": {"proportionality": 1e-8, ...},
+      "orders": [2, 4, 6],                 # umehara: at least three
+      "sampling": {"count": 50, "seed": 42, "radius": null},  # count <= 10000
+      "tolerances": {"proportionality": 1e-8, ...},  # only keys the mode reads
       "expect": {"signature": [3, 0, 0], "verdict": "growing", "lambdaHat": 2}
     }
 
-"sig" defaults to dim (definite).  Report checks are sorted by name and
+"sig" defaults to dim (definite), and levi and rigidity need it definite.
+A sampling radius above 1 is rejected where the ball of that radius can
+leave the source chart.  Report checks are sorted by name and
 overall is the conjunction of the per-check verdicts.
 """
 
@@ -61,6 +63,14 @@ MODES = ("levi", "pullback", "relatives", "rigidity", "suite", "umehara")
 
 DEFAULT_SEED = 42
 DEFAULT_COUNT = 50
+MAX_COUNT = 10_000
+
+# the tolerances each mode reads, with their defaults; any other key is an error
+_TOLERANCES = {
+    "pullback": {"proportionality": DEFAULT_TOL},
+    "rigidity": {"rigidity": 1e-8, "factorSpread": 1e-6, "ricci": 1e-8},
+    "relatives": {"proportionality": DEFAULT_TOL, "lambdaMatch": 1e-8},
+}
 
 
 @dataclass(frozen=True)
@@ -214,7 +224,7 @@ class Scenario:
     count: int
     seed: int
     radius: float | None
-    tolerances: dict
+    tolerances: dict  # the mode's defaults, overridden by the scenario's
     expect: dict
     echo: dict
 
@@ -232,6 +242,8 @@ def parse_scenario(data) -> Scenario:
     count = sampling.get("count", DEFAULT_COUNT)
     if not _is_int(count) or count < 1:
         raise ScenarioError(f"sampling.count must be a positive integer, got {count!r}")
+    if count > MAX_COUNT:
+        raise ScenarioError(f"sampling.count must be at most {MAX_COUNT}, got {count}")
     seed = sampling.get("seed", DEFAULT_SEED)
     if not _is_int(seed):
         raise ScenarioError(f"sampling.seed must be an integer, got {seed!r}")
@@ -245,6 +257,11 @@ def parse_scenario(data) -> Scenario:
     if not isinstance(tolerances, dict):
         raise ScenarioError("tolerances must be an object of named floats")
     tolerances = {str(k): _real(v, f"tolerances.{k}") for k, v in tolerances.items()}
+    known = _TOLERANCES.get(mode, {})
+    for key in tolerances:
+        if key not in known:
+            reads = ", ".join(known) or "none"
+            raise ScenarioError(f"tolerances.{key} is not read by {mode} mode (it reads: {reads})")
     expect = data.get("expect", {})
     if not isinstance(expect, dict):
         raise ScenarioError("expect must be an object")
@@ -316,10 +333,11 @@ def parse_scenario(data) -> Scenario:
         raw_orders = data.get("orders")
         if (
             not isinstance(raw_orders, list)
-            or not raw_orders
+            or len(raw_orders) < 3
             or not all(_is_int(n) and n >= 0 for n in raw_orders)
         ):
-            raise ScenarioError("orders must be a nonempty list of nonnegative integers")
+            # the verdict compares the last three ranks
+            raise ScenarioError("orders must be a list of at least three nonnegative integers")
         orders = tuple(raw_orders)
         verdict = expect.get("verdict")
         if verdict not in ("bounded", "growing"):
@@ -328,6 +346,17 @@ def parse_scenario(data) -> Scenario:
             )
         echo.update(series=series, orders=list(orders))
     # suite mode carries no further fields
+
+    if mode in ("levi", "rigidity") and not source.is_definite:
+        raise ScenarioError(f"source.sig must equal source.dim (a definite metric) for {mode} mode")
+    # a radius-r ball stays inside {1 + c |w|_s^2 > 0} for r <= 1, and for any r
+    # unless some coordinate has the sign -c
+    if mode in ("pullback", "rigidity", "levi") and radius is not None and radius > 1.0:
+        if -source.curv in source.eps:
+            raise ScenarioError(
+                f"sampling.radius must be at most 1 on a {source.kind} source of signature "
+                f"{source.sig}, got {radius}"
+            )
 
     return Scenario(
         mode=mode,
@@ -341,7 +370,7 @@ def parse_scenario(data) -> Scenario:
         count=count,
         seed=seed,
         radius=radius,
-        tolerances=tolerances,
+        tolerances={**known, **tolerances},
         expect=expect,
         echo=echo,
     )
@@ -363,7 +392,7 @@ def _timed(name: str, ok: bool, start: float, **extra) -> CheckRecord:
 
 def _run_pullback(sc: Scenario) -> list:
     src, tgt, F = sc.source, sc.targets[0], sc.maps[0]
-    tol = sc.tolerances.get("proportionality", DEFAULT_TOL)
+    tol = sc.tolerances["proportionality"]
     points = sample_chart_points(src, sc.count, sc.seed, sc.radius)
     records = []
     degrees = [sc.p] if sc.p == 1 else [sc.p, 1]
@@ -377,7 +406,7 @@ def _run_pullback(sc: Scenario) -> list:
 
 def _run_rigidity(sc: Scenario) -> list:
     src, tgt, F = sc.source, sc.targets[0], sc.maps[0]
-    tol = sc.tolerances.get("rigidity", 1e-8)
+    tol = sc.tolerances["rigidity"]
     points = sample_chart_points(src, sc.count, sc.seed, sc.radius)
     records = []
 
@@ -389,7 +418,7 @@ def _run_rigidity(sc: Scenario) -> list:
     if sc.p < src.dim:
         start = time.perf_counter()
         factors = [conclude_isometry_factor(prof, tol=tol) for prof in profiles]
-        spread_tol = sc.tolerances.get("factorSpread", 1e-6)
+        spread_tol = sc.tolerances["factorSpread"]
         if any(f is None for f in factors):
             records.append(_timed("isometry_factor", False, start))
         else:
@@ -401,7 +430,7 @@ def _run_rigidity(sc: Scenario) -> list:
     if src.dim == tgt.dim:
         start = time.perf_counter()
         ok, worst, _skipped = ricci_pullback_check(
-            F, src, tgt, points, tol=sc.tolerances.get("ricci", 1e-8)
+            F, src, tgt, points, tol=sc.tolerances["ricci"]
         )
         records.append(_timed("ricci_pullback", ok, start, residual=worst))
     return records
@@ -440,7 +469,7 @@ def _run_relatives(sc: Scenario) -> list:
     if radius is None:
         radius = 0.9 if "ball" in (t1.kind, t2.kind) else 2.0
     points = sample_chart_points(euclidean(m), sc.count, sc.seed, radius)
-    tol = sc.tolerances.get("proportionality", DEFAULT_TOL)
+    tol = sc.tolerances["proportionality"]
     start = time.perf_counter()
     res = relatives_test(sc.maps[0], sc.maps[1], t1, t2, m, sc.p, points, tol=tol)
     fit = {"lambdaHat": res.lambdaHat, "residual": res.maxResidual}
@@ -448,7 +477,7 @@ def _run_relatives(sc: Scenario) -> list:
     expected = sc.expect.get("lambdaHat")
     if expected is not None:
         start = time.perf_counter()
-        tol_l = sc.tolerances.get("lambdaMatch", 1e-8)
+        tol_l = sc.tolerances["lambdaMatch"]
         dev = abs(res.lambdaHat - float(expected))
         ok = dev <= tol_l * max(1.0, abs(float(expected)))
         records.append(_timed("lambda_matches", ok, start, lambdaHat=res.lambdaHat, residual=dev))

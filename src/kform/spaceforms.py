@@ -1,15 +1,17 @@
 """Complex space forms in a single affine chart.
 
 Three families, each with an optional indefinite signature parameter s
-(``sig``), normalized to holomorphic sectional curvature 0, -2, +2:
+(``sig``), sorted by the sign c of their holomorphic sectional curvature 2c:
 
-* ``euclidean(n, s)``: C^n_s with the flat metric diag(+1 x s, -1 x (n-s)),
-* ``ball(n, s)``: B^n_s = {1 - |w|_s^2 > 0} with the Bergman-type metric,
-* ``projective(n, s)``: P^n_s in the affine chart {1 + |w|_s^2 > 0}.
+* ``euclidean(n, s)``: C^n_s, flat (c = 0),
+* ``ball(n, s)``: B^n_s = {1 - |w|_s^2 > 0} with the Bergman-type metric (c = -1),
+* ``projective(n, s)``: P^n_s in the affine chart {1 + |w|_s^2 > 0} (c = +1).
 
 Here |w|_s^2 = sum_{j<=s} |w_j|^2 - sum_{j>s} |w_j|^2, so sig = dim recovers
-the definite spaces C^n, B^n, P^n.  All metric-like matrices use the
-convention that the FIRST index is holomorphic: g[j, k] = g_{j kbar}.
+the definite spaces C^n, B^n, P^n.  Every chart formula is written once in c:
+with u = 1 + c |w|_s^2 the chart is {u > 0} and the metric is
+(u diag(eps) - c (eps wbar)(eps w)^T) / u^2.  All metric-like matrices use
+the convention that the FIRST index is holomorphic: g[j, k] = g_{j kbar}.
 
 Besides metric/Ricci/curvature tensors, the module provides the curvature
 pairing on wedge powers of the tangent bundle (in the sign convention pinned
@@ -48,7 +50,8 @@ __all__ = [
     "sample_chart_points",
 ]
 
-_KINDS = ("euclidean", "ball", "projective")
+# the curvature sign c of each kind; holomorphic sectional curvature is 2c
+_CURV = {"euclidean": 0, "ball": -1, "projective": 1}
 
 # chart sampling radii keeping conditioning mild near chart boundaries
 _RADIUS = {"euclidean": 2.0, "ball": 0.9, "projective": 2.0}
@@ -64,7 +67,7 @@ class SpaceForm:
     sig: int
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _CURV:
             raise ValueError(f"unknown space form kind {self.kind!r}")
         if not isinstance(self.dim, int) or self.dim < 1:
             raise DimensionError(f"dim must be a positive integer, got {self.dim!r}")
@@ -85,17 +88,19 @@ class SpaceForm:
         return e
 
     @property
+    def curv(self) -> int:
+        """Curvature sign c: 0 flat, -1 ball, +1 projective."""
+        return _CURV[self.kind]
+
+    @property
     def hsc(self) -> float:
-        """Holomorphic sectional curvature constant c."""
-        return {"euclidean": 0.0, "ball": -2.0, "projective": 2.0}[self.kind]
+        """Holomorphic sectional curvature constant 2c."""
+        return 2.0 * self.curv
 
     @property
     def ricci_factor(self) -> float:
-        """Constant c-tilde with ricci = c-tilde * metric."""
-        if self.kind == "euclidean":
-            return 0.0
-        scale = float(self.dim + 1)
-        return -scale if self.kind == "ball" else scale
+        """Constant c-tilde = c (n + 1) with ricci = c-tilde * metric."""
+        return float(self.curv * (self.dim + 1))
 
 
 def euclidean(dim: int, sig: int | None = None) -> SpaceForm:
@@ -118,15 +123,14 @@ def snorm2(sf: SpaceForm, w) -> float:
     return float(np.sum(sf.eps * np.abs(w) ** 2))
 
 
+def _u(sf: SpaceForm, z) -> float:
+    """u = 1 + c |w|_s^2; exactly 1 on flat forms, even where |w|^2 overflows."""
+    return 1.0 + sf.curv * snorm2(sf, z) if sf.curv else 1.0
+
+
 def in_chart(sf: SpaceForm, w) -> bool:
     w = np.asarray(w, dtype=np.complex128).reshape(-1)
-    if w.size != sf.dim or not np.isfinite(w).all():
-        return False
-    if sf.kind == "euclidean":
-        return True
-    if sf.kind == "ball":
-        return 1.0 - snorm2(sf, w) > 0.0
-    return 1.0 + snorm2(sf, w) > 0.0
+    return w.size == sf.dim and bool(np.isfinite(w).all()) and _u(sf, w) > 0.0
 
 
 def chart_point(sf: SpaceForm, w) -> np.ndarray:
@@ -136,7 +140,7 @@ def chart_point(sf: SpaceForm, w) -> np.ndarray:
         raise DimensionError(f"point has {z.size} coordinates, expected {sf.dim}")
     if not np.isfinite(z).all():
         raise DomainError("chart point coordinates must be finite")
-    if not in_chart(sf, z):
+    if not _u(sf, z) > 0.0:
         raise DomainError(f"point outside the {sf.kind} chart domain")
     return z
 
@@ -144,55 +148,31 @@ def chart_point(sf: SpaceForm, w) -> np.ndarray:
 def metric(sf: SpaceForm, w) -> np.ndarray:
     """Metric matrix g[j, k] = g_{j kbar} at a chart point.
 
-    Euclidean: diag(eps).  Ball: ((1-|w|_s^2) diag(eps) + (eps wbar)(eps w)^T)
-    / (1-|w|_s^2)^2, and Projective the same with both interior signs flipped.
-    Hermitian everywhere; positive definite on definite space forms.
+    g = (u diag(eps) - c (eps wbar)(eps w)^T) / u^2 with u = 1 + c |w|_s^2,
+    which is diag(eps) on flat forms.  Hermitian everywhere; positive
+    definite on definite space forms.
     """
     z = chart_point(sf, w)
-    e = sf.eps
-    if sf.kind == "euclidean":
-        return np.diag(e).astype(np.complex128)
-    if sf.kind == "ball":
-        u = 1.0 - snorm2(sf, z)
-        g = (u * np.diag(e) + np.outer(e * np.conj(z), e * z)) / u**2
-    else:
-        u = 1.0 + snorm2(sf, z)
-        g = (u * np.diag(e) - np.outer(e * np.conj(z), e * z)) / u**2
+    e, c = sf.eps, sf.curv
+    u = _u(sf, z)
+    g = (u * np.diag(e) - np.outer(c * e * np.conj(z), e * z)) / u**2
     return hermitize(g)
 
 
 def metric_dz(sf: SpaceForm, w) -> np.ndarray:
     """Holomorphic first derivatives of the metric: out[l, j, k] = d g_{j kbar} / dz_l."""
     z = chart_point(sf, w)
-    n = sf.dim
-    e = sf.eps
-    out = np.zeros((n, n, n), dtype=np.complex128)
-    if sf.kind == "euclidean":
-        return out
-    sign = -1.0 if sf.kind == "ball" else 1.0
-    # u = 1 + sign*|w|_s^2, d_l u = sign * eps_l * wbar_l
-    u = 1.0 + sign * snorm2(sf, z)
-    du = sign * e * np.conj(z)
-    g = metric(sf, z)
-    diag_e = np.diag(e).astype(np.complex128)
-    for l in range(n):
-        # quotient rule applied to (u*diag(e) - sign*outer(e wbar, e w)) / u^2
-        num_dl = du[l] * diag_e - sign * np.outer(e * np.conj(z), e * _unit(n, l))
-        out[l] = num_dl / u**2 - 2.0 * du[l] * g / u
-    return out
-
-
-def _unit(n: int, a: int) -> np.ndarray:
-    v = np.zeros(n, dtype=np.complex128)
-    v[a] = 1.0
-    return v
+    e, c = sf.eps, sf.curv
+    u = _u(sf, z)
+    du = (c * e * np.conj(z))[:, None, None]  # d_l u
+    diag_e = np.diag(e)
+    # quotient rule; d_l of (eps wbar)(eps w)^T is (eps wbar) eps_l in column l
+    num = du * diag_e - c * ((e * np.conj(z))[None, :, None] * diag_e[:, None, :])
+    return num / u**2 - 2.0 * du * metric(sf, z) / u
 
 
 def ricci(sf: SpaceForm, w) -> np.ndarray:
     """Ricci tensor R[j, k] = -d_j dbar_k log det g = ricci_factor * metric."""
-    if sf.kind == "euclidean":
-        chart_point(sf, w)
-        return np.zeros((sf.dim, sf.dim), dtype=np.complex128)
     return sf.ricci_factor * metric(sf, w)
 
 
@@ -244,11 +224,10 @@ def wedge_curvature_block(sf: SpaceForm, w, I, J) -> np.ndarray:
         raise IndexError(f"multi-indices have different lengths {i0.size} and {j0.size}")
     sub = g[np.ix_(i0, j0)]
     cof = cofactor_matrix(sub)
-    half_c = 0.5 * sf.hsc
-    # sum_{s,t} cof[s,t] * (g[l,k] g[i_s,j_t] + g[l,j_t] g[i_s,k])
+    # sum_{s,t} cof[s,t] * (g[l,k] g[i_s,j_t] + g[l,j_t] g[i_s,k]), times -hsc/2 = -c
     weight = np.sum(cof * sub)
     block = weight * g + g[:, j0] @ cof.T @ g[i0, :]
-    return -half_c * block
+    return -sf.curv * block
 
 
 def wedge_curvature(sf: SpaceForm, w, eta, I, J) -> complex:
@@ -315,7 +294,7 @@ def center_automorphism(sf: SpaceForm, w) -> Automorphism:
     """
     z0 = chart_point(sf, w)
     n = sf.dim
-    if sf.kind == "euclidean":
+    if sf.curv == 0:
         return Automorphism(
             forward=_translation_map(-z0),
             inverse=_translation_map(z0),
@@ -326,8 +305,8 @@ def center_automorphism(sf: SpaceForm, w) -> Automorphism:
             "center automorphism is only available for definite ball/projective forms"
         )
 
-    jsign = -1.0 if sf.kind == "ball" else 1.0
-    jdiag = np.concatenate(([1.0], jsign * np.ones(n)))
+    # the homogeneous form diag(1, c, ..., c) on the lift [1; w]
+    jdiag = np.concatenate(([1.0], sf.curv * np.ones(n)))
 
     def jinner(x, y):
         # <x, y>_J = y^H J x

@@ -15,10 +15,16 @@ ball_slice(p) whose unbounded rank growth is the computational evidence that
 certain ball-to-projective map identities are impossible.  Ranks of
 truncations are evidence, never proofs: `rank_growth` reports a verdict, not
 a theorem.
+
+All series arithmetic, the bidegree series above and the holomorphic Taylor
+coefficients of a map on the slice (zeta, 0, ..., 0), is one truncated-series
+algebra: one product (a convolution cut to the operands' shape), one
+reciprocal and one power by repeated squaring.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -87,6 +93,68 @@ def bi_series(coeffs) -> BiSeries:
     return BiSeries(order=c.shape[0] - 1, coeffs=c)
 
 
+def _unit(shape, k: int = 0) -> np.ndarray:
+    """Coefficients with a 1 at flat index k, all zero when k is past the end:
+    the series 1 for k = 0, and zeta for k = 1 in one variable."""
+    return np.eye(1, np.prod(shape), k, dtype=np.complex128).reshape(shape)
+
+
+class _Series:
+    """Truncated series: coefficients of zeta^j (1-D) or zeta^j conj(zeta)^k
+    (2-D), cut back to the array's shape after every operation.
+
+    The module's one product, reciprocal and power, and the slice algebra
+    for ``fold``.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: np.ndarray):
+        self.c = c
+
+    def __add__(self, o):
+        return _Series(self.c + o.c)
+
+    def __sub__(self, o):
+        return _Series(self.c - o.c)
+
+    def __neg__(self):
+        return _Series(-self.c)
+
+    def __mul__(self, o):
+        full = np.convolve(self.c, o.c) if self.c.ndim == 1 else convolve2d(self.c, o.c)
+        return _Series(full[tuple(slice(size) for size in self.c.shape)])
+
+    def __truediv__(self, o):
+        return self * o.reciprocal()
+
+    def reciprocal(self):
+        """Truncated inverse; the constant coefficient must be nonzero.
+
+        Solved one coefficient at a time in the lexicographic order of
+        ``np.ndindex``, which reaches every index after all indices below it.
+        """
+        a = self.c
+        a0 = a.flat[0]
+        if abs(a0) == 0.0:
+            raise SingularEvaluationError("reciprocal needs a nonzero constant coefficient")
+        b = np.zeros_like(a)
+        b.flat[0] = 1.0 / a0
+        flip = (slice(None, None, -1),) * a.ndim
+        for idx in itertools.islice(np.ndindex(a.shape), 1, None):
+            window = tuple(slice(i + 1) for i in idx)
+            # b[idx] is still zero, so the full window sum omits it
+            b[idx] = -np.sum(a[window][flip] * b[window]) / a0
+        return _Series(b)
+
+    def __pow__(self, n: int):
+        """By repeated squaring over the bits of n, so the cost grows with log n."""
+        out = self if n else _Series(_unit(self.c.shape))
+        for bit in bin(n)[3:]:  # the leading bit is out = self
+            out = out * out * self if bit == "1" else out * out
+        return out
+
+
 def _same_order(a: BiSeries, b: BiSeries) -> int:
     if a.order != b.order:
         raise DimensionError(f"orders differ: {a.order} and {b.order}")
@@ -95,13 +163,12 @@ def _same_order(a: BiSeries, b: BiSeries) -> int:
 
 def add(a: BiSeries, b: BiSeries) -> BiSeries:
     n = _same_order(a, b)
-    return BiSeries(order=n, coeffs=a.coeffs + b.coeffs)
+    return BiSeries(order=n, coeffs=(_Series(a.coeffs) + _Series(b.coeffs)).c)
 
 
 def multiply(a: BiSeries, b: BiSeries) -> BiSeries:
     n = _same_order(a, b)
-    full = convolve2d(a.coeffs, b.coeffs)
-    return BiSeries(order=n, coeffs=full[: n + 1, : n + 1])
+    return BiSeries(order=n, coeffs=(_Series(a.coeffs) * _Series(b.coeffs)).c)
 
 
 def series_eval(s: BiSeries, zeta: complex) -> complex:
@@ -109,100 +176,16 @@ def series_eval(s: BiSeries, zeta: complex) -> complex:
     return complex(pows @ s.coeffs @ np.conj(pows))
 
 
-def _one(n: int) -> BiSeries:
-    c = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    c[0, 0] = 1.0
-    return BiSeries(order=n, coeffs=c)
-
-
 def reciprocal(a: BiSeries) -> BiSeries:
     """Truncated inverse; the constant coefficient must be nonzero."""
-    a00 = a.coeffs[0, 0]
-    if abs(a00) == 0.0:
-        raise SingularEvaluationError("reciprocal needs a nonzero constant coefficient")
-    n = a.order
-    b = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    b[0, 0] = 1.0 / a00
-    ca = a.coeffs
-    for grade in range(1, 2 * n + 1):
-        for j in range(max(0, grade - n), min(grade, n) + 1):
-            k = grade - j
-            # b[j, k] is still zero, so the full window sum omits it
-            window = np.sum(ca[: j + 1, : k + 1][::-1, ::-1] * b[: j + 1, : k + 1])
-            b[j, k] = -window / a00
-    return BiSeries(order=n, coeffs=b)
+    return BiSeries(order=a.order, coeffs=_Series(a.coeffs).reciprocal().c)
 
 
 def power(a: BiSeries, n: int) -> BiSeries:
     n = operator.index(n)
     if n < 0:
         raise ValueError(f"series power wants a nonnegative integer, got {n!r}")
-    out = _one(a.order)
-    for _ in range(n):
-        out = multiply(out, a)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# holomorphic slice Taylor coefficients
-
-
-def _taylor_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = a.size
-    return np.convolve(a, b)[:n]
-
-
-def _taylor_reciprocal(a: np.ndarray) -> np.ndarray:
-    if abs(a[0]) == 0.0:
-        raise SingularEvaluationError("division by a function vanishing on the slice")
-    n = a.size
-    b = np.zeros(n, dtype=np.complex128)
-    b[0] = 1.0 / a[0]
-    for k in range(1, n):
-        b[k] = -np.dot(a[1 : k + 1], b[k - 1 :: -1]) / a[0]
-    return b
-
-
-class _Taylor:
-    """Taylor coefficients to a fixed order: the slice algebra for ``fold``."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c: np.ndarray):
-        self.c = c
-
-    def __add__(self, o):
-        return _Taylor(self.c + o.c)
-
-    def __sub__(self, o):
-        return _Taylor(self.c - o.c)
-
-    def __mul__(self, o):
-        return _Taylor(_taylor_mul(self.c, o.c))
-
-    def __truediv__(self, o):
-        return _Taylor(_taylor_mul(self.c, _taylor_reciprocal(o.c)))
-
-    def __neg__(self):
-        return _Taylor(-self.c)
-
-    def __pow__(self, n: int):
-        """By repeated squaring over the bits of n, so the cost grows with log n."""
-        out = _monomial(self.c.size - 1, 0, 1.0)
-        for bit in bin(n)[2:]:
-            out = out * out * self if bit == "1" else out * out
-        return out
-
-
-def _monomial(n: int, degree: int, value) -> _Taylor:
-    """value * zeta^degree to order n (zero when degree > n)."""
-    return _Taylor(value * np.eye(1, n + 1, degree, dtype=np.complex128)[0])
-
-
-def _slice_taylor(expr, n: int) -> np.ndarray:
-    """Taylor coefficients to order n of expr restricted to (zeta, 0, ..., 0)."""
-    # only z1 varies along the slice; the other coordinates are 0
-    return fold(expr, lambda c: _monomial(n, 0, c), lambda k: _monomial(n, 1, float(k == 0))).c
+    return BiSeries(order=a.order, coeffs=(_Series(a.coeffs) ** n).c)
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +210,18 @@ def proj_slice(p: int, n: int) -> BiSeries:
 
 def abs_square(F: MapExpr, n: int) -> BiSeries:
     """||F(zeta, 0, ..., 0)||^2 as a bidegree series to order n."""
+    one, zeta = _unit(n + 1), _unit(n + 1, 1)
     c = np.zeros((n + 1, n + 1), dtype=np.complex128)
     for comp in F.components:
-        t = _slice_taylor(comp, n)
+        # the Taylor coefficients on the slice, where only z1 varies
+        t = fold(comp, lambda v: _Series(v * one), lambda k: _Series(float(k == 0) * zeta)).c
         c += np.outer(t, np.conj(t))
     return BiSeries(order=n, coeffs=c)
 
 
 def psi(p: int, F: MapExpr, n: int) -> BiSeries:
     """(1 + ||F(zeta, 0, ...)||^2)^(2p) * (1 - |zeta|^2)^(-(p+1))."""
-    one_plus = add(_one(n), abs_square(F, n))
+    one_plus = add(bi_series(_unit((n + 1, n + 1))), abs_square(F, n))
     return multiply(power(one_plus, 2 * p), ball_slice(p, n))
 
 
@@ -305,8 +290,8 @@ def rank_growth(name: str, params: dict, orders) -> tuple[list, str]:
     orders = [int(n) for n in orders]
     if any(b <= a for a, b in zip(orders, orders[1:])):
         raise PreconditionError(f"orders must be strictly ascending, got {orders}")
-    if not orders:
-        raise PreconditionError("need at least one truncation order")
+    if len(orders) < 3:
+        raise PreconditionError(f"the verdict compares three ranks; need three orders, got {orders}")
     tol = float(params.get("tol", DEFAULT_RANK_TOL)) if params else DEFAULT_RANK_TOL
     table = [(n, coeff_rank(builtin_series(name, params, n), tol)) for n in orders]
     tail = [r for _, r in table][-3:]

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kform.errors import DimensionError, ExprSyntaxError, SingularEvaluationError
+from kform.errors import (
+    DimensionError,
+    EvaluationLimitError,
+    ExprSyntaxError,
+    SingularEvaluationError,
+)
 from kform.expressions import (
     BinOp,
     Const,
@@ -247,3 +252,18 @@ def test_jet_value_is_the_scalar_value_bitwise(src, z1, z2):
     expr = parse_expr(src, 2)
     jet_value = _outcome(lambda: eval_jet(expr, [z1, z2]).value)
     assert jet_value == _outcome(evaluate, expr, [z1, z2])
+
+
+def test_evaluator_limits_raise_kform_errors():
+    deep = parse_expr("+".join(["z1"] * 1200), 1)
+    for run in (evaluate, eval_jet):
+        with pytest.raises(EvaluationLimitError, match="too deep"):
+            run(deep, [0.5])
+    huge = parse_expr("9^999*z1", 1)
+    for run in (evaluate, eval_jet):
+        with pytest.raises(EvaluationLimitError, match="overflows"):
+            run(huge, [0.5])
+    with pytest.raises(ExprSyntaxError, match="nests too deeply"):
+        parse_expr("(" * 600 + "z1" + ")" * 600, 1)
+    # the limits leave shallower trees evaluable
+    assert evaluate(parse_expr("+".join(["z1"] * 100), 1), [0.5]) == 50.0

@@ -180,6 +180,17 @@ def _umehara(params, name="psi"):
         (lambda d: d.update(_umehara({"p": 1.5, "map": ["z1"]})), "series.params.p"),
         (lambda d: d.update(_umehara({"p": 1, "map": "z1"})), "series.params.map"),
         (lambda d: d.update(_umehara({"p": 1, "map": ["z1^"]})), "series.params.map"),
+        (lambda d: d.update(mode="levi", source={"kind": "ball", "dim": 2, "sig": 1}), "source.sig must equal source.dim (a definite metric) for levi"),
+        (lambda d: d.update(mode="rigidity", source={"kind": "euclidean", "dim": 2, "sig": 0}), "source.sig must equal source.dim (a definite metric) for rigidity"),
+        (lambda d: d.update(source={"kind": "ball", "dim": 2}, sampling={"radius": 1.5}), "sampling.radius must be at most 1 on a ball source of signature 2"),
+        (lambda d: d.update(source={"kind": "ball", "dim": 2, "sig": 1}, sampling={"radius": 1.5}), "sampling.radius must be at most 1 on a ball source of signature 1"),
+        (lambda d: d.update(source={"kind": "projective", "dim": 2, "sig": 1}, sampling={"radius": 2}), "sampling.radius must be at most 1 on a projective source of signature 1"),
+        (lambda d: d.update(mode="levi", source={"kind": "ball", "dim": 3}, sampling={"radius": 1.5}), "sampling.radius must be at most 1 on a ball source of signature 3"),
+        (lambda d: d.update(sampling={"count": 10**8}), "sampling.count must be at most 10000"),
+        (lambda d: d.update(_umehara({"p": 1, "map": ["z1"]}), orders=[5]), "orders must be a list of at least three"),
+        (lambda d: d.update(_umehara({"p": 1, "map": ["z1"]}), orders=[2, 4]), "orders"),
+        (lambda d: d.update(tolerances={"proportionalty": 1e-8}), "tolerances.proportionalty"),
+        (lambda d: d.update(mode="levi", tolerances={"proportionality": 1e-8}), "tolerances.proportionality is not read by levi mode"),
     ],
 )
 def test_scenario_validation_names_the_field(mutate, fragment):
@@ -188,6 +199,18 @@ def test_scenario_validation_names_the_field(mutate, fragment):
     with pytest.raises(ScenarioError) as excinfo:
         parse_scenario(data)
     assert fragment in str(excinfo.value)
+
+
+def test_radius_past_one_is_kept_where_the_chart_holds_it():
+    for source in (
+        {"kind": "euclidean", "dim": 2, "sig": 1},
+        {"kind": "projective", "dim": 2},
+        {"kind": "ball", "dim": 2, "sig": 0},
+    ):
+        data = dict(_identity_flat(), source=source, sampling={"radius": 1.5, "count": 5})
+        assert parse_scenario(data).radius == 1.5
+    data = dict(_identity_flat(), sampling={"count": 10_000}, tolerances={"proportionality": 1e-9})
+    assert parse_scenario(data).count == 10_000
 
 
 def test_relatives_validation():
@@ -252,6 +275,9 @@ def test_cli_malformed_scenario_fields_exit_two(tmp_path, capsys):
         (dict(_identity_flat(), map=["z1^1e999", "z2"]), "position 3"),
         (dict(_identity_flat(), tolerances={"ricci": None}), "tolerances.ricci"),
         (_umehara({"map": ["z1"]}), "series.params.p"),
+        (dict(_identity_flat(), map=["+".join(["z1"] * 1200), "z2"]), "too deep"),
+        (dict(_identity_flat(), map=["(" * 600 + "z1" + ")" * 600, "z2"]), "map: expression nests too deeply"),
+        (dict(_identity_flat(), map=["9^999*z1", "z2"]), "overflows"),
     ]:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
@@ -267,6 +293,14 @@ def test_cli_umehara_huge_power_returns(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["run", str(path)]) == 0
     assert "ranks=2:0,4:0,6:0" in capsys.readouterr().out
+
+
+def test_cli_umehara_huge_psi_power_returns(tmp_path, capsys):
+    # psi raises to the power 2p by squaring, some forty products for p = 10^6
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(_umehara({"p": 10**6, "map": ["z1"]})))
+    assert main(["run", str(path)]) in (0, 1)
+    assert "rank_growth" in capsys.readouterr().out
 
 
 def test_cli_usage_error_exit_two(capsys):

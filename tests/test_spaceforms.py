@@ -52,6 +52,22 @@ def test_chart_domains():
         chart_point(ball(1), [1.0])
 
 
+def test_curvature_sign_sets_the_constants():
+    for make, c in ((euclidean, 0), (ball, -1), (projective, 1)):
+        for n, s in ((1, 1), (3, 1), (3, 0)):
+            sf = make(n, s)
+            assert sf.curv == c
+            assert sf.hsc == 2.0 * c
+            assert sf.ricci_factor == c * (n + 1)
+
+
+def test_flat_chart_holds_huge_finite_points():
+    z = [1e200, -1e200j]
+    assert in_chart(euclidean(2, 1), z)
+    np.testing.assert_array_equal(metric(euclidean(2, 1), z), np.diag([1.0, -1.0]))
+    assert not np.isnan(metric_dz(euclidean(2), z)).any()
+
+
 def test_snorm2_signed():
     assert snorm2(euclidean(3, 2), [1.0, 1.0, 1.0]) == pytest.approx(1.0)
     assert snorm2(ball(2), [0.5, 0.5]) == pytest.approx(0.5)
@@ -88,7 +104,7 @@ def test_metric_center_signature_indefinite():
 def test_metric_dz_matches_finite_differences():
     rng = np.random.default_rng(5)
     for make in ALL_KINDS:
-        for n, s in ((2, 2), (3, 2)):
+        for n, s in ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0), (3, 1), (3, 2), (3, 3)):
             sf = make(n, s)
             z = random_ball_point(rng, n, 0.5)
             dg = metric_dz(sf, z)

@@ -29,6 +29,7 @@ from kform.umehara import (
     reciprocal,
     series_eval,
 )
+from kform.umehara import _Series
 
 
 def _diag_series(values):
@@ -113,6 +114,28 @@ def test_reciprocal_roundtrip_random():
         s = bi_series(c)
         back = reciprocal(reciprocal(s))
         assert_allclose(back.coeffs, s.coeffs, rtol=1e-11, atol=1e-11)
+
+
+def test_power_matches_repeated_multiply():
+    rng = np.random.default_rng(23)
+    c = 0.3 * (rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
+    c[0, 0] = 1.0
+    s = bi_series(c)
+    product = bi_series(np.eye(1, 49).reshape(7, 7))
+    for n in range(10):
+        assert_allclose(power(s, n).coeffs, product.coeffs, rtol=1e-12, atol=1e-12)
+        product = multiply(product, s)
+
+
+def test_slice_reciprocal_times_polynomial_is_one():
+    rng = np.random.default_rng(29)
+    for degree, order in ((1, 8), (3, 12), (5, 5), (6, 3)):
+        poly = np.zeros(order + 1, dtype=complex)
+        head = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+        head[0] = 2.0 + rng.uniform()
+        poly[: min(degree, order) + 1] = head[: order + 1]
+        product = (_Series(poly).reciprocal() * _Series(poly)).c
+        assert_allclose(product, np.eye(1, order + 1)[0], atol=1e-10)
 
 
 def test_reciprocal_zero_constant_raises():
@@ -308,6 +331,9 @@ def test_rank_growth_validation():
         rank_growth("ball_slice", {"p": 1}, [4, 2])
     with pytest.raises(PreconditionError):
         rank_growth("ball_slice", {"p": 1}, [])
+    for orders in ([5], [2, 4]):
+        with pytest.raises(PreconditionError):
+            rank_growth("ball_slice", {"p": 1}, orders)
     with pytest.raises(ScenarioError):
         builtin_series("no_such_series", {}, 4)
 
