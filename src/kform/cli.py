@@ -27,6 +27,8 @@ def _print_report(report: Report) -> None:
             parts.append(f"signature={tuple(rec.signature)}")
         if rec.rankTable is not None:
             parts.append("ranks=" + ",".join(f"{n}:{r}" for n, r in rec.rankTable))
+        if rec.skipped:
+            parts.append(f"skipped={rec.skipped}")
         print("  ".join(parts))
     print(f"overall: {report.overall}")
 

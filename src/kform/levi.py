@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSampleError, DimensionError, PreconditionError
-from .expressions import MapExpr, compose, evaluate_map, jacobian
+from .expressions import MapExpr, map_jet
 from .linalg import DEFAULT_ZERO_TOL, cofactor_matrix, hermitian_eigen, hermitize, sign_counts
 from .numdiff import wirtinger_hessian
 from .ppforms import compound_matrix, index_basis, wedge_power_coeffs
@@ -293,14 +293,16 @@ def obstruction_probe(
 ) -> ProbeResult:
     """Compare horizontal Levi signs of the unit sphere bundles along F.
 
-    Both bundle points are moved to their chart centers by automorphisms, F
-    is conjugated accordingly, and the base-base Hessian block of rho_1 is
-    evaluated on the dominant singular direction eta of the differential:
-    lhs on the source side, rhs on the target side along the pushed vector.
-    The target must be a ball, whose Levi form is positive definite, so the
-    horizontal block alone is a sound lower bound for rhs.  The source kind
-    is unrestricted; over a ball the probe simply reports lhs > 0 and no
-    conflict.
+    Both bundle points are moved to their chart centers by automorphisms psi
+    and chi, and the base-base Hessian block of rho_1 is evaluated on the
+    dominant singular direction eta of jg = dchi J_F(w) dpsi^{-1}, the chain
+    rule differential of chi o F o psi^{-1} at the center (eta is any unit
+    vector of the eigenspace of a repeated top singular value, chosen by the
+    eigen-solver): lhs on the source side, rhs on the target side along the
+    pushed vector.  The target must be a ball, whose Levi form is positive
+    definite, so the horizontal block alone is a sound lower bound for rhs.
+    The source kind is unrestricted; over a ball the probe simply reports
+    lhs > 0 and no conflict.
     """
     if tgt.kind != "ball" or not tgt.is_definite:
         raise PreconditionError("probe target must be a definite ball")
@@ -311,15 +313,13 @@ def obstruction_probe(
         raise DimensionError(f"map takes {F.arity} inputs, source has dimension {src.dim}")
     if F.codim != tgt.dim:
         raise DimensionError(f"map has {F.codim} components, target has dimension {tgt.dim}")
-    fw = chart_point(tgt, evaluate_map(F, w))
+    fw, jf = map_jet(F, w)
+    chi = center_automorphism(tgt, fw)  # F(w) must lie in the target chart
 
     pt = bundle_point(src, p, 1.0, w, xi)
     psi = center_automorphism(src, w)
-    chi = center_automorphism(tgt, fw)
-    conjugated = compose(chi.forward, compose(F, psi.inverse))
-    m = src.dim
-    center_src = np.zeros(m, dtype=np.complex128)
-    jg = jacobian(conjugated, center_src)
+    jg = chi.dphi @ jf @ np.linalg.inv(psi.dphi)
+    center_src = np.zeros(src.dim, dtype=np.complex128)
     xi0 = compound_matrix(psi.dphi, p) @ pt.fiber
 
     z_src = _wedge_hessian_block(src, center_src, p, xi0)

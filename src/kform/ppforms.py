@@ -133,11 +133,8 @@ def pullback_pp(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, w) -> PPForm
     return PPFormMatrix(basis=index_basis(src.dim, p), entries=hermitize(theta))
 
 
-def _pooled_result(pairs, tol: float) -> PullbackResult:
-    """Least-squares real lambda for sum over (base, theta) pairs |theta - lambda*base|^2.
-
-    Returns it with the worst entry residual, the verdict, and the first theta.
-    """
+def _pooled_ratio(pairs) -> float:
+    """Least-squares real lambda for sum over (base, theta) pairs |theta - lambda*base|^2."""
     num = 0.0
     den = 0.0
     for base, theta in pairs:
@@ -145,7 +142,12 @@ def _pooled_result(pairs, tol: float) -> PullbackResult:
         den += float(np.sum(np.abs(base) ** 2))
     if den == 0.0:
         raise DegenerateSampleError("base form coefficients vanish at every sample point")
-    lam = num / den
+    return num / den
+
+
+def _pooled_result(pairs, tol: float) -> PullbackResult:
+    """The pooled ratio with the worst entry residual, the verdict, and the first theta."""
+    lam = _pooled_ratio(pairs)
     resid = max(float(np.abs(theta.entries - lam * base).max()) for base, theta in pairs)
     return PullbackResult(
         theta=pairs[0][1],

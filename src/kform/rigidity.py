@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DegenerateSampleError, PreconditionError
 from .expressions import MapExpr, map_jet
 from .linalg import det, generalized_eigenvalues, hermitize
-from .ppforms import pullback_pp, wedge_power_coeffs
+from .ppforms import _pooled_ratio, pullback_pp, wedge_power_coeffs
 from .spaceforms import SpaceForm, metric, ricci
 
 __all__ = [
@@ -83,11 +83,7 @@ def profile_from_pullback(
     lams = generalized_eigenvalues(hermitize(theta1), base)
     if lambda_target is None:
         bp = wedge_power_coeffs(base, p).entries
-        tp = pullback_pp(F, src, tgt, p, w).entries
-        den = float(np.sum(np.abs(bp) ** 2))
-        if den == 0.0:
-            raise DegenerateSampleError("omega^p coefficients vanish at the sample point")
-        lambda_target = float(np.sum(np.conj(bp) * tp).real / den)
+        lambda_target = _pooled_ratio([(bp, pullback_pp(F, src, tgt, p, w))])
     return EigenProfile(lambdas=lams, p=p, lambdaTarget=float(lambda_target))
 
 

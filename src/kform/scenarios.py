@@ -22,10 +22,11 @@ Scenario schema (all keys lowercase unless noted):
       "expect": {"signature": [3, 0, 0], "verdict": "growing", "lambdaHat": 2}
     }
 
-"sig" defaults to dim (definite), and levi and rigidity need it definite.
-A sampling radius above 1 is rejected where the ball of that radius can
-leave the source chart.  Report checks are sorted by name and
-overall is the conjunction of the per-check verdicts.
+"sig" defaults to dim (definite), and levi, rigidity and relatives need it
+definite; the relatives source is the maps' flat coordinate domain, so its
+kind must be euclidean.  A sampling radius above 1 is rejected where the
+ball of that radius can leave the source chart.  Report checks are sorted
+by name and overall is the conjunction of the per-check verdicts.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .rigidity import (
     profile_from_pullback,
     ricci_pullback_check,
 )
-from .spaceforms import SpaceForm, euclidean, sample_chart_points
+from .spaceforms import SpaceForm, sample_chart_points
 
 __all__ = [
     "MODES",
@@ -83,6 +84,7 @@ class CheckRecord:
     residual: float | None = None
     signature: tuple | None = None
     rankTable: tuple | None = None
+    skipped: int = 0
     seconds: float = 0.0
 
     def to_json_dict(self) -> dict:
@@ -95,6 +97,8 @@ class CheckRecord:
             out["signature"] = [int(v) for v in self.signature]
         if self.rankTable is not None:
             out["rankTable"] = [[int(n), int(r)] for n, r in self.rankTable]
+        if self.skipped:
+            out["skipped"] = int(self.skipped)
         return out
 
 
@@ -308,6 +312,8 @@ def parse_scenario(data) -> Scenario:
         echo.update(source=_space_echo(source), p=p, r=r)
     elif mode == "relatives":
         source = _space_from_json(data.get("source"), "source")
+        if source.kind != "euclidean":  # both maps pull back from plain coordinates
+            raise ScenarioError(f"source.kind must be euclidean for relatives mode, got {source.kind!r}")
         raw_targets = data.get("targets")
         if not isinstance(raw_targets, list) or len(raw_targets) != 2:
             raise ScenarioError("targets must be a list of exactly two space forms")
@@ -347,7 +353,7 @@ def parse_scenario(data) -> Scenario:
         echo.update(series=series, orders=list(orders))
     # suite mode carries no further fields
 
-    if mode in ("levi", "rigidity") and not source.is_definite:
+    if mode in ("levi", "rigidity", "relatives") and not source.is_definite:
         raise ScenarioError(f"source.sig must equal source.dim (a definite metric) for {mode} mode")
     # a radius-r ball stays inside {1 + c |w|_s^2 > 0} for r <= 1, and for any r
     # unless some coordinate has the sign -c
@@ -429,10 +435,10 @@ def _run_rigidity(sc: Scenario) -> list:
 
     if src.dim == tgt.dim:
         start = time.perf_counter()
-        ok, worst, _skipped = ricci_pullback_check(
+        ok, worst, skipped = ricci_pullback_check(
             F, src, tgt, points, tol=sc.tolerances["ricci"]
         )
-        records.append(_timed("ricci_pullback", ok, start, residual=worst))
+        records.append(_timed("ricci_pullback", ok, start, residual=worst, skipped=skipped))
     return records
 
 
@@ -468,7 +474,7 @@ def _run_relatives(sc: Scenario) -> list:
     radius = sc.radius
     if radius is None:
         radius = 0.9 if "ball" in (t1.kind, t2.kind) else 2.0
-    points = sample_chart_points(euclidean(m), sc.count, sc.seed, radius)
+    points = sample_chart_points(sc.source, sc.count, sc.seed, radius)
     tol = sc.tolerances["proportionality"]
     start = time.perf_counter()
     res = relatives_test(sc.maps[0], sc.maps[1], t1, t2, m, sc.p, points, tol=tol)

@@ -16,7 +16,7 @@ the convention that the FIRST index is holomorphic: g[j, k] = g_{j kbar}.
 Besides metric/Ricci/curvature tensors, the module provides the curvature
 pairing on wedge powers of the tangent bundle (in the sign convention pinned
 by the Hessian-of-log-norm oracle, see ``wedge_curvature``), chart-centering
-automorphisms as expression trees, and seeded chart-point sampling.
+automorphisms as matrices on the lift [1; z], and seeded chart sampling.
 """
 
 from __future__ import annotations
@@ -253,13 +253,16 @@ def wedge_curvature(sf: SpaceForm, w, eta, I, J) -> complex:
 class Automorphism:
     """Isometric chart automorphism phi with phi(anchor) = 0.
 
-    forward/inverse are expression-tree maps (usable in compositions);
-    dphi is the Jacobian of the forward map at the anchor point.
+    phi acts on the lift [1; z] by the matrix t and its inverse by s (t @ s
+    is a multiple of the identity); forward/inverse build their expression
+    trees when read.  dphi is the Jacobian of phi at the anchor point.
     """
 
-    forward: MapExpr
-    inverse: MapExpr
+    t: np.ndarray
+    s: np.ndarray
     dphi: np.ndarray
+    forward = property(lambda self: _affine_fraction_map(self.t))
+    inverse = property(lambda self: _affine_fraction_map(self.s))
 
 
 def _affine_fraction_map(t: np.ndarray) -> MapExpr:
@@ -277,12 +280,6 @@ def _affine_fraction_map(t: np.ndarray) -> MapExpr:
     return MapExpr(comps, n)
 
 
-def _translation_map(shift: np.ndarray) -> MapExpr:
-    n = shift.size
-    comps = [BinOp("+", Var(k + 1), Const(shift[k])) for k in range(n)]
-    return MapExpr(comps, n)
-
-
 def center_automorphism(sf: SpaceForm, w) -> Automorphism:
     """Isometry of the space form moving the chart point ``w`` to the origin.
 
@@ -295,11 +292,11 @@ def center_automorphism(sf: SpaceForm, w) -> Automorphism:
     z0 = chart_point(sf, w)
     n = sf.dim
     if sf.curv == 0:
-        return Automorphism(
-            forward=_translation_map(-z0),
-            inverse=_translation_map(z0),
-            dphi=np.eye(n, dtype=np.complex128),
-        )
+        t = np.eye(n + 1, dtype=np.complex128)
+        t[1:, 0] = -z0  # [[1, 0], [-w, I]]
+        s = t.copy()
+        s[1:, 0] = z0
+        return Automorphism(t=t, s=s, dphi=np.eye(n, dtype=np.complex128))
     if not sf.is_definite:
         raise DomainError(
             "center automorphism is only available for definite ball/projective forms"
@@ -332,11 +329,7 @@ def center_automorphism(sf: SpaceForm, w) -> Automorphism:
     # s^H J s = J, so the inverse is J s^H J
     t = (jdiag[:, None] * s.conj().T) * jdiag[None, :]
     dphi = t[1:, 1:] / np.sqrt(q)
-    return Automorphism(
-        forward=_affine_fraction_map(t),
-        inverse=_affine_fraction_map(s),
-        dphi=dphi,
-    )
+    return Automorphism(t=t, s=s, dphi=dphi)
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,11 @@ def coeff_rank(s: BiSeries, tol: float = DEFAULT_RANK_TOL) -> int:
 def rank_growth(name: str, params: dict, orders) -> tuple[list, str]:
     """Rank of the named series at each truncation order, plus a verdict.
 
+    The series is built once, at the last order; order N reads its leading
+    (N+1)x(N+1) block, which is the order-N series: each truncated product,
+    reciprocal and power sets a coefficient from lower indices only (up to
+    roundoff, since convolve2d may sum in another order at another size).
+
     Returns ([(N, rank), ...], verdict) with verdict "bounded" when the last
     three ranks agree and "growing" otherwise; a growth verdict is evidence
     of infinite rank, not a proof.
@@ -293,7 +298,8 @@ def rank_growth(name: str, params: dict, orders) -> tuple[list, str]:
     if len(orders) < 3:
         raise PreconditionError(f"the verdict compares three ranks; need three orders, got {orders}")
     tol = float(params.get("tol", DEFAULT_RANK_TOL)) if params else DEFAULT_RANK_TOL
-    table = [(n, coeff_rank(builtin_series(name, params, n), tol)) for n in orders]
+    top = builtin_series(name, params, orders[-1]).coeffs
+    table = [(n, coeff_rank(bi_series(top[: n + 1, : n + 1]), tol)) for n in orders]
     tail = [r for _, r in table][-3:]
     verdict = "bounded" if len(set(tail)) == 1 else "growing"
     return table, verdict

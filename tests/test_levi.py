@@ -8,7 +8,8 @@ from kform.errors import (
     DomainError,
     PreconditionError,
 )
-from kform.expressions import parse_map
+import kform.levi
+from kform.expressions import compose, evaluate_map, jacobian, parse_map
 from kform.levi import (
     bundle_point,
     levi_form,
@@ -23,6 +24,7 @@ from kform.numdiff import directional_hessian, wirtinger_gradient
 from kform.ppforms import index_basis, wedge_power_coeffs
 from kform.spaceforms import (
     ball,
+    center_automorphism,
     euclidean,
     metric,
     projective,
@@ -299,6 +301,29 @@ def test_probe_signs_match_finite_difference_hessians():
         pushed_eta / np.linalg.norm(pushed_eta),
     )
     assert abs(res.rhs - np.real(rhs_fd)) < 1e-6
+
+
+def test_probe_differential_is_the_chain_rule(monkeypatch):
+    # second route: the Jacobian of the composed expression trees at the center
+    pushed = []
+    real = kform.levi.compound_matrix
+    monkeypatch.setattr(kform.levi, "compound_matrix", lambda a, p: pushed.append(a) or real(a, p))
+    rng = np.random.default_rng(43)
+    for make in (ball, projective, euclidean):
+        for m in (1, 2, 3):
+            src, tgt = make(m), ball(m + 1)
+            comps = []
+            for _ in range(m + 1):
+                a = (0.15 * rng.standard_normal((m + 2, 2))).tolist()
+                linear = "+".join(f"(({re!r})+({im!r})*i)*z{k + 1}" for k, (re, im) in enumerate(a[:m]))
+                comps.append(f"{linear}+({a[m][0]!r})*z1*z{m}+({a[m + 1][0]!r})/(3+z1)")
+            F = parse_map(comps, m)
+            w = 0.5 * rng.uniform() * _random_fiber(rng, euclidean(m), 1) / np.sqrt(2 * m)
+            pushed.clear()
+            obstruction_probe(src, tgt, F, 1, w, _random_fiber(rng, src, 1))
+            psi, chi = center_automorphism(src, w), center_automorphism(tgt, evaluate_map(F, w))
+            route = jacobian(compose(chi.forward, compose(F, psi.inverse)), np.zeros(m))
+            assert_allclose(pushed[-1], route, atol=1e-10)
 
 
 def test_probe_validates_inputs():

@@ -161,6 +161,16 @@ def _umehara(params, name="psi"):
     }
 
 
+def _relatives(source):
+    return {
+        "mode": "relatives",
+        "source": source,
+        "targets": [{"kind": "projective", "dim": 1}, {"kind": "projective", "dim": 1}],
+        "maps": [["z1"], ["z1"]],
+        "p": 1,
+    }
+
+
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
@@ -191,6 +201,9 @@ def _umehara(params, name="psi"):
         (lambda d: d.update(_umehara({"p": 1, "map": ["z1"]}), orders=[2, 4]), "orders"),
         (lambda d: d.update(tolerances={"proportionalty": 1e-8}), "tolerances.proportionalty"),
         (lambda d: d.update(mode="levi", tolerances={"proportionality": 1e-8}), "tolerances.proportionality is not read by levi mode"),
+        (lambda d: d.update(_relatives({"kind": "ball", "dim": 1})), "source.kind must be euclidean for relatives mode"),
+        (lambda d: d.update(_relatives({"kind": "projective", "dim": 1})), "source.kind must be euclidean for relatives mode"),
+        (lambda d: d.update(_relatives({"kind": "euclidean", "dim": 1, "sig": 0})), "source.sig must equal source.dim (a definite metric) for relatives"),
     ],
 )
 def test_scenario_validation_names_the_field(mutate, fragment):
@@ -278,11 +291,37 @@ def test_cli_malformed_scenario_fields_exit_two(tmp_path, capsys):
         (dict(_identity_flat(), map=["+".join(["z1"] * 1200), "z2"]), "too deep"),
         (dict(_identity_flat(), map=["(" * 600 + "z1" + ")" * 600, "z2"]), "map: expression nests too deeply"),
         (dict(_identity_flat(), map=["9^999*z1", "z2"]), "overflows"),
+        (_relatives({"kind": "ball", "dim": 1}), "source.kind"),
+        (_relatives({"kind": "projective", "dim": 1}), "source.kind"),
+        (_relatives({"kind": "euclidean", "dim": 1, "sig": 0}), "source.sig"),
     ]:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert main(["run", str(path)]) == 2
         assert fragment in capsys.readouterr().err
+
+
+def test_cli_reports_skipped_ricci_samples(tmp_path, capsys):
+    # z1^40 has a numerically singular Jacobian near the center of the disc
+    data = dict(
+        _identity_flat(),
+        mode="rigidity",
+        source={"kind": "ball", "dim": 1},
+        target={"kind": "ball", "dim": 1},
+        map=["z1^40"],
+        sampling={"count": 50, "seed": 42},
+    )
+    path, out_path = tmp_path / "ricci.json", tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    with pytest.warns(UserWarning, match="point skipped"):
+        main(["run", str(path), "--json", str(out_path)])
+    assert "skipped=13" in capsys.readouterr().out
+    (ricci,) = [c for c in json.loads(out_path.read_text())["checks"] if c["name"] == "ricci_pullback"]
+    assert ricci["skipped"] == 13
+    # a check that skipped nothing serializes no count
+    path.write_text(json.dumps(dict(data, map=["z1"])))
+    assert main(["run", str(path), "--json", str(out_path)]) == 0
+    assert all("skipped" not in c for c in json.loads(out_path.read_text())["checks"])
 
 
 def test_cli_umehara_huge_power_returns(tmp_path, capsys):

@@ -274,6 +274,19 @@ def test_center_automorphism_moves_point_to_origin():
                 np.testing.assert_allclose(evaluate_map(both, z), z, atol=1e-10)
 
 
+def test_center_automorphism_matrices_invert_each_other():
+    # t acts on the lift [1; z] and s undoes it, up to the lift's scalar
+    rng = np.random.default_rng(37)
+    for make, radius in ((euclidean, 1.5), (ball, 0.85), (projective, 1.8)):
+        for n in (1, 2, 3):
+            au = center_automorphism(make(n), random_ball_point(rng, n, radius))
+            prod = au.t @ au.s
+            assert abs(prod[0, 0]) > 0.5
+            np.testing.assert_allclose(prod, prod[0, 0] * np.eye(n + 1), atol=1e-12)
+    au = center_automorphism(euclidean(2, 1), [0.3, 0.4])
+    np.testing.assert_array_equal(au.t @ au.s, np.eye(3))
+
+
 def test_center_automorphism_is_isometry():
     rng = np.random.default_rng(29)
     for make, radius in ((euclidean, 1.5), (ball, 0.7), (projective, 1.5)):

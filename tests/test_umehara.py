@@ -326,6 +326,33 @@ def test_rank_growth_ball_slice():
     assert verdict == "growing"
 
 
+def test_rank_growth_reads_leading_blocks_of_one_series():
+    # every truncation order is the leading block of the top-order series
+    # (to roundoff: convolve2d's summation order depends on the array size),
+    # and the table equals the per-order ranks exactly
+    rng = np.random.default_rng(41)
+    cases = [("ball_slice", {"p": 3}), ("proj_slice", {"p": 2})]
+    cases += [("psi", {"p": p, "map": ["z1", "0.5*z1^2-0.25i*z1"]}) for p in (1, 2, 3)]
+    for draw in range(4):
+        sources = []
+        for _ in range(int(rng.integers(1, 4))):
+            a = 0.5 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+            b, c = rng.normal() + 1j * rng.normal(), rng.choice([-1, 1]) * rng.uniform(1.5, 3.0)
+            poly = "+".join(f"{_literal(a[j])}*z1^{j}" for j in range(3))
+            sources.append(f"{poly}+{_literal(b)}/({_literal(c)}+z1)")
+        cases.append(("abs_square", {"map": sources}))
+        if draw % 2:
+            cases.append(("psi", {"p": 1, "map": sources}))
+    orders = [2, 7, 15, 28, 40]
+    for name, params in cases:
+        per_order = [builtin_series(name, params, n) for n in orders]
+        table, _ = rank_growth(name, params, orders)
+        assert table == [(n, coeff_rank(s)) for n, s in zip(orders, per_order)]
+        top = per_order[-1].coeffs
+        for n, s in zip(orders, per_order):
+            assert_allclose(top[: n + 1, : n + 1], s.coeffs, rtol=0, atol=1e-14 * np.abs(s.coeffs).max())
+
+
 def test_rank_growth_validation():
     with pytest.raises(PreconditionError):
         rank_growth("ball_slice", {"p": 1}, [4, 2])
