@@ -76,14 +76,16 @@ def profile_from_pullback(
     The (1,1) pullback coefficients are diagonalized against the source
     metric (which must be positive definite).  When ``lambda_target`` is not
     given it is estimated from the (p,p) pullback at the same point by the
-    pooled least-squares ratio.
+    pooled least-squares ratio; at p = 1 that is the (1,1) pullback already
+    in hand.
     """
-    theta1 = pullback_pp(F, src, tgt, 1, w).entries
+    theta1 = pullback_pp(F, src, tgt, 1, w)
     base = metric(src, w)
-    lams = generalized_eigenvalues(hermitize(theta1), base)
+    lams = generalized_eigenvalues(hermitize(theta1.entries), base)
     if lambda_target is None:
         bp = wedge_power_coeffs(base, p).entries
-        lambda_target = _pooled_ratio([(bp, pullback_pp(F, src, tgt, p, w))])
+        theta = theta1 if p == 1 else pullback_pp(F, src, tgt, p, w)
+        lambda_target = _pooled_ratio([(bp, theta)])
     return EigenProfile(lambdas=lams, p=p, lambdaTarget=float(lambda_target))
 
 

@@ -18,8 +18,12 @@ a theorem.
 
 All series arithmetic, the bidegree series above and the holomorphic Taylor
 coefficients of a map on the slice (zeta, 0, ..., 0), is one truncated-series
-algebra: one product (a convolution cut to the operands' shape), one
-reciprocal and one power by repeated squaring.
+algebra: one product, one reciprocal and one power by repeated squaring.  The
+product computes only the kept coefficients.  In one variable it is a
+convolution cut to the operands' length.  In two it works row by row: row j
+of a*b is sum_{r <= j} T(a[r]) b[j - r], where T(x) is the lower-triangular
+Toeplitz matrix of x, i.e. the truncated 1-D product by x, so each row of a
+costs one matrix product.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
 
 from .errors import (
     DimensionError,
@@ -104,7 +107,10 @@ class _Series:
     (2-D), cut back to the array's shape after every operation.
 
     The module's one product, reciprocal and power, and the slice algebra
-    for ``fold``.
+    for ``fold``.  The 2-D product adds b[: R - r] T(a[r])^T into rows r..R-1
+    for each row r of a, building one C x C Toeplitz matrix at a time, so no
+    coefficient past the (R, C) block is computed and the working memory
+    stays O(C^2) beyond the operands.
     """
 
     __slots__ = ("c",)
@@ -122,8 +128,19 @@ class _Series:
         return _Series(-self.c)
 
     def __mul__(self, o):
-        full = np.convolve(self.c, o.c) if self.c.ndim == 1 else convolve2d(self.c, o.c)
-        return _Series(full[tuple(slice(size) for size in self.c.shape)])
+        a, b = self.c, o.c
+        if a.ndim == 1:
+            return _Series(np.convolve(a, b)[: a.size])
+        rows, cols = a.shape
+        # T(x)^T[k, i] = x[i - k] for i >= k and 0 below: a gather from x
+        # behind cols - 1 zeros
+        padded = np.zeros((rows, 2 * cols - 1), dtype=np.result_type(a, b))
+        padded[:, cols - 1 :] = a
+        toeplitz_t = cols - 1 - np.subtract.outer(np.arange(cols), np.arange(cols))
+        out = np.zeros((rows, cols), dtype=padded.dtype)
+        for r in range(rows):
+            out[r:] += b[: rows - r] @ padded[r][toeplitz_t]
+        return _Series(out)
 
     def __truediv__(self, o):
         return self * o.reciprocal()
@@ -262,10 +279,16 @@ def builtin_series(name: str, params: dict, n: int) -> BiSeries:
 def coeff_rank(s: BiSeries, tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank of the coefficient matrix by complete-pivot elimination.
 
-    The threshold is tol times the largest coefficient magnitude of the
-    input, fixed once up front.
+    The rows, then the columns, are first scaled by powers of two so that
+    each nonzero one peaks in [1/2, 1).  That is exact and keeps the rank, and
+    it lets coefficients spanning many decades count alike.  The threshold is
+    tol times the largest scaled magnitude, fixed once up front.
     """
     a = np.array(s.coeffs, dtype=np.complex128)
+    for axis in (1, 0):
+        _, exponent = np.frexp(np.abs(a).max(axis=axis, keepdims=True))
+        a.real = np.ldexp(a.real, -exponent)  # a zero row or column has exponent 0
+        a.imag = np.ldexp(a.imag, -exponent)
     scale = float(np.abs(a).max())
     if scale == 0.0:
         return 0
@@ -286,7 +309,8 @@ def rank_growth(name: str, params: dict, orders) -> tuple[list, str]:
     The series is built once, at the last order; order N reads its leading
     (N+1)x(N+1) block, which is the order-N series: each truncated product,
     reciprocal and power sets a coefficient from lower indices only (up to
-    roundoff, since convolve2d may sum in another order at another size).
+    roundoff, since a matrix product may sum in another order at another
+    size).
 
     Returns ([(N, rank), ...], verdict) with verdict "bounded" when the last
     three ranks agree and "growing" otherwise; a growth verdict is evidence

@@ -1,10 +1,14 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import kform.rigidity as rigidity
 from kform.errors import DefinitenessError, DegenerateSampleError, PreconditionError
 from kform.expressions import identity_map, parse_map
 from kform.linalg import generalized_eigenvalues
+from kform.ppforms import _pooled_ratio, pullback_pp, wedge_power_coeffs
 from kform.rigidity import (
     EigenProfile,
     conclude_isometry_factor,
@@ -13,11 +17,14 @@ from kform.rigidity import (
     profile_from_pullback,
     ricci_pullback_check,
 )
-from kform.spaceforms import ball, euclidean, projective, sample_chart_points
+from kform.scenarios import run_scenario
+from kform.spaceforms import ball, euclidean, metric, projective, sample_chart_points
 from oracles import random_posdef
 
 VERONESE = ["1.4142135623730951*z1", "z1^2"]
 FLAT_EXAMPLE_2 = ["z1+1/(1-z2)", "z2"]
+# an automorphism of B^2 moving 0.3 e_1 to 0, followed by B^2 -> B^3
+BALL_AUT_INTO_B3 = ["(z1-0.3)/(1-0.3*z1)", "0.9539392014169456*z2/(1-0.3*z1)", "0"]
 
 
 def test_profile_sorts_and_validates():
@@ -188,3 +195,30 @@ def test_ricci_check_requires_equal_dimensions():
     F = parse_map(["z1", "z2", "0"], 2)
     with pytest.raises(PreconditionError):
         ricci_pullback_check(F, euclidean(2), euclidean(3), [[0.1, 0.2]])
+
+
+def test_profile_pulls_back_once_per_point_at_p1(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        if sys._getframe(1).f_code is profile_from_pullback.__code__:
+            calls.append(args[3])
+        return pullback_pp(*args)
+
+    monkeypatch.setattr(rigidity, "pullback_pp", counting)
+    scenario = {
+        "mode": "rigidity",
+        "source": {"kind": "ball", "dim": 2},
+        "target": {"kind": "ball", "dim": 3},
+        "map": BALL_AUT_INTO_B3,
+        "p": 1,
+        "sampling": {"count": 10, "seed": 5},
+    }
+    assert run_scenario(scenario).overall == "PASS"
+    assert calls == [1] * 10
+    # lambda is bit for bit the pooled ratio of a separate (1,1) pullback
+    src, tgt, F = ball(2), ball(3), parse_map(BALL_AUT_INTO_B3, 2)
+    for w in sample_chart_points(src, 10, seed=5):
+        bp = wedge_power_coeffs(metric(src, w), 1).entries
+        separate = _pooled_ratio([(bp, pullback_pp(F, src, tgt, 1, w))])
+        assert profile_from_pullback(F, src, tgt, 1, w).lambdaTarget == separate

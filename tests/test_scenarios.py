@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -340,6 +344,40 @@ def test_cli_umehara_huge_psi_power_returns(tmp_path, capsys):
     path.write_text(json.dumps(_umehara({"p": 10**6, "map": ["z1"]})))
     assert main(["run", str(path)]) in (0, 1)
     assert "rank_growth" in capsys.readouterr().out
+
+
+def test_cli_umehara_huge_psi_power_grows(tmp_path, capsys):
+    # psi's coefficients span 1 to 1e36 at p = 10^6; the ranks are those of
+    # p = 1, and exit 0 means the scenario's expected verdict "growing" held
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(_umehara({"p": 10**6, "map": ["z1"]})))
+    assert main(["run", str(path)]) == 0
+    assert "rank_growth: PASS  ranks=2:3,4:5,6:7" in capsys.readouterr().out
+
+
+def _python(script, *args):
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True)
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    fresh = _python("import sys, kform.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout.strip() == "[]"
+    path = tmp_path / "psi.json"
+    path.write_text(json.dumps(_umehara({"p": 1, "map": ["z1"]})))
+    blocked = _python(
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+        "from kform.cli import main\n"
+        "assert [m for m in sys.modules if m.startswith('scipy')] == ['scipy']\n"
+        "sys.exit(main(['run', sys.argv[1]]))\n",
+        str(path),
+    )
+    assert blocked.returncode == 0, blocked.stderr
+    assert "rank_growth: PASS" in blocked.stdout
 
 
 def test_cli_usage_error_exit_two(capsys):

@@ -94,6 +94,24 @@ def test_multiply_matches_pointwise_product():
         assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
+def test_multiply_matches_convolve2d_within_error_bound():
+    # independent route: the full 2-D convolution, cut to the operands' block
+    from scipy.signal import convolve2d
+
+    rng = np.random.default_rng(11)
+
+    def entries(n):
+        unit = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return unit * 10.0 ** rng.uniform(-12, 12, size=(n, n))
+
+    for n in range(1, 41):
+        a, b = entries(n), entries(n)
+        got = multiply(bi_series(a), bi_series(b)).coeffs
+        expected = convolve2d(a, b)[:n, :n]
+        bound = 1e-13 * convolve2d(np.abs(a), np.abs(b))[:n, :n]
+        assert (np.abs(got - expected) <= bound).all(), n
+
+
 def test_reciprocal_geometric_series():
     rec = reciprocal(_one_minus_abs2(6))
     assert_allclose(rec.coeffs, np.eye(7), atol=1e-13)
@@ -270,6 +288,21 @@ def test_coeff_rank_matches_svd_oracle():
             c += np.outer(u, v)
         s = bi_series(c)
         assert coeff_rank(s) == _rank_oracle(c)
+
+
+def test_coeff_rank_ignores_power_of_two_scalings():
+    # rows and columns spread over 2^-100 .. 2^100 keep the rank of the
+    # unscaled matrix, which a threshold on the raw maximum would lose
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        n = int(rng.integers(3, 9))
+        r = int(rng.integers(1, n + 1))
+        u = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
+        v = rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))
+        c = u @ v
+        rows = np.exp2(rng.integers(-100, 101, size=(n, 1)))
+        cols = np.exp2(rng.integers(-100, 101, size=(1, n)))
+        assert coeff_rank(bi_series(rows * c * cols)) == coeff_rank(bi_series(c)) == r
 
 
 def test_pair_rank_bound():
