@@ -12,6 +12,7 @@ basis, and positive definite for definite space forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import combinations
 
 import numpy as np
@@ -53,6 +54,13 @@ class IndexBasis:
     def __getitem__(self, k):
         return self.members[k]
 
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """The members as a read-only (len, p) array of 0-based indices."""
+        out = np.subtract(self.members, 1)
+        out.flags.writeable = False
+        return out
+
 
 @dataclass(frozen=True)
 class PPFormMatrix:
@@ -77,11 +85,21 @@ class PullbackResult:
 
 
 def index_basis(n: int, p: int) -> IndexBasis:
-    """The lexicographic basis of increasing p-tuples from {1..n}."""
+    """The lexicographic basis of increasing p-tuples from {1..n}.
+
+    The arguments are checked on every call; the basis itself is built once
+    per (n, p) and shared, so equal calls return the same immutable object
+    (and the same cached, read-only ``offsets``).
+    """
     if not isinstance(n, int) or not isinstance(p, int):
         raise DimensionError("n and p must be integers")
     if not 1 <= p <= n:
         raise DimensionError(f"degree p must satisfy 1 <= p <= n, got p={p}, n={n}")
+    return _index_basis(int(n), int(p))
+
+
+@cache
+def _index_basis(n: int, p: int) -> IndexBasis:
     members = tuple(tuple(c) for c in combinations(range(1, n + 1), p))
     return IndexBasis(n=n, p=p, members=members)
 
@@ -105,7 +123,7 @@ def compound_matrix(m, p: int) -> np.ndarray:
         raise DimensionError(f"expected a matrix, got ndim {m.ndim}")
     rows = index_basis(m.shape[0], p)
     cols = index_basis(m.shape[1], p)
-    return minor_dets(m, np.subtract(rows.members, 1), np.subtract(cols.members, 1))
+    return minor_dets(m, rows.offsets, cols.offsets)
 
 
 def pullback_pp(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, w) -> PPFormMatrix:

@@ -11,6 +11,7 @@ The Ricci comparison check covers the equidimensional determinant argument.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -90,15 +91,19 @@ def profile_from_pullback(
 
 
 def eigen_products_check(profile: EigenProfile, tol: float = DEFAULT_TOL) -> bool:
-    """PASS iff every p-fold eigenvalue product is within tol*lambda of lambda."""
+    """PASS iff every p-fold eigenvalue product is within tol*lambda of lambda.
+
+    Each product multiplies Python floats left to right over the ascending
+    eigenvalues.
+    """
     p = profile.p
     m = profile.m
     if not 1 <= p <= m:
         raise PreconditionError(f"degree p={p} out of range 1..{m}")
     lam = profile.lambdaTarget
     bound = tol * abs(lam)
-    for subset in combinations(profile.lambdas, p):
-        if abs(float(np.prod(subset)) - lam) > bound:
+    for subset in combinations(profile.lambdas.tolist(), p):
+        if abs(math.prod(subset) - lam) > bound:
             return False
     return True
 

@@ -199,8 +199,8 @@ def _series_from_json(raw) -> dict:
             as_map(comps)
         except (KformError, IndexError) as exc:
             raise ScenarioError(f"series.params.map: {exc}") from exc
-    if "tol" in params:
-        _real(params["tol"], "series.params.tol")
+    if "tol" in params and not _real(params["tol"], "series.params.tol") > 0:
+        raise ScenarioError(f"series.params.tol must be positive, got {params['tol']!r}")
     return {"name": raw["name"], "params": params}
 
 

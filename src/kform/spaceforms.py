@@ -22,6 +22,7 @@ automorphisms as matrices on the lift [1; z], and seeded chart sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,11 +81,16 @@ class SpaceForm:
     def is_definite(self) -> bool:
         return self.sig == self.dim
 
-    @property
+    @cached_property
     def eps(self) -> np.ndarray:
-        """Signs (+1 for the first sig coordinates, -1 after)."""
+        """Signs (+1 for the first sig coordinates, -1 after).
+
+        Built on the first read and cached on the instance: every later read
+        returns the same array, which is read-only (writing to it raises).
+        """
         e = np.ones(self.dim)
         e[self.sig :] = -1.0
+        e.flags.writeable = False
         return e
 
     @property
@@ -133,16 +139,22 @@ def in_chart(sf: SpaceForm, w) -> bool:
     return w.size == sf.dim and bool(np.isfinite(w).all()) and _u(sf, w) > 0.0
 
 
-def chart_point(sf: SpaceForm, w) -> np.ndarray:
-    """Validate chart membership and return the coordinates as complex128."""
+def _chart(sf: SpaceForm, w) -> tuple[np.ndarray, float]:
+    """The validated complex128 coordinates z of a chart point, and u > 0 there."""
     z = np.asarray(w, dtype=np.complex128).reshape(-1)
     if z.size != sf.dim:
         raise DimensionError(f"point has {z.size} coordinates, expected {sf.dim}")
     if not np.isfinite(z).all():
         raise DomainError("chart point coordinates must be finite")
-    if not _u(sf, z) > 0.0:
+    u = _u(sf, z)
+    if not u > 0.0:
         raise DomainError(f"point outside the {sf.kind} chart domain")
-    return z
+    return z, u
+
+
+def chart_point(sf: SpaceForm, w) -> np.ndarray:
+    """Validate chart membership and return the coordinates as complex128."""
+    return _chart(sf, w)[0]
 
 
 def metric(sf: SpaceForm, w) -> np.ndarray:
@@ -152,18 +164,16 @@ def metric(sf: SpaceForm, w) -> np.ndarray:
     which is diag(eps) on flat forms.  Hermitian everywhere; positive
     definite on definite space forms.
     """
-    z = chart_point(sf, w)
+    z, u = _chart(sf, w)
     e, c = sf.eps, sf.curv
-    u = _u(sf, z)
     g = (u * np.diag(e) - np.outer(c * e * np.conj(z), e * z)) / u**2
     return hermitize(g)
 
 
 def metric_dz(sf: SpaceForm, w) -> np.ndarray:
     """Holomorphic first derivatives of the metric: out[l, j, k] = d g_{j kbar} / dz_l."""
-    z = chart_point(sf, w)
+    z, u = _chart(sf, w)
     e, c = sf.eps, sf.curv
-    u = _u(sf, z)
     du = (c * e * np.conj(z))[:, None, None]  # d_l u
     diag_e = np.diag(e)
     # quotient rule; d_l of (eps wbar)(eps w)^T is (eps wbar) eps_l in column l
@@ -216,8 +226,7 @@ def wedge_curvature_block(sf: SpaceForm, w, I, J) -> np.ndarray:
     (projective spaces) produce negative blocks.  Contracting eta into both
     open slots gives `wedge_curvature`.
     """
-    z = chart_point(sf, w)
-    g = metric(sf, z)
+    g = metric(sf, w)
     i0 = _validated_index(I, sf.dim, "I")
     j0 = _validated_index(J, sf.dim, "J")
     if i0.size != j0.size:

@@ -38,6 +38,7 @@ import numpy as np
 
 from .errors import (
     DimensionError,
+    EvaluationLimitError,
     PreconditionError,
     ScenarioError,
     SingularEvaluationError,
@@ -282,25 +283,40 @@ def coeff_rank(s: BiSeries, tol: float = DEFAULT_RANK_TOL) -> int:
     The rows, then the columns, are first scaled by powers of two so that
     each nonzero one peaks in [1/2, 1).  That is exact and keeps the rank, and
     it lets coefficients spanning many decades count alike.  The threshold is
-    tol times the largest scaled magnitude, fixed once up front.
+    tol times the largest scaled magnitude, fixed once up front; tol must be
+    positive.  Each pivot's row and column are then set to exactly zero, so
+    roundoff left there is never taken as a pivot and the rank is at most
+    min(R, C), reached in at most that many steps.  The loop updates two
+    preallocated buffers in place.  Non-finite coefficients raise
+    ``EvaluationLimitError``.
     """
+    if not tol > 0:
+        raise ValueError(f"rank tolerance must be positive, got {tol!r}")
     a = np.array(s.coeffs, dtype=np.complex128)
+    if not np.isfinite(a).all():
+        raise EvaluationLimitError("series coefficients overflow")
     for axis in (1, 0):
         _, exponent = np.frexp(np.abs(a).max(axis=axis, keepdims=True))
         a.real = np.ldexp(a.real, -exponent)  # a zero row or column has exponent 0
         a.imag = np.ldexp(a.imag, -exponent)
-    scale = float(np.abs(a).max())
+    mag = np.abs(a)
+    scale = float(mag.max())
     if scale == 0.0:
         return 0
     threshold = tol * scale
-    rank = 0
-    while True:
-        i, j = np.unravel_index(int(np.argmax(np.abs(a))), a.shape)
+    update = np.empty_like(a)
+    for rank in range(min(a.shape)):
+        i, j = np.unravel_index(int(np.argmax(mag)), a.shape)
         pivot = a[i, j]
         if abs(pivot) <= threshold:
             return rank
-        rank += 1
-        a -= np.outer(a[:, j], a[i, :]) / pivot
+        np.multiply.outer(a[:, j], a[i], out=update)
+        update /= pivot
+        a -= update
+        a[i] = 0.0
+        a[:, j] = 0.0
+        np.abs(a, out=mag)
+    return min(a.shape)
 
 
 def rank_growth(name: str, params: dict, orders) -> tuple[list, str]:
@@ -312,9 +328,10 @@ def rank_growth(name: str, params: dict, orders) -> tuple[list, str]:
     roundoff, since a matrix product may sum in another order at another
     size).
 
-    Returns ([(N, rank), ...], verdict) with verdict "bounded" when the last
-    three ranks agree and "growing" otherwise; a growth verdict is evidence
-    of infinite rank, not a proof.
+    params may carry "tol", the positive rank tolerance of ``coeff_rank``;
+    each rank is at most N + 1.  Returns ([(N, rank), ...], verdict) with
+    verdict "bounded" when the last three ranks agree and "growing"
+    otherwise; a growth verdict is evidence of infinite rank, not a proof.
     """
     orders = [int(n) for n in orders]
     if any(b <= a for a, b in zip(orders, orders[1:])):

@@ -27,6 +27,7 @@ from kform.expressions import (
     parse_expr,
     parse_map,
 )
+from kform.umehara import rank_growth
 
 from oracles import fd_wirtinger_gradient, random_ball_point
 
@@ -265,5 +266,8 @@ def test_evaluator_limits_raise_kform_errors():
             run(huge, [0.5])
     with pytest.raises(ExprSyntaxError, match="nests too deeply"):
         parse_expr("(" * 600 + "z1" + ")" * 600, 1)
+    # coefficients that overflow the slice series cannot be ranked
+    with np.errstate(over="ignore"), pytest.raises(EvaluationLimitError, match="series coefficients overflow"):
+        rank_growth("abs_square", {"map": ["1e200*z1+1e200*z1^2"]}, [2, 4, 6])
     # the limits leave shallower trees evaluable
     assert evaluate(parse_expr("+".join(["z1"] * 100), 1), [0.5]) == 50.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,10 +27,23 @@ def test_index_basis_pinned():
     assert index_basis(3, 2).members == ((1, 2), (1, 3), (2, 3))
     assert index_basis(4, 1).members == ((1,), (2,), (3,), (4,))
     assert len(index_basis(5, 3)) == 10
-    with pytest.raises(DimensionError):
-        index_basis(3, 0)
-    with pytest.raises(DimensionError):
-        index_basis(3, 4)
+    assert index_basis(3, 2) is index_basis(3, 2)
+    # the checks still run on arguments equal to a cached call's
+    for n, p in ((np.int64(3), 2), (3, np.int64(2)), (3, 0), (3, 4)):
+        with pytest.raises(DimensionError):
+            index_basis(n, p)
+
+
+def test_memoized_bases_and_offsets_are_read_only():
+    basis = index_basis(4, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        basis.members = ()
+    offsets = basis.offsets
+    assert index_basis(4, 2).offsets is offsets
+    np.testing.assert_array_equal(offsets, np.subtract(basis.members, 1))
+    assert not offsets.flags.writeable
+    with pytest.raises(ValueError):
+        offsets[0, 0] = 3
 
 
 def test_wedge_power_coeffs_pinned():

@@ -1,4 +1,5 @@
 import sys
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -63,6 +64,37 @@ def test_degree_out_of_range_rejected():
     prof = EigenProfile(lambdas=[1.0, 1.0], p=3, lambdaTarget=1.0)
     with pytest.raises(PreconditionError):
         eigen_products_check(prof)
+
+
+def _products_verdict_by_np_prod(profile, tol):
+    lam = profile.lambdaTarget
+    subsets = combinations(profile.lambdas, profile.p)
+    return all(abs(float(np.prod(s)) - lam) <= tol * abs(lam) for s in subsets)
+
+
+def test_products_check_matches_the_numpy_product_loop():
+    # the worst product is placed exactly at the bound (tol = its deviation
+    # from lambda = 1) and one ulp past it, so a product rounded in another
+    # order or a non-strict comparison changes a verdict
+    rng = np.random.default_rng(61)
+    verdicts = []
+    for k in range(1000):
+        m = int(rng.integers(1, 7))
+        p = int(rng.integers(1, m + 1))
+        lams = np.exp(rng.normal(scale=10.0 ** rng.uniform(-9, 0), size=m))
+        if k % 2:
+            prof = EigenProfile(lambdas=lams, p=p, lambdaTarget=1.0)
+            worst = max(abs(float(np.prod(s)) - 1.0) for s in combinations(prof.lambdas, p))
+            tols = [worst, np.nextafter(worst, 0.0)]
+        else:
+            target = float(np.prod(rng.choice(lams, size=p, replace=False)))
+            prof = EigenProfile(lambdas=lams, p=p, lambdaTarget=target)
+            tols = [10.0 ** rng.uniform(-16, -1)]
+        for tol in tols:
+            want = _products_verdict_by_np_prod(prof, tol)
+            assert eigen_products_check(prof, tol) == want
+            verdicts.append(want)
+    assert 300 < sum(verdicts) < len(verdicts) - 300
 
 
 def test_random_nonconstant_profiles_fail():

@@ -1,14 +1,11 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from kform.cli import main
 from kform.errors import ScenarioError
 from kform.scenarios import parse_scenario, report_to_json, run_scenario
+from child import run_python
 
 
 def _identity_flat():
@@ -194,6 +191,8 @@ def _relatives(source):
         (lambda d: d.update(_umehara({"p": 1.5, "map": ["z1"]})), "series.params.p"),
         (lambda d: d.update(_umehara({"p": 1, "map": "z1"})), "series.params.map"),
         (lambda d: d.update(_umehara({"p": 1, "map": ["z1^"]})), "series.params.map"),
+        (lambda d: d.update(_umehara({"p": 1, "map": ["z1"], "tol": 0})), "series.params.tol must be positive"),
+        (lambda d: d.update(_umehara({"p": 1, "map": ["z1"], "tol": -1e-10})), "series.params.tol must be positive"),
         (lambda d: d.update(mode="levi", source={"kind": "ball", "dim": 2, "sig": 1}), "source.sig must equal source.dim (a definite metric) for levi"),
         (lambda d: d.update(mode="rigidity", source={"kind": "euclidean", "dim": 2, "sig": 0}), "source.sig must equal source.dim (a definite metric) for rigidity"),
         (lambda d: d.update(source={"kind": "ball", "dim": 2}, sampling={"radius": 1.5}), "sampling.radius must be at most 1 on a ball source of signature 2"),
@@ -295,6 +294,7 @@ def test_cli_malformed_scenario_fields_exit_two(tmp_path, capsys):
         (dict(_identity_flat(), map=["+".join(["z1"] * 1200), "z2"]), "too deep"),
         (dict(_identity_flat(), map=["(" * 600 + "z1" + ")" * 600, "z2"]), "map: expression nests too deeply"),
         (dict(_identity_flat(), map=["9^999*z1", "z2"]), "overflows"),
+        (_umehara({"map": ["1e200*z1+1e200*z1^2"]}, name="abs_square"), "series coefficients overflow"),
         (_relatives({"kind": "ball", "dim": 1}), "source.kind"),
         (_relatives({"kind": "projective", "dim": 1}), "source.kind"),
         (_relatives({"kind": "euclidean", "dim": 1, "sig": 0}), "source.sig"),
@@ -355,20 +355,30 @@ def test_cli_umehara_huge_psi_power_grows(tmp_path, capsys):
     assert "rank_growth: PASS  ranks=2:3,4:5,6:7" in capsys.readouterr().out
 
 
-def _python(script, *args):
-    src = Path(__file__).resolve().parent.parent / "src"
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True)
+def test_cli_umehara_negative_tol_exits_two(tmp_path):
+    # a nonpositive tolerance used to keep the elimination running forever
+    path = tmp_path / "tol.json"
+    path.write_text(json.dumps(_umehara({"p": 1, "tol": -1}, name="ball_slice")))
+    done = run_python("import sys\nfrom kform.cli import main\nsys.exit(main(['run', sys.argv[1]]))", str(path))
+    assert done.returncode == 2, done.stderr
+    assert "series.params.tol must be positive, got -1" in done.stderr
+
+
+def test_cli_umehara_tiny_tol_ranks_stay_within_the_block(tmp_path, capsys):
+    # at tol = 1e-300 pivot roundoff used to count as rank: 8, 13, 18 here
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(dict(_umehara({"p": 1, "map": ["0.3*z1+0.2*z1^2"], "tol": 1e-300}), orders=[4, 6, 8])))
+    assert main(["run", str(path)]) == 0
+    assert "ranks=4:5,6:7,8:9" in capsys.readouterr().out
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    fresh = _python("import sys, kform.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    fresh = run_python("import sys, kform.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert fresh.returncode == 0, fresh.stderr
     assert fresh.stdout.strip() == "[]"
     path = tmp_path / "psi.json"
     path.write_text(json.dumps(_umehara({"p": 1, "map": ["z1"]})))
-    blocked = _python(
+    blocked = run_python(
         "import sys\n"
         "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
         "from kform.cli import main\n"

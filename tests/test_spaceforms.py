@@ -5,6 +5,7 @@ from kform.errors import DimensionError, DomainError
 from kform.expressions import compose, evaluate_map, jacobian
 from kform.linalg import hermitian_eigen, minor_det, signature
 from kform.spaceforms import (
+    SpaceForm,
     ball,
     center_automorphism,
     chart_point,
@@ -59,6 +60,26 @@ def test_curvature_sign_sets_the_constants():
             assert sf.curv == c
             assert sf.hsc == 2.0 * c
             assert sf.ricci_factor == c * (n + 1)
+
+
+def test_eps_is_one_read_only_array_per_form():
+    sf = ball(3, 2)
+    eps = sf.eps
+    assert sf.eps is eps
+    assert not eps.flags.writeable
+    with pytest.raises(ValueError):
+        eps[0] = -1.0
+
+
+def test_eps_is_plus_one_then_minus_one():
+    for kind in ("euclidean", "ball", "projective"):
+        for dim in range(1, 5):
+            for sig in range(dim + 1):
+                want = np.ones(dim)
+                want[sig:] = -1.0
+                eps = SpaceForm(kind, dim, sig).eps
+                assert eps.dtype == want.dtype
+                np.testing.assert_array_equal(eps, want)
 
 
 def test_flat_chart_holds_huge_finite_points():

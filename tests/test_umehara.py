@@ -30,6 +30,7 @@ from kform.umehara import (
     series_eval,
 )
 from kform.umehara import _Series
+from child import run_python
 
 
 def _diag_series(values):
@@ -303,6 +304,41 @@ def test_coeff_rank_ignores_power_of_two_scalings():
         rows = np.exp2(rng.integers(-100, 101, size=(n, 1)))
         cols = np.exp2(rng.integers(-100, 101, size=(1, n)))
         assert coeff_rank(bi_series(rows * c * cols)) == coeff_rank(bi_series(c)) == r
+
+
+def test_coeff_rank_rejects_nonpositive_tol():
+    # in a child process: before the check these tolerances never stopped
+    done = run_python(
+        "from kform.umehara import ball_slice, coeff_rank\n"
+        "for tol in (0.0, -1.0, float('nan')):\n"
+        "    try:\n"
+        "        coeff_rank(ball_slice(1, 6), tol)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        f"rank tolerance must be positive, got {tol}" for tol in ("0.0", "-1.0", "nan")
+    ]
+
+
+def test_coeff_rank_is_at_most_the_block_size():
+    # a hypothesis property, in a child process: roundoff taken as pivots used
+    # to run the elimination far past min(R, C) steps, or without end
+    done = run_python(
+        "import numpy as np\n"
+        "from hypothesis import given, settings, strategies as st\n"
+        "from kform.umehara import bi_series, coeff_rank\n"
+        "@settings(max_examples=150, deadline=None, database=None)\n"
+        "@given(st.integers(1, 12), st.integers(0, 12), st.integers(0, 2**32 - 1),\n"
+        "       st.sampled_from([1e-300, 1e-18, 1e-16]))\n"
+        "def bounded(n, k, seed, tol):\n"
+        "    rng = np.random.default_rng(seed)\n"
+        "    u, v = (rng.normal(size=(n, min(k, n), 2)) @ [1, 1j] for _ in range(2))\n"
+        "    assert coeff_rank(bi_series(u @ v.T), tol) <= n\n"
+        "bounded()\n"
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_pair_rank_bound():
