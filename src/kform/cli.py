@@ -16,19 +16,21 @@ from .scenarios import Report, report_to_json, run_scenario
 from .suite import run_paper_suite
 
 
+# how the optional fields of a check's JSON form print, in print order
+_FIELD_FORMATS = (
+    ("lambdaHat", lambda v: f"lambdaHat={v:.12g}"),
+    ("residual", lambda v: f"residual={v:.3e}"),
+    ("signature", lambda v: f"signature={tuple(v)}"),
+    ("rankTable", lambda v: "ranks=" + ",".join(f"{n}:{r}" for n, r in v)),
+    ("skipped", lambda v: f"skipped={v}"),
+)
+
+
 def _print_report(report: Report) -> None:
     for rec in report.checks:
+        fields = rec.to_json_dict()
         parts = [f"{rec.name}: {rec.verdict}"]
-        if rec.lambdaHat is not None:
-            parts.append(f"lambdaHat={rec.lambdaHat:.12g}")
-        if rec.residual is not None:
-            parts.append(f"residual={rec.residual:.3e}")
-        if rec.signature is not None:
-            parts.append(f"signature={tuple(rec.signature)}")
-        if rec.rankTable is not None:
-            parts.append("ranks=" + ",".join(f"{n}:{r}" for n, r in rec.rankTable))
-        if rec.skipped:
-            parts.append(f"skipped={rec.skipped}")
+        parts += [fmt(fields[key]) for key, fmt in _FIELD_FORMATS if key in fields]
         print("  ".join(parts))
     print(f"overall: {report.overall}")
 

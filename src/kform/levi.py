@@ -53,6 +53,7 @@ __all__ = [
     "sample_bundle_points",
     "tangent_basis",
     "levi_form",
+    "levi_signatures",
     "levi_form_fd",
     "obstruction_probe",
 ]
@@ -62,6 +63,9 @@ _TINY = 1e-12
 
 # Levi values within this of zero are treated as sign-indeterminate by the probe
 _PROBE_TOL = 1e-10
+
+# eigenvalues of the probe's jg^H jg within this relative distance of the top one tie with it
+_TOP_GAP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -262,6 +266,21 @@ def levi_form(
     return _report_from_form(basis_cols.T @ h @ basis_cols.conj(), tol)
 
 
+def levi_signatures(
+    sf: SpaceForm, p: int, r: float, count: int, seed: int, radius: float | None = None
+) -> tuple[tuple, float]:
+    """Levi signatures over a sample of S_r, and the smallest |eigenvalue|.
+
+    Takes ``levi_form`` at each point of ``sample_bundle_points`` and returns
+    the distinct (nNeg, nZero, nPos) triples in the order first seen, with
+    the minimum absolute Levi eigenvalue over all points.
+    """
+    points = sample_bundle_points(sf, p, r, count, seed, radius)
+    reports = [levi_form(sf, p, r, pt.base, pt.fiber) for pt in points]
+    signatures = tuple(dict.fromkeys((rep.nNeg, rep.nZero, rep.nPos) for rep in reports))
+    return signatures, min(float(np.abs(rep.eigenvalues).min()) for rep in reports)
+
+
 def levi_form_fd(
     sf: SpaceForm,
     p: int,
@@ -296,11 +315,13 @@ def obstruction_probe(
     Both bundle points are moved to their chart centers by automorphisms psi
     and chi, and the base-base Hessian block of rho_1 is evaluated on the
     dominant singular direction eta of jg = dchi J_F(w) dpsi^{-1}, the chain
-    rule differential of chi o F o psi^{-1} at the center (eta is any unit
-    vector of the eigenspace of a repeated top singular value, chosen by the
-    eigen-solver): lhs on the source side, rhs on the target side along the
-    pushed vector.  The target must be a ball, whose Levi form is positive
-    definite, so the horizontal block alone is a sound lower bound for rhs.
+    rule differential of chi o F o psi^{-1} at the center: lhs on the source
+    side, rhs on the target side along the pushed vector.  When the top
+    singular value is repeated (relative gap at most 1e-10), eta is the unit
+    vector of its eigenspace that minimizes the source block, so the probe
+    does not depend on the basis the eigen-solver returns.  The target must
+    be a ball, whose Levi form is positive definite, so the horizontal block
+    alone is a sound lower bound for rhs.
     The source kind is unrestricted; over a ball the probe simply reports
     lhs > 0 and no conflict.
     """
@@ -324,7 +345,10 @@ def obstruction_probe(
 
     z_src = _wedge_hessian_block(src, center_src, p, xi0)
     sing, vecs = hermitian_eigen(hermitize(jg.conj().T @ jg))
-    eta = vecs[:, -1]
+    top = vecs[:, sing >= sing[-1] - _TOP_GAP * abs(sing[-1])]
+    # _quad(z_src, top @ c) is d^H B d for d = conj(c), with B as below
+    _, low = hermitian_eigen(hermitize(top.T @ z_src @ top.conj()))
+    eta = top @ low[:, 0].conj()
     lhs = _quad(z_src, eta)
 
     pushed_eta = jg @ eta

@@ -3,8 +3,11 @@
 A scenario selects one mode (pullback, rigidity, levi, umehara, relatives,
 suite), the space forms and maps involved, and sampling and tolerance
 controls.  Running one produces a Report whose canonical JSON form is
-deterministic for a fixed seed: each check's wall-clock time is kept on its
-CheckRecord only and never serialized.
+deterministic for a fixed seed.  Each mode's handler, like each family of the
+canned battery in ``suite``, is a generator that yields one
+``(name, ok, fields)`` triple per check; ``run_checks`` is the one runner
+that turns the triples into CheckRecords.  It sets each record's
+``seconds``, the check's wall time, which is never serialized.
 
 Scenario schema (all keys lowercase unless noted):
 
@@ -31,6 +34,7 @@ by name and overall is the conjunction of the per-check verdicts.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -40,7 +44,7 @@ import numpy as np
 
 from .errors import KformError, ScenarioError
 from .expressions import MapExpr, parse_map
-from .levi import levi_form, sample_bundle_points
+from .levi import levi_signatures
 from .ppforms import DEFAULT_TOL, proportionality_test, relatives_test
 from .rigidity import (
     conclude_isometry_factor,
@@ -56,6 +60,7 @@ __all__ = [
     "Report",
     "Scenario",
     "parse_scenario",
+    "run_checks",
     "run_scenario",
     "report_to_json",
 ]
@@ -76,7 +81,11 @@ _TOLERANCES = {
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One verification check: verdict plus whichever numbers it produced."""
+    """One verification check: verdict plus whichever numbers it produced.
+
+    ``seconds`` is the check's wall time, set by ``run_checks``; it is kept
+    for tracing and never serialized.
+    """
 
     name: str
     verdict: str
@@ -313,7 +322,9 @@ def parse_scenario(data) -> Scenario:
     elif mode == "relatives":
         source = _space_from_json(data.get("source"), "source")
         if source.kind != "euclidean":  # both maps pull back from plain coordinates
-            raise ScenarioError(f"source.kind must be euclidean for relatives mode, got {source.kind!r}")
+            raise ScenarioError(
+                f"source.kind must be euclidean for relatives mode, got {source.kind!r}"
+            )
         raw_targets = data.get("targets")
         if not isinstance(raw_targets, list) or len(raw_targets) != 2:
             raise ScenarioError("targets must be a list of exactly two space forms")
@@ -386,108 +397,85 @@ def parse_scenario(data) -> Scenario:
 # mode handlers
 
 
-def _timed(name: str, ok: bool, start: float, **extra) -> CheckRecord:
-    """A check's record, timed from ``start`` (a perf_counter reading)."""
-    return CheckRecord(
-        name=name,
-        verdict="PASS" if ok else "FAIL",
-        seconds=time.perf_counter() - start,
-        **extra,
-    )
+def run_checks(families) -> list:
+    """Run check families and record each check they yield, in order.
 
-
-def _run_pullback(sc: Scenario) -> list:
-    src, tgt, F = sc.source, sc.targets[0], sc.maps[0]
-    tol = sc.tolerances["proportionality"]
-    points = sample_chart_points(src, sc.count, sc.seed, sc.radius)
+    A family is an iterable of ``(name, ok, fields)`` triples, usually a
+    generator: ``ok`` decides the verdict and ``fields`` holds the record's
+    optional numbers.  This is the one place that builds CheckRecords and
+    times checks: each record's ``seconds`` is the wall time from the
+    previous yield (or from the start) to its own.
+    """
     records = []
-    degrees = [sc.p] if sc.p == 1 else [sc.p, 1]
-    for deg in degrees:
-        start = time.perf_counter()
-        res = proportionality_test(F, src, tgt, deg, points, tol=tol)
-        fit = {"lambdaHat": res.lambdaHat, "residual": res.maxResidual}
-        records.append(_timed(f"pullback_p{deg}", res.passed, start, **fit))
+    start = time.perf_counter()
+    for name, ok, fields in itertools.chain.from_iterable(families):
+        now = time.perf_counter()
+        verdict = "PASS" if ok else "FAIL"
+        records.append(CheckRecord(name=name, verdict=verdict, seconds=now - start, **fields))
+        start = now
     return records
 
 
-def _run_rigidity(sc: Scenario) -> list:
+def _run_pullback(sc: Scenario):
+    src, tgt, F = sc.source, sc.targets[0], sc.maps[0]
+    points = sample_chart_points(src, sc.count, sc.seed, sc.radius)
+    for deg in [sc.p] if sc.p == 1 else [sc.p, 1]:
+        res = proportionality_test(F, src, tgt, deg, points, tol=sc.tolerances["proportionality"])
+        fit = {"lambdaHat": res.lambdaHat, "residual": res.maxResidual}
+        yield f"pullback_p{deg}", res.passed, fit
+
+
+def _run_rigidity(sc: Scenario):
     src, tgt, F = sc.source, sc.targets[0], sc.maps[0]
     tol = sc.tolerances["rigidity"]
     points = sample_chart_points(src, sc.count, sc.seed, sc.radius)
-    records = []
-
-    start = time.perf_counter()
     profiles = [profile_from_pullback(F, src, tgt, sc.p, w) for w in points]
-    products_ok = all(eigen_products_check(prof, tol=tol) for prof in profiles)
-    records.append(_timed("eigen_products", products_ok, start))
+    yield "eigen_products", all(eigen_products_check(prof, tol=tol) for prof in profiles), {}
 
     if sc.p < src.dim:
-        start = time.perf_counter()
         factors = [conclude_isometry_factor(prof, tol=tol) for prof in profiles]
-        spread_tol = sc.tolerances["factorSpread"]
         if any(f is None for f in factors):
-            records.append(_timed("isometry_factor", False, start))
+            yield "isometry_factor", False, {}
         else:
             mean = float(np.mean(factors))
             spread = float(max(factors) - min(factors))
-            ok = spread <= spread_tol * max(abs(mean), 1e-300)
-            records.append(_timed("isometry_factor", ok, start, lambdaHat=mean, residual=spread))
+            ok = spread <= sc.tolerances["factorSpread"] * max(abs(mean), 1e-300)
+            yield "isometry_factor", ok, {"lambdaHat": mean, "residual": spread}
 
     if src.dim == tgt.dim:
-        start = time.perf_counter()
-        ok, worst, skipped = ricci_pullback_check(
-            F, src, tgt, points, tol=sc.tolerances["ricci"]
-        )
-        records.append(_timed("ricci_pullback", ok, start, residual=worst, skipped=skipped))
-    return records
+        ok, worst, skipped = ricci_pullback_check(F, src, tgt, points, tol=sc.tolerances["ricci"])
+        yield "ricci_pullback", ok, {"residual": worst, "skipped": skipped}
 
 
-def _run_levi(sc: Scenario) -> list:
-    start = time.perf_counter()
-    pts = sample_bundle_points(sc.source, sc.p, sc.r, sc.count, sc.seed, sc.radius)
-    reports = [
-        levi_form(sc.source, sc.p, sc.r, pt.base, pt.fiber) for pt in pts
-    ]
-    sigs = {(rep.nNeg, rep.nZero, rep.nPos) for rep in reports}
-    ok = len(sigs) == 1
+def _run_levi(sc: Scenario):
+    sigs, min_eig = levi_signatures(sc.source, sc.p, sc.r, sc.count, sc.seed, sc.radius)
     expected = sc.expect.get("signature")
-    if expected is not None:
-        ok = ok and sigs == {tuple(expected)}
-    rep0 = reports[0]
-    min_eig = min(float(np.abs(rep.eigenvalues).min()) for rep in reports)
-    signature = (rep0.nNeg, rep0.nZero, rep0.nPos)
-    return [_timed("levi_signature", ok, start, signature=signature, residual=min_eig)]
+    ok = len(sigs) == 1 and (expected is None or sigs[0] == tuple(expected))
+    yield "levi_signature", ok, {"signature": sigs[0], "residual": min_eig}
 
 
-def _run_umehara(sc: Scenario) -> list:
+def _run_umehara(sc: Scenario):
     from .umehara import rank_growth
 
-    start = time.perf_counter()
     table, verdict = rank_growth(sc.series["name"], sc.series["params"], sc.orders)
-    ok = verdict == sc.expect["verdict"]
-    return [_timed("rank_growth", ok, start, rankTable=tuple((n, r) for n, r in table))]
+    yield "rank_growth", verdict == sc.expect["verdict"], {"rankTable": tuple(table)}
 
 
-def _run_relatives(sc: Scenario) -> list:
-    m = sc.source.dim
+def _run_relatives(sc: Scenario):
     t1, t2 = sc.targets
     radius = sc.radius
     if radius is None:
         radius = 0.9 if "ball" in (t1.kind, t2.kind) else 2.0
     points = sample_chart_points(sc.source, sc.count, sc.seed, radius)
     tol = sc.tolerances["proportionality"]
-    start = time.perf_counter()
-    res = relatives_test(sc.maps[0], sc.maps[1], t1, t2, m, sc.p, points, tol=tol)
+    res = relatives_test(sc.maps[0], sc.maps[1], t1, t2, sc.source.dim, sc.p, points, tol=tol)
     fit = {"lambdaHat": res.lambdaHat, "residual": res.maxResidual}
-    records = [_timed(f"relatives_p{sc.p}", res.passed, start, **fit)]
+    yield f"relatives_p{sc.p}", res.passed, fit
     expected = sc.expect.get("lambdaHat")
     if expected is not None:
-        start = time.perf_counter()
-        tol_l = sc.tolerances["lambdaMatch"]
         dev = abs(res.lambdaHat - float(expected))
-        ok = dev <= tol_l * max(1.0, abs(float(expected)))
-        records.append(_timed("lambda_matches", ok, start, lambdaHat=res.lambdaHat, residual=dev))
-    return records
+        ok = dev <= sc.tolerances["lambdaMatch"] * max(1.0, abs(float(expected)))
+        yield "lambda_matches", ok, {"lambdaHat": res.lambdaHat, "residual": dev}
 
 
 _HANDLERS = {
@@ -527,4 +515,4 @@ def run_scenario(source, seed: int | None = None, samples: int | None = None) ->
             sampling["count"] = int(samples)
         data["sampling"] = sampling
         sc = parse_scenario(data)
-    return _assemble(sc.echo, _HANDLERS[sc.mode](sc))
+    return _assemble(sc.echo, run_checks([_HANDLERS[sc.mode](sc)]))

@@ -2,33 +2,39 @@
 
 Each family c01..c09 exercises one headline identity or obstruction at desk
 scale; c10 reruns the whole battery and byte-compares the canonical JSON, so
-a PASS certifies determinism of everything else.  Wall-clock times live on
-the CheckRecords only and never reach the serialized form.
+a PASS certifies determinism of everything else.  A family is a generator
+that yields one ``(name, ok, fields)`` triple per check, and
+``scenarios.run_checks`` turns the triples into CheckRecords; the wall-clock
+time it puts on each record never reaches the serialized form.
 """
 
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
 from .expressions import parse_map
-from .levi import levi_form, obstruction_probe, sample_bundle_points
+from .levi import levi_signatures, obstruction_probe
 from .linalg import generalized_eigenvalues, hermitize, sign_counts
 from .numdiff import wirtinger_hessian
-from .ppforms import index_basis, proportionality_test, pullback_pp, relatives_test, wedge_power_coeffs
+from .ppforms import (
+    index_basis,
+    proportionality_test,
+    pullback_pp,
+    relatives_test,
+    wedge_power_coeffs,
+)
 from .rigidity import EigenProfile, conclude_isometry_factor, eigen_products_check
-from .scenarios import DEFAULT_COUNT, DEFAULT_SEED, Report, _assemble, _timed, report_to_json
+from .scenarios import DEFAULT_COUNT, DEFAULT_SEED, Report, _assemble, report_to_json, run_checks
 from .spaceforms import ball, euclidean, metric, projective, ricci, sample_chart_points
 from .umehara import ball_slice, bi_series, coeff_rank, proj_slice, rank_growth, series_eval
 
 __all__ = ["run_paper_suite"]
 
 
-def _c01(seed: int) -> list:
+def _c01(seed: int):
     rng = np.random.default_rng(seed + 1)
-    start = time.perf_counter()
     worst = 0.0
     recovered = True
     for _ in range(1000):
@@ -45,11 +51,8 @@ def _c01(seed: int) -> list:
             recovered = False
             continue
         worst = max(worst, abs(factor - lam ** (1.0 / p)) / lam ** (1.0 / p))
-    rec_a = _timed(
-        "c01_eigen_product_recovery", recovered and worst <= 1e-8, start, residual=worst
-    )
+    yield "c01_eigen_product_recovery", recovered and worst <= 1e-8, {"residual": worst}
 
-    start = time.perf_counter()
     false_accepts = 0
     for _ in range(1000):
         m = int(rng.integers(2, 7))
@@ -59,71 +62,45 @@ def _c01(seed: int) -> list:
         target = float(np.prod(np.sort(lams)[:p]))
         if eigen_products_check(EigenProfile(lams, p, target), tol=1e-8):
             false_accepts += 1
-    rec_b = _timed(
-        "c01_eigen_product_nonconstant",
-        false_accepts == 0,
-        start,
-        residual=float(false_accepts),
-    )
-    return [rec_a, rec_b]
+    yield "c01_eigen_product_nonconstant", false_accepts == 0, {"residual": float(false_accepts)}
 
 
-def _c02(seed: int) -> list:
+def _c02(seed: int):
     src, tgt = euclidean(2), euclidean(4)
     F = parse_map(["z1+1/(1-z2)", "z2", "0", "0"], 2)
     points = sample_chart_points(src, 100, seed + 2, radius=0.5)
 
-    start = time.perf_counter()
     worst = max(
         float(np.abs(pullback_pp(F, src, tgt, 2, w).entries[0, 0] - 1.0)) for w in points
     )
     res2 = proportionality_test(F, src, tgt, 2, points, tol=1e-12)
     ok2 = res2.passed and abs(res2.lambdaHat - 1.0) <= 1e-12 and worst <= 1e-12
-    rec_a = _timed(
-        "c02_flat_example_p2", ok2, start, lambdaHat=res2.lambdaHat, residual=worst
-    )
+    yield "c02_flat_example_p2", ok2, {"lambdaHat": res2.lambdaHat, "residual": worst}
 
-    start = time.perf_counter()
     res1 = proportionality_test(F, src, tgt, 1, points, tol=1e-8)
     ok1 = (not res1.passed) and res1.maxResidual > 1e-2
-    rec_b = _timed(
-        "c02_flat_example_p1_fail",
-        ok1,
-        start,
-        lambdaHat=res1.lambdaHat,
-        residual=res1.maxResidual,
-    )
-    return [rec_a, rec_b]
+    fields = {"lambdaHat": res1.lambdaHat, "residual": res1.maxResidual}
+    yield "c02_flat_example_p1_fail", ok1, fields
 
 
-def _c03(seed: int) -> list:
+def _c03(seed: int):
     F = parse_map(["1.4142135623730951*z1", "z1^2"], 1)
     points = sample_chart_points(projective(1), 50, seed + 3)
-    start = time.perf_counter()
     res = proportionality_test(F, projective(1), projective(2), 1, points, tol=1e-10)
     ok = res.passed and abs(res.lambdaHat - 2.0) <= 1e-10 and res.lambdaHat >= 1.0
-    return [
-        _timed(
-            "c03_veronese_isometry",
-            ok,
-            start,
-            lambdaHat=res.lambdaHat,
-            residual=abs(res.lambdaHat - 2.0),
-        )
-    ]
+    fields = {"lambdaHat": res.lambdaHat, "residual": abs(res.lambdaHat - 2.0)}
+    yield "c03_veronese_isometry", ok, fields
 
 
-def _c04(seed: int) -> list:
-    start = time.perf_counter()
+def _c04(seed: int):
     worst = 0.0
     for n in (1, 2, 3):
         for sf, sign in ((ball(n), -1.0), (projective(n), 1.0)):
             for w in sample_chart_points(sf, 200, seed + 4 + n):
                 dev = np.abs(ricci(sf, w) - sign * (n + 1) * metric(sf, w)).max()
                 worst = max(worst, float(dev))
-    rec_a = _timed("c04_ricci_identity", worst <= 1e-9, start, residual=worst)
+    yield "c04_ricci_identity", worst <= 1e-9, {"residual": worst}
 
-    start = time.perf_counter()
     worst_fd = 0.0
     for n in (1, 2):
         for sf in (ball(n), projective(n)):
@@ -135,75 +112,38 @@ def _c04(seed: int) -> list:
                 h = wirtinger_hessian(logdet, w)
                 dev = np.abs(ricci(sf, w) + h).max()
                 worst_fd = max(worst_fd, float(dev))
-    rec_b = _timed("c04_ricci_logdet_fd", worst_fd <= 1e-5, start, residual=worst_fd)
-    return [rec_a, rec_b]
+    yield "c04_ricci_logdet_fd", worst_fd <= 1e-5, {"residual": worst_fd}
 
 
-def _levi_family(sf, p, expected, count, seed):
-    ok = True
-    min_eig = np.inf
-    for pt in sample_bundle_points(sf, p, 1.0, count, seed):
-        rep = levi_form(sf, p, 1.0, pt.base, pt.fiber)
-        ok = ok and (rep.nNeg, rep.nZero, rep.nPos) == expected
-        min_eig = min(min_eig, float(np.abs(rep.eigenvalues).min()))
-    return ok and min_eig > 1e-8, min_eig
+def _levi_cases(cases):
+    """Whether each (space, p, expected signature, seed) case shows only its
+    expected signature on 20 bundle points with every |eigenvalue| > 1e-8,
+    and the smallest |eigenvalue| over all cases."""
+    ok, margin = True, np.inf
+    for sf, p, expected, seed in cases:
+        signatures, low = levi_signatures(sf, p, 1.0, 20, seed)
+        ok = ok and signatures == (expected,) and low > 1e-8
+        margin = min(margin, low)
+    return ok, margin
 
 
-def _c05(seed: int) -> list:
-    records = []
+def _c05(seed: int):
+    ok, margin = _levi_cases((projective(m), m, (m, 0, 0), seed + 50 + m) for m in (1, 2, 3))
+    yield "c05_levi_projective_top", ok, {"signature": (3, 0, 0), "residual": margin}
 
-    start = time.perf_counter()
-    ok_top, margin_top = True, np.inf
-    for m in (1, 2, 3):
-        ok, margin = _levi_family(projective(m), m, (m, 0, 0), 20, seed + 50 + m)
-        ok_top, margin_top = ok_top and ok, min(margin_top, margin)
-    records.append(
-        _timed(
-            "c05_levi_projective_top",
-            ok_top,
-            start,
-            signature=(3, 0, 0),
-            residual=margin_top,
-        )
+    mixed = ((projective(2), 1, (2, 0, 1)), (projective(3), 2, (3, 0, 2)))
+    ok, margin = _levi_cases((sf, p, expected, seed + 55 + p) for sf, p, expected in mixed)
+    # CR bound: positives cannot exceed half the hypersurface tangent dim
+    ok = ok and all(e[2] <= (sf.dim + math.comb(sf.dim, p) - 1) / 2 for sf, p, e in mixed)
+    yield "c05_levi_projective_mixed", ok, {"signature": (3, 0, 2), "residual": margin}
+
+    ok, margin = _levi_cases(
+        (ball(n), p, (0, 0, n + math.comb(n, p) - 1), seed + 58 + 2 * n + p)
+        for n in (1, 2, 3)
+        for p in (1, 2)
+        if p <= n
     )
-
-    start = time.perf_counter()
-    ok_mixed, margin_mixed = True, np.inf
-    for sf, p, expected in ((projective(2), 1, (2, 0, 1)), (projective(3), 2, (3, 0, 2))):
-        ok, margin = _levi_family(sf, p, expected, 20, seed + 55 + p)
-        fiber = math.comb(sf.dim, p)
-        # CR bound: positives cannot exceed half the hypersurface tangent dim
-        ok = ok and expected[2] <= (sf.dim + fiber - 1) / 2
-        ok_mixed, margin_mixed = ok_mixed and ok, min(margin_mixed, margin)
-    records.append(
-        _timed(
-            "c05_levi_projective_mixed",
-            ok_mixed,
-            start,
-            signature=(3, 0, 2),
-            residual=margin_mixed,
-        )
-    )
-
-    start = time.perf_counter()
-    ok_ball, margin_ball = True, np.inf
-    for n in (1, 2, 3):
-        for p in (1, 2):
-            if p > n:
-                continue
-            expected = (0, 0, n + math.comb(n, p) - 1)
-            ok, margin = _levi_family(ball(n), p, expected, 20, seed + 58 + 2 * n + p)
-            ok_ball, margin_ball = ok_ball and ok, min(margin_ball, margin)
-    records.append(
-        _timed(
-            "c05_levi_ball",
-            ok_ball,
-            start,
-            signature=(0, 0, 5),
-            residual=margin_ball,
-        )
-    )
-    return records
+    yield "c05_levi_ball", ok, {"signature": (0, 0, 5), "residual": margin}
 
 
 _FLAT_TO_BALL_MAPS = (
@@ -234,16 +174,13 @@ def _probe_family(src, tgt, maps, seed):
     return all_conflict and conclusive > 0
 
 
-def _c06(seed: int) -> list:
-    start = time.perf_counter()
+def _c06(seed: int):
     ok_flat = _probe_family(euclidean(2), ball(3), _FLAT_TO_BALL_MAPS, seed + 60)
-    rec_a = _timed("c06_probe_flat_to_ball", ok_flat, start)
+    yield "c06_probe_flat_to_ball", ok_flat, {}
 
-    start = time.perf_counter()
     ok_proj = _probe_family(projective(1), ball(2), _PROJ_TO_BALL_MAPS, seed + 61)
-    rec_b = _timed("c06_probe_projective_to_ball", ok_proj, start)
+    yield "c06_probe_projective_to_ball", ok_proj, {}
 
-    start = time.perf_counter()
     rng = np.random.default_rng(seed + 62)
     F = parse_map(["z1", "0"], 1)
     min_lhs = np.inf
@@ -253,22 +190,13 @@ def _c06(seed: int) -> list:
         res = obstruction_probe(ball(1), ball(2), F, 1, w, xi)
         clean = clean and not res.conflict and not res.inconclusive
         min_lhs = min(min_lhs, res.lhs)
-    rec_c = _timed(
-        "c06_probe_ball_control", clean and min_lhs > 1e-10, start, residual=min_lhs
-    )
-    return [rec_a, rec_b, rec_c]
+    yield "c06_probe_ball_control", clean and min_lhs > 1e-10, {"residual": min_lhs}
 
 
-def _c07(seed: int) -> list:
-    records = []
+def _c07(seed: int):
+    ok_rank = all(coeff_rank(ball_slice(p, n)) == n + 1 for p in (1, 2, 3) for n in range(11))
+    yield "c07_rank_ball_slice", ok_rank, {}
 
-    start = time.perf_counter()
-    ok_rank = all(
-        coeff_rank(ball_slice(p, n)) == n + 1 for p in (1, 2, 3) for n in range(11)
-    )
-    records.append(_timed("c07_rank_ball_slice", ok_rank, start))
-
-    start = time.perf_counter()
     rng = np.random.default_rng(seed + 7)
     ok_pairs = True
     for _ in range(200):
@@ -276,22 +204,13 @@ def _c07(seed: int) -> list:
         tg = rng.normal(size=7) + 1j * rng.normal(size=7)
         c = np.outer(tf, np.conj(tg)) + np.outer(tg, np.conj(tf))
         ok_pairs = ok_pairs and coeff_rank(bi_series(c)) <= 2
-    records.append(_timed("c07_rank_pair_bound", ok_pairs, start))
+    yield "c07_rank_pair_bound", ok_pairs, {}
 
-    start = time.perf_counter()
     table, verdict = rank_growth("psi", {"p": 1, "map": ["z1"]}, (2, 4, 6, 8, 10))
     ranks = [r for _, r in table]
     ok_psi = verdict == "growing" and all(b > a for a, b in zip(ranks, ranks[1:]))
-    records.append(
-        _timed(
-            "c07_rank_psi_growth",
-            ok_psi,
-            start,
-            rankTable=tuple((n, r) for n, r in table),
-        )
-    )
+    yield "c07_rank_psi_growth", ok_psi, {"rankTable": tuple(table)}
 
-    start = time.perf_counter()
     rng = np.random.default_rng(seed + 77)
     worst = 0.0
     for p in (1, 2, 3):
@@ -301,12 +220,10 @@ def _c07(seed: int) -> list:
             x = abs(zeta) ** 2
             worst = max(worst, abs(series_eval(bs, zeta) - (1 - x) ** (-(p + 1))))
             worst = max(worst, abs(series_eval(ps, zeta) - (1 + x) ** (-(p + 1))))
-    records.append(_timed("c07_slice_identities", worst <= 1e-10, start, residual=worst))
-    return records
+    yield "c07_slice_identities", worst <= 1e-10, {"residual": worst}
 
 
-def _c08(seed: int) -> list:
-    start = time.perf_counter()
+def _c08(seed: int):
     ok_pat = True
     for n, s in ((2, 0), (2, 1), (3, 1), (3, 2)):
         flat = euclidean(n, s)
@@ -316,16 +233,13 @@ def _c08(seed: int) -> list:
         for sf in (ball(n, s), projective(n, s)):
             g0 = metric(sf, np.zeros(n))
             ok_pat = ok_pat and np.array_equal(g0, np.diag(sf.eps).astype(np.complex128))
-            ok_pat = ok_pat and sign_counts(np.linalg.eigvalsh(hermitize(g0)))[::2] == (
-                n - s,
-                s,
-            )
+            counts = sign_counts(np.linalg.eigvalsh(hermitize(g0)))
+            ok_pat = ok_pat and counts[::2] == (n - s, s)
             for w in sample_chart_points(sf, 5, seed + 81 + n + s):
                 g = metric(sf, w)
                 ok_pat = ok_pat and float(np.abs(g - g.conj().T).max()) <= 1e-13
-    rec_a = _timed("c08_indefinite_patterns", ok_pat, start)
+    yield "c08_indefinite_patterns", ok_pat, {}
 
-    start = time.perf_counter()
     worst = 0.0
     spaces = [euclidean(3, 2), ball(3), ball(3, 2), projective(3), projective(3, 1)]
     for i, sf in enumerate(spaces):
@@ -342,27 +256,19 @@ def _c08(seed: int) -> list:
                         brute = np.linalg.det(g[np.ix_(rows, cols)])
                         dev = abs(entries[a, b] - brute) / (1.0 + abs(brute))
                         worst = max(worst, float(dev))
-    rec_b = _timed("c08_wedge_minor_consistency", worst <= 1e-10, start, residual=worst)
-    return [rec_a, rec_b]
+    yield "c08_wedge_minor_consistency", worst <= 1e-10, {"residual": worst}
 
 
-def _c09(seed: int) -> list:
+def _c09(seed: int):
     veronese = parse_map(["1.4142135623730951*z1", "z1^2"], 1)
     ident = parse_map(["z1"], 1)
     points = sample_chart_points(euclidean(1), 50, seed + 9, radius=0.8)
 
-    start = time.perf_counter()
     res = relatives_test(veronese, ident, projective(2), projective(1), 1, 1, points, tol=1e-8)
     ok = res.passed and abs(res.lambdaHat - 2.0) <= 1e-8
-    rec_a = _timed(
-        "c09_relatives_veronese",
-        ok,
-        start,
-        lambdaHat=res.lambdaHat,
-        residual=res.maxResidual,
-    )
+    fields = {"lambdaHat": res.lambdaHat, "residual": res.maxResidual}
+    yield "c09_relatives_veronese", ok, fields
 
-    start = time.perf_counter()
     res2 = relatives_test(ident, ident, ball(1), projective(1), 1, 1, points, tol=1e-8)
     ratios = [
         float(
@@ -375,21 +281,18 @@ def _c09(seed: int) -> list:
     ]
     spread = max(ratios) - min(ratios)
     ok2 = (not res2.passed) and spread > 1e-2
-    rec_b = _timed(
-        "c09_relatives_ball_vs_projective",
-        ok2,
-        start,
-        lambdaHat=res2.lambdaHat,
-        residual=spread,
-    )
-    return [rec_a, rec_b]
+    yield "c09_relatives_ball_vs_projective", ok2, {"lambdaHat": res2.lambdaHat, "residual": spread}
 
 
-def _battery(seed: int) -> list:
-    records = []
-    for family in (_c01, _c02, _c03, _c04, _c05, _c06, _c07, _c08, _c09):
-        records.extend(family(seed))
-    return records
+def _battery() -> list:
+    families = (_c01, _c02, _c03, _c04, _c05, _c06, _c07, _c08, _c09)
+    return run_checks(family(DEFAULT_SEED) for family in families)
+
+
+def _c10(echo: dict, first: list):
+    second = _battery()
+    identical = report_to_json(_assemble(echo, first)) == report_to_json(_assemble(echo, second))
+    yield "c10_determinism", identical, {}
 
 
 def run_paper_suite() -> Report:
@@ -398,11 +301,5 @@ def run_paper_suite() -> Report:
         "mode": "suite",
         "sampling": {"count": DEFAULT_COUNT, "seed": DEFAULT_SEED, "radius": None},
     }
-    start = time.perf_counter()
-    first = _battery(DEFAULT_SEED)
-    second = _battery(DEFAULT_SEED)
-    identical = report_to_json(_assemble(echo, first)) == report_to_json(
-        _assemble(echo, second)
-    )
-    records = first + [_timed("c10_determinism", identical, start)]
-    return _assemble(echo, records)
+    first = _battery()
+    return _assemble(echo, first + run_checks([_c10(echo, first)]))

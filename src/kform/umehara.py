@@ -256,11 +256,14 @@ def as_map(value) -> MapExpr:
     return parse_map(sources, arity)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def builtin_series(name: str, params: dict, n: int) -> BiSeries:
     """Named series to order n: ball_slice, proj_slice, psi, abs_square.
 
     params carries "p" for the slice functions and additionally "map" (a
-    MapExpr or list of expression strings) for psi and abs_square.
+    MapExpr or list of expression strings) for psi and abs_square.  numpy
+    does not warn of overflow here: the coefficients come out non-finite,
+    and ``coeff_rank`` reports that as ``EvaluationLimitError``.
     """
     if name == "ball_slice":
         return ball_slice(int(params["p"]), n)

@@ -326,6 +326,35 @@ def test_probe_differential_is_the_chain_rule(monkeypatch):
             assert_allclose(pushed[-1], route, atol=1e-10)
 
 
+def test_probe_direction_ignores_the_eigen_solver_basis(monkeypatch):
+    # 0.5*z from B^3 into B^4 at this w: the top singular value of the
+    # differential is repeated (0.4884, 0.4884, 0.4772), so any unit vector of
+    # its eigenspace is a dominant direction
+    F = parse_map(["0.5*z1", "0.5*z2", "0.5*z3", "0"], 3)
+    w = np.array([0.1, 0.2j, -0.1])
+    real = kform.levi.hermitian_eigen
+    rng = np.random.default_rng(7)
+
+    def rotated_top(h):
+        vals, vecs = real(h)
+        top = vals >= vals[-1] - 1e-10 * abs(vals[-1])
+        k = int(top.sum())
+        u = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+        vecs = vecs.copy()
+        vecs[:, top] = vecs[:, top] @ u
+        return vals, vecs
+
+    for p in (1, 2):
+        xi = _random_fiber(rng, ball(3), p)
+        monkeypatch.setattr(kform.levi, "hermitian_eigen", real)
+        base = obstruction_probe(ball(3), ball(4), F, p, w, xi)
+        monkeypatch.setattr(kform.levi, "hermitian_eigen", rotated_top)
+        for _ in range(5):
+            res = obstruction_probe(ball(3), ball(4), F, p, w, xi)
+            assert abs(res.lhs - base.lhs) <= 1e-12 * max(1.0, abs(base.lhs))
+            assert abs(res.rhs - base.rhs) <= 1e-12 * max(1.0, abs(base.rhs))
+
+
 def test_probe_validates_inputs():
     F = parse_map(["0.2*z1", "0.2*z2"], 2)
     with pytest.raises(PreconditionError):

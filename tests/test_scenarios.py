@@ -1,10 +1,12 @@
 import json
+import math
+import time
 
 import pytest
 
 from kform.cli import main
 from kform.errors import ScenarioError
-from kform.scenarios import parse_scenario, report_to_json, run_scenario
+from kform.scenarios import parse_scenario, report_to_json, run_checks, run_scenario
 from child import run_python
 
 
@@ -135,6 +137,42 @@ def test_relatives_scenario_veronese_vs_identity():
     assert by_name["relatives_p1"].verdict == "PASS"
     assert by_name["lambda_matches"].verdict == "PASS"
     assert report.overall == "PASS"
+
+
+def test_run_checks_times_each_check_from_the_previous_yield():
+    def slow():
+        time.sleep(0.05)
+        yield "first", True, {}
+        time.sleep(0.1)
+        yield "second", False, {"residual": 2.5}
+
+    def quick():
+        yield "third", 1, {"skipped": 3}
+
+    records = run_checks([slow(), quick()])
+    assert [(r.name, r.verdict) for r in records] == [
+        ("first", "PASS"),
+        ("second", "FAIL"),
+        ("third", "PASS"),
+    ]
+    assert records[0].seconds >= 0.05
+    assert records[1].seconds >= 0.1
+    assert records[1].residual == 2.5 and records[2].skipped == 3
+
+
+def test_every_mode_times_its_checks_without_serializing_them():
+    scenarios = [
+        _flat_embedding_example(),
+        _umehara({"p": 1, "map": ["z1"]}),
+        dict(_relatives({"kind": "euclidean", "dim": 1}), expect={"lambdaHat": 1}),
+        dict(_identity_flat(), mode="rigidity", map=["0.7*z1", "0.7*z2"]),
+        {"mode": "levi", "source": {"kind": "ball", "dim": 2}, "p": 1, "sampling": {"count": 5}},
+    ]
+    for scenario in scenarios:
+        report = run_scenario(scenario)
+        assert report.checks
+        assert all(math.isfinite(r.seconds) and r.seconds > 0 for r in report.checks)
+        assert "seconds" not in report_to_json(report)
 
 
 def test_reports_are_deterministic():
@@ -303,6 +341,16 @@ def test_cli_malformed_scenario_fields_exit_two(tmp_path, capsys):
         path.write_text(json.dumps(data))
         assert main(["run", str(path)]) == 2
         assert fragment in capsys.readouterr().err
+
+
+def test_cli_series_overflow_prints_only_the_error(tmp_path):
+    # the error line is all of stderr: numpy does not warn of the overflow first
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(_umehara({"map": ["1e200*z1+1e200*z1^2"]}, name="abs_square")))
+    script = "import sys\nfrom kform.cli import main\nsys.exit(main(['run', sys.argv[1]]))"
+    done = run_python(script, str(path))
+    assert done.returncode == 2
+    assert done.stderr == "error: series coefficients overflow\n"
 
 
 def test_cli_reports_skipped_ricci_samples(tmp_path, capsys):
