@@ -17,6 +17,13 @@ Besides metric/Ricci/curvature tensors, the module provides the curvature
 pairing on wedge powers of the tangent bundle (in the sign convention pinned
 by the Hessian-of-log-norm oracle, see ``wedge_curvature``), chart-centering
 automorphisms as matrices on the lift [1; z], and seeded chart sampling.
+
+``metric`` and ``ricci`` also take a (..., n) stack of points and return the
+(..., n, n) stack of their matrices, equal bit for bit to one call per point;
+``sample_chart_points`` checks its finished (count, n) array the same way.
+A point of a stack that is not finite or lies outside the chart raises
+``DomainError`` naming its stack index (``point at stack index 3 outside the
+ball chart domain``).  Every other function takes one point.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .expressions import BinOp, Const, MapExpr, Var
-from .linalg import _validated_index, cofactor_matrix, hermitize
+from .linalg import _stack_index, _validated_index, cofactor_matrix, hermitize
 
 __all__ = [
     "SpaceForm",
@@ -129,9 +136,15 @@ def snorm2(sf: SpaceForm, w) -> float:
     return float(np.sum(sf.eps * np.abs(w) ** 2))
 
 
-def _u(sf: SpaceForm, z) -> float:
-    """u = 1 + c |w|_s^2; exactly 1 on flat forms, even where |w|^2 overflows."""
-    return 1.0 + sf.curv * snorm2(sf, z) if sf.curv else 1.0
+def _u(sf: SpaceForm, z: np.ndarray):
+    """u = 1 + c |z|_s^2 over the last axis: a float for one point, else an array.
+
+    Exactly 1 on flat forms, even where |z|^2 overflows.
+    """
+    if not sf.curv:
+        return np.ones(z.shape[:-1]) if z.ndim > 1 else 1.0
+    s = np.sum(sf.eps * np.abs(z) ** 2, axis=-1)
+    return 1.0 + sf.curv * (s if z.ndim > 1 else float(s))
 
 
 def in_chart(sf: SpaceForm, w) -> bool:
@@ -139,17 +152,36 @@ def in_chart(sf: SpaceForm, w) -> bool:
     return w.size == sf.dim and bool(np.isfinite(w).all()) and _u(sf, w) > 0.0
 
 
-def _chart(sf: SpaceForm, w) -> tuple[np.ndarray, float]:
-    """The validated complex128 coordinates z of a chart point, and u > 0 there."""
-    z = np.asarray(w, dtype=np.complex128).reshape(-1)
-    if z.size != sf.dim:
-        raise DimensionError(f"point has {z.size} coordinates, expected {sf.dim}")
+def _chart(sf: SpaceForm, w, stack: bool = False):
+    """The validated complex128 coordinates z of a chart point, and u > 0 there.
+
+    With ``stack=True`` the leading axes of a (..., n) array are kept: z has
+    that shape, u has shape (...), and the errors name the stack index of the
+    first bad point.  Otherwise ``w`` is flattened to one point.
+    """
+    z = np.asarray(w, dtype=np.complex128)
+    if not stack or z.ndim == 0:
+        z = z.reshape(-1)
+    if z.shape[-1] != sf.dim:
+        raise DimensionError(f"point has {z.shape[-1]} coordinates, expected {sf.dim}")
     if not np.isfinite(z).all():
-        raise DomainError("chart point coordinates must be finite")
+        finite = np.isfinite(z).all(axis=-1)
+        raise DomainError(f"chart point coordinates{_stack_index(~finite)} must be finite")
     u = _u(sf, z)
-    if not u > 0.0:
-        raise DomainError(f"point outside the {sf.kind} chart domain")
+    inside = u > 0.0
+    if not (inside.all() if z.ndim > 1 else inside):
+        raise DomainError(f"point{_stack_index(~inside)} outside the {sf.kind} chart domain")
     return z, u
+
+
+def _pow2(u):
+    """u**2 by libm's pow at every point, as a lone point's float takes it.
+
+    numpy squares a float array with one multiply, which rounds differently
+    from pow in about one case in a thousand; going through pow keeps a
+    stack's metrics equal to its per-point calls bit for bit.
+    """
+    return u**2 if isinstance(u, float) else (u.astype(object) ** 2).astype(float)
 
 
 def chart_point(sf: SpaceForm, w) -> np.ndarray:
@@ -158,16 +190,18 @@ def chart_point(sf: SpaceForm, w) -> np.ndarray:
 
 
 def metric(sf: SpaceForm, w) -> np.ndarray:
-    """Metric matrix g[j, k] = g_{j kbar} at a chart point.
+    """Metric matrix g[j, k] = g_{j kbar} at a chart point, or at each of a (..., n) stack.
 
     g = (u diag(eps) - c (eps wbar)(eps w)^T) / u^2 with u = 1 + c |w|_s^2,
     which is diag(eps) on flat forms.  Hermitian everywhere; positive
-    definite on definite space forms.
+    definite on definite space forms.  The result has shape (..., n, n).
     """
-    z, u = _chart(sf, w)
+    z, u = _chart(sf, w, stack=True)
     e, c = sf.eps, sf.curv
-    g = (u * np.diag(e) - np.outer(c * e * np.conj(z), e * z)) / u**2
-    return hermitize(g)
+    pair = (c * e * np.conj(z))[..., :, None] * (e * z)[..., None, :]
+    if z.ndim > 1:  # one factor per stacked matrix
+        u = u[..., None, None]
+    return hermitize((u * np.diag(e) - pair) / _pow2(u))
 
 
 def metric_dz(sf: SpaceForm, w) -> np.ndarray:
@@ -182,7 +216,10 @@ def metric_dz(sf: SpaceForm, w) -> np.ndarray:
 
 
 def ricci(sf: SpaceForm, w) -> np.ndarray:
-    """Ricci tensor R[j, k] = -d_j dbar_k log det g = ricci_factor * metric."""
+    """Ricci tensor R[j, k] = -d_j dbar_k log det g = ricci_factor * metric.
+
+    Like ``metric``, it takes one point or a (..., n) stack of them.
+    """
     return sf.ricci_factor * metric(sf, w)
 
 
@@ -357,7 +394,8 @@ def sample_chart_points(sf: SpaceForm, count: int, seed: int, radius: float | No
     Algorithm (documented for reproducibility): with rng = default_rng(seed),
     each point draws a standard normal direction in R^{2n}, normalizes it,
     and scales by radius * U^(1/(2n)) with U uniform; the first n entries are
-    real parts, the last n imaginary parts.
+    real parts, the last n imaginary parts.  The finished array is checked
+    once; a point outside the chart raises ``DomainError`` naming its index.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -369,6 +407,5 @@ def sample_chart_points(sf: SpaceForm, count: int, seed: int, radius: float | No
         v = rng.standard_normal(2 * n)
         v /= np.linalg.norm(v)
         rho = r * rng.uniform() ** (1.0 / (2 * n))
-        w = rho * (v[:n] + 1j * v[n:])
-        pts[k] = chart_point(sf, w)
-    return pts
+        pts[k] = rho * (v[:n] + 1j * v[n:])
+    return _chart(sf, pts, stack=True)[0]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .expressions import parse_map
 from .levi import levi_signatures, obstruction_probe
-from .linalg import generalized_eigenvalues, hermitize, sign_counts
+from .linalg import _adjoint, generalized_eigenvalues, hermitize, sign_counts
 from .numdiff import wirtinger_hessian
 from .ppforms import (
     index_basis,
@@ -33,24 +33,52 @@ from .umehara import ball_slice, bi_series, coeff_rank, proj_slice, rank_growth,
 __all__ = ["run_paper_suite"]
 
 
+def _isometry_pencils(draws):
+    """Eigenvalues of each pencil (lam^(1/p) q^H g q, q^H g q), g = b^H b.
+
+    ``draws`` holds (m, p, lam, b, a) samples, q the unitary factor of a.
+    The samples are stacked by size m for one QR and one pencil solve per
+    size; the eigenvalue rows come back in the order of ``draws``.
+    """
+    sizes = [m for m, *_ in draws]
+    out = [None] * len(draws)
+    for m in sorted(set(sizes)):
+        picked = [k for k, size in enumerate(sizes) if size == m]
+        _, p, lam, b, a = zip(*(draws[k] for k in picked))
+        b, q = np.stack(b), np.linalg.qr(np.stack(a))[0]
+        base = _adjoint(q) @ (_adjoint(b) @ b) @ q
+        root = np.array([x ** (1.0 / y) for x, y in zip(lam, p)])
+        for k, row in zip(picked, generalized_eigenvalues(root[:, None, None] * base, base)):
+            out[k] = row
+    return out
+
+
+def _pencil_draw(rng):
+    """One c01 sample (m, p, lam, b, a), drawn in a fixed order from ``rng``."""
+    m = int(rng.integers(2, 7))
+    p = int(rng.integers(1, m))
+    lam = float(np.exp(rng.uniform(-2.0, 2.0)))
+    b = np.eye(m) + 0.3 * (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    return m, p, lam, b, rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+
+
+# c01 samples drawn and solved together; a block bounds the memory its
+# stacks hold (all 1,000 at once raised the suite's peak RSS by 2-4 MB)
+_C01_BLOCK = 100
+
+
 def _c01(seed: int):
     rng = np.random.default_rng(seed + 1)
     worst = 0.0
     recovered = True
-    for _ in range(1000):
-        m = int(rng.integers(2, 7))
-        p = int(rng.integers(1, m))
-        lam = float(np.exp(rng.uniform(-2.0, 2.0)))
-        b = np.eye(m) + 0.3 * (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
-        g = b.conj().T @ b
-        q = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
-        h = lam ** (1.0 / p) * (q.conj().T @ g @ q)
-        profile = EigenProfile(generalized_eigenvalues(h, q.conj().T @ g @ q), p, lam)
-        factor = conclude_isometry_factor(profile, tol=1e-8)
-        if factor is None:
-            recovered = False
-            continue
-        worst = max(worst, abs(factor - lam ** (1.0 / p)) / lam ** (1.0 / p))
+    for _ in range(1000 // _C01_BLOCK):
+        draws = [_pencil_draw(rng) for _ in range(_C01_BLOCK)]
+        for (_, p, lam, _, _), lams in zip(draws, _isometry_pencils(draws)):
+            factor = conclude_isometry_factor(EigenProfile(lams, p, lam), tol=1e-8)
+            if factor is None:
+                recovered = False
+                continue
+            worst = max(worst, abs(factor - lam ** (1.0 / p)) / lam ** (1.0 / p))
     yield "c01_eigen_product_recovery", recovered and worst <= 1e-8, {"residual": worst}
 
     false_accepts = 0
@@ -96,9 +124,9 @@ def _c04(seed: int):
     worst = 0.0
     for n in (1, 2, 3):
         for sf, sign in ((ball(n), -1.0), (projective(n), 1.0)):
-            for w in sample_chart_points(sf, 200, seed + 4 + n):
-                dev = np.abs(ricci(sf, w) - sign * (n + 1) * metric(sf, w)).max()
-                worst = max(worst, float(dev))
+            points = sample_chart_points(sf, 200, seed + 4 + n)
+            dev = np.abs(ricci(sf, points) - sign * (n + 1) * metric(sf, points)).max()
+            worst = max(worst, float(dev))
     yield "c04_ricci_identity", worst <= 1e-9, {"residual": worst}
 
     worst_fd = 0.0
@@ -116,34 +144,41 @@ def _c04(seed: int):
 
 
 def _levi_cases(cases):
-    """Whether each (space, p, expected signature, seed) case shows only its
-    expected signature on 20 bundle points with every |eigenvalue| > 1e-8,
-    and the smallest |eigenvalue| over all cases."""
-    ok, margin = True, np.inf
+    """Check (space, p, expected signature, seed) cases on 20 bundle points each.
+
+    Returns whether every case shows only its expected signature with every
+    |eigenvalue| > 1e-8, the smallest |eigenvalue| over all cases, and the
+    signature to report: the first one seen off its case's expectation, else
+    the last case's.
+    """
+    ok, margin, off, last = True, np.inf, None, None
     for sf, p, expected, seed in cases:
         signatures, low = levi_signatures(sf, p, 1.0, 20, seed)
         ok = ok and signatures == (expected,) and low > 1e-8
         margin = min(margin, low)
-    return ok, margin
+        off = off or next((s for s in signatures if s != expected), None)
+        last = signatures[-1]
+    return ok, margin, off or last
 
 
 def _c05(seed: int):
-    ok, margin = _levi_cases((projective(m), m, (m, 0, 0), seed + 50 + m) for m in (1, 2, 3))
-    yield "c05_levi_projective_top", ok, {"signature": (3, 0, 0), "residual": margin}
+    cases = ((projective(m), m, (m, 0, 0), seed + 50 + m) for m in (1, 2, 3))
+    ok, margin, shown = _levi_cases(cases)
+    yield "c05_levi_projective_top", ok, {"signature": shown, "residual": margin}
 
     mixed = ((projective(2), 1, (2, 0, 1)), (projective(3), 2, (3, 0, 2)))
-    ok, margin = _levi_cases((sf, p, expected, seed + 55 + p) for sf, p, expected in mixed)
+    ok, margin, shown = _levi_cases((sf, p, e, seed + 55 + p) for sf, p, e in mixed)
     # CR bound: positives cannot exceed half the hypersurface tangent dim
     ok = ok and all(e[2] <= (sf.dim + math.comb(sf.dim, p) - 1) / 2 for sf, p, e in mixed)
-    yield "c05_levi_projective_mixed", ok, {"signature": (3, 0, 2), "residual": margin}
+    yield "c05_levi_projective_mixed", ok, {"signature": shown, "residual": margin}
 
-    ok, margin = _levi_cases(
+    ok, margin, shown = _levi_cases(
         (ball(n), p, (0, 0, n + math.comb(n, p) - 1), seed + 58 + 2 * n + p)
         for n in (1, 2, 3)
         for p in (1, 2)
         if p <= n
     )
-    yield "c05_levi_ball", ok, {"signature": (0, 0, 5), "residual": margin}
+    yield "c05_levi_ball", ok, {"signature": shown, "residual": margin}
 
 
 _FLAT_TO_BALL_MAPS = (

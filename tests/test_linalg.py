@@ -167,3 +167,60 @@ def test_generalized_eigenvalues_requires_positive_base():
         generalized_eigenvalues(h, np.diag([1.0, 0.0]))
     with pytest.raises(DimensionError):
         generalized_eigenvalues(np.eye(2), np.eye(3))
+
+
+def test_stacked_eigen_solves_equal_per_matrix_calls():
+    rng = np.random.default_rng(37)
+    for m in range(1, 7):
+        h = np.stack([random_hermitian(rng, m) for _ in range(12)])
+        g = np.stack([random_posdef(rng, m) for _ in range(12)])
+        w, v = hermitian_eigen(h)
+        lams = generalized_eigenvalues(h, g)
+        assert w.shape == lams.shape == (12, m) and v.shape == (12, m, m)
+        for k in range(12):
+            wk, vk = hermitian_eigen(h[k])
+            np.testing.assert_array_equal(w[k], wk)
+            np.testing.assert_array_equal(v[k], vk)
+            np.testing.assert_array_equal(lams[k], generalized_eigenvalues(h[k], g[k]))
+        # two leading axes are one stack of twelve
+        np.testing.assert_array_equal(
+            generalized_eigenvalues(h.reshape(3, 4, m, m), g.reshape(3, 4, m, m)),
+            lams.reshape(3, 4, m),
+        )
+    for shape in ((0, 3, 3), (2, 0, 0)):
+        w, v = hermitian_eigen(np.zeros(shape))
+        assert w.shape == shape[:-1] and v.shape == shape
+        assert generalized_eigenvalues(np.zeros(shape), np.zeros(shape)).shape == shape[:-1]
+
+
+def test_stacked_eigen_errors_name_the_stack_index():
+    rng = np.random.default_rng(41)
+    h = np.stack([random_hermitian(rng, 3) for _ in range(5)])
+    g = np.stack([random_posdef(rng, 3) for _ in range(5)])
+
+    skew = h.copy()
+    skew[2, 0, 1] += 1.0
+    with pytest.raises(ValueError, match="matrix at stack index 2 is not Hermitian"):
+        hermitian_eigen(skew)
+    with pytest.raises(ValueError, match=r"at stack index \(0, 2\) is not Hermitian"):
+        generalized_eigenvalues(h.reshape(1, 5, 3, 3), skew.reshape(1, 5, 3, 3))
+
+    broken = h.copy()
+    broken[3, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="entries at stack index 3 must be finite"):
+        hermitian_eigen(broken)
+    with pytest.raises(ValueError, match="entries at stack index 3 must be finite"):
+        generalized_eigenvalues(broken, g)
+
+    indefinite = g.copy()
+    indefinite[4] = np.diag([1.0, -1.0, 2.0])
+    with pytest.raises(DefinitenessError, match=r"at stack index 4 .*min eigenvalue -1"):
+        generalized_eigenvalues(h, indefinite)
+
+    # a lone matrix keeps its messages without an index
+    with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+        hermitian_eigen(skew[2])
+    with pytest.raises(DefinitenessError, match="^base form is not positive definite"):
+        generalized_eigenvalues(h[4], indefinite[4])
+    with pytest.raises(DimensionError):
+        generalized_eigenvalues(h, g[:4])

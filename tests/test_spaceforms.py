@@ -342,3 +342,59 @@ def test_sample_chart_points_deterministic_and_in_chart():
             assert in_chart(sf, z)
     c = sample_chart_points(ball(2), 100, seed=1)
     assert np.abs(c).max() <= 0.9 + 1e-12
+
+
+def test_metric_and_ricci_take_stacks_of_points():
+    for make in ALL_KINDS:
+        for n in range(1, 5):
+            for sig in range(n + 1):
+                sf = make(n, sig)
+                pts = sample_chart_points(sf, 24, seed=n + 7 * sig, radius=0.9)
+                g, r = metric(sf, pts), ricci(sf, pts.reshape(4, 6, n))
+                assert g.shape == (24, n, n) and r.shape == (4, 6, n, n)
+                for k, w in enumerate(pts):
+                    np.testing.assert_array_equal(g[k], metric(sf, w))
+                    np.testing.assert_array_equal(r.reshape(24, n, n)[k], ricci(sf, w))
+                assert metric(sf, pts[:0]).shape == (0, n, n)
+
+
+def test_stacked_metric_names_the_bad_point():
+    pts = np.array([[0.1, 0.2], [0.3, 0.1j], [0.9, 0.9], [0.0, 0.0]])
+    with pytest.raises(DomainError, match="point at stack index 2 outside the ball chart"):
+        metric(ball(2), pts)
+    pts[2] = [np.inf, 0.0]
+    with pytest.raises(DomainError, match="coordinates at stack index 2 must be finite"):
+        metric(ball(2), pts)
+    with pytest.raises(DimensionError):
+        metric(ball(2), np.zeros((4, 3)))
+
+
+def _sample_point_by_point(sf, count, seed, radius):
+    """The sampler as a loop that checks each point when it is drawn."""
+    n = sf.dim
+    rng = np.random.default_rng(seed)
+    pts = np.zeros((count, n), dtype=np.complex128)
+    for k in range(count):
+        v = rng.standard_normal(2 * n)
+        v /= np.linalg.norm(v)
+        rho = radius * rng.uniform() ** (1.0 / (2 * n))
+        pts[k] = chart_point(sf, rho * (v[:n] + 1j * v[n:]))
+    return pts
+
+
+def test_sample_chart_points_equals_the_per_point_loop():
+    for make in ALL_KINDS:
+        for n in (1, 2, 4):
+            for sig in range(n + 1):
+                sf = make(n, sig)
+                for radius in (0.5, 0.9):
+                    np.testing.assert_array_equal(
+                        sample_chart_points(sf, 30, seed=n + sig, radius=radius),
+                        _sample_point_by_point(sf, 30, n + sig, radius),
+                    )
+    assert sample_chart_points(ball(2), 0, seed=1).shape == (0, 2)
+    for sf in (ball(2), projective(2, 1)):
+        with pytest.raises(DomainError, match="outside the"):
+            sample_chart_points(sf, 50, seed=3, radius=1.5)
+        with pytest.raises(DomainError):
+            _sample_point_by_point(sf, 50, 3, 1.5)
