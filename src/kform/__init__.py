@@ -82,15 +82,12 @@ from .spaceforms import (
     ball,
     center_automorphism,
     chart_point,
-    curvature,
     euclidean,
     in_chart,
     metric,
     projective,
     ricci,
     sample_chart_points,
-    snorm2,
-    wedge_curvature,
     wedge_curvature_block,
 )
 from .suite import run_paper_suite

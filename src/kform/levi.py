@@ -18,7 +18,9 @@ Levi forms are evaluated at the chart center after moving the bundle point
 there by a metric automorphism, because the closed-form Hessian blocks need
 vanishing first metric derivatives; ``levi_form_fd`` is the slower
 finite-difference route that works at any chart point and validates the
-analytic one.
+analytic one.  Both report eigenvalues relative to the metric that S_r
+induces on its holomorphic tangent space, so the spectrum does not depend on
+the tangent basis or on the centering frame.
 """
 
 from __future__ import annotations
@@ -29,14 +31,20 @@ import numpy as np
 
 from .errors import DegenerateSampleError, DimensionError, PreconditionError
 from .expressions import MapExpr, map_jet
-from .linalg import DEFAULT_ZERO_TOL, cofactor_matrix, hermitian_eigen, hermitize, sign_counts
+from .linalg import (
+    DEFAULT_ZERO_TOL,
+    cofactor_matrix,
+    generalized_eigenvalues,
+    hermitian_eigen,
+    hermitize,
+    sign_counts,
+)
 from .numdiff import wirtinger_hessian
 from .ppforms import compound_matrix, index_basis, wedge_power_coeffs
 from .spaceforms import (
     SpaceForm,
     center_automorphism,
     chart_point,
-    default_radius,
     metric,
     metric_dz,
     sample_chart_points,
@@ -82,8 +90,12 @@ class SphereBundlePoint:
 class LeviReport:
     """Eigenvalues and signature of a restricted Levi form.
 
-    dimension is the complex dimension of the holomorphic tangent space of
-    S_r, i.e. m + |A| - 1 (just m at top degree); the three counts sum to it.
+    The eigenvalues are relative to the induced metric: they solve
+    det(M^T H conj(M) - lambda M^T G conj(M)) = 0 for the tangent basis M, the
+    complex Hessian H of rho and G = diag(g, W), so they do not depend on the
+    choice of M or of the centering frame.  dimension is the complex
+    dimension of the holomorphic tangent space of S_r, i.e. m + |A| - 1 (just
+    m at top degree); the three counts sum to it.
     """
 
     eigenvalues: np.ndarray
@@ -114,6 +126,13 @@ def _fiber_vector(xi, size: int) -> np.ndarray:
     if arr.size != size:
         raise DimensionError(f"fiber vector has {arr.size} entries, expected {size}")
     return arr
+
+
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    m = a.shape[0]
+    out = np.zeros((m + b.shape[0],) * 2, dtype=np.complex128)
+    out[:m, :m], out[m:, m:] = a, b
+    return out
 
 
 def _quad(a: np.ndarray, v: np.ndarray) -> float:
@@ -212,15 +231,16 @@ def tangent_basis(sf: SpaceForm, p: int, z, xi) -> np.ndarray:
     return np.delete(cols, m + pivot, axis=1)
 
 
-def _report_from_form(form: np.ndarray, tol: float) -> LeviReport:
-    eigs, _ = hermitian_eigen(hermitize(form))
+def _report_from_form(h: np.ndarray, g: np.ndarray, cols: np.ndarray, tol: float) -> LeviReport:
+    """Signature of the Hessian h on span(cols), against the induced metric g there."""
+    eigs = generalized_eigenvalues(hermitize(cols.T @ h @ cols.conj()), cols.T @ g @ cols.conj())
     neg, zero, pos = sign_counts(eigs, tol)
     return LeviReport(
         eigenvalues=eigs,
         nNeg=neg,
         nZero=zero,
         nPos=pos,
-        dimension=form.shape[0],
+        dimension=cols.shape[1],
     )
 
 
@@ -250,20 +270,17 @@ def levi_form(
     pairs columns as M^T H conj(M): H's first index is the holomorphic slot,
     so this sandwich evaluates the form on span(M) itself (the conjugate
     sandwich would restrict to the conjugated span, which is not invariant
-    under the translation automorphism).
+    under the translation automorphism).  The eigenvalues are taken against
+    the induced metric M^T G conj(M), G = diag(g(0), W(0)) at the center.
     """
     pt = bundle_point(sf, p, r, z, xi)
-    aut = center_automorphism(sf, pt.base)
-    xi0 = compound_matrix(aut.dphi, p) @ pt.fiber
+    xi0 = compound_matrix(center_automorphism(sf, pt.base), p) @ pt.fiber
     center = np.zeros(sf.dim, dtype=np.complex128)
-    z_block = _wedge_hessian_block(sf, center, p, xi0)
-    fiber_block = wedge_power_coeffs(metric(sf, center), p).entries
-    m, n_fiber = sf.dim, fiber_block.shape[0]
-    h = np.zeros((m + n_fiber, m + n_fiber), dtype=np.complex128)
-    h[:m, :m] = z_block
-    h[m:, m:] = fiber_block
-    basis_cols = tangent_basis(sf, p, center, xi0)
-    return _report_from_form(basis_cols.T @ h @ basis_cols.conj(), tol)
+    g0 = metric(sf, center)
+    fiber_block = wedge_power_coeffs(g0, p).entries
+    h = _block_diag(_wedge_hessian_block(sf, center, p, xi0), fiber_block)
+    cols = tangent_basis(sf, p, center, xi0)
+    return _report_from_form(h, _block_diag(g0, fiber_block), cols, tol)
 
 
 def levi_signatures(
@@ -273,7 +290,8 @@ def levi_signatures(
 
     Takes ``levi_form`` at each point of ``sample_bundle_points`` and returns
     the distinct (nNeg, nZero, nPos) triples in the order first seen, with
-    the minimum absolute Levi eigenvalue over all points.
+    the minimum absolute Levi eigenvalue, relative to the induced metric,
+    over all points.
     """
     points = sample_bundle_points(sf, p, r, count, seed, radius)
     reports = [levi_form(sf, p, r, pt.base, pt.fiber) for pt in points]
@@ -293,7 +311,8 @@ def levi_form_fd(
     """Finite-difference Levi form of S_r at (z, xi), without translation.
 
     Differentiates rho_r over the stacked (z, xi) coordinates, so it works
-    at any chart point; the looser default zero tolerance reflects the
+    at any chart point; the eigenvalues are taken against the induced metric
+    G = diag(g(z), W(z)).  The looser default zero tolerance reflects the
     truncation error of the stencils.
     """
     pt = bundle_point(sf, p, r, z, xi)
@@ -303,8 +322,9 @@ def levi_form_fd(
         return rho(sf, p, r, x[:m], x[m:])
 
     h = wirtinger_hessian(stacked, np.concatenate([pt.base, pt.fiber]), step=step)
-    basis_cols = tangent_basis(sf, p, pt.base, pt.fiber)
-    return _report_from_form(basis_cols.T @ h @ basis_cols.conj(), tol)
+    g = metric(sf, pt.base)
+    induced = _block_diag(g, wedge_power_coeffs(g, p).entries)
+    return _report_from_form(h, induced, tangent_basis(sf, p, pt.base, pt.fiber), tol)
 
 
 def obstruction_probe(
@@ -335,13 +355,13 @@ def obstruction_probe(
     if F.codim != tgt.dim:
         raise DimensionError(f"map has {F.codim} components, target has dimension {tgt.dim}")
     fw, jf = map_jet(F, w)
-    chi = center_automorphism(tgt, fw)  # F(w) must lie in the target chart
+    dchi = center_automorphism(tgt, fw)  # F(w) must lie in the target chart
 
     pt = bundle_point(src, p, 1.0, w, xi)
-    psi = center_automorphism(src, w)
-    jg = chi.dphi @ jf @ np.linalg.inv(psi.dphi)
+    dpsi = center_automorphism(src, w)
+    jg = dchi @ jf @ np.linalg.inv(dpsi)
     center_src = np.zeros(src.dim, dtype=np.complex128)
-    xi0 = compound_matrix(psi.dphi, p) @ pt.fiber
+    xi0 = compound_matrix(dpsi, p) @ pt.fiber
 
     z_src = _wedge_hessian_block(src, center_src, p, xi0)
     sing, vecs = hermitian_eigen(hermitize(jg.conj().T @ jg))

@@ -15,48 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "wirtinger_gradient",
-    "wirtinger_hessian",
-    "directional_hessian",
-]
+__all__ = ["wirtinger_hessian"]
 
 
 def _unit(n: int, a: int) -> np.ndarray:
     e = np.zeros(n, dtype=np.complex128)
     e[a] = 1.0
     return e
-
-
-def wirtinger_gradient(f, z, step: float = 1e-5) -> np.ndarray:
-    """Central-difference holomorphic gradient (df/dz_a) of scalar ``f``."""
-    z = np.asarray(z, dtype=np.complex128).reshape(-1)
-    n = z.size
-    out = np.zeros(n, dtype=np.complex128)
-    for a in range(n):
-        e = _unit(n, a)
-        dx = (f(z + step * e) - f(z - step * e)) / (2.0 * step)
-        dy = (f(z + 1j * step * e) - f(z - 1j * step * e)) / (2.0 * step)
-        out[a] = 0.5 * (dx - 1j * dy)
-    return out
-
-
-def directional_hessian(f, z, eta, step: float = 1e-4) -> complex:
-    """Mixed second derivative of t -> f(z + t eta) at t = 0.
-
-    Five-point stencil: (f(z+h eta) + f(z-h eta) + f(z+ih eta) + f(z-ih eta)
-    - 4 f(z)) / (4 h^2), the quarter-Laplacian in the complex t-plane.
-    """
-    z = np.asarray(z, dtype=np.complex128).reshape(-1)
-    eta = np.asarray(eta, dtype=np.complex128).reshape(-1)
-    h = step
-    return (
-        f(z + h * eta)
-        + f(z - h * eta)
-        + f(z + 1j * h * eta)
-        + f(z - 1j * h * eta)
-        - 4.0 * f(z)
-    ) / (4.0 * h * h)
 
 
 def wirtinger_hessian(f, z, step: float = 1e-4) -> np.ndarray:
@@ -67,15 +32,25 @@ def wirtinger_hessian(f, z, step: float = 1e-4) -> np.ndarray:
         H[a, b] = (S(ea + eb) - S(ea - eb)) / 4
                 + i (S(ea + i eb) - S(ea - i eb)) / 4
 
-    where S(eta) is the mixed derivative along the single direction eta.
-    The diagonal is S(ea) directly.  The result is Hermitian for real f.
+    where S(eta) is the mixed derivative of t -> f(z + t eta) at t = 0,
+    taken by the five-point stencil (f(z+h eta) + f(z-h eta) + f(z+ih eta)
+    + f(z-ih eta) - 4 f(z)) / (4 h^2), the quarter-Laplacian in the complex
+    t-plane.  The diagonal is S(ea) directly.  The result is Hermitian for
+    real f.
     """
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
     n = z.size
     out = np.zeros((n, n), dtype=np.complex128)
+    h = step
 
     def s(eta):
-        return directional_hessian(f, z, eta, step)
+        return (
+            f(z + h * eta)
+            + f(z - h * eta)
+            + f(z + 1j * h * eta)
+            + f(z - 1j * h * eta)
+            - 4.0 * f(z)
+        ) / (4.0 * h * h)
 
     for a in range(n):
         ea = _unit(n, a)

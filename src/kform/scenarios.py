@@ -258,8 +258,8 @@ def parse_scenario(data) -> Scenario:
     if count > MAX_COUNT:
         raise ScenarioError(f"sampling.count must be at most {MAX_COUNT}, got {count}")
     seed = sampling.get("seed", DEFAULT_SEED)
-    if not _is_int(seed):
-        raise ScenarioError(f"sampling.seed must be an integer, got {seed!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ScenarioError(f"sampling.seed must be a non-negative integer, got {seed!r}")
     radius = sampling.get("radius")
     if radius is not None:
         radius = _real(radius, "sampling.radius")

@@ -13,10 +13,11 @@ with u = 1 + c |w|_s^2 the chart is {u > 0} and the metric is
 (u diag(eps) - c (eps wbar)(eps w)^T) / u^2.  All metric-like matrices use
 the convention that the FIRST index is holomorphic: g[j, k] = g_{j kbar}.
 
-Besides metric/Ricci/curvature tensors, the module provides the curvature
-pairing on wedge powers of the tangent bundle (in the sign convention pinned
-by the Hessian-of-log-norm oracle, see ``wedge_curvature``), chart-centering
-automorphisms as matrices on the lift [1; z], and seeded chart sampling.
+Besides metric and Ricci tensors, the module provides the one curvature
+formula, ``wedge_curvature_block``: the curvature pairing on wedge powers of
+the tangent bundle, in the sign convention pinned by the Hessian-of-log-norm
+oracle.  It also gives the differential of a chart-centering isometry in
+closed form (``center_automorphism``) and seeded chart sampling.
 
 ``metric`` and ``ricci`` also take a (..., n) stack of points and return the
 (..., n, n) stack of their matrices, equal bit for bit to one call per point;
@@ -34,7 +35,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .expressions import BinOp, Const, MapExpr, Var
 from .linalg import _stack_index, _validated_index, cofactor_matrix, hermitize
 
 __all__ = [
@@ -42,17 +42,12 @@ __all__ = [
     "euclidean",
     "ball",
     "projective",
-    "snorm2",
     "in_chart",
     "chart_point",
     "metric",
     "metric_dz",
     "ricci",
-    "curvature4",
-    "curvature",
     "wedge_curvature_block",
-    "wedge_curvature",
-    "Automorphism",
     "center_automorphism",
     "default_radius",
     "sample_chart_points",
@@ -126,14 +121,6 @@ def ball(dim: int, sig: int | None = None) -> SpaceForm:
 
 def projective(dim: int, sig: int | None = None) -> SpaceForm:
     return SpaceForm("projective", dim, dim if sig is None else sig)
-
-
-def snorm2(sf: SpaceForm, w) -> float:
-    """Signed squared norm sum_{j<=s} |w_j|^2 - sum_{j>s} |w_j|^2."""
-    w = np.asarray(w, dtype=np.complex128).reshape(-1)
-    if w.size != sf.dim:
-        raise DimensionError(f"point has {w.size} coordinates, expected {sf.dim}")
-    return float(np.sum(sf.eps * np.abs(w) ** 2))
 
 
 def _u(sf: SpaceForm, z: np.ndarray):
@@ -223,29 +210,6 @@ def ricci(sf: SpaceForm, w) -> np.ndarray:
     return sf.ricci_factor * metric(sf, w)
 
 
-def curvature4(sf: SpaceForm, w, a, b, c, d) -> complex:
-    """Curvature pairing R(a, bbar, c, dbar) of the constant-HSC closed form.
-
-    R_{i jbar k lbar} = (hsc/2)(g_{i jbar} g_{k lbar} + g_{i lbar} g_{k jbar}),
-    contracted with the four given tangent vectors (slots 2 and 4 conjugated).
-    """
-    g = metric(sf, w)
-    a, b, c, d = (np.asarray(v, dtype=np.complex128).reshape(-1) for v in (a, b, c, d))
-    for v in (a, b, c, d):
-        if v.size != sf.dim:
-            raise DimensionError(f"tangent vector has {v.size} entries, expected {sf.dim}")
-
-    def pair(x, y):
-        return x @ g @ np.conj(y)
-
-    return complex(0.5 * sf.hsc * (pair(a, b) * pair(c, d) + pair(a, d) * pair(c, b)))
-
-
-def curvature(sf: SpaceForm, w, eta, u) -> complex:
-    """Curvature R(eta, etabar, u, ubar); real-valued up to roundoff."""
-    return curvature4(sf, w, eta, eta, u, u)
-
-
 def wedge_curvature_block(sf: SpaceForm, w, I, J) -> np.ndarray:
     """Matrix B[l, k] of wedge-power curvature pairings over z-directions.
 
@@ -255,13 +219,20 @@ def wedge_curvature_block(sf: SpaceForm, w, I, J) -> np.ndarray:
 
         B[l, k] = -sum_{s,t} cof_{st}(G_IJ) R(e_l, e_kbar, e_{i_s}, e_{j_t}bar)
 
-    where G_IJ = g[I, J] is the (I, J) minor block.  The cofactor weights are
-    the derivation rule for determinants (row replacement), so at the chart
-    center B[l, k] equals the mixed second derivative d_l dbar_k of the minor
-    det(g[I, J]).  The leading minus is the sign convention used throughout:
-    values agree with Hessians of log |s_I|^2, so Griffiths-positive bundles
-    (projective spaces) produce negative blocks.  Contracting eta into both
-    open slots gives `wedge_curvature`.
+    where G_IJ = g[I, J] is the (I, J) minor block and R is the tensor of
+    constant holomorphic sectional curvature,
+
+        R_{a bbar c dbar} = (hsc/2)(g_{a bbar} g_{c dbar} + g_{a dbar} g_{c bbar}).
+
+    The cofactor weights are the derivation rule for determinants (row
+    replacement), so at the chart center B[l, k] equals the mixed second
+    derivative d_l dbar_k of the minor det(g[I, J]).  The leading minus is the
+    sign convention used throughout: values agree with Hessians of
+    log |s_I|^2, so Griffiths-positive bundles (projective spaces) produce
+    negative blocks.  eta^T B conj(eta) is the pairing along eta; at p = 1
+    the bisectional curvature is
+
+        R(eta, etabar, v, vbar) = -sum_{i,j} v_i conj(v_j) eta^T B_(i),(j) conj(eta).
     """
     g = metric(sf, w)
     i0 = _validated_index(I, sf.dim, "I")
@@ -276,106 +247,35 @@ def wedge_curvature_block(sf: SpaceForm, w, I, J) -> np.ndarray:
     return -sf.curv * block
 
 
-def wedge_curvature(sf: SpaceForm, w, eta, I, J) -> complex:
-    """Wedge-power curvature pairing along eta against frame sections s_I, s_J.
-
-    Equal to eta . wedge_curvature_block . conj(eta).  On the diagonal I = J
-    at the chart center this is the mixed second derivative of log |s_I|^2
-    along eta, e.g. -3 for P^2 with I = (1,2), eta = e_1, and +2 for B^2 with
-    I = (1,), eta = e_1.
-    """
-    eta = np.asarray(eta, dtype=np.complex128).reshape(-1)
-    if eta.size != sf.dim:
-        raise DimensionError(f"tangent vector has {eta.size} entries, expected {sf.dim}")
-    block = wedge_curvature_block(sf, w, I, J)
-    return complex(eta @ block @ np.conj(eta))
-
-
 # ---------------------------------------------------------------------------
-# chart-centering automorphisms
+# chart-centering frames
 
 
-@dataclass(frozen=True)
-class Automorphism:
-    """Isometric chart automorphism phi with phi(anchor) = 0.
+def center_automorphism(sf: SpaceForm, w) -> np.ndarray:
+    """Differential at ``w`` of an isometry moving the chart point ``w`` to 0.
 
-    phi acts on the lift [1; z] by the matrix t and its inverse by s (t @ s
-    is a multiple of the identity); forward/inverse build their expression
-    trees when read.  dphi is the Jacobian of phi at the anchor point.
-    """
+    With u = 1 + c |w|^2 it is dphi = I / sqrt(u) - c w w^H / (u (1 + sqrt(u))),
+    which is (P + sqrt(u) Q) / u for the projector P onto w and Q = I - P,
+    written without dividing by |w|^2.  It is the exact Jacobian at w of
 
-    t: np.ndarray
-    s: np.ndarray
-    dphi: np.ndarray
-    forward = property(lambda self: _affine_fraction_map(self.t))
-    inverse = property(lambda self: _affine_fraction_map(self.s))
+        phi_w(z) = ((P + sqrt(u) Q) z - w) / (1 + c w^H z),
 
-
-def _affine_fraction_map(t: np.ndarray) -> MapExpr:
-    """MapExpr of z -> (t[1:,0] + t[1:,1:] z) / (t[0,0] + t[0,1:] z)."""
-    n = t.shape[0] - 1
-
-    def linear(c0: complex, row: np.ndarray):
-        node = Const(c0)
-        for k in range(n):
-            node = BinOp("+", node, BinOp("*", Const(row[k]), Var(k + 1)))
-        return node
-
-    den = linear(t[0, 0], t[0, 1:])
-    comps = [BinOp("/", linear(t[j + 1, 0], t[j + 1, 1:]), den) for j in range(n)]
-    return MapExpr(comps, n)
-
-
-def center_automorphism(sf: SpaceForm, w) -> Automorphism:
-    """Isometry of the space form moving the chart point ``w`` to the origin.
-
-    Euclidean (any signature): the translation z -> z - w.  Definite Ball and
-    Projective: the projective action of a matrix in the isometry group of
-    the homogeneous form (U(1,n) resp. U(n+1)), built by completing the
-    lifted point to a form-orthonormal basis.  Indefinite curved space forms
-    are outside the homogeneous chart machinery and raise a domain error.
+    the translation z - w on flat forms and an automorphism of the ball or
+    projective space otherwise, and it carries the metric at w to the metric
+    at 0: dphi^T g(0) conj(dphi) = g(w).  Flat forms of any signature get
+    exactly I; indefinite curved forms raise a domain error.
     """
     z0 = chart_point(sf, w)
-    n = sf.dim
-    if sf.curv == 0:
-        t = np.eye(n + 1, dtype=np.complex128)
-        t[1:, 0] = -z0  # [[1, 0], [-w, I]]
-        s = t.copy()
-        s[1:, 0] = z0
-        return Automorphism(t=t, s=s, dphi=np.eye(n, dtype=np.complex128))
+    n, c = sf.dim, sf.curv
+    if c == 0:
+        return np.eye(n, dtype=np.complex128)
     if not sf.is_definite:
         raise DomainError(
             "center automorphism is only available for definite ball/projective forms"
         )
-
-    # the homogeneous form diag(1, c, ..., c) on the lift [1; w]
-    jdiag = np.concatenate(([1.0], sf.curv * np.ones(n)))
-
-    def jinner(x, y):
-        # <x, y>_J = y^H J x
-        return np.conj(y) @ (jdiag * x)
-
-    v0 = np.concatenate(([1.0 + 0j], z0))
-    q = jinner(v0, v0).real
-    if q <= 0:
-        raise DomainError("lifted point has non-positive form norm; outside chart reach")
-    basis = [v0 / np.sqrt(q)]
-    signs = [1.0]
-    for i in range(1, n + 1):
-        b = np.zeros(n + 1, dtype=np.complex128)
-        b[i] = 1.0
-        for u, su in zip(basis, signs):
-            b = b - su * jinner(b, u) * u
-        nb = jinner(b, b).real
-        if abs(nb) < 1e-12:
-            raise DomainError("degenerate basis completion in automorphism construction")
-        basis.append(b / np.sqrt(abs(nb)))
-        signs.append(1.0 if nb > 0 else -1.0)
-    s = np.column_stack(basis)
-    # s^H J s = J, so the inverse is J s^H J
-    t = (jdiag[:, None] * s.conj().T) * jdiag[None, :]
-    dphi = t[1:, 1:] / np.sqrt(q)
-    return Automorphism(t=t, s=s, dphi=dphi)
+    u = _u(sf, z0)
+    root = np.sqrt(u)
+    return np.eye(n) / root - (c / (u * (1.0 + root))) * np.outer(z0, np.conj(z0))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from kform.expressions import parse_map
+
 
 def cofactor_det(m) -> complex:
     """Determinant by recursive cofactor expansion along the first row."""
@@ -141,6 +143,41 @@ def fd_directional_hessian(f, z, eta, h: float = 1e-4) -> float:
         - 4.0 * f(z)
     ) / (4 * h * h)
     return val
+
+
+def _literal(z) -> str:
+    z = complex(z)
+    return f"(({z.real!r})+({z.imag!r})*i)"
+
+
+def mobius_map(sf, a):
+    """The isometry phi_a moving the chart point ``a`` to 0, and its inverse.
+
+    With c the curvature sign, u = 1 + c|a|^2 and A = P + sqrt(u) Q (P the
+    projector onto a, Q = I - P), written as
+    A = sqrt(u) I - c a a^H / (1 + sqrt(u)):
+
+        phi_a(z) = (A z - a) / (1 + c a^H z),
+        phi_a^{-1}(y) = (A y + a) / (1 - c a^H y).
+
+    On the lift [1; z] these are the matrices [[1, c a^H], [-a, A]] and
+    [[1, -c a^H], [a, A]], whose product is u I.  Both maps are built as
+    expression strings and parsed, so they share no code with
+    ``center_automorphism``.  Definite forms and flat forms of any signature.
+    """
+    a = np.asarray(a, dtype=np.complex128).reshape(-1)
+    n, c = a.size, sf.curv
+    u = 1.0 + c * float(np.vdot(a, a).real)
+    mat = np.sqrt(u) * np.eye(n) - c * np.outer(a, np.conj(a)) / (1.0 + np.sqrt(u))
+
+    def linear(row, const):
+        return "+".join(f"{_literal(x)}*z{k + 1}" for k, x in enumerate(row)) + f"+{_literal(const)}"
+
+    def fraction(sign):
+        den = linear(-sign * c * np.conj(a), 1.0)
+        return parse_map([f"({linear(mat[j], sign * a[j])})/({den})" for j in range(n)], n)
+
+    return fraction(-1), fraction(1)
 
 
 def increasing_multiindices(n: int, p: int):

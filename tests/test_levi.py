@@ -14,21 +14,28 @@ from kform.levi import (
     bundle_point,
     levi_form,
     levi_form_fd,
+    levi_signatures,
     obstruction_probe,
     rho,
     rho_gradient,
     sample_bundle_points,
     tangent_basis,
 )
-from kform.numdiff import directional_hessian, wirtinger_gradient
 from kform.ppforms import index_basis, wedge_power_coeffs
 from kform.spaceforms import (
     ball,
-    center_automorphism,
     euclidean,
     metric,
     projective,
     sample_chart_points,
+)
+
+from oracles import (
+    binom,
+    fd_directional_hessian,
+    fd_wirtinger_gradient,
+    mobius_map,
+    random_unitary,
 )
 
 SPACES = [euclidean(2), ball(2), projective(2), ball(3), projective(3)]
@@ -77,7 +84,7 @@ def test_rho_gradient_matches_finite_differences():
             z = sample_chart_points(sf, 1, seed=int(rng.integers(1 << 30)), radius=0.4)[0]
             xi = _random_fiber(rng, sf, p)
             d_z, d_xi = rho_gradient(sf, p, 1.0, z, xi)
-            fd = wirtinger_gradient(_stacked_rho(sf, p, 1.0), np.concatenate([z, xi]))
+            fd = fd_wirtinger_gradient(_stacked_rho(sf, p, 1.0), np.concatenate([z, xi]))
             assert_allclose(d_z, fd[: sf.dim], atol=1e-6)
             assert_allclose(d_xi, fd[sf.dim :], atol=1e-6)
 
@@ -235,6 +242,66 @@ def test_projective_positive_count_and_cr_signature_bound():
         assert min(rep.nNeg, rep.nPos) <= 0.5 * (m + n_fiber - 1)
 
 
+def test_levi_signature_sweep():
+    # B^n: positive definite; P^n: the base block negative, the fiber positive
+    for n in range(1, 6):
+        for p in range(1, n + 1):
+            fiber = binom(n, p)
+            for sf, expect in ((ball(n), (0, 0, n + fiber - 1)), (projective(n), (n, 0, fiber - 1))):
+                sigs, _ = levi_signatures(sf, p, 1.0, 2, seed=10 * n + p)
+                assert sigs == (expect,), f"{sf} p={p}"
+
+
+def test_levi_spectrum_at_p1_is_closed_form():
+    # against the induced metric, the p = 1 spectrum on S_r is -c r (n - 1
+    # times) and -2 c r over the base, and 1 (n - 1 times) over the fiber,
+    # at every point and fiber vector
+    rng = np.random.default_rng(13)
+    for make, c in ((ball, -1.0), (projective, 1.0)):
+        for n in (2, 3, 4):
+            sf = make(n)
+            for pt in sample_bundle_points(sf, 1, 1.5, 2, seed=int(rng.integers(1 << 30))):
+                rep = levi_form(sf, 1, 1.5, pt.base, pt.fiber)
+                expect = np.sort([-c * 1.5] * (n - 1) + [-2 * c * 1.5] + [1.0] * (n - 1))
+                assert_allclose(rep.eigenvalues, expect, atol=1e-12)
+
+
+def test_levi_spectra_ignore_the_centering_frame(monkeypatch):
+    # U @ dphi is as good a centering frame as dphi for any unitary U: the
+    # metric-relative Levi spectrum and the probe's values must not move
+    real = kform.levi.center_automorphism
+    rng = np.random.default_rng(12)
+
+    def rotated(sf, w):
+        return random_unitary(rng, sf.dim) @ real(sf, w)
+
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+
+    for sf, p in ((ball(2), 1), (ball(3), 2), (projective(3), 1), (projective(3), 2), (euclidean(2), 1)):
+        z = sample_chart_points(sf, 1, seed=int(rng.integers(1 << 30)))[0]
+        xi = _random_fiber(rng, sf, p)
+        monkeypatch.setattr(kform.levi, "center_automorphism", real)
+        base = levi_form(sf, p, 1.0, z, xi)
+        monkeypatch.setattr(kform.levi, "center_automorphism", rotated)
+        for _ in range(3):
+            rep = levi_form(sf, p, 1.0, z, xi)
+            assert (rep.nNeg, rep.nZero, rep.nPos) == (base.nNeg, base.nZero, base.nPos)
+            assert close(rep.eigenvalues, base.eigenvalues), f"{sf} p={p}"
+
+    F = parse_map(["0.4*z1+0.1*z2^2", "0.3*z2-0.2*z1*z2", "0.1*z1"], 2)
+    for src in (euclidean(2), ball(2), projective(2)):
+        for p in (1, 2):
+            w = sample_chart_points(src, 1, seed=int(rng.integers(1 << 30)), radius=0.5)[0]
+            xi = _random_fiber(rng, src, p)
+            monkeypatch.setattr(kform.levi, "center_automorphism", real)
+            base = obstruction_probe(src, ball(3), F, p, w, xi)
+            monkeypatch.setattr(kform.levi, "center_automorphism", rotated)
+            for _ in range(3):
+                res = obstruction_probe(src, ball(3), F, p, w, xi)
+                assert close(res.lhs, base.lhs) and close(res.rhs, base.rhs), f"{src} p={p}"
+
+
 def test_probe_flat_source_into_ball_conflicts():
     F = parse_map(["0.2*z1", "0.2*z2", "0.1"], 2)
     rng = np.random.default_rng(10)
@@ -286,7 +353,7 @@ def test_probe_signs_match_finite_difference_hessians():
     xi_n = xi / np.sqrt(np.real(xi @ w1 @ np.conj(xi)))
     jg = np.vstack([np.diag([0.2, 0.1]), np.zeros((1, 2))])
     eta = np.array([1.0, 0.0])  # top singular vector, up to phase
-    lhs_fd = directional_hessian(
+    lhs_fd = fd_directional_hessian(
         lambda z: rho(src, 1, 1.0, z, xi_n), np.zeros(2), eta
     )
     assert abs(res.lhs - np.real(lhs_fd)) < 1e-6
@@ -295,7 +362,7 @@ def test_probe_signs_match_finite_difference_hessians():
     pushed_xi /= np.linalg.norm(pushed_xi)
     pushed_eta = jg @ eta
     scale = np.linalg.norm(pushed_eta) ** 2
-    rhs_fd = scale * directional_hessian(
+    rhs_fd = scale * fd_directional_hessian(
         lambda z: rho(tgt, 1, 1.0, z, pushed_xi),
         np.zeros(3),
         pushed_eta / np.linalg.norm(pushed_eta),
@@ -304,7 +371,8 @@ def test_probe_signs_match_finite_difference_hessians():
 
 
 def test_probe_differential_is_the_chain_rule(monkeypatch):
-    # second route: the Jacobian of the composed expression trees at the center
+    # second route: the Jacobian at the center of the composed expression
+    # trees, with the oracle's Mobius maps as the centering isometries
     pushed = []
     real = kform.levi.compound_matrix
     monkeypatch.setattr(kform.levi, "compound_matrix", lambda a, p: pushed.append(a) or real(a, p))
@@ -321,8 +389,8 @@ def test_probe_differential_is_the_chain_rule(monkeypatch):
             w = 0.5 * rng.uniform() * _random_fiber(rng, euclidean(m), 1) / np.sqrt(2 * m)
             pushed.clear()
             obstruction_probe(src, tgt, F, 1, w, _random_fiber(rng, src, 1))
-            psi, chi = center_automorphism(src, w), center_automorphism(tgt, evaluate_map(F, w))
-            route = jacobian(compose(chi.forward, compose(F, psi.inverse)), np.zeros(m))
+            (_, psi_inverse), (chi, _) = mobius_map(src, w), mobius_map(tgt, evaluate_map(F, w))
+            route = jacobian(compose(chi, compose(F, psi_inverse)), np.zeros(m))
             assert_allclose(pushed[-1], route, atol=1e-10)
 
 

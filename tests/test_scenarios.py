@@ -220,6 +220,8 @@ def _relatives(source):
         (lambda d: d.update(map=["z1", "z3"]), "map"),
         (lambda d: d.update(p=5), "p"),
         (lambda d: d.update(sampling={"count": 0}), "sampling.count"),
+        (lambda d: d.update(sampling={"seed": -1}), "sampling.seed must be a non-negative integer"),
+        (lambda d: d.update(sampling={"seed": 1.5}), "sampling.seed"),
         (lambda d: d.pop("map"), "map"),
         (lambda d: d.update(tolerances={"proportionality": "tight"}), "tolerances.proportionality"),
         (lambda d: d.update(sampling={"radius": "wide"}), "sampling.radius"),
@@ -341,6 +343,13 @@ def test_cli_malformed_scenario_fields_exit_two(tmp_path, capsys):
         path.write_text(json.dumps(data))
         assert main(["run", str(path)]) == 2
         assert fragment in capsys.readouterr().err
+    # a negative seed, in the file or from the --seed override, names the field
+    path.write_text(json.dumps(dict(_identity_flat(), sampling={"seed": -1})))
+    assert main(["run", str(path)]) == 2
+    assert "sampling.seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    path.write_text(json.dumps(_identity_flat()))
+    assert main(["run", str(path), "--seed", "-5"]) == 2
+    assert "sampling.seed must be a non-negative integer, got -5" in capsys.readouterr().err
 
 
 def test_cli_series_overflow_prints_only_the_error(tmp_path):

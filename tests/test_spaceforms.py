@@ -9,7 +9,6 @@ from kform.spaceforms import (
     ball,
     center_automorphism,
     chart_point,
-    curvature,
     euclidean,
     in_chart,
     metric,
@@ -17,15 +16,30 @@ from kform.spaceforms import (
     projective,
     ricci,
     sample_chart_points,
-    snorm2,
-    wedge_curvature,
     wedge_curvature_block,
 )
 import kform.numdiff as numdiff
 
-from oracles import fd_directional_hessian, fd_wirtinger_gradient, random_ball_point
+from oracles import fd_directional_hessian, fd_wirtinger_gradient, mobius_map, random_ball_point
 
 ALL_KINDS = [euclidean, ball, projective]
+
+
+def _wedge_pairing(sf, w, eta, I, J):
+    """eta^T B_IJ conj(eta): the wedge-power curvature pairing along eta."""
+    eta = np.asarray(eta, dtype=np.complex128)
+    return complex(eta @ wedge_curvature_block(sf, w, I, J) @ np.conj(eta))
+
+
+def _bisectional(sf, w, eta, v):
+    """R(eta, etabar, v, vbar) = -sum_{i,j} v_i conj(v_j) eta^T B_(i),(j) conj(eta)."""
+    v = np.asarray(v, dtype=np.complex128)
+    n = sf.dim
+    return -sum(
+        v[i] * np.conj(v[j]) * _wedge_pairing(sf, w, eta, (i + 1,), (j + 1,))
+        for i in range(n)
+        for j in range(n)
+    )
 
 
 def test_constructor_validation():
@@ -89,9 +103,12 @@ def test_flat_chart_holds_huge_finite_points():
     assert not np.isnan(metric_dz(euclidean(2), z)).any()
 
 
-def test_snorm2_signed():
-    assert snorm2(euclidean(3, 2), [1.0, 1.0, 1.0]) == pytest.approx(1.0)
-    assert snorm2(ball(2), [0.5, 0.5]) == pytest.approx(0.5)
+def test_signed_norm_through_the_metric():
+    # the flat metric is diag(eps), so w^T g conj(w) is the signed norm 1 + 1 - 1
+    w = np.ones(3)
+    assert w @ metric(euclidean(3, 2), w) @ w == pytest.approx(1.0)
+    # on the ball det g = u^-(n+1) with u = 1 - |w|^2 = 1 - 0.5
+    assert np.linalg.det(metric(ball(2), [0.5, 0.5])).real == pytest.approx(0.5**-3)
 
 
 def test_metric_pinned_values():
@@ -171,9 +188,9 @@ def test_ricci_matches_log_det_hessian():
 def test_curvature_pinned_values():
     e1 = [1.0, 0.0]
     e2 = [0.0, 1.0]
-    assert curvature(euclidean(2), [0.3, 0.1], e1, e2) == 0.0
-    assert curvature(projective(2), np.zeros(2), e1, e1) == pytest.approx(2.0)
-    assert curvature(ball(2), np.zeros(2), e1, e2) == pytest.approx(-1.0)
+    assert _bisectional(euclidean(2), [0.3, 0.1], e1, e2) == 0.0
+    assert _bisectional(projective(2), np.zeros(2), e1, e1) == pytest.approx(2.0)
+    assert _bisectional(ball(2), np.zeros(2), e1, e2) == pytest.approx(-1.0)
 
 
 def test_curvature_matches_normal_coordinate_hessian():
@@ -193,15 +210,15 @@ def test_curvature_matches_normal_coordinate_hessian():
                     return complex(eta @ metric(sf, zz) @ np.conj(eta))
 
                 fd = -fd_directional_hessian(g_eta, z0, u)
-                assert abs(curvature(sf, z0, eta, u) - fd) < 1e-5
+                assert abs(_bisectional(sf, z0, eta, u) - fd) < 1e-5
 
 
 def test_wedge_curvature_pinned_values():
     e1 = [1.0, 0.0]
-    assert wedge_curvature(euclidean(2), np.zeros(2), e1, (1,), (1,)) == 0.0
-    val = wedge_curvature(projective(2), np.zeros(2), e1, (1, 2), (1, 2))
+    assert _wedge_pairing(euclidean(2), np.zeros(2), e1, (1,), (1,)) == 0.0
+    val = _wedge_pairing(projective(2), np.zeros(2), e1, (1, 2), (1, 2))
     assert val == pytest.approx(-3.0)
-    val = wedge_curvature(ball(2), np.zeros(2), e1, (1,), (1,))
+    val = _wedge_pairing(ball(2), np.zeros(2), e1, (1,), (1,))
     assert val == pytest.approx(2.0)
 
 
@@ -225,7 +242,7 @@ def test_wedge_curvature_is_minor_hessian_at_center():
                 return minor_det(metric(sf, zz), I, J)
 
             fd = fd_directional_hessian(minor, np.zeros(n), eta)
-            got = wedge_curvature(sf, np.zeros(n), eta, I, J)
+            got = _wedge_pairing(sf, np.zeros(n), eta, I, J)
             assert abs(got - fd) < 1e-5, f"{sf} I={I} J={J}: {got} vs {fd}"
 
 
@@ -241,7 +258,7 @@ def test_wedge_curvature_matches_log_norm_hessian_on_diagonal():
             return float(np.log(abs(minor_det(metric(sf, zz), I, I))))
 
         fd = fd_directional_hessian(log_norm, np.zeros(n), eta)
-        got = wedge_curvature(sf, np.zeros(n), eta, I, I)
+        got = _wedge_pairing(sf, np.zeros(n), eta, I, I)
         assert abs(got - fd) < 1e-5
         assert np.sign(got.real) == expect_sign
 
@@ -280,32 +297,42 @@ def test_ball_slice_minor_determinant():
 
 
 def test_center_automorphism_moves_point_to_origin():
+    # the oracle's phi_a sends a to 0, its inverse undoes it, and its
+    # Jacobian at a is the closed-form frame
     rng = np.random.default_rng(23)
     for make, radius in ((euclidean, 1.5), (ball, 0.8), (projective, 1.8)):
         for n in (1, 2, 3):
             sf = make(n)
             z0 = random_ball_point(rng, n, radius)
-            au = center_automorphism(sf, z0)
-            np.testing.assert_allclose(evaluate_map(au.forward, z0), np.zeros(n), atol=1e-12)
-            np.testing.assert_allclose(evaluate_map(au.inverse, np.zeros(n)), z0, atol=1e-12)
-            np.testing.assert_allclose(jacobian(au.forward, z0), au.dphi, atol=1e-12)
-            both = compose(au.inverse, au.forward)
+            forward, inverse = mobius_map(sf, z0)
+            np.testing.assert_allclose(evaluate_map(forward, z0), np.zeros(n), atol=1e-12)
+            np.testing.assert_allclose(evaluate_map(inverse, np.zeros(n)), z0, atol=1e-12)
+            np.testing.assert_allclose(jacobian(forward, z0), center_automorphism(sf, z0), atol=1e-12)
+            both = compose(inverse, forward)
             for _ in range(3):
                 z = random_ball_point(rng, n, radius)
                 np.testing.assert_allclose(evaluate_map(both, z), z, atol=1e-10)
 
 
-def test_center_automorphism_matrices_invert_each_other():
-    # t acts on the lift [1; z] and s undoes it, up to the lift's scalar
+def test_center_frame_carries_the_metric():
+    # dphi^T g(0) conj(dphi) = g(w), and g(0) = I on definite forms
     rng = np.random.default_rng(37)
-    for make, radius in ((euclidean, 1.5), (ball, 0.85), (projective, 1.8)):
-        for n in (1, 2, 3):
-            au = center_automorphism(make(n), random_ball_point(rng, n, radius))
-            prod = au.t @ au.s
-            assert abs(prod[0, 0]) > 0.5
-            np.testing.assert_allclose(prod, prod[0, 0] * np.eye(n + 1), atol=1e-12)
-    au = center_automorphism(euclidean(2, 1), [0.3, 0.4])
-    np.testing.assert_array_equal(au.t @ au.s, np.eye(3))
+    for make, radius in ((euclidean, 1.5), (ball, 0.9), (projective, 2.0)):
+        for n in range(1, 7):
+            sf = make(n)
+            for _ in range(3):
+                w = random_ball_point(rng, n, radius)
+                dphi = center_automorphism(sf, w)
+                np.testing.assert_allclose(dphi.T @ np.conj(dphi), metric(sf, w), atol=1e-13)
+            # exactly the identity at the center
+            assert center_automorphism(sf, np.zeros(n)).tolist() == np.eye(n).tolist()
+    # flat forms of every signature get exactly I, also where |w|^2 overflows
+    for n in (1, 2, 3):
+        for sig in range(n + 1):
+            for w in (random_ball_point(rng, n, 1.5), np.full(n, 1e200 - 3e300j)):
+                dphi = center_automorphism(euclidean(n, sig), w)
+                assert dphi.dtype == np.complex128
+                assert dphi.tolist() == np.eye(n).tolist()
 
 
 def test_center_automorphism_is_isometry():
@@ -314,22 +341,24 @@ def test_center_automorphism_is_isometry():
         for n in (1, 2):
             sf = make(n)
             z0 = random_ball_point(rng, n, radius)
-            au = center_automorphism(sf, z0)
+            forward, _ = mobius_map(sf, z0)
             for _ in range(5):
                 z = random_ball_point(rng, n, radius)
-                jphi = jacobian(au.forward, z)
-                pulled = jphi.T @ metric(sf, evaluate_map(au.forward, z)) @ np.conj(jphi)
+                jphi = jacobian(forward, z)
+                pulled = jphi.T @ metric(sf, evaluate_map(forward, z)) @ np.conj(jphi)
                 np.testing.assert_allclose(pulled, metric(sf, z), atol=1e-10)
 
 
 def test_center_automorphism_indefinite_rules():
-    with pytest.raises(DomainError):
+    message = "center automorphism is only available for definite ball/projective forms"
+    with pytest.raises(DomainError, match=message):
         center_automorphism(ball(2, 1), [0.1, 0.1])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=message):
         center_automorphism(projective(2, 1), [0.1, 0.1])
     # euclidean translations exist for every signature
-    au = center_automorphism(euclidean(2, 1), [0.3, 0.4])
-    np.testing.assert_allclose(evaluate_map(au.forward, [0.3, 0.4]), np.zeros(2), atol=0)
+    assert center_automorphism(euclidean(2, 1), [0.3, 0.4]).tolist() == np.eye(2).tolist()
+    forward, _ = mobius_map(euclidean(2, 1), [0.3, 0.4])
+    np.testing.assert_allclose(evaluate_map(forward, [0.3, 0.4]), np.zeros(2), atol=0)
 
 
 def test_sample_chart_points_deterministic_and_in_chart():

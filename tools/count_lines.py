@@ -1,5 +1,9 @@
 """Count the lines of each ``src/kform`` module: raw, and code only.
 
+``tests/oracles.py``, the second computation routes the tests check the
+package against, gets its own row after the total and is not part of it, so
+that code moved from ``src/`` into the oracles still shows.
+
 Code-only lines are those holding a token that is not a comment, a blank
 line or a docstring (a statement that is a lone string literal), found with
 ``tokenize``.  A multi-line token counts every line it spans.  Run from
@@ -15,7 +19,9 @@ import sys
 import tokenize
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kform"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "kform"
+ORACLES = ROOT / "tests" / "oracles.py"
 
 _LAYOUT = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -40,15 +46,21 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def _row(name: str, path: Path) -> tuple[int, int]:
+    source = path.read_text(encoding="utf-8")
+    raw, code = len(source.splitlines()), code_lines(source)
+    print(f"{name:<20}{raw:>7}{code:>7}")
+    return raw, code
+
+
 def main() -> int:
     total_raw = total_code = 0
-    print(f"{'module':<16}{'raw':>7}{'code':>7}")
+    print(f"{'module':<20}{'raw':>7}{'code':>7}")
     for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        raw, code = len(source.splitlines()), code_lines(source)
+        raw, code = _row(path.name, path)
         total_raw, total_code = total_raw + raw, total_code + code
-        print(f"{path.name:<16}{raw:>7}{code:>7}")
-    print(f"{'total':<16}{total_raw:>7}{total_code:>7}")
+    print(f"{'total':<20}{total_raw:>7}{total_code:>7}")
+    _row("tests/oracles.py", ORACLES)
     return 0
 
 
