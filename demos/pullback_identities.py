@@ -24,7 +24,7 @@ points = sample_chart_points(src, 50, seed=1, radius=0.5)
 
 top = proportionality_test(F, src, tgt, 2, points)
 low = proportionality_test(F, src, tgt, 1, points)
-theta = pullback_pp(F, src, tgt, 2, points[0]).entries[0, 0]
+theta = pullback_pp(F, src, tgt, 2, points[0])[0, 0]
 
 print("flat example, p = 2 (top degree):")
 print(f"  Theta at first sample = {theta:.12f}")
@@ -44,7 +44,7 @@ print(f"  lambdaHat = {res.lambdaHat:.12f} (exact factor 2), "
       f"verdict {'PASS' if res.passed else 'FAIL'}")
 
 worst = max(
-    float(np.abs(pullback_pp(ver, projective(1), projective(2), 1, w).entries
+    float(np.abs(pullback_pp(ver, projective(1), projective(2), 1, w)
                  - 2.0 * (1.0 + abs(w[0]) ** 2) ** -2).max())
     for w in pts1
 )

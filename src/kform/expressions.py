@@ -4,7 +4,7 @@ Maps are kept as small ASTs rather than closures so scenario files can carry
 them as strings.  Every reading of a tree is :func:`fold`: leaves become
 values of an algebra, combined bottom-up by the values' own ``+ - *``,
 negation and integer powers, and by a quotient passed in.  The algebras are
-complex scalars (:func:`evaluate`), first-order jets (:class:`Jet1`, exact
+complex scalars (:func:`evaluate_map`), first-order jets (:class:`Jet1`, exact
 value and holomorphic gradient -- every formula in scope needs F and its
 Jacobian only), truncated Taylor arrays on a slice (``kform.umehara``), and
 expression nodes themselves, which makes :func:`compose` a substitution fold.
@@ -49,9 +49,6 @@ __all__ = [
     "fold",
     "parse_expr",
     "parse_map",
-    "identity_map",
-    "evaluate",
-    "eval_jet",
     "evaluate_map",
     "map_jet",
     "jacobian",
@@ -161,7 +158,8 @@ def fold(expr: Expr, const, var, div=operator.truediv):
     0-based coordinate of the variable z_(k+1); inner nodes combine them with
     the values' own ``+ - *``, unary ``-`` and ``** n``, and quotients with
     ``div(numerator, denominator)``.  A tree deeper than the interpreter's
-    recursion limit, or a value that overflows, raises EvaluationLimitError.
+    recursion limit, or a value that overflows (as Python reports it, or numpy
+    under ``np.errstate(over="raise")``), raises EvaluationLimitError.
     """
     binary = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": div}
 
@@ -183,7 +181,7 @@ def fold(expr: Expr, const, var, div=operator.truediv):
         return walk(expr)
     except RecursionError:
         raise EvaluationLimitError("expression is too deep to evaluate") from None
-    except OverflowError as exc:
+    except (OverflowError, FloatingPointError) as exc:
         raise EvaluationLimitError(f"expression overflows: {exc}") from None
 
 
@@ -353,9 +351,6 @@ class MapExpr:
     def codim(self) -> int:
         return len(self.components)
 
-    def __call__(self, pt) -> np.ndarray:
-        return evaluate_map(self, pt)
-
     def __repr__(self):
         return f"MapExpr(n={len(self.components)}, m={self.arity})"
 
@@ -364,10 +359,6 @@ def parse_map(sources, arity: int) -> MapExpr:
     """Parse a list of component strings into a MapExpr."""
     comps = [parse_expr(s, arity) for s in sources]
     return MapExpr(comps, arity, sources=sources)
-
-
-def identity_map(n: int) -> MapExpr:
-    return MapExpr([Var(k + 1) for k in range(n)], n)
 
 
 def compose(outer: MapExpr, inner: MapExpr) -> MapExpr:
@@ -430,48 +421,34 @@ def _divide(a, b):
     return a / b
 
 
-def _point(pt, arity=None, top=0) -> np.ndarray:
+def _point(pt, arity: int) -> np.ndarray:
     z = np.asarray(pt, dtype=np.complex128).reshape(-1)
-    if arity is not None and z.size != arity:
+    if z.size != arity:
         raise DimensionError(f"point has {z.size} coordinates, expected {arity}")
     if z.size and not np.isfinite(z).all():
         raise ValueError("point coordinates must be finite")
-    if top > z.size:
-        raise DimensionError(f"expression references z{top} but point has {z.size} coordinates")
     return z
 
 
-def _jet_leaves(z: np.ndarray):
-    zero = np.zeros(z.size, dtype=np.complex128)
-    unit = np.eye(z.size, dtype=np.complex128)
-    return (lambda c: Jet1(c, zero)), (lambda k: Jet1(z[k], unit[k]))
-
-
-def evaluate(expr: Expr, pt) -> complex:
-    """Value of one expression at a point (no derivatives)."""
-    z = _point(pt, top=expr.top)
-    return complex(fold(expr, complex, z.__getitem__, _divide))
-
-
-def eval_jet(expr: Expr, pt) -> Jet1:
-    """Value and exact holomorphic gradient of one expression at a point."""
-    z = _point(pt, top=expr.top)
-    jet = fold(expr, *_jet_leaves(z), _divide)
-    return Jet1(complex(jet.value), jet.grad)
-
-
 def evaluate_map(f: MapExpr, pt) -> np.ndarray:
-    """Values of all components of ``f`` at ``pt``."""
+    """Values of all components of ``f`` at ``pt``; an overflow raises EvaluationLimitError."""
     z = _point(pt, f.arity)
-    values = [fold(c, complex, z.__getitem__, _divide) for c in f.components]
+    with np.errstate(over="raise", invalid="raise"):
+        values = [fold(c, complex, z.__getitem__, _divide) for c in f.components]
     return np.array(values, dtype=np.complex128)
 
 
 def map_jet(f: MapExpr, pt) -> tuple[np.ndarray, np.ndarray]:
-    """``f(pt)`` and the Jacobian at ``pt``, from one jet pass per component."""
+    """``f(pt)`` and the Jacobian at ``pt``, from one jet pass per component.
+
+    A value or derivative that overflows raises EvaluationLimitError.
+    """
     z = _point(pt, f.arity)
-    const, var = _jet_leaves(z)
-    jets = [fold(c, const, var, _divide) for c in f.components]
+    zero = np.zeros(z.size, dtype=np.complex128)
+    unit = np.eye(z.size, dtype=np.complex128)
+    const, var = (lambda c: Jet1(c, zero)), (lambda k: Jet1(z[k], unit[k]))
+    with np.errstate(over="raise", invalid="raise"):
+        jets = [fold(c, const, var, _divide) for c in f.components]
     values = np.array([j.value for j in jets], dtype=np.complex128)
     return values, np.array([j.grad for j in jets], dtype=np.complex128)
 

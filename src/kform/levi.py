@@ -14,13 +14,15 @@ source side with the target side along a holomorphic map; a nonpositive
 source value against a strictly positive target value is the contradiction
 that rules such maps out.
 
-Levi forms are evaluated at the chart center after moving the bundle point
-there by a metric automorphism, because the closed-form Hessian blocks need
-vanishing first metric derivatives; ``levi_form_fd`` is the slower
-finite-difference route that works at any chart point and validates the
-analytic one.  Both report eigenvalues relative to the metric that S_r
-induces on its holomorphic tangent space, so the spectrum does not depend on
-the tangent basis or on the centering frame.
+W is the plain Hermitian array ``wedge_power_coeffs(g, p)``, and a fiber
+p-vector xi is a plain array over ``index_basis(n, p)``.  Levi forms are
+evaluated at the chart center after moving the bundle point there by a
+metric automorphism, because the closed-form Hessian blocks need vanishing
+first metric derivatives.  Eigenvalues are reported relative to the metric
+that S_r induces on its holomorphic tangent space, so the spectrum does not
+depend on the tangent basis or on the centering frame.  The tests check
+this analytic route against a finite-difference Levi form of rho_r taken at
+any chart point (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .linalg import (
     hermitize,
     sign_counts,
 )
-from .numdiff import wirtinger_hessian
 from .ppforms import compound_matrix, index_basis, wedge_power_coeffs
 from .spaceforms import (
     SpaceForm,
@@ -55,14 +56,12 @@ __all__ = [
     "SphereBundlePoint",
     "LeviReport",
     "ProbeResult",
-    "rho",
     "rho_gradient",
     "bundle_point",
     "sample_bundle_points",
     "tangent_basis",
     "levi_form",
     "levi_signatures",
-    "levi_form_fd",
     "obstruction_probe",
 ]
 
@@ -139,14 +138,6 @@ def _quad(a: np.ndarray, v: np.ndarray) -> float:
     return float(np.real(v @ a @ np.conj(v)))
 
 
-def rho(sf: SpaceForm, p: int, r: float, z, xi) -> float:
-    """Defining function of S_r: the wedge-power norm of xi at z, minus r."""
-    z = chart_point(sf, z)
-    w = wedge_power_coeffs(metric(sf, z), p)
-    xi = _fiber_vector(xi, len(w.basis))
-    return float(np.real(xi @ w.entries @ np.conj(xi))) - float(r)
-
-
 def rho_gradient(sf: SpaceForm, p: int, r: float, z, xi):
     """Holomorphic Wirtinger gradient of rho_r, split as (d_z, d_xi).
 
@@ -158,7 +149,7 @@ def rho_gradient(sf: SpaceForm, p: int, r: float, z, xi):
     dg = metric_dz(sf, z)
     basis = index_basis(sf.dim, p)
     xi = _fiber_vector(xi, len(basis))
-    w = wedge_power_coeffs(g, p).entries
+    w = wedge_power_coeffs(g, p)
     d_xi = w @ np.conj(xi)
     d_z = np.zeros(sf.dim, dtype=np.complex128)
     rows = [np.asarray(I, dtype=int) - 1 for I in basis]
@@ -179,8 +170,8 @@ def bundle_point(sf: SpaceForm, p: int, r: float, z, xi) -> SphereBundlePoint:
         raise PreconditionError(f"bundle radius must be positive, got {r}")
     z = chart_point(sf, z)
     w = wedge_power_coeffs(metric(sf, z), p)
-    xi = _fiber_vector(xi, len(w.basis))
-    norm2 = float(np.real(xi @ w.entries @ np.conj(xi)))
+    xi = _fiber_vector(xi, len(w))
+    norm2 = _quad(w, xi)
     if norm2 <= _TINY**2:
         raise DegenerateSampleError("zero fiber vector")
     return SphereBundlePoint(base=z, fiber=xi * np.sqrt(r / norm2), p=p, r=float(r))
@@ -277,7 +268,7 @@ def levi_form(
     xi0 = compound_matrix(center_automorphism(sf, pt.base), p) @ pt.fiber
     center = np.zeros(sf.dim, dtype=np.complex128)
     g0 = metric(sf, center)
-    fiber_block = wedge_power_coeffs(g0, p).entries
+    fiber_block = wedge_power_coeffs(g0, p)
     h = _block_diag(_wedge_hessian_block(sf, center, p, xi0), fiber_block)
     cols = tangent_basis(sf, p, center, xi0)
     return _report_from_form(h, _block_diag(g0, fiber_block), cols, tol)
@@ -297,34 +288,6 @@ def levi_signatures(
     reports = [levi_form(sf, p, r, pt.base, pt.fiber) for pt in points]
     signatures = tuple(dict.fromkeys((rep.nNeg, rep.nZero, rep.nPos) for rep in reports))
     return signatures, min(float(np.abs(rep.eigenvalues).min()) for rep in reports)
-
-
-def levi_form_fd(
-    sf: SpaceForm,
-    p: int,
-    r: float,
-    z,
-    xi,
-    tol: float = 1e-6,
-    step: float = 1e-4,
-) -> LeviReport:
-    """Finite-difference Levi form of S_r at (z, xi), without translation.
-
-    Differentiates rho_r over the stacked (z, xi) coordinates, so it works
-    at any chart point; the eigenvalues are taken against the induced metric
-    G = diag(g(z), W(z)).  The looser default zero tolerance reflects the
-    truncation error of the stencils.
-    """
-    pt = bundle_point(sf, p, r, z, xi)
-    m = sf.dim
-
-    def stacked(x):
-        return rho(sf, p, r, x[:m], x[m:])
-
-    h = wirtinger_hessian(stacked, np.concatenate([pt.base, pt.fiber]), step=step)
-    g = metric(sf, pt.base)
-    induced = _block_diag(g, wedge_power_coeffs(g, p).entries)
-    return _report_from_form(h, induced, tangent_basis(sf, p, pt.base, pt.fiber), tol)
 
 
 def obstruction_probe(

@@ -3,7 +3,7 @@
 Everything downstream (metric minors, wedge coefficient matrices, pullback
 systems, Levi forms) reduces to small dense complex matrices.  Determinants
 and Hermitian eigen solves come from ``np.linalg``.  Every minor determinant
-in the package (compounds, wedge coefficients, single minors, cofactors) goes
+in the package (compounds, wedge coefficients, cofactors) goes
 through ``minor_dets``: one gather of all (I, J) submatrices into a stack and
 one batched ``np.linalg.det``.  Matrices that are Hermitian by construction
 are symmetrized on entry to absorb floating-point roundoff.
@@ -28,11 +28,9 @@ __all__ = [
     "hermitize",
     "det",
     "minor_dets",
-    "minor_det",
     "cofactor_matrix",
     "hermitian_eigen",
     "sign_counts",
-    "signature",
     "generalized_eigenvalues",
 ]
 
@@ -137,23 +135,6 @@ def _validated_index(idx, bound: int, label: str) -> np.ndarray:
     return arr - 1
 
 
-def minor_det(m, rows, cols) -> complex:
-    """Determinant of the submatrix selected by 1-based increasing indices.
-
-    ``rows`` and ``cols`` must be strictly increasing multi-indices of equal
-    length; this is the (I, J) minor convention used by wedge coefficient
-    matrices throughout the package.
-    """
-    a = as_matrix(m, square=False)
-    r = _validated_index(rows, a.shape[0], "row")
-    c = _validated_index(cols, a.shape[1], "column")
-    if r.size != c.size:
-        raise DimensionError(
-            f"row and column multi-indices must have equal length, got {r.size} and {c.size}"
-        )
-    return complex(minor_dets(a, r[None], c[None])[0, 0])
-
-
 def hermitian_eigen(h):
     """Eigendecomposition of a Hermitian matrix (LAPACK via ``np.linalg.eigh``).
 
@@ -183,12 +164,6 @@ def sign_counts(eigenvalues, tol: float = DEFAULT_ZERO_TOL):
     n_neg = int(np.sum(w < -tol))
     n_pos = int(np.sum(w > tol))
     return n_neg, n_zero, n_pos
-
-
-def signature(h, tol: float = DEFAULT_ZERO_TOL):
-    """Inertia ``(nNeg, nZero, nPos)`` of a Hermitian matrix."""
-    w, _ = hermitian_eigen(h)
-    return sign_counts(w, tol)
 
 
 def generalized_eigenvalues(h, g) -> np.ndarray:

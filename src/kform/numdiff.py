@@ -1,8 +1,8 @@
 """Wirtinger finite differences for real-valued functions of complex points.
 
-Used as the slow-but-independent route wherever the package offers a
-finite-difference cross-check of a closed-form quantity (Levi forms away
-from chart centers, Ricci identities).  Derivative conventions:
+The slow-but-independent route for the battery's finite-difference check
+of the Ricci identity (``c04_ricci_logdet_fd``); the tests' finite-difference
+Levi form uses it too.  Derivative conventions:
 
     d/dz      = (d/dx - i d/dy) / 2
     d2/dz dzb = Laplacian / 4      (same complex direction)

@@ -5,14 +5,15 @@ The coefficient of omega^p over a pair of increasing multi-indices (I, J) is
 the determinant of the (I, J) minor of the metric.  The common prefactor
 (sqrt(-1))^p p! is dropped from all stored coefficients: it is identical on
 both sides of every identity tested here, so only the minor determinants
-matter.  Coefficient matrices are Hermitian over the lexicographic index
-basis, and positive definite for definite space forms.
+matter.  A coefficient matrix is a plain Hermitian ndarray whose rows and
+columns follow ``index_basis(n, p)``, the lexicographic tuple of increasing
+p-tuples; it is positive definite for definite space forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -23,8 +24,6 @@ from .linalg import hermitize, minor_dets
 from .spaceforms import SpaceForm, chart_point, euclidean, in_chart, metric
 
 __all__ = [
-    "IndexBasis",
-    "PPFormMatrix",
     "PullbackResult",
     "index_basis",
     "wedge_power_coeffs",
@@ -38,58 +37,19 @@ DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class IndexBasis:
-    """All strictly increasing p-tuples from {1..n}, lexicographically sorted."""
-
-    n: int
-    p: int
-    members: tuple
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __getitem__(self, k):
-        return self.members[k]
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        """The members as a read-only (len, p) array of 0-based indices."""
-        out = np.subtract(self.members, 1)
-        out.flags.writeable = False
-        return out
-
-
-@dataclass(frozen=True)
-class PPFormMatrix:
-    """Hermitian coefficient matrix of omega^p over an index basis.
-
-    entries[a, b] = det of the (members[a], members[b]) minor of the metric;
-    the (sqrt(-1))^p p! prefactor is intentionally dropped (module docstring).
-    """
-
-    basis: IndexBasis
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
 class PullbackResult:
     """Outcome of a proportionality comparison over sample points."""
 
-    theta: PPFormMatrix
     lambdaHat: float
     maxResidual: float
     passed: bool
 
 
-def index_basis(n: int, p: int) -> IndexBasis:
-    """The lexicographic basis of increasing p-tuples from {1..n}.
+def index_basis(n: int, p: int) -> tuple:
+    """The lexicographic tuple of increasing 1-based p-tuples from {1..n}.
 
-    The arguments are checked on every call; the basis itself is built once
-    per (n, p) and shared, so equal calls return the same immutable object
-    (and the same cached, read-only ``offsets``).
+    The arguments are checked on every call; the tuple itself is built once
+    per (n, p) and shared, so equal calls return the same object.
     """
     if not isinstance(n, int) or not isinstance(p, int):
         raise DimensionError("n and p must be integers")
@@ -99,17 +59,29 @@ def index_basis(n: int, p: int) -> IndexBasis:
 
 
 @cache
-def _index_basis(n: int, p: int) -> IndexBasis:
-    members = tuple(tuple(c) for c in combinations(range(1, n + 1), p))
-    return IndexBasis(n=n, p=p, members=members)
+def _index_basis(n: int, p: int) -> tuple:
+    return tuple(combinations(range(1, n + 1), p))
 
 
-def wedge_power_coeffs(g, p: int) -> PPFormMatrix:
-    """Coefficient matrix of omega^p for the metric matrix ``g``."""
+@cache
+def _offsets(basis: tuple) -> np.ndarray:
+    """A basis as a read-only (len, p) array of 0-based indices, built once per basis."""
+    out = np.subtract(basis, 1)
+    out.flags.writeable = False
+    return out
+
+
+def wedge_power_coeffs(g, p: int) -> np.ndarray:
+    """Hermitian coefficient matrix of omega^p for the metric matrix ``g``.
+
+    Entry (a, b) is the determinant of the (I_a, I_b) minor of ``g``, where
+    I_a is entry a of ``index_basis(n, p)``; the (sqrt(-1))^p p! prefactor
+    is dropped (module docstring).
+    """
     g = np.asarray(g, dtype=np.complex128)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionError(f"expected a square metric matrix, got shape {g.shape}")
-    return PPFormMatrix(basis=index_basis(g.shape[0], p), entries=hermitize(compound_matrix(g, p)))
+    return hermitize(compound_matrix(g, p))
 
 
 def compound_matrix(m, p: int) -> np.ndarray:
@@ -121,12 +93,12 @@ def compound_matrix(m, p: int) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim {m.ndim}")
-    rows = index_basis(m.shape[0], p)
-    cols = index_basis(m.shape[1], p)
-    return minor_dets(m, rows.offsets, cols.offsets)
+    rows = _offsets(index_basis(m.shape[0], p))
+    cols = _offsets(index_basis(m.shape[1], p))
+    return minor_dets(m, rows, cols)
 
 
-def pullback_pp(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, w) -> PPFormMatrix:
+def pullback_pp(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, w) -> np.ndarray:
     """Pullback coefficients Theta of omega_tgt^p under F at the chart point w.
 
     Theta[L, K] = sum_{I,J} det(g_tgt minor (I,J) at F(w))
@@ -147,8 +119,7 @@ def pullback_pp(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, w) -> PPForm
         raise DomainError("map image lies outside the target chart domain")
     wtgt = wedge_power_coeffs(metric(tgt, fz), p)
     d = compound_matrix(jf, p)
-    theta = d.T @ wtgt.entries @ np.conj(d)
-    return PPFormMatrix(basis=index_basis(src.dim, p), entries=hermitize(theta))
+    return hermitize(d.T @ wtgt @ np.conj(d))
 
 
 def _pooled_ratio(pairs) -> float:
@@ -156,7 +127,7 @@ def _pooled_ratio(pairs) -> float:
     num = 0.0
     den = 0.0
     for base, theta in pairs:
-        num += float(np.sum(np.conj(base) * theta.entries).real)
+        num += float(np.sum(np.conj(base) * theta).real)
         den += float(np.sum(np.abs(base) ** 2))
     if den == 0.0:
         raise DegenerateSampleError("base form coefficients vanish at every sample point")
@@ -164,11 +135,10 @@ def _pooled_ratio(pairs) -> float:
 
 
 def _pooled_result(pairs, tol: float) -> PullbackResult:
-    """The pooled ratio with the worst entry residual, the verdict, and the first theta."""
+    """The pooled ratio with the worst entry residual and the verdict."""
     lam = _pooled_ratio(pairs)
-    resid = max(float(np.abs(theta.entries - lam * base).max()) for base, theta in pairs)
+    resid = max(float(np.abs(theta - lam * base).max()) for base, theta in pairs)
     return PullbackResult(
-        theta=pairs[0][1],
         lambdaHat=lam,
         maxResidual=resid,
         passed=bool(resid < tol * (1.0 + abs(lam))),
@@ -195,7 +165,7 @@ def proportionality_test(
         raise DegenerateSampleError("need at least one sample point")
     pairs = []
     for w in pts:
-        base = wedge_power_coeffs(metric(src, w), p).entries
+        base = wedge_power_coeffs(metric(src, w), p)
         if float(np.abs(base).max()) == 0.0:
             raise DegenerateSampleError(f"omega^p coefficients vanish at sample {w!r}")
         pairs.append((base, pullback_pp(F, src, tgt, p, w)))
@@ -228,7 +198,7 @@ def relatives_test(
     for w in pts:
         theta_f = pullback_pp(F, src, tgt1, p, w)
         theta_g = pullback_pp(G, src, tgt2, p, w)
-        if float(np.abs(theta_g.entries).max()) == 0.0:
+        if float(np.abs(theta_g).max()) == 0.0:
             raise DegenerateSampleError(f"base pullback vanishes at sample {w!r}")
-        pairs.append((theta_g.entries, theta_f))
+        pairs.append((theta_g, theta_f))
     return _pooled_result(pairs, tol)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateSampleError, PreconditionError
 from .expressions import MapExpr, map_jet
-from .linalg import det, generalized_eigenvalues, hermitize
+from .linalg import det, generalized_eigenvalues
 from .ppforms import _pooled_ratio, pullback_pp, wedge_power_coeffs
 from .spaceforms import SpaceForm, metric, ricci
 
@@ -29,7 +29,6 @@ __all__ = [
     "profile_from_pullback",
     "eigen_products_check",
     "conclude_isometry_factor",
-    "isometry_check",
     "ricci_pullback_check",
 ]
 
@@ -82,9 +81,9 @@ def profile_from_pullback(
     """
     theta1 = pullback_pp(F, src, tgt, 1, w)
     base = metric(src, w)
-    lams = generalized_eigenvalues(hermitize(theta1.entries), base)
+    lams = generalized_eigenvalues(theta1, base)
     if lambda_target is None:
-        bp = wedge_power_coeffs(base, p).entries
+        bp = wedge_power_coeffs(base, p)
         theta = theta1 if p == 1 else pullback_pp(F, src, tgt, p, w)
         lambda_target = _pooled_ratio([(bp, theta)])
     return EigenProfile(lambdas=lams, p=p, lambdaTarget=float(lambda_target))
@@ -128,30 +127,6 @@ def conclude_isometry_factor(profile: EigenProfile, tol: float = DEFAULT_TOL):
     if float(lams.max() - lams.min()) > 10.0 * tol * max(abs(mean), 1e-300):
         return None
     return mean
-
-
-def isometry_check(
-    F: MapExpr,
-    src: SpaceForm,
-    tgt: SpaceForm,
-    points,
-    expected_factor: float,
-    tol: float = DEFAULT_TOL,
-):
-    """Verify F*omega_tgt = expected_factor * omega_src at every point.
-
-    Returns (passed, max_residual) with the residual measured entrywise on
-    the (1,1) pullback coefficients.
-    """
-    pts = list(points)
-    if not pts:
-        raise DegenerateSampleError("need at least one sample point")
-    worst = 0.0
-    for w in pts:
-        theta = pullback_pp(F, src, tgt, 1, w).entries
-        resid = float(np.abs(theta - expected_factor * metric(src, w)).max())
-        worst = max(worst, resid)
-    return worst < tol, worst
 
 
 def ricci_pullback_check(

@@ -28,8 +28,10 @@ Scenario schema (all keys lowercase unless noted):
 "sig" defaults to dim (definite), and levi, rigidity and relatives need it
 definite; the relatives source is the maps' flat coordinate domain, so its
 kind must be euclidean.  A sampling radius above 1 is rejected where the
-ball of that radius can leave the source chart.  Report checks are sorted
-by name and overall is the conjunction of the per-check verdicts.
+ball of that radius can leave the source chart, and on a curved source
+wherever the chart factor 1 + radius^2 overflows when squared.  Report
+checks are sorted by name and overall is the conjunction of the per-check
+verdicts.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .rigidity import (
     profile_from_pullback,
     ricci_pullback_check,
 )
-from .spaceforms import SpaceForm, sample_chart_points
+from .spaceforms import SpaceForm, radius_fits, sample_chart_points
 
 __all__ = [
     "MODES",
@@ -366,14 +368,16 @@ def parse_scenario(data) -> Scenario:
 
     if mode in ("levi", "rigidity", "relatives") and not source.is_definite:
         raise ScenarioError(f"source.sig must equal source.dim (a definite metric) for {mode} mode")
-    # a radius-r ball stays inside {1 + c |w|_s^2 > 0} for r <= 1, and for any r
-    # unless some coordinate has the sign -c
-    if mode in ("pullback", "rigidity", "levi") and radius is not None and radius > 1.0:
+    if mode in ("pullback", "rigidity", "levi") and radius is not None and not radius_fits(source, radius):
         if -source.curv in source.eps:
             raise ScenarioError(
                 f"sampling.radius must be at most 1 on a {source.kind} source of signature "
                 f"{source.sig}, got {radius}"
             )
+        raise ScenarioError(
+            f"sampling.radius {radius} is too large for a {source.kind} source: "
+            "the chart factor 1 + radius^2 overflows when squared"
+        )
 
     return Scenario(
         mode=mode,

@@ -9,9 +9,10 @@ Three families, each with an optional indefinite signature parameter s
 
 Here |w|_s^2 = sum_{j<=s} |w_j|^2 - sum_{j>s} |w_j|^2, so sig = dim recovers
 the definite spaces C^n, B^n, P^n.  Every chart formula is written once in c:
-with u = 1 + c |w|_s^2 the chart is {u > 0} and the metric is
-(u diag(eps) - c (eps wbar)(eps w)^T) / u^2.  All metric-like matrices use
-the convention that the FIRST index is holomorphic: g[j, k] = g_{j kbar}.
+with u = 1 + c |w|_s^2 the chart is {u > 0}, where u and u^2 must also be
+finite floats, and the metric is (u diag(eps) - c (eps wbar)(eps w)^T) / u^2.
+All metric-like matrices use the convention that the FIRST index is
+holomorphic: g[j, k] = g_{j kbar}.
 
 Besides metric and Ricci tensors, the module provides the one curvature
 formula, ``wedge_curvature_block``: the curvature pairing on wedge powers of
@@ -29,6 +30,8 @@ ball chart domain``).  Every other function takes one point.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,6 +46,7 @@ __all__ = [
     "ball",
     "projective",
     "in_chart",
+    "radius_fits",
     "chart_point",
     "metric",
     "metric_dz",
@@ -134,13 +138,46 @@ def _u(sf: SpaceForm, z: np.ndarray):
     return 1.0 + sf.curv * (s if z.ndim > 1 else float(s))
 
 
+# the largest float whose square is finite
+_U_MAX = math.sqrt(sys.float_info.max)
+
+
+def _inside(u):
+    """The chart rule on u = 1 + c |w|_s^2: u is finite and > 0, and so is u*u.
+
+    The metric divides by u^2, so a point whose u*u overflows is outside the
+    chart as surely as one with u <= 0.  A positive u = 1 + c |w|_s^2 is at
+    least 2^-53, so its square cannot underflow, and 0 < u <= _U_MAX is the
+    whole rule.  Takes a float or an array of factors; NaN is outside.
+    """
+    return (u > 0.0) & (u <= _U_MAX)
+
+
 def in_chart(sf: SpaceForm, w) -> bool:
+    """Whether ``w`` is one finite point of the chart, by the rule ``_chart`` enforces.
+
+    Any finite point may be asked about, also one whose |w|^2 overflows.
+    """
     w = np.asarray(w, dtype=np.complex128).reshape(-1)
-    return w.size == sf.dim and bool(np.isfinite(w).all()) and _u(sf, w) > 0.0
+    if w.size != sf.dim or not np.isfinite(w).all():
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(_inside(_u(sf, w)))
+
+
+def radius_fits(sf: SpaceForm, r: float) -> bool:
+    """Whether every point of the open ball |w| < r is in the chart.
+
+    There u = 1 + c |w|_s^2 is above 1 - r^2 where some coordinate has the
+    sign -c, and at most 1 + r^2 where some has the sign c.
+    """
+    if r > 1.0 and -sf.curv in sf.eps:
+        return False
+    return sf.curv not in sf.eps or bool(_inside(1.0 + r * r))
 
 
 def _chart(sf: SpaceForm, w, stack: bool = False):
-    """The validated complex128 coordinates z of a chart point, and u > 0 there.
+    """The validated complex128 coordinates z of a chart point, and u = 1 + c |z|_s^2 there.
 
     With ``stack=True`` the leading axes of a (..., n) array are kept: z has
     that shape, u has shape (...), and the errors name the stack index of the
@@ -155,9 +192,9 @@ def _chart(sf: SpaceForm, w, stack: bool = False):
         finite = np.isfinite(z).all(axis=-1)
         raise DomainError(f"chart point coordinates{_stack_index(~finite)} must be finite")
     u = _u(sf, z)
-    inside = u > 0.0
-    if not (inside.all() if z.ndim > 1 else inside):
-        raise DomainError(f"point{_stack_index(~inside)} outside the {sf.kind} chart domain")
+    ok = _inside(u)
+    if not (ok.all() if z.ndim > 1 else ok):
+        raise DomainError(f"point{_stack_index(~ok)} outside the {sf.kind} chart domain")
     return z, u
 
 

@@ -98,9 +98,7 @@ def _c02(seed: int):
     F = parse_map(["z1+1/(1-z2)", "z2", "0", "0"], 2)
     points = sample_chart_points(src, 100, seed + 2, radius=0.5)
 
-    worst = max(
-        float(np.abs(pullback_pp(F, src, tgt, 2, w).entries[0, 0] - 1.0)) for w in points
-    )
+    worst = max(float(np.abs(pullback_pp(F, src, tgt, 2, w)[0, 0] - 1.0)) for w in points)
     res2 = proportionality_test(F, src, tgt, 2, points, tol=1e-12)
     ok2 = res2.passed and abs(res2.lambdaHat - 1.0) <= 1e-12 and worst <= 1e-12
     yield "c02_flat_example_p2", ok2, {"lambdaHat": res2.lambdaHat, "residual": worst}
@@ -283,9 +281,9 @@ def _c08(seed: int):
             g = metric(sf, w)
             for p in (1, 2):
                 basis = index_basis(3, p)
-                entries = wedge_power_coeffs(g, p).entries
-                for a, row in enumerate(basis.members):
-                    for b, col in enumerate(basis.members):
+                entries = wedge_power_coeffs(g, p)
+                for a, row in enumerate(basis):
+                    for b, col in enumerate(basis):
                         rows = [idx - 1 for idx in row]
                         cols = [idx - 1 for idx in col]
                         brute = np.linalg.det(g[np.ix_(rows, cols)])
@@ -306,12 +304,8 @@ def _c09(seed: int):
 
     res2 = relatives_test(ident, ident, ball(1), projective(1), 1, 1, points, tol=1e-8)
     ratios = [
-        float(
-            (
-                pullback_pp(ident, euclidean(1), ball(1), 1, w).entries[0, 0]
-                / pullback_pp(ident, euclidean(1), projective(1), 1, w).entries[0, 0]
-            ).real
-        )
+        float((pullback_pp(ident, euclidean(1), ball(1), 1, w)[0, 0]
+               / pullback_pp(ident, euclidean(1), projective(1), 1, w)[0, 0]).real)
         for w in points
     ]
     spread = max(ratios) - min(ratios)

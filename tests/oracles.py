@@ -1,18 +1,27 @@
 """Independent oracles shared by the test suite.
 
 Everything here is deliberately written against the mathematical definitions
-(recursive cofactor expansion, central finite differences, explicit binomial
-sums) rather than reusing library routines, so the tests exercise two
-independent computation routes.
+(recursive cofactor expansion, minors at 50 digits, central finite
+differences) rather than reusing library routines,
+so the tests exercise two independent computation routes.  The one
+exception is ``levi_form_fd``: it differentiates the sphere bundle's
+defining function ``rho`` numerically, but restricts the result with the
+library's tangent basis and spectrum, so what it checks is the closed-form
+Hessian at the chart center that ``kform.levi.levi_form`` uses.
 """
 
 from __future__ import annotations
 
-import math
+from itertools import combinations
 
 import numpy as np
 
 from kform.expressions import parse_map
+from kform.levi import LeviReport, bundle_point, tangent_basis
+from kform.linalg import generalized_eigenvalues, hermitize, sign_counts
+from kform.numdiff import wirtinger_hessian
+from kform.ppforms import wedge_power_coeffs
+from kform.spaceforms import metric
 
 
 def cofactor_det(m) -> complex:
@@ -29,6 +38,35 @@ def cofactor_det(m) -> complex:
         cols = [k for k in range(n) if k != j]
         total += (-1) ** j * a[0, j] * cofactor_det(a[np.ix_(rest, cols)])
     return total
+
+
+def mp_compounds(a, dps: int = 50) -> list:
+    """Every compound of ``a`` at ``dps`` digits: out[p - 1] is the p-th, lexicographic.
+
+    Each p x p minor is expanded along its first row over the (p - 1)-minors,
+    which are all kept from the previous degree; entries are mpmath complex
+    numbers, converted back to complex at the end.
+    """
+    import mpmath
+
+    a = np.asarray(a, dtype=np.complex128)
+    n, k = a.shape
+    out = []
+    with mpmath.workdps(dps):
+        entries = [[mpmath.mpc(x.real, x.imag) for x in row] for row in a.tolist()]
+        minors = {((), ()): mpmath.mpc(1)}
+        for p in range(1, min(n, k) + 1):
+            rows, cols = list(combinations(range(n), p)), list(combinations(range(k), p))
+            minors = {
+                (I, J): mpmath.fsum(
+                    (-1) ** t * entries[I[0]][j] * minors[I[1:], J[:t] + J[t + 1 :]]
+                    for t, j in enumerate(J)
+                )
+                for I in rows
+                for J in cols
+            }
+            out.append(np.array([[complex(minors[I, J]) for J in cols] for I in rows]))
+    return out
 
 
 def random_hermitian(rng, n: int, scale: float = 1.0) -> np.ndarray:
@@ -145,6 +183,33 @@ def fd_directional_hessian(f, z, eta, h: float = 1e-4) -> float:
     return val
 
 
+def rho(sf, p: int, r: float, z, xi) -> float:
+    """Defining function of the sphere bundle S_r: the wedge-power norm of xi at z, minus r."""
+    w = wedge_power_coeffs(metric(sf, z), p)
+    xi = np.asarray(xi, dtype=np.complex128).reshape(-1)
+    return float(np.real(xi @ w @ np.conj(xi))) - float(r)
+
+
+def levi_form_fd(sf, p: int, r: float, z, xi, tol: float = 1e-6, step: float = 1e-4) -> LeviReport:
+    """Finite-difference Levi form of S_r at (z, xi), without moving the point.
+
+    Differentiates ``rho`` over the stacked (z, xi) coordinates, so it works
+    at any chart point, and restricts the Hessian to the library's tangent
+    basis; the eigenvalues are taken against the induced metric
+    G = diag(g(z), W(z)).  The looser default zero tolerance reflects the
+    truncation error of the stencils.
+    """
+    pt = bundle_point(sf, p, r, z, xi)
+    m = sf.dim
+    x0 = np.concatenate([pt.base, pt.fiber])
+    h = wirtinger_hessian(lambda x: rho(sf, p, r, x[:m], x[m:]), x0, step=step)
+    g, k = metric(sf, pt.base), pt.fiber.size
+    induced = np.block([[g, np.zeros((m, k))], [np.zeros((k, m)), wedge_power_coeffs(g, p)]])
+    cols = tangent_basis(sf, p, pt.base, pt.fiber)
+    eigs = generalized_eigenvalues(hermitize(cols.T @ h @ cols.conj()), cols.T @ induced @ cols.conj())
+    return LeviReport(eigs, *sign_counts(eigs, tol), cols.shape[1])
+
+
 def _literal(z) -> str:
     z = complex(z)
     return f"(({z.real!r})+({z.imag!r})*i)"
@@ -180,6 +245,11 @@ def mobius_map(sf, a):
     return fraction(-1), fraction(1)
 
 
+def identity_map(n: int):
+    """The identity map of C^n, parsed from its component strings."""
+    return parse_map([f"z{k}" for k in range(1, n + 1)], n)
+
+
 def increasing_multiindices(n: int, p: int):
     """All strictly increasing 1-based p-tuples from {1..n}, lexicographic."""
     out = []
@@ -193,7 +263,3 @@ def increasing_multiindices(n: int, p: int):
 
     rec(1, [])
     return out
-
-
-def binom(n: int, k: int) -> int:
-    return math.comb(n, k) if 0 <= k <= n else 0

@@ -81,7 +81,7 @@ def test_criterion_02_top_degree_example():
     F = parse_map(["z1+1/(1-z2)", "z2", "0", "0"], 2)
     points = sample_chart_points(src, 100, SEED + 2, radius=0.5)
     worst = max(
-        float(np.abs(pullback_pp(F, src, tgt, 2, w).entries[0, 0] - 1.0)) for w in points
+        float(np.abs(pullback_pp(F, src, tgt, 2, w)[0, 0] - 1.0)) for w in points
     )
     res1 = proportionality_test(F, src, tgt, 1, points, tol=1e-8)
     ok = worst <= 1e-12 and (not res1.passed) and res1.maxResidual > 1e-2
@@ -226,9 +226,9 @@ def test_criterion_08_indefinite_metrics():
             g = metric(sf, w)
             for p in (1, 2):
                 basis = index_basis(3, p)
-                entries = wedge_power_coeffs(g, p).entries
-                for a, row in enumerate(basis.members):
-                    for b, col in enumerate(basis.members):
+                entries = wedge_power_coeffs(g, p)
+                for a, row in enumerate(basis):
+                    for b, col in enumerate(basis):
                         brute = np.linalg.det(
                             g[np.ix_([i - 1 for i in row], [j - 1 for j in col])]
                         )
@@ -252,8 +252,8 @@ def test_criterion_09_relatives():
     ratios = [
         float(
             (
-                pullback_pp(ident, euclidean(1), ball(1), 1, w).entries[0, 0]
-                / pullback_pp(ident, euclidean(1), projective(1), 1, w).entries[0, 0]
+                pullback_pp(ident, euclidean(1), ball(1), 1, w)[0, 0]
+                / pullback_pp(ident, euclidean(1), projective(1), 1, w)[0, 0]
             ).real
         )
         for w in points

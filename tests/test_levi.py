@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,10 +15,8 @@ from kform.expressions import compose, evaluate_map, jacobian, parse_map
 from kform.levi import (
     bundle_point,
     levi_form,
-    levi_form_fd,
     levi_signatures,
     obstruction_probe,
-    rho,
     rho_gradient,
     sample_bundle_points,
     tangent_basis,
@@ -31,11 +31,12 @@ from kform.spaceforms import (
 )
 
 from oracles import (
-    binom,
     fd_directional_hessian,
     fd_wirtinger_gradient,
+    levi_form_fd,
     mobius_map,
     random_unitary,
+    rho,
 )
 
 SPACES = [euclidean(2), ball(2), projective(2), ball(3), projective(3)]
@@ -73,7 +74,7 @@ def test_rho_quadratic_form_is_real():
             z = sample_chart_points(sf, 1, seed=int(rng.integers(1 << 30)))[0]
             p = int(rng.integers(1, sf.dim + 1))
             xi = _random_fiber(rng, sf, p)
-            w = wedge_power_coeffs(metric(sf, z), p).entries
+            w = wedge_power_coeffs(metric(sf, z), p)
             assert abs(np.imag(xi @ w @ np.conj(xi))) < 1e-13 * (1 + abs(xi @ w @ np.conj(xi)))
 
 
@@ -246,7 +247,7 @@ def test_levi_signature_sweep():
     # B^n: positive definite; P^n: the base block negative, the fiber positive
     for n in range(1, 6):
         for p in range(1, n + 1):
-            fiber = binom(n, p)
+            fiber = math.comb(n, p)
             for sf, expect in ((ball(n), (0, 0, n + fiber - 1)), (projective(n), (n, 0, fiber - 1))):
                 sigs, _ = levi_signatures(sf, p, 1.0, 2, seed=10 * n + p)
                 assert sigs == (expect,), f"{sf} p={p}"
@@ -349,7 +350,7 @@ def test_probe_signs_match_finite_difference_hessians():
     xi = np.array([0.7 + 0.2j, -0.3j])
     res = obstruction_probe(src, tgt, F, 1, [0, 0], xi)
 
-    w1 = wedge_power_coeffs(metric(src, [0, 0]), 1).entries
+    w1 = wedge_power_coeffs(metric(src, [0, 0]), 1)
     xi_n = xi / np.sqrt(np.real(xi @ w1 @ np.conj(xi)))
     jg = np.vstack([np.diag([0.2, 0.1]), np.zeros((1, 2))])
     eta = np.array([1.0, 0.0])  # top singular vector, up to phase

@@ -8,10 +8,9 @@ from kform.linalg import (
     generalized_eigenvalues,
     hermitian_eigen,
     hermitize,
-    minor_det,
     sign_counts,
-    signature,
 )
+from kform.ppforms import compound_matrix
 
 from oracles import cofactor_det, random_hermitian, random_posdef, random_unitary
 
@@ -47,25 +46,12 @@ def test_det_multiplicative():
         assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
-def test_minor_det_examples():
+def test_single_minors_of_the_compound():
     m = np.diag([1.0, 2.0, 3.0])
-    assert minor_det(m, (2, 3), (2, 3)) == pytest.approx(6.0)
-    assert minor_det(m, (1, 2), (2, 3)) == pytest.approx(0.0)
-    assert minor_det(m, (2,), (2,)) == pytest.approx(2.0)
-
-
-def test_minor_det_validates_indices():
-    m = np.eye(3)
-    with pytest.raises(IndexError):
-        minor_det(m, (0, 1), (1, 2))
-    with pytest.raises(IndexError):
-        minor_det(m, (1, 4), (1, 2))
-    with pytest.raises(IndexError):
-        minor_det(m, (2, 1), (1, 2))
-    with pytest.raises(IndexError):
-        minor_det(m, (1, 1), (1, 2))
-    with pytest.raises(DimensionError):
-        minor_det(m, (1, 2), (1,))
+    # index_basis(3, 2) is (1, 2), (1, 3), (2, 3)
+    assert compound_matrix(m, 2)[2, 2] == pytest.approx(6.0)
+    assert compound_matrix(m, 2)[0, 2] == pytest.approx(0.0)
+    assert compound_matrix(m, 1)[1, 1] == pytest.approx(2.0)
 
 
 def _oracle_cofactors(m):
@@ -127,8 +113,12 @@ def test_hermitian_eigen_rejects_non_hermitian():
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _signature(h):
+    return sign_counts(hermitian_eigen(h)[0])
+
+
 def test_signature_examples_and_congruence_invariance():
-    assert signature(np.diag([-1.0, 0.0, 2.0])) == (1, 1, 1)
+    assert _signature(np.diag([-1.0, 0.0, 2.0])) == (1, 1, 1)
     assert sign_counts([-1e-12, 1e-12, 0.5]) == (0, 2, 1)
     rng = np.random.default_rng(23)
     for _ in range(200):
@@ -138,7 +128,7 @@ def test_signature_examples_and_congruence_invariance():
         expect = sign_counts(d)
         # congruence by a random invertible matrix preserves inertia
         u = random_unitary(rng, n) @ np.diag(rng.uniform(0.5, 2.0, size=n))
-        assert signature(u @ h @ u.conj().T) == expect
+        assert _signature(u @ h @ u.conj().T) == expect
 
 
 def test_generalized_eigenvalues_pinned_example():

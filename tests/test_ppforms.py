@@ -1,12 +1,11 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from kform.errors import DegenerateSampleError, DimensionError, DomainError
-from kform.expressions import MapExpr, compose, evaluate_map, identity_map, jacobian, parse_map
+from kform.expressions import compose, evaluate_map, jacobian, parse_map
 from kform.linalg import hermitian_eigen
 from kform.ppforms import (
+    _offsets,
     compound_matrix,
     index_basis,
     proportionality_test,
@@ -16,7 +15,14 @@ from kform.ppforms import (
 )
 from kform.spaceforms import ball, euclidean, metric, projective, sample_chart_points
 
-from oracles import cofactor_det, increasing_multiindices, random_ball_point, random_hermitian
+from oracles import (
+    cofactor_det,
+    identity_map,
+    increasing_multiindices,
+    mp_compounds,
+    random_ball_point,
+    random_hermitian,
+)
 
 VERONESE = ["1.4142135623730951*z1", "z1^2"]
 FLAT_EXAMPLE_3 = ["z1+1/(1-z2)", "z2", "0"]
@@ -24,10 +30,13 @@ FLAT_EXAMPLE_4 = ["z1+1/(1-z2)", "z2", "0", "0"]
 
 
 def test_index_basis_pinned():
-    assert index_basis(3, 2).members == ((1, 2), (1, 3), (2, 3))
-    assert index_basis(4, 1).members == ((1,), (2,), (3,), (4,))
+    assert index_basis(3, 2) == ((1, 2), (1, 3), (2, 3))
+    assert index_basis(4, 1) == ((1,), (2,), (3,), (4,))
     assert len(index_basis(5, 3)) == 10
-    assert index_basis(3, 2) is index_basis(3, 2)
+    # a plain tuple of 1-based tuples, the same object on equal calls
+    basis = index_basis(3, 2)
+    assert type(basis) is tuple and all(type(member) is tuple for member in basis)
+    assert index_basis(3, 2) is basis
     # the checks still run on arguments equal to a cached call's
     for n, p in ((np.int64(3), 2), (3, np.int64(2)), (3, 0), (3, 4)):
         with pytest.raises(DimensionError):
@@ -36,11 +45,9 @@ def test_index_basis_pinned():
 
 def test_memoized_bases_and_offsets_are_read_only():
     basis = index_basis(4, 2)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        basis.members = ()
-    offsets = basis.offsets
-    assert index_basis(4, 2).offsets is offsets
-    np.testing.assert_array_equal(offsets, np.subtract(basis.members, 1))
+    offsets = _offsets(basis)
+    assert _offsets(index_basis(4, 2)) is offsets
+    np.testing.assert_array_equal(offsets, np.subtract(basis, 1))
     assert not offsets.flags.writeable
     with pytest.raises(ValueError):
         offsets[0, 0] = 3
@@ -49,13 +56,13 @@ def test_memoized_bases_and_offsets_are_read_only():
 def test_wedge_power_coeffs_pinned():
     for p in (1, 2, 3):
         m = wedge_power_coeffs(np.eye(4), p)
-        np.testing.assert_array_equal(m.entries, np.eye(len(m.basis)))
+        np.testing.assert_array_equal(m, np.eye(len(index_basis(4, p))))
     m = wedge_power_coeffs(np.diag([1.0, 2.0, 3.0]), 2)
-    np.testing.assert_allclose(m.entries, np.diag([2.0, 3.0, 6.0]), atol=1e-14)
+    np.testing.assert_allclose(m, np.diag([2.0, 3.0, 6.0]), atol=1e-14)
     g = metric(ball(2), [0.5, 0.0])
     m = wedge_power_coeffs(g, 2)
-    assert m.entries.shape == (1, 1)
-    assert m.entries[0, 0] == pytest.approx(64.0 / 27.0)
+    assert m.shape == (1, 1)
+    assert m[0, 0] == pytest.approx(64.0 / 27.0)
 
 
 def test_wedge_power_coeffs_top_degree_is_det():
@@ -64,8 +71,8 @@ def test_wedge_power_coeffs_top_degree_is_det():
         n = int(rng.integers(1, 5))
         g = random_hermitian(rng, n)
         m = wedge_power_coeffs(g, n)
-        assert m.entries.shape == (1, 1)
-        assert abs(m.entries[0, 0] - cofactor_det(g)) < 1e-10
+        assert m.shape == (1, 1)
+        assert abs(m[0, 0] - cofactor_det(g)) < 1e-10
 
 
 def test_wedge_power_coeffs_matches_bruteforce_minors():
@@ -76,12 +83,12 @@ def test_wedge_power_coeffs_matches_bruteforce_minors():
         g = random_hermitian(rng, n)
         m = wedge_power_coeffs(g, p)
         members = increasing_multiindices(n, p)
-        assert tuple(members) == m.basis.members
+        assert tuple(members) == index_basis(n, p)
         for a, I in enumerate(members):
             for b, J in enumerate(members):
                 sub = g[np.ix_(np.asarray(I) - 1, np.asarray(J) - 1)]
-                assert abs(m.entries[a, b] - cofactor_det(sub)) < 1e-10
-        np.testing.assert_allclose(m.entries, m.entries.conj().T, atol=1e-13)
+                assert abs(m[a, b] - cofactor_det(sub)) < 1e-10
+        np.testing.assert_allclose(m, m.conj().T, atol=1e-13)
     # rectangular compounds up to (6, 4); every third input has rank 1
     for trial in range(30):
         n = int(rng.integers(1, 7))
@@ -97,6 +104,39 @@ def test_wedge_power_coeffs_matches_bruteforce_minors():
             for y, J in enumerate(cols):
                 sub = a[np.ix_(np.asarray(I) - 1, np.asarray(J) - 1)]
                 assert abs(c[x, y] - cofactor_det(sub)) < 1e-10
+
+
+def _hadamard_bounds(a, p: int) -> np.ndarray:
+    """Hadamard's bound prod_i |row i| for each (I, J) minor: the scale of its roundoff."""
+    rows = np.subtract(increasing_multiindices(a.shape[0], p), 1)
+    cols = np.subtract(increasing_multiindices(a.shape[1], p), 1)
+    sub = a[rows[:, None, :, None], cols[None, :, None, :]]
+    return np.prod(np.linalg.norm(sub, axis=-1), axis=-1)
+
+
+def test_compounds_and_wedge_powers_match_50_digit_minors():
+    rng = np.random.default_rng(29)
+    inputs = []
+    for n in range(1, 7):
+        k = int(rng.integers(1, 7))
+        for shape in ((n, n), (n, k)):
+            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            inputs += [a, np.outer(a[:, 0], a[0, :])]  # a generic matrix and a rank-1 one
+    for a in inputs:
+        for p, exact in enumerate(mp_compounds(a), start=1):
+            c = compound_matrix(a, p)
+            assert type(c) is np.ndarray and c.dtype == np.complex128
+            dev = np.abs(c - exact)
+            assert (dev <= 1e-13 * _hadamard_bounds(a, p)).all(), (a.shape, p, dev.max())
+    for n in range(1, 7):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for g in (a @ a.conj().T, random_hermitian(rng, n), np.outer(a[0], a[0].conj())):
+            for p, exact in enumerate(mp_compounds(g), start=1):
+                w = wedge_power_coeffs(g, p)
+                assert type(w) is np.ndarray and w.dtype == np.complex128
+                np.testing.assert_array_equal(w, w.conj().T)
+                dev = np.abs(w - exact)
+                assert (dev <= 1e-13 * _hadamard_bounds(g, p)).all(), (n, p, dev.max())
 
 
 def test_compound_matrix_multiplicative():
@@ -118,9 +158,7 @@ def test_pullback_identity_map():
         w = [0.1, 0.2j, -0.1]
         for p in (1, 2, 3):
             theta = pullback_pp(identity_map(3), sf, sf, p, w)
-            np.testing.assert_allclose(
-                theta.entries, wedge_power_coeffs(metric(sf, w), p).entries, atol=1e-12
-            )
+            np.testing.assert_allclose(theta, wedge_power_coeffs(metric(sf, w), p), atol=1e-12)
 
 
 def test_pullback_flat_example_top_degree():
@@ -129,14 +167,14 @@ def test_pullback_flat_example_top_degree():
     for _ in range(10):
         w = random_ball_point(rng, 2, 0.5)
         theta = pullback_pp(F, euclidean(2), euclidean(3), 2, w)
-        np.testing.assert_allclose(theta.entries, [[1.0]], atol=1e-12)
+        np.testing.assert_allclose(theta, [[1.0]], atol=1e-12)
 
 
 def test_pullback_veronese_doubles_metric():
     F = parse_map(VERONESE, 1)
     for w in (0.3, 0.5 - 0.1j):
         theta = pullback_pp(F, projective(1), projective(2), 1, [w])
-        np.testing.assert_allclose(theta.entries, 2.0 * metric(projective(1), [w]), atol=1e-13)
+        np.testing.assert_allclose(theta, 2.0 * metric(projective(1), [w]), atol=1e-13)
 
 
 def test_pullback_validates_dims_and_chart():
@@ -172,8 +210,8 @@ def test_pullback_hermitian_psd_for_definite_targets():
         F = _random_poly_map(rng, m, n, scale=0.2)
         w = random_ball_point(rng, m, 0.6)
         theta = pullback_pp(F, euclidean(m), tgt, p, w)
-        np.testing.assert_allclose(theta.entries, theta.entries.conj().T, atol=1e-12)
-        eigs, _ = hermitian_eigen(theta.entries)
+        np.testing.assert_allclose(theta, theta.conj().T, atol=1e-12)
+        eigs, _ = hermitian_eigen(theta)
         assert eigs.min() > -1e-10, f"pullback not PSD: {eigs}"
 
 
@@ -187,8 +225,8 @@ def test_pullback_functorial_under_composition():
         F = _random_poly_map(rng, m, k, scale=0.4)
         G = _random_poly_map(rng, k, n, scale=0.4)
         w = random_ball_point(rng, m, 0.5)
-        lhs = pullback_pp(compose(G, F), euclidean(m), euclidean(n), p, w).entries
-        inner = pullback_pp(G, euclidean(k), euclidean(n), p, evaluate_map(F, w)).entries
+        lhs = pullback_pp(compose(G, F), euclidean(m), euclidean(n), p, w)
+        inner = pullback_pp(G, euclidean(k), euclidean(n), p, evaluate_map(F, w))
         d = compound_matrix(jacobian(F, w), p)
         rhs = d.T @ inner @ np.conj(d)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
@@ -201,7 +239,7 @@ def test_pullback_cauchy_binet_top_degree():
         F = _random_poly_map(rng, n, n, scale=0.2)
         w = random_ball_point(rng, n, 0.5)
         tgt = ball(n)
-        theta = pullback_pp(F, euclidean(n), tgt, n, w).entries[0, 0]
+        theta = pullback_pp(F, euclidean(n), tgt, n, w)[0, 0]
         jf = jacobian(F, w)
         expect = cofactor_det(metric(tgt, evaluate_map(F, w))) * abs(cofactor_det(jf)) ** 2
         assert abs(theta - expect) < 1e-11

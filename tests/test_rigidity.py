@@ -7,20 +7,19 @@ from numpy.testing import assert_allclose
 
 import kform.rigidity as rigidity
 from kform.errors import DefinitenessError, DegenerateSampleError, PreconditionError
-from kform.expressions import identity_map, parse_map
+from kform.expressions import parse_map
 from kform.linalg import generalized_eigenvalues
-from kform.ppforms import _pooled_ratio, pullback_pp, wedge_power_coeffs
+from kform.ppforms import _pooled_ratio, proportionality_test, pullback_pp, wedge_power_coeffs
 from kform.rigidity import (
     EigenProfile,
     conclude_isometry_factor,
     eigen_products_check,
-    isometry_check,
     profile_from_pullback,
     ricci_pullback_check,
 )
 from kform.scenarios import run_scenario
 from kform.spaceforms import ball, euclidean, metric, projective, sample_chart_points
-from oracles import random_posdef
+from oracles import identity_map, random_posdef
 
 VERONESE = ["1.4142135623730951*z1", "z1^2"]
 FLAT_EXAMPLE_2 = ["z1+1/(1-z2)", "z2"]
@@ -174,23 +173,26 @@ def test_profile_requires_definite_source():
         profile_from_pullback(identity_map(2), sf, sf, 1, [0.1, 0.2])
 
 
-def test_isometry_check_identity_and_veronese():
+def test_isometries_pull_omega_back_to_a_pinned_multiple():
+    # F*omega_N = factor * omega_M is the p = 1 proportionality with lambdaHat pinned
     for sf in (euclidean(2), ball(2), projective(3)):
         pts = sample_chart_points(sf, 20, seed=5)
-        ok, resid = isometry_check(identity_map(sf.dim), sf, sf, pts, 1.0)
-        assert ok and resid < 1e-12
+        res = proportionality_test(identity_map(sf.dim), sf, sf, 1, pts, tol=1e-8)
+        assert res.passed and res.maxResidual < 1e-12
+        assert res.lambdaHat == pytest.approx(1.0, abs=1e-12)
     pts = sample_chart_points(projective(1), 20, seed=6)
-    ok, resid = isometry_check(parse_map(VERONESE, 1), projective(1), projective(2), pts, 2.0)
-    assert ok and resid < 1e-10
+    res = proportionality_test(parse_map(VERONESE, 1), projective(1), projective(2), 1, pts, tol=1e-8)
+    assert res.passed and res.maxResidual < 1e-10
+    assert res.lambdaHat == pytest.approx(2.0, abs=1e-10)
 
 
-def test_isometry_check_rejects_flat_example():
+def test_flat_example_is_no_isometry():
     F = parse_map(FLAT_EXAMPLE_2, 2)
     pts = [[0.1, 0.2], [0.05, -0.1], [0.0, 0.3]]
-    ok, resid = isometry_check(F, euclidean(2), euclidean(2), pts, 1.0)
-    assert not ok and resid > 1e-2
+    res = proportionality_test(F, euclidean(2), euclidean(2), 1, pts, tol=1e-8)
+    assert not res.passed and res.maxResidual > 1e-2
     with pytest.raises(DegenerateSampleError):
-        isometry_check(F, euclidean(2), euclidean(2), [], 1.0)
+        proportionality_test(F, euclidean(2), euclidean(2), 1, [], tol=1e-8)
 
 
 def test_ricci_check_moebius_disc_automorphism():
@@ -207,8 +209,7 @@ def test_ricci_check_flat_example_passes_while_isometry_fails():
     pts = [[0.1, 0.2], [0.05, -0.1]]
     ok, resid, skipped = ricci_pullback_check(F, euclidean(2), euclidean(2), pts)
     assert ok and resid == 0.0 and skipped == 0
-    ok_iso, _ = isometry_check(F, euclidean(2), euclidean(2), pts, 1.0)
-    assert not ok_iso
+    assert not proportionality_test(F, euclidean(2), euclidean(2), 1, pts, tol=1e-8).passed
 
 
 def test_ricci_check_skips_singular_jacobians():
@@ -251,6 +252,6 @@ def test_profile_pulls_back_once_per_point_at_p1(monkeypatch):
     # lambda is bit for bit the pooled ratio of a separate (1,1) pullback
     src, tgt, F = ball(2), ball(3), parse_map(BALL_AUT_INTO_B3, 2)
     for w in sample_chart_points(src, 10, seed=5):
-        bp = wedge_power_coeffs(metric(src, w), 1).entries
+        bp = wedge_power_coeffs(metric(src, w), 1)
         separate = _pooled_ratio([(bp, pullback_pp(F, src, tgt, 1, w))])
         assert profile_from_pullback(F, src, tgt, 1, w).lambdaTarget == separate

@@ -21,6 +21,14 @@ def _identity_flat():
     }
 
 
+def _projective_identity():
+    return dict(
+        _identity_flat(),
+        source={"kind": "projective", "dim": 2},
+        target={"kind": "projective", "dim": 2},
+    )
+
+
 def _flat_embedding_example():
     return {
         "mode": "pullback",
@@ -247,6 +255,11 @@ def _relatives(source):
         (lambda d: d.update(_relatives({"kind": "ball", "dim": 1})), "source.kind must be euclidean for relatives mode"),
         (lambda d: d.update(_relatives({"kind": "projective", "dim": 1})), "source.kind must be euclidean for relatives mode"),
         (lambda d: d.update(_relatives({"kind": "euclidean", "dim": 1, "sig": 0})), "source.sig must equal source.dim (a definite metric) for relatives"),
+        # a curved source whose chart factor 1 + radius^2 overflows when squared
+        (lambda d: d.update(source={"kind": "projective", "dim": 2}, target={"kind": "projective", "dim": 2}, sampling={"radius": 1e100}), "sampling.radius 1e+100 is too large for a projective source"),
+        (lambda d: d.update(source={"kind": "projective", "dim": 2}, target={"kind": "projective", "dim": 2}, sampling={"radius": 1e200}), "sampling.radius 1e+200 is too large for a projective source"),
+        (lambda d: d.update(mode="levi", source={"kind": "projective", "dim": 2}, sampling={"radius": 1e100}), "sampling.radius 1e+100 is too large for a projective source"),
+        (lambda d: d.update(source={"kind": "ball", "dim": 2, "sig": 0}, sampling={"radius": 1e78}), "sampling.radius 1e+78 is too large for a ball source"),
     ],
 )
 def test_scenario_validation_names_the_field(mutate, fragment):
@@ -265,6 +278,8 @@ def test_radius_past_one_is_kept_where_the_chart_holds_it():
     ):
         data = dict(_identity_flat(), source=source, sampling={"radius": 1.5, "count": 5})
         assert parse_scenario(data).radius == 1.5
+    # the chart factor 1 + radius^2 squares to a finite float up to about 1.16e77
+    assert parse_scenario(dict(_projective_identity(), sampling={"radius": 1e77})).radius == 1e77
     data = dict(_identity_flat(), sampling={"count": 10_000}, tolerances={"proportionality": 1e-9})
     assert parse_scenario(data).count == 10_000
 
@@ -338,6 +353,13 @@ def test_cli_malformed_scenario_fields_exit_two(tmp_path, capsys):
         (_relatives({"kind": "ball", "dim": 1}), "source.kind"),
         (_relatives({"kind": "projective", "dim": 1}), "source.kind"),
         (_relatives({"kind": "euclidean", "dim": 1, "sig": 0}), "source.sig"),
+        # chart factors that overflow: the sampling radius on a curved source, the image on a curved target
+        (dict(_projective_identity(), sampling={"radius": 1e100}), "sampling.radius"),
+        (dict(_projective_identity(), sampling={"radius": 1e200}), "sampling.radius"),
+        (dict(mode="levi", source={"kind": "projective", "dim": 2}, p=1, sampling={"radius": 1e100}), "sampling.radius"),
+        (dict(_projective_identity(), source={"kind": "euclidean", "dim": 2}, sampling={"radius": 1e200}), "outside the target chart"),
+        # numpy overflows in a map's jet are errors of the run, not warnings
+        (dict(_identity_flat(), map=["z1^2", "z2"], sampling={"count": 2, "radius": 1e200}), "expression overflows"),
     ]:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
@@ -352,14 +374,19 @@ def test_cli_malformed_scenario_fields_exit_two(tmp_path, capsys):
     assert "sampling.seed must be a non-negative integer, got -5" in capsys.readouterr().err
 
 
-def test_cli_series_overflow_prints_only_the_error(tmp_path):
+def test_cli_overflow_prints_only_the_error(tmp_path):
     # the error line is all of stderr: numpy does not warn of the overflow first
     path = tmp_path / "overflow.json"
-    path.write_text(json.dumps(_umehara({"map": ["1e200*z1+1e200*z1^2"]}, name="abs_square")))
     script = "import sys\nfrom kform.cli import main\nsys.exit(main(['run', sys.argv[1]]))"
+    path.write_text(json.dumps(_umehara({"map": ["1e200*z1+1e200*z1^2"]}, name="abs_square")))
     done = run_python(script, str(path))
     assert done.returncode == 2
     assert done.stderr == "error: series coefficients overflow\n"
+    # numpy words the overflow itself, so only the part kform writes is pinned
+    path.write_text(json.dumps(dict(_identity_flat(), map=["z1^2", "z2"], sampling={"count": 2, "radius": 1e200})))
+    done = run_python(script, str(path))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: expression overflows") and done.stderr.count("\n") == 1
 
 
 def test_cli_reports_skipped_ricci_samples(tmp_path, capsys):

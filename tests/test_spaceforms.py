@@ -1,10 +1,14 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from kform.errors import DimensionError, DomainError
 from kform.expressions import compose, evaluate_map, jacobian
-from kform.linalg import hermitian_eigen, minor_det, signature
+from kform.linalg import hermitian_eigen, sign_counts
 from kform.spaceforms import (
+    _U_MAX,
     SpaceForm,
     ball,
     center_automorphism,
@@ -20,9 +24,20 @@ from kform.spaceforms import (
 )
 import kform.numdiff as numdiff
 
-from oracles import fd_directional_hessian, fd_wirtinger_gradient, mobius_map, random_ball_point
+from oracles import (
+    cofactor_det,
+    fd_directional_hessian,
+    fd_wirtinger_gradient,
+    mobius_map,
+    random_ball_point,
+)
 
 ALL_KINDS = [euclidean, ball, projective]
+
+
+def _minor(g, I, J):
+    """det of g's (I, J) minor for 1-based multi-indices, by cofactor expansion."""
+    return cofactor_det(g[np.ix_(np.subtract(I, 1), np.subtract(J, 1))])
 
 
 def _wedge_pairing(sf, w, eta, I, J):
@@ -96,6 +111,30 @@ def test_eps_is_plus_one_then_minus_one():
                 np.testing.assert_array_equal(eps, want)
 
 
+def test_curved_chart_factor_and_its_square_are_finite():
+    # u = 1 + c|w|^2 and u*u must both be finite and positive; in_chart and
+    # _chart share the rule, and asking about any finite point warns of nothing
+    above = math.nextafter(_U_MAX, math.inf)
+    assert _U_MAX * _U_MAX < math.inf and above * above == math.inf
+    for sf, w in (
+        (projective(2), [1e100, 0.0]),  # u finite, u*u overflows
+        (projective(2), [1e200, 0.0]),  # |w|^2 overflows: u = inf
+        (projective(2, 1), [1e200, 1e200]),  # inf - inf: u = nan
+        (ball(2, 0), [1e200j, 0.0]),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not in_chart(sf, w)
+        # on the way to the DomainError, numpy may warn that |w|^2 overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match="outside the"):
+                chart_point(sf, w)
+            with pytest.raises(DomainError, match="at stack index 1"):
+                metric(sf, [[0.0, 0.0], w])
+    assert in_chart(projective(2), [1e76, 0.0])
+    assert np.isfinite(metric(projective(2), [1e76, 0.0])).all()
+
+
 def test_flat_chart_holds_huge_finite_points():
     z = [1e200, -1e200j]
     assert in_chart(euclidean(2, 1), z)
@@ -136,7 +175,7 @@ def test_metric_hermitian_and_definite():
 def test_metric_center_signature_indefinite():
     for make in ALL_KINDS:
         sf = make(3, 1)
-        assert signature(metric(sf, np.zeros(3))) == (2, 0, 1)
+        assert sign_counts(hermitian_eigen(metric(sf, np.zeros(3)))[0]) == (2, 0, 1)
 
 
 def test_metric_dz_matches_finite_differences():
@@ -239,7 +278,7 @@ def test_wedge_curvature_is_minor_hessian_at_center():
             eta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
             def minor(zz):
-                return minor_det(metric(sf, zz), I, J)
+                return _minor(metric(sf, zz), I, J)
 
             fd = fd_directional_hessian(minor, np.zeros(n), eta)
             got = _wedge_pairing(sf, np.zeros(n), eta, I, J)
@@ -255,7 +294,7 @@ def test_wedge_curvature_matches_log_norm_hessian_on_diagonal():
         eta = np.array([1.0, 0.5j])
 
         def log_norm(zz):
-            return float(np.log(abs(minor_det(metric(sf, zz), I, I))))
+            return float(np.log(abs(_minor(metric(sf, zz), I, I))))
 
         fd = fd_directional_hessian(log_norm, np.zeros(n), eta)
         got = _wedge_pairing(sf, np.zeros(n), eta, I, I)
@@ -271,6 +310,13 @@ def test_wedge_curvature_block_index_validation():
         wedge_curvature_block(sf, np.zeros(2), (2, 1), (1, 2))
     with pytest.raises(IndexError):
         wedge_curvature_block(sf, np.zeros(2), (1,), (1, 2))
+    # below the range, past it in J, and repeated indices
+    with pytest.raises(IndexError):
+        wedge_curvature_block(sf, np.zeros(2), (0, 1), (1, 2))
+    with pytest.raises(IndexError):
+        wedge_curvature_block(sf, np.zeros(2), (1, 2), (1, 3))
+    with pytest.raises(IndexError):
+        wedge_curvature_block(sf, np.zeros(2), (1, 1), (1, 2))
 
 
 def test_projective_slice_minor_determinant():
@@ -279,7 +325,7 @@ def test_projective_slice_minor_determinant():
         for zeta in (0.3, 0.5 - 0.2j):
             w = np.array([zeta, 0.0, 0.0])
             g = metric(sf, w)
-            topdet = minor_det(g, tuple(range(1, p + 1)), tuple(range(1, p + 1)))
+            topdet = cofactor_det(g[:p, :p])
             expect = (1.0 + abs(zeta) ** 2) ** (-(p + 1))
             assert abs(topdet - expect) < 1e-12
 
@@ -289,7 +335,7 @@ def test_ball_slice_minor_determinant():
         sf = ball(3)
         w = np.array([0.5, 0.0, 0.0])
         g = metric(sf, w)
-        topdet = minor_det(g, tuple(range(1, p + 1)), tuple(range(1, p + 1)))
+        topdet = cofactor_det(g[:p, :p])
         expect = (1.0 - 0.25) ** (-(p + 1))
         assert abs(topdet - expect) < 1e-12
         if p == 2:

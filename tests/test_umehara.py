@@ -183,7 +183,7 @@ def test_slice_series_match_closed_forms():
 
 
 def test_slice_series_match_metric_minors():
-    # entries[0, 0] is the (1..p) minor of the wedge power along (zeta, 0, ..., 0)
+    # entry [0, 0] of the wedge power along (zeta, 0, ..., 0) is its (1..p) minor
     rng = np.random.default_rng(5)
     for p in (1, 2):
         bs = ball_slice(p, 30)
@@ -191,8 +191,8 @@ def test_slice_series_match_metric_minors():
         for _ in range(10):
             zeta = rng.uniform(0.05, 0.5) * np.exp(2j * np.pi * rng.uniform())
             w = np.array([zeta, 0.0, 0.0])
-            minor_b = wedge_power_coeffs(metric(ball(3), w), p).entries[0, 0]
-            minor_p = wedge_power_coeffs(metric(projective(3), w), p).entries[0, 0]
+            minor_b = wedge_power_coeffs(metric(ball(3), w), p)[0, 0]
+            minor_p = wedge_power_coeffs(metric(projective(3), w), p)[0, 0]
             assert abs(series_eval(bs, zeta) - minor_b) < 1e-10
             assert abs(series_eval(ps, zeta) - minor_p) < 1e-10
 
