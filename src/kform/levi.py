@@ -18,20 +18,30 @@ W is the plain Hermitian array ``wedge_power_coeffs(g, p)``, and a fiber
 p-vector xi is a plain array over ``index_basis(n, p)``.  Levi forms are
 evaluated at the chart center after moving the bundle point there by a
 metric automorphism, because the closed-form Hessian blocks need vanishing
-first metric derivatives.  Eigenvalues are reported relative to the metric
-that S_r induces on its holomorphic tangent space, so the spectrum does not
-depend on the tangent basis or on the centering frame.  The tests check
-this analytic route against a finite-difference Levi form of rho_r taken at
-any chart point (``tests/oracles.py``).
+first metric derivatives.  At the center of a definite form g = I, and the
+base-base Hessian block of rho is
+
+    -c (p |xi|^2 I + conj(V) V^T),   V = S @ xi,
+
+with c the curvature sign and S[k, K, I] = (-1)^(position of k in I) when
+I = K with k inserted, else 0, so that row k of V is the contraction
+e_k _| xi.  The probe takes this closed form; ``levi_form`` still sums one
+``wedge_curvature_block`` per (I, J) pair.  Eigenvalues are reported
+relative to the metric that S_r induces on its holomorphic tangent space,
+so the spectrum does not depend on the tangent basis or on the centering
+frame.  The tests check this analytic route against a finite-difference
+Levi form of rho_r taken at any chart point (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, DimensionError, PreconditionError
+from .errors import DegenerateSampleError, DimensionError, DomainError, PreconditionError
 from .expressions import MapExpr, map_jet
 from .linalg import (
     DEFAULT_ZERO_TOL,
@@ -41,9 +51,10 @@ from .linalg import (
     hermitize,
     sign_counts,
 )
-from .ppforms import compound_matrix, index_basis, wedge_power_coeffs
+from .ppforms import _contraction_signs, compound_matrix, index_basis, wedge_power_coeffs
 from .spaceforms import (
     SpaceForm,
+    _chart,
     center_automorphism,
     chart_point,
     metric,
@@ -58,6 +69,7 @@ __all__ = [
     "ProbeResult",
     "rho_gradient",
     "bundle_point",
+    "levi_radius_fits",
     "sample_bundle_points",
     "tangent_basis",
     "levi_form",
@@ -163,18 +175,50 @@ def rho_gradient(sf: SpaceForm, p: int, r: float, z, xi):
 
 
 def bundle_point(sf: SpaceForm, p: int, r: float, z, xi) -> SphereBundlePoint:
-    """Scale xi so that (z, xi) lies exactly on S_r."""
+    """Scale xi so that (z, xi) lies exactly on S_r.
+
+    A point |z| at which ``levi_radius_fits`` fails raises ``DomainError``.
+    """
     if not sf.is_definite:
         raise PreconditionError("sphere bundles are only built over definite metrics")
     if r <= 0:
         raise PreconditionError(f"bundle radius must be positive, got {r}")
-    z = chart_point(sf, z)
+    z, u = _chart(sf, z)
+    if sf.curv > 0 and not _wedge_norm_fits(sf, p, u):
+        raise DomainError(
+            f"chart point with 1 + |w|^2 = {u:.3g} is too far out for the degree-{p} "
+            "wedge norm to keep its precision"
+        )
     w = wedge_power_coeffs(metric(sf, z), p)
     xi = _fiber_vector(xi, len(w))
     norm2 = _quad(w, xi)
-    if norm2 <= _TINY**2:
+    # W's entries shrink like 1/u^p far out in a projective chart, so the
+    # norm is only asked to be positive
+    if not norm2 > 0:
         raise DegenerateSampleError("zero fiber vector")
     return SphereBundlePoint(base=z, fiber=xi * np.sqrt(r / norm2), p=p, r=float(r))
+
+
+def levi_radius_fits(sf: SpaceForm, p: int, radius: float) -> bool:
+    """Whether Levi forms of degree p at the chart points |w| < radius keep their precision.
+
+    Only a projective chart loses it, far out: with u = 1 + radius^2 the
+    metric there has eigenvalues 1/u and 1/u^2.  At top degree every
+    p-vector meets the 1/u^2 direction, and the one wedge coefficient det g,
+    about u^-(n+1), comes from entries near 1/u with a relative rounding
+    error near u * eps, which must stay within ``DEFAULT_ZERO_TOL`` (radius
+    up to about 2.1e3).  Below top degree the coefficients near u^-p must
+    stay normal floats.  ``bundle_point`` applies it at |z|, and
+    ``scenarios.parse_scenario`` to a levi scenario's sampling radius.
+    """
+    return sf.curv <= 0 or _wedge_norm_fits(sf, p, 1.0 + radius * radius)
+
+
+def _wedge_norm_fits(sf: SpaceForm, p: int, u: float) -> bool:
+    """``levi_radius_fits`` on projective space, given u = 1 + radius^2."""
+    if p == sf.dim:
+        return u * sys.float_info.epsilon <= DEFAULT_ZERO_TOL
+    return p * math.log(u) <= -math.log(sys.float_info.min)
 
 
 def sample_bundle_points(
@@ -236,7 +280,12 @@ def _report_from_form(h: np.ndarray, g: np.ndarray, cols: np.ndarray, tol: float
 
 
 def _wedge_hessian_block(sf: SpaceForm, z, p: int, xi: np.ndarray) -> np.ndarray:
-    """sum_{I,J} B_IJ xi_I conj(xi_J): the base-base Hessian block of rho at the center."""
+    """sum_{I,J} B_IJ xi_I conj(xi_J): the base-base Hessian block of rho at the center.
+
+    One ``wedge_curvature_block`` per (I, J) pair.  Only ``levi_form`` still
+    takes it, until the benchmark times levi passes shorter than its 0.2 s
+    reference interval; then ``levi_form`` moves to ``_center_block`` too.
+    """
     basis = index_basis(sf.dim, p)
     out = np.zeros((sf.dim, sf.dim), dtype=np.complex128)
     for a, I in enumerate(basis):
@@ -246,6 +295,22 @@ def _wedge_hessian_block(sf: SpaceForm, z, p: int, xi: np.ndarray) -> np.ndarray
                 continue
             out += coeff * wedge_curvature_block(sf, z, I, J)
     return hermitize(out)
+
+
+def _center_block(sf: SpaceForm, p: int, xi: np.ndarray) -> np.ndarray:
+    """The base-base Hessian block of rho at the center of a definite form, in closed form.
+
+    There g = I, and the block sum of ``_wedge_hessian_block`` is
+
+        -c (p |xi|^2 I + conj(V) V^T),   V = S @ xi,
+
+    with c = ``sf.curv`` and S the signed contractions of
+    ``ppforms._contraction_signs``: row k of V is e_k _| xi.  Flat forms get
+    the exact zero block.
+    """
+    v = _contraction_signs(sf.dim, p) @ xi
+    block = p * np.vdot(xi, xi).real * np.eye(sf.dim) + np.conj(v) @ v.T
+    return hermitize(-sf.curv * block)
 
 
 def levi_form(
@@ -296,13 +361,15 @@ def obstruction_probe(
     """Compare horizontal Levi signs of the unit sphere bundles along F.
 
     Both bundle points are moved to their chart centers by automorphisms psi
-    and chi, and the base-base Hessian block of rho_1 is evaluated on the
-    dominant singular direction eta of jg = dchi J_F(w) dpsi^{-1}, the chain
-    rule differential of chi o F o psi^{-1} at the center: lhs on the source
-    side, rhs on the target side along the pushed vector.  When the top
-    singular value is repeated (relative gap at most 1e-10), eta is the unit
-    vector of its eigenspace that minimizes the source block, so the probe
-    does not depend on the basis the eigen-solver returns.  The target must
+    and chi.  There the base-base Hessian block of rho_1 is, in closed form,
+    -c (p |xi|^2 I + conj(V) V^T) with V = S @ xi (module docstring), and it
+    is evaluated on the dominant singular direction eta of
+    jg = dchi J_F(w) dpsi^{-1}, the chain rule differential of
+    chi o F o psi^{-1} at the center: lhs on the source side, rhs on the
+    target side along the pushed vector.  When the top singular value is
+    repeated (relative gap at most 1e-10), eta is the unit vector of its
+    eigenspace that minimizes the source block, so the probe does not
+    depend on the basis the eigen-solver returns.  The target must
     be a ball, whose Levi form is positive definite, so the horizontal block
     alone is a sound lower bound for rhs.
     The source kind is unrestricted; over a ball the probe simply reports
@@ -323,10 +390,9 @@ def obstruction_probe(
     pt = bundle_point(src, p, 1.0, w, xi)
     dpsi = center_automorphism(src, w)
     jg = dchi @ jf @ np.linalg.inv(dpsi)
-    center_src = np.zeros(src.dim, dtype=np.complex128)
     xi0 = compound_matrix(dpsi, p) @ pt.fiber
 
-    z_src = _wedge_hessian_block(src, center_src, p, xi0)
+    z_src = _center_block(src, p, xi0)
     sing, vecs = hermitian_eigen(hermitize(jg.conj().T @ jg))
     top = vecs[:, sing >= sing[-1] - _TOP_GAP * abs(sing[-1])]
     # _quad(z_src, top @ c) is d^H B d for d = conj(c), with B as below
@@ -339,9 +405,8 @@ def obstruction_probe(
     if float(sing[-1]) <= _TINY**2 or float(np.linalg.norm(pushed_xi)) <= _TINY:
         return ProbeResult(lhs=lhs, rhs=0.0, conflict=False, inconclusive=True)
 
-    center_tgt = np.zeros(tgt.dim, dtype=np.complex128)
-    tgt_pt = bundle_point(tgt, p, 1.0, center_tgt, pushed_xi)
-    z_tgt = _wedge_hessian_block(tgt, center_tgt, p, tgt_pt.fiber)
+    tgt_pt = bundle_point(tgt, p, 1.0, np.zeros(tgt.dim), pushed_xi)
+    z_tgt = _center_block(tgt, p, tgt_pt.fiber)
     rhs = _quad(z_tgt, pushed_eta)
     conflict = lhs <= _PROBE_TOL and rhs > _PROBE_TOL
     return ProbeResult(lhs=lhs, rhs=rhs, conflict=bool(conflict), inconclusive=False)

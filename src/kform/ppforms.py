@@ -12,6 +12,7 @@ p-tuples; it is positive definite for definite space forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -67,6 +68,24 @@ def _index_basis(n: int, p: int) -> tuple:
 def _offsets(basis: tuple) -> np.ndarray:
     """A basis as a read-only (len, p) array of 0-based indices, built once per basis."""
     out = np.subtract(basis, 1)
+    out.flags.writeable = False
+    return out
+
+
+@cache
+def _contraction_signs(n: int, p: int) -> np.ndarray:
+    """The signed contractions S, a read-only (n, C(n, p-1), C(n, p)) array built once per (n, p).
+
+    S[k, K, I] is (-1)^s when I = K with k inserted at 0-based position s,
+    and 0 otherwise, over ``index_basis(n, p - 1)`` (just the empty tuple at
+    p = 1) and ``index_basis(n, p)``; so ``(S @ xi)[k]`` is the (p-1)-vector
+    e_k _| xi, the contraction of the p-vector xi with the k-th coordinate.
+    """
+    rows = {K: a for a, K in enumerate(_index_basis(n, p - 1))}
+    out = np.zeros((n, len(rows), math.comb(n, p)))
+    for b, I in enumerate(_index_basis(n, p)):
+        for s, k in enumerate(I):
+            out[k - 1, rows[I[:s] + I[s + 1 :]], b] = (-1) ** s
     out.flags.writeable = False
     return out
 

@@ -18,11 +18,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateSampleError, PreconditionError
+from .errors import DegenerateSampleError, DomainError, PreconditionError
 from .expressions import MapExpr, map_jet
 from .linalg import det, generalized_eigenvalues
 from .ppforms import _pooled_ratio, pullback_pp, wedge_power_coeffs
-from .spaceforms import SpaceForm, metric, ricci
+from .spaceforms import SpaceForm, in_chart, metric, ricci
 
 __all__ = [
     "EigenProfile",
@@ -140,7 +140,9 @@ def ricci_pullback_check(
 
     Equidimensional only (src.dim must equal tgt.dim).  Samples where the
     Jacobian is numerically singular are skipped with a warning; the verdict
-    covers the remaining points.  Returns (passed, max_residual, n_skipped).
+    covers the remaining points.  A map image outside the target chart
+    raises ``DomainError``, as in ``pullback_pp``.  Returns (passed,
+    max_residual, n_skipped).
     """
     if src.dim != tgt.dim:
         raise PreconditionError(
@@ -157,6 +159,8 @@ def ricci_pullback_check(
             warnings.warn(f"singular Jacobian at sample {k}; point skipped")
             skipped += 1
             continue
+        if not in_chart(tgt, fw):
+            raise DomainError("map image lies outside the target chart domain")
         pulled = jf.T @ ricci(tgt, fw) @ np.conj(jf)
         resid = float(np.abs(pulled - ricci(src, w)).max())
         worst = max(worst, resid)

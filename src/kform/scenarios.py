@@ -29,9 +29,11 @@ Scenario schema (all keys lowercase unless noted):
 definite; the relatives source is the maps' flat coordinate domain, so its
 kind must be euclidean.  A sampling radius above 1 is rejected where the
 ball of that radius can leave the source chart, and on a curved source
-wherever the chart factor 1 + radius^2 overflows when squared.  Report
-checks are sorted by name and overall is the conjunction of the per-check
-verdicts.
+wherever the chart factor 1 + radius^2 overflows when squared; levi mode
+also rejects a radius at which the wedge metric loses its precision
+(``levi.levi_radius_fits``: past about 2.1e3 on projective space at top
+degree).  Report checks are sorted by name and overall is the conjunction
+of the per-check verdicts.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 
 from .errors import KformError, ScenarioError
 from .expressions import MapExpr, parse_map
-from .levi import levi_signatures
+from .levi import levi_radius_fits, levi_signatures
 from .ppforms import DEFAULT_TOL, proportionality_test, relatives_test
 from .rigidity import (
     conclude_isometry_factor,
@@ -377,6 +379,11 @@ def parse_scenario(data) -> Scenario:
         raise ScenarioError(
             f"sampling.radius {radius} is too large for a {source.kind} source: "
             "the chart factor 1 + radius^2 overflows when squared"
+        )
+    if mode == "levi" and radius is not None and not levi_radius_fits(source, p, radius):
+        raise ScenarioError(
+            f"sampling.radius {radius} is too large for levi mode at p={p} on a {source.kind} "
+            "source: the wedge metric there is not representable to the Levi zero tolerance"
         )
 
     return Scenario(

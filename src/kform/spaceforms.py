@@ -270,6 +270,14 @@ def wedge_curvature_block(sf: SpaceForm, w, I, J) -> np.ndarray:
     the bisectional curvature is
 
         R(eta, etabar, v, vbar) = -sum_{i,j} v_i conj(v_j) eta^T B_(i),(j) conj(eta).
+
+    At the center of a definite form, where g = I, the blocks summed against
+    a p-vector xi are
+
+        sum_{I,J} xi_I conj(xi_J) B_IJ = -c (p |xi|^2 I + conj(V) V^T)
+
+    with V[k] = e_k _| xi, the contraction of xi with the k-th coordinate;
+    ``levi.obstruction_probe`` takes this closed form.
     """
     g = metric(sf, w)
     i0 = _validated_index(I, sf.dim, "I")

@@ -21,7 +21,7 @@ from kform.levi import (
     sample_bundle_points,
     tangent_basis,
 )
-from kform.ppforms import index_basis, wedge_power_coeffs
+from kform.ppforms import _contraction_signs, index_basis, wedge_power_coeffs
 from kform.spaceforms import (
     ball,
     euclidean,
@@ -105,6 +105,12 @@ def test_bundle_point_normalizes_onto_level_set():
         bundle_point(ball(2), 1, -1.0, [0, 0], [1, 0])
     with pytest.raises(DegenerateSampleError):
         bundle_point(ball(2), 1, 1.0, [0, 0], [0, 0])
+    # far out in a projective chart: below top degree the norm holds, at top
+    # degree the point is refused instead of losing the norm's precision
+    pt = bundle_point(projective(2), 1, 1.0, [1e40, 2e40j], [1.0, 0.5])
+    assert np.isfinite(pt.fiber).all() and np.abs(pt.fiber).max() > 0
+    with pytest.raises(DomainError, match="too far out for the degree-2 wedge norm"):
+        bundle_point(projective(2), 2, 1.0, [1e13, 0], [1.0])
 
 
 def test_sample_bundle_points_deterministic():
@@ -303,6 +309,65 @@ def test_levi_spectra_ignore_the_centering_frame(monkeypatch):
                 assert close(res.lhs, base.lhs) and close(res.rhs, base.rhs), f"{src} p={p}"
 
 
+def test_center_block_is_the_block_sum_in_closed_form():
+    # -c (p |xi|^2 I + conj(V) V^T), V = S @ xi, against the sum of one
+    # wedge_curvature_block per (I, J) pair; flat forms give exact zeros
+    rng = np.random.default_rng(31)
+    cases = [(n, p) for n in range(1, 7) for p in range(1, n + 1)]
+    cases += [(n, p) for n in (7, 8) for p in (1, 2, n)]
+    for n, p in cases:
+        xi = _random_fiber(rng, euclidean(n), p)
+        for sf in (ball(n), projective(n)):
+            block = kform.levi._center_block(sf, p, xi)
+            route = kform.levi._wedge_hessian_block(sf, np.zeros(n), p, xi)
+            assert np.abs(block - route).max() <= 1e-14 * np.abs(route).max(), f"{sf} p={p}"
+        assert not kform.levi._center_block(euclidean(n), p, xi).any()
+        signs = _contraction_signs(n, p)
+        assert signs is _contraction_signs(n, p) and not signs.flags.writeable
+
+
+def _random_map(rng, m, scale):
+    # m variables, m + 1 components: a complex linear part, a quadratic term
+    # and a pole at z1 = -3
+    comps = []
+    for _ in range(m + 1):
+        a = (scale * rng.standard_normal((m + 2, 2))).tolist()
+        linear = "+".join(f"(({re!r})+({im!r})*i)*z{k + 1}" for k, (re, im) in enumerate(a[:m]))
+        comps.append(f"{linear}+({a[m][0]!r})*z1*z{m}+({a[m + 1][0]!r})/(3+z1)")
+    return parse_map(comps, m)
+
+
+def _probe_set(rng):
+    # B^m, P^m and C^m into B^{m+1}, m <= 3, every p, eight probes each
+    for make in (ball, projective, euclidean):
+        for m in (1, 2, 3):
+            src, tgt = make(m), ball(m + 1)
+            for p in range(1, m + 1):
+                for _ in range(8):
+                    F = _random_map(rng, m, 0.2)
+                    w = sample_chart_points(src, 1, seed=int(rng.integers(1 << 30)), radius=0.5)[0]
+                    yield src, tgt, F, p, w, _random_fiber(rng, src, p)
+
+
+def test_probe_closed_form_matches_the_block_sum_route(monkeypatch):
+    real = kform.levi._center_block
+
+    def block_sum(sf, p, xi):
+        return kform.levi._wedge_hessian_block(sf, np.zeros(sf.dim), p, xi)
+
+    conflicts = 0
+    for src, tgt, F, p, w, xi in _probe_set(np.random.default_rng(29)):
+        monkeypatch.setattr(kform.levi, "_center_block", block_sum)
+        route = obstruction_probe(src, tgt, F, p, w, xi)
+        monkeypatch.setattr(kform.levi, "_center_block", real)
+        res = obstruction_probe(src, tgt, F, p, w, xi)
+        assert (res.conflict, res.inconclusive) == (route.conflict, route.inconclusive)
+        assert abs(res.lhs - route.lhs) <= 1e-12 * abs(route.lhs), f"{src} p={p}"
+        assert abs(res.rhs - route.rhs) <= 1e-12 * abs(route.rhs), f"{src} p={p}"
+        conflicts += res.conflict
+    assert 0 < conflicts < 144
+
+
 def test_probe_flat_source_into_ball_conflicts():
     F = parse_map(["0.2*z1", "0.2*z2", "0.1"], 2)
     rng = np.random.default_rng(10)
@@ -381,12 +446,7 @@ def test_probe_differential_is_the_chain_rule(monkeypatch):
     for make in (ball, projective, euclidean):
         for m in (1, 2, 3):
             src, tgt = make(m), ball(m + 1)
-            comps = []
-            for _ in range(m + 1):
-                a = (0.15 * rng.standard_normal((m + 2, 2))).tolist()
-                linear = "+".join(f"(({re!r})+({im!r})*i)*z{k + 1}" for k, (re, im) in enumerate(a[:m]))
-                comps.append(f"{linear}+({a[m][0]!r})*z1*z{m}+({a[m + 1][0]!r})/(3+z1)")
-            F = parse_map(comps, m)
+            F = _random_map(rng, m, 0.15)
             w = 0.5 * rng.uniform() * _random_fiber(rng, euclidean(m), 1) / np.sqrt(2 * m)
             pushed.clear()
             obstruction_probe(src, tgt, F, 1, w, _random_fiber(rng, src, 1))

@@ -1,4 +1,5 @@
 import sys
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import kform.rigidity as rigidity
-from kform.errors import DefinitenessError, DegenerateSampleError, PreconditionError
+from kform.errors import DefinitenessError, DegenerateSampleError, DomainError, PreconditionError
 from kform.expressions import parse_map
 from kform.linalg import generalized_eigenvalues
 from kform.ppforms import _pooled_ratio, proportionality_test, pullback_pp, wedge_power_coeffs
@@ -228,6 +229,12 @@ def test_ricci_check_requires_equal_dimensions():
     F = parse_map(["z1", "z2", "0"], 2)
     with pytest.raises(PreconditionError):
         ricci_pullback_check(F, euclidean(2), euclidean(3), [[0.1, 0.2]])
+    # an image whose |F(w)|^2 overflows is named as such, with no numpy warning first
+    far = parse_map(["1e200*z1"], 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="map image lies outside the target chart domain"):
+            ricci_pullback_check(far, ball(1), projective(1), [[0.5]])
 
 
 def test_profile_pulls_back_once_per_point_at_p1(monkeypatch):

@@ -60,6 +60,22 @@ def test_top_degree_scenario_shows_companion_failure():
     assert report.overall == "FAIL"
 
 
+def test_levi_scenario_far_out_in_the_projective_chart():
+    # below top degree the wedge metric holds its precision to the chart's
+    # largest radius; at top degree up to about 2.1e3
+    for p, radius, signature in ((1, 1e13, (2, 0, 1)), (1, 1e40, (2, 0, 1)), (2, 1e3, (2, 0, 0))):
+        scenario = {
+            "mode": "levi",
+            "source": {"kind": "projective", "dim": 2},
+            "p": p,
+            "sampling": {"count": 10, "seed": 3, "radius": radius},
+            "expect": {"signature": list(signature)},
+        }
+        (rec,) = run_scenario(scenario).checks
+        assert rec.verdict == "PASS", (p, radius)
+        assert tuple(rec.signature) == signature
+
+
 def test_levi_scenario_projective_top_degree():
     scenario = {
         "mode": "levi",
@@ -357,6 +373,9 @@ def test_cli_malformed_scenario_fields_exit_two(tmp_path, capsys):
         (dict(_projective_identity(), sampling={"radius": 1e100}), "sampling.radius"),
         (dict(_projective_identity(), sampling={"radius": 1e200}), "sampling.radius"),
         (dict(mode="levi", source={"kind": "projective", "dim": 2}, p=1, sampling={"radius": 1e100}), "sampling.radius"),
+        # at top degree the wedge metric's one coefficient loses its precision far out
+        (dict(mode="levi", source={"kind": "projective", "dim": 2}, p=2, sampling={"radius": 1e13}), "sampling.radius 10000000000000.0 is too large for levi mode at p=2"),
+        (dict(mode="levi", source={"kind": "projective", "dim": 2}, p=2, sampling={"radius": 1e40}), "sampling.radius 1e+40 is too large for levi mode at p=2"),
         (dict(_projective_identity(), source={"kind": "euclidean", "dim": 2}, sampling={"radius": 1e200}), "outside the target chart"),
         # numpy overflows in a map's jet are errors of the run, not warnings
         (dict(_identity_flat(), map=["z1^2", "z2"], sampling={"count": 2, "radius": 1e200}), "expression overflows"),
