@@ -40,7 +40,7 @@ class SingularEvaluationError(KformError, ArithmeticError):
 
 
 class EvaluationLimitError(KformError, ArithmeticError):
-    """An expression nests too deeply to evaluate, or a value overflows."""
+    """A map's value, or a series coefficient, overflows."""
 
 
 class DegenerateSampleError(KformError, ValueError):

@@ -1,16 +1,21 @@
-"""Holomorphic maps as expression trees, read by one fold.
+"""Holomorphic maps as straight-line programs, read by one loop.
 
-Maps are kept as small ASTs rather than closures so scenario files can carry
-them as strings.  Every reading of a tree is :func:`fold`: leaves become
-values of an algebra, combined bottom-up by the values' own ``+ - *``,
-negation and integer powers, and by a quotient passed in.  The algebras are
-complex scalars (:func:`evaluate_map`), first-order jets (:class:`Jet1`, exact
-value and holomorphic gradient -- every formula in scope needs F and its
-Jacobian only), truncated Taylor arrays on a slice (``kform.umehara``), and
-expression nodes themselves, which makes :func:`compose` a substitution fold.
-The scalar and jet quotient raises :class:`SingularEvaluationError` at a pole.
+Maps are kept as data rather than closures so scenario files can carry them
+as strings.  :func:`parse_map` emits every component of a map into one
+shared program: a list of instructions ``(op, a, b)`` whose operands are the
+positions of earlier instructions, each distinct instruction stored once, so
+a subexpression that several components (or one component several times)
+contain is computed once.  Every reading of a map is :func:`fold`, one pass
+over the program: constants and variables become values of an algebra,
+combined by the values' own ``+ - *``, negation and integer powers, and by
+a quotient passed in.  The algebras are complex scalars
+(:func:`evaluate_map`), first-order jets (:class:`Jet1`, exact value and
+holomorphic gradient -- every formula in scope needs F and its Jacobian
+only) and truncated Taylor arrays on a slice (``kform.umehara``);
+:func:`compose` splices one program under another.  The scalar and jet
+quotient raises :class:`SingularEvaluationError` at a pole.
 
-Grammar accepted by :func:`parse_expr`::
+Grammar of one component, as read by :func:`parse_map`::
 
     expr   := ('+'|'-')? term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
@@ -27,6 +32,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,16 +44,9 @@ from .errors import (
 )
 
 __all__ = [
-    "Expr",
-    "Const",
-    "Var",
-    "Neg",
-    "BinOp",
-    "Pow",
     "Jet1",
     "MapExpr",
     "fold",
-    "parse_expr",
     "parse_map",
     "evaluate_map",
     "map_jet",
@@ -58,131 +57,73 @@ __all__ = [
 # |denominator| below this is treated as a division by zero at the point
 _DIV_TOL = 1e-15
 
-_set = object.__setattr__
 
+class _Program(dict):
+    """Instructions ``(op, a, b)`` mapped to their positions, in the order
+    they were first emitted.
 
-class Expr:
-    """Base node of a holomorphic expression tree.  Immutable after build.
-
-    ``top`` is the largest variable index the tree references (0 if none).
+    ``("const", value, None)`` and ``("var", k, None)`` (k 0-based) are the
+    leaves; ``("neg", a, None)`` and ``("^", a, n)`` take the one operand a;
+    ``("+" | "-" | "*" | "/", a, b)`` take two.  Operands are positions of
+    earlier instructions.  A constant is keyed by its value: the grammar
+    yields only finite literals with non-negative parts, so equal values have
+    equal bits.
     """
 
-    __slots__ = ("top",)
+    def emit(self, op: str, a, b=None) -> int:
+        """Position of the instruction, appended if it is new."""
+        return self.setdefault((op, a, b), len(self))
 
-    def __setattr__(self, *_):
-        raise AttributeError("expression nodes are immutable")
+
+@dataclass(frozen=True, eq=False)
+class MapExpr:
+    """Holomorphic map C^arity -> C^len(outputs).
+
+    ``program`` is a tuple of instructions (see ``_Program``) and component i
+    is the value of instruction ``outputs[i]``.
+    """
+
+    program: tuple
+    outputs: tuple
+    arity: int
+    sources: tuple | None = None
+
+    @property
+    def codim(self) -> int:
+        return len(self.outputs)
 
     def __repr__(self):
-        fields = ", ".join(repr(getattr(self, name)) for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __pow__(self, n):
-        return Pow(self, n)
-
-    def __neg__(self):
-        return Neg(self)
+        return f"MapExpr(n={self.codim}, m={self.arity})"
 
 
-def _operator(op: str, reflected: bool):
-    def method(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = Const(other)
-        elif not isinstance(other, Expr):
-            return NotImplemented
-        return BinOp(op, other, self) if reflected else BinOp(op, self, other)
-
-    return method
-
-
-for _op, _name in (("+", "add"), ("-", "sub"), ("*", "mul"), ("/", "truediv")):
-    setattr(Expr, f"__{_name}__", _operator(_op, False))
-    setattr(Expr, f"__r{_name}__", _operator(_op, True))
-_set_top = Expr.top.__set__  # the slot's own setter: cheaper than _set(node, "top", ...)
-
-
-class Const(Expr):
-    __slots__ = ("value",)
-    top = 0
-
-    def __init__(self, value):
-        _set(self, "value", complex(value))
-
-
-class Var(Expr):
-    """Variable reference z_index, 1-based."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        if not isinstance(index, int) or index < 1:
-            raise IndexError(f"variable index must be a positive integer, got {index!r}")
-        _set(self, "index", index)
-        _set_top(self, index)
-
-
-class Neg(Expr):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg: Expr):
-        _set(self, "arg", arg)
-        _set_top(self, arg.top)
-
-
-class BinOp(Expr):
-    __slots__ = ("op", "left", "right")
-
-    def __init__(self, op: str, left: Expr, right: Expr):
-        if op not in ("+", "-", "*", "/"):
-            raise ValueError(f"unknown operator {op!r}")
-        _set(self, "op", op)
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set_top(self, left.top if left.top > right.top else right.top)
-
-
-class Pow(Expr):
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base: Expr, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {exponent!r}")
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)
-        _set_top(self, base.top)
-
-
-def fold(expr: Expr, const, var, div=operator.truediv):
-    """Value of ``expr`` in an algebra, computed bottom-up.
+def fold(f: MapExpr, const, var, div=operator.truediv) -> list:
+    """Values of every component of ``f`` in an algebra, from one pass over its program.
 
     ``const(value)`` and ``var(k)`` give the leaves their values, k being the
-    0-based coordinate of the variable z_(k+1); inner nodes combine them with
-    the values' own ``+ - *``, unary ``-`` and ``** n``, and quotients with
-    ``div(numerator, denominator)``.  A tree deeper than the interpreter's
-    recursion limit, or a value that overflows (as Python reports it, or numpy
-    under ``np.errstate(over="raise")``), raises EvaluationLimitError.
+    0-based coordinate of the variable z_(k+1); the other instructions combine
+    them with the values' own ``+ - *``, unary ``-`` and ``** n``, and
+    quotients with ``div(numerator, denominator)``.  A value that overflows
+    (as Python reports it, or numpy under ``np.errstate(over="raise")``)
+    raises EvaluationLimitError.
     """
     binary = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": div}
-
-    def walk(e):
-        kind = type(e)
-        if kind is BinOp:
-            return binary[e.op](walk(e.left), walk(e.right))
-        if kind is Var:
-            return var(e.index - 1)
-        if kind is Const:
-            return const(e.value)
-        if kind is Pow:
-            return walk(e.base) ** e.exponent
-        if kind is Neg:
-            return -walk(e.arg)
-        raise TypeError(f"not an expression node: {e!r}")
-
+    values = []
+    push = values.append
     try:
-        return walk(expr)
-    except RecursionError:
-        raise EvaluationLimitError("expression is too deep to evaluate") from None
+        for op, a, b in f.program:
+            if op in binary:
+                push(binary[op](values[a], values[b]))
+            elif op == "var":
+                push(var(a))
+            elif op == "const":
+                push(const(a))
+            elif op == "^":
+                push(values[a] ** b)
+            else:
+                push(-values[a])
     except (OverflowError, FloatingPointError) as exc:
         raise EvaluationLimitError(f"expression overflows: {exc}") from None
+    return [values[i] for i in f.outputs]
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +182,16 @@ def _tokens(src: str):
 
 class _Parser:
     """Recursive descent over a lazy token stream: a token is lexed only when
-    the grammar looks at it, so the first fault reached is the one reported."""
+    the grammar looks at it, so the first fault reached is the one reported.
+    Every rule returns the position of its value's instruction in ``program``."""
 
-    def __init__(self, src: str, arity: int):
-        if not isinstance(arity, int) or arity < 1:
-            raise DimensionError(f"arity must be a positive integer, got {arity!r}")
+    def __init__(self, src: str, arity: int, program: _Program):
+        if not isinstance(src, str):
+            raise ExprSyntaxError(f"expression source must be a string, got {type(src).__name__}")
         self.tokens = _tokens(src)
         self.ahead = None
         self.arity = arity
+        self.emit = program.emit
 
     def peek(self):
         if self.ahead is None:
@@ -260,47 +203,47 @@ class _Parser:
         self.ahead = None
         return tok
 
-    def parse(self) -> Expr:
+    def parse(self) -> int:
         node = self.expr()
         kind, _, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError("unexpected trailing input", position=pos)
         return node
 
-    def chain(self, ops, operand, node: Expr) -> Expr:
+    def chain(self, ops, operand, node: int) -> int:
         """Left-associative ``node (op operand)*`` for the operators ``ops``."""
         while self.peek()[0] in ops:
-            node = BinOp(self.next()[0], node, operand())
+            node = self.emit(self.next()[0], node, operand())
         return node
 
-    def expr(self) -> Expr:
+    def expr(self) -> int:
         sign = self.next()[0] if self.peek()[0] in ("+", "-") else "+"
         node = self.term()
-        return self.chain(("+", "-"), self.term, Neg(node) if sign == "-" else node)
+        return self.chain(("+", "-"), self.term, self.emit("neg", node) if sign == "-" else node)
 
-    def term(self) -> Expr:
+    def term(self) -> int:
         return self.chain(("*", "/"), self.factor, self.factor())
 
-    def factor(self) -> Expr:
+    def factor(self) -> int:
         node = self.base()
         if self.peek()[0] == "^":
             self.next()
             kind, value, pos = self.next()
             if kind != "number" or value.imag != 0 or value.real != int(value.real) or value.real < 0:
                 raise ExprSyntaxError("exponent must be a nonnegative integer", position=pos)
-            node = Pow(node, int(value.real))
+            node = self.emit("^", node, int(value.real))
         return node
 
-    def base(self) -> Expr:
+    def base(self) -> int:
         kind, value, pos = self.next()
         if kind == "number":
-            return Const(value)
+            return self.emit("const", value)
         if kind == "var":
             if value < 1 or value > self.arity:
                 raise IndexError(
                     f"variable z{value} out of range for arity {self.arity} (position {pos})"
                 )
-            return Var(value)
+            return self.emit("var", value - 1)
         if kind == "(":
             node = self.expr()
             kind, _, pos = self.next()
@@ -310,66 +253,38 @@ class _Parser:
         raise ExprSyntaxError("expected a number, variable, or '('", position=pos)
 
 
-def parse_expr(src: str, arity: int) -> Expr:
-    """Parse one component expression with variables z1..z<arity>."""
-    if not isinstance(src, str):
-        raise ExprSyntaxError(f"expression source must be a string, got {type(src).__name__}")
+def parse_map(sources, arity: int) -> MapExpr:
+    """Parse component strings with variables z1..z<arity> into one MapExpr."""
+    if not isinstance(arity, int) or arity < 1:
+        raise DimensionError(f"arity must be a positive integer, got {arity!r}")
+    sources = tuple(sources)
+    if not sources:
+        raise DimensionError("a map needs at least one component")
+    program = _Program()
     try:
-        return _Parser(src, arity).parse()
+        outputs = tuple(_Parser(src, arity, program).parse() for src in sources)
     except RecursionError:
         raise ExprSyntaxError("expression nests too deeply") from None
-
-
-# ---------------------------------------------------------------------------
-# maps
-
-
-class MapExpr:
-    """Holomorphic map C^arity -> C^len(components) as expression trees."""
-
-    __slots__ = ("components", "arity", "sources")
-
-    def __init__(self, components, arity: int, sources=None):
-        components = tuple(components)
-        if not isinstance(arity, int) or arity < 1:
-            raise DimensionError(f"arity must be a positive integer, got {arity!r}")
-        if not components:
-            raise DimensionError("a map needs at least one component")
-        for c in components:
-            if not isinstance(c, Expr):
-                raise TypeError(f"component is not an expression: {c!r}")
-            if c.top > arity:
-                raise IndexError(f"component references z{c.top} but arity is {arity}")
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "sources", tuple(sources) if sources is not None else None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("MapExpr is immutable")
-
-    @property
-    def codim(self) -> int:
-        return len(self.components)
-
-    def __repr__(self):
-        return f"MapExpr(n={len(self.components)}, m={self.arity})"
-
-
-def parse_map(sources, arity: int) -> MapExpr:
-    """Parse a list of component strings into a MapExpr."""
-    comps = [parse_expr(s, arity) for s in sources]
-    return MapExpr(comps, arity, sources=sources)
+    return MapExpr(tuple(program), outputs, arity, sources)
 
 
 def compose(outer: MapExpr, inner: MapExpr) -> MapExpr:
-    """Expression-level composition ``outer ∘ inner``."""
-    if outer.arity != len(inner.components):
+    """``outer ∘ inner``: the outer program spliced under the inner one, its
+    variable z_(k+1) read as the inner component k."""
+    if outer.arity != inner.codim:
         raise DimensionError(
-            f"cannot compose: outer arity {outer.arity} != inner component count "
-            f"{len(inner.components)}"
+            f"cannot compose: outer arity {outer.arity} != inner component count {inner.codim}"
         )
-    comps = [fold(c, Const, inner.components.__getitem__) for c in outer.components]
-    return MapExpr(comps, inner.arity)
+    program = _Program({ins: i for i, ins in enumerate(inner.program)})
+    at = []
+    for op, a, b in outer.program:
+        if op == "var":
+            at.append(inner.outputs[a])
+        elif op == "const":
+            at.append(program.emit(op, a))
+        else:
+            at.append(program.emit(op, at[a], b if op in ("neg", "^") else at[b]))
+    return MapExpr(tuple(program), tuple(at[i] for i in outer.outputs), inner.arity)
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +349,12 @@ def evaluate_map(f: MapExpr, pt) -> np.ndarray:
     """Values of all components of ``f`` at ``pt``; an overflow raises EvaluationLimitError."""
     z = _point(pt, f.arity)
     with np.errstate(over="raise", invalid="raise"):
-        values = [fold(c, complex, z.__getitem__, _divide) for c in f.components]
+        values = fold(f, complex, z.__getitem__, _divide)
     return np.array(values, dtype=np.complex128)
 
 
 def map_jet(f: MapExpr, pt) -> tuple[np.ndarray, np.ndarray]:
-    """``f(pt)`` and the Jacobian at ``pt``, from one jet pass per component.
+    """``f(pt)`` and the Jacobian at ``pt``, from one jet pass over the program.
 
     A value or derivative that overflows raises EvaluationLimitError.
     """
@@ -448,7 +363,7 @@ def map_jet(f: MapExpr, pt) -> tuple[np.ndarray, np.ndarray]:
     unit = np.eye(z.size, dtype=np.complex128)
     const, var = (lambda c: Jet1(c, zero)), (lambda k: Jet1(z[k], unit[k]))
     with np.errstate(over="raise", invalid="raise"):
-        jets = [fold(c, const, var, _divide) for c in f.components]
+        jets = fold(f, const, var, _divide)
     values = np.array([j.value for j in jets], dtype=np.complex128)
     return values, np.array([j.grad for j in jets], dtype=np.complex128)
 

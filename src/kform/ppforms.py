@@ -128,10 +128,8 @@ def pullback_pp(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, w) -> np.nda
     """
     if F.arity != src.dim:
         raise DimensionError(f"map arity {F.arity} != source dim {src.dim}")
-    if len(F.components) != tgt.dim:
-        raise DimensionError(
-            f"map has {len(F.components)} components, target dim is {tgt.dim}"
-        )
+    if F.codim != tgt.dim:
+        raise DimensionError(f"map has {F.codim} components, target dim is {tgt.dim}")
     z = chart_point(src, w)
     fz, jf = map_jet(F, z)
     if not in_chart(tgt, fz):

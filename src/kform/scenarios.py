@@ -501,8 +501,9 @@ _HANDLERS = {
 def run_scenario(source, seed: int | None = None, samples: int | None = None) -> Report:
     """Run a scenario given as a file path or an already-parsed dict.
 
-    seed and samples override the scenario's sampling block (ignored by
-    suite mode, which is pinned to its own defaults for reproducibility).
+    seed and samples override the scenario's sampling block before it is
+    parsed, so an override is checked like the field it replaces (suite mode
+    then ignores both: it is pinned to its own defaults for reproducibility).
     """
     if isinstance(source, dict):
         data = source
@@ -512,18 +513,12 @@ def run_scenario(source, seed: int | None = None, samples: int | None = None) ->
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
+    overrides = {key: int(v) for key, v in (("seed", seed), ("count", samples)) if v is not None}
+    if overrides and isinstance(data, dict) and isinstance(data.get("sampling", {}), dict):
+        data = dict(data, sampling=dict(data.get("sampling", {}), **overrides))
     sc = parse_scenario(data)
     if sc.mode == "suite":
         from .suite import run_paper_suite
 
         return run_paper_suite()
-    if seed is not None or samples is not None:
-        data = dict(data)
-        sampling = dict(data.get("sampling", {}))
-        if seed is not None:
-            sampling["seed"] = int(seed)
-        if samples is not None:
-            sampling["count"] = int(samples)
-        data["sampling"] = sampling
-        sc = parse_scenario(data)
     return _assemble(sc.echo, run_checks([_HANDLERS[sc.mode](sc)]))

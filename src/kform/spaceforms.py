@@ -127,10 +127,13 @@ def projective(dim: int, sig: int | None = None) -> SpaceForm:
     return SpaceForm("projective", dim, dim if sig is None else sig)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _u(sf: SpaceForm, z: np.ndarray):
     """u = 1 + c |z|_s^2 over the last axis: a float for one point, else an array.
 
-    Exactly 1 on flat forms, even where |z|^2 overflows.
+    Exactly 1 on flat forms, even where |z|^2 overflows.  numpy does not warn
+    of that overflow on curved forms: u comes out inf or NaN, which
+    ``_inside`` rejects.
     """
     if not sf.curv:
         return np.ones(z.shape[:-1]) if z.ndim > 1 else 1.0
@@ -161,8 +164,7 @@ def in_chart(sf: SpaceForm, w) -> bool:
     w = np.asarray(w, dtype=np.complex128).reshape(-1)
     if w.size != sf.dim or not np.isfinite(w).all():
         return False
-    with np.errstate(over="ignore", invalid="ignore"):
-        return bool(_inside(_u(sf, w)))
+    return bool(_inside(_u(sf, w)))
 
 
 def radius_fits(sf: SpaceForm, r: float) -> bool:

@@ -230,10 +230,9 @@ def abs_square(F: MapExpr, n: int) -> BiSeries:
     """||F(zeta, 0, ..., 0)||^2 as a bidegree series to order n."""
     one, zeta = _unit(n + 1), _unit(n + 1, 1)
     c = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    for comp in F.components:
-        # the Taylor coefficients on the slice, where only z1 varies
-        t = fold(comp, lambda v: _Series(v * one), lambda k: _Series(float(k == 0) * zeta)).c
-        c += np.outer(t, np.conj(t))
+    # the Taylor coefficients of every component on the slice, where only z1 varies
+    for t in fold(F, lambda v: _Series(v * one), lambda k: _Series(float(k == 0) * zeta)):
+        c += np.outer(t.c, np.conj(t.c))
     return BiSeries(order=n, coeffs=c)
 
 

@@ -12,76 +12,90 @@ from kform.errors import (
     SingularEvaluationError,
 )
 from kform.expressions import (
-    BinOp,
-    Const,
-    Expr,
-    MapExpr,
-    Pow,
-    Var,
     compose,
     evaluate_map,
+    fold,
     jacobian,
     map_jet,
-    parse_expr,
     parse_map,
 )
+from kform.spaceforms import ball
 from kform.umehara import rank_growth
 
-from oracles import fd_wirtinger_gradient, identity_map, random_ball_point
+from oracles import fd_wirtinger_gradient, identity_map, mobius_map, random_ball_point
 
 
-def _value(expr, pt) -> complex:
+def _one(src, arity: int):
+    """A one-component map parsed from ``src``, or ``src`` if it is a map already."""
+    return parse_map([src], arity) if isinstance(src, str) else src
+
+
+def _value(src, pt) -> complex:
     """One expression's value at a point, as the one component of a map."""
-    return complex(evaluate_map(MapExpr([expr], len(pt)), pt)[0])
+    return complex(evaluate_map(_one(src, len(pt)), pt)[0])
 
 
-def _jet(expr, pt):
+def _jet(src, pt):
     """One expression's value and holomorphic gradient at a point, from ``map_jet``."""
-    values, jac = map_jet(MapExpr([expr], len(pt)), pt)
+    values, jac = map_jet(_one(src, len(pt)), pt)
     return values[0], jac[0]
 
 
+def _top(f):
+    """The instruction that computes a one-component map's value."""
+    return f.program[f.outputs[0]]
+
+
+def _lit(x: float, unit: str = "") -> str:
+    """A float as grammar text: its repr, written (0-x) when negative."""
+    text = repr(abs(x)) + unit
+    return text if x >= 0 else f"(0-{text})"
+
+
+def _const(c: complex) -> str:
+    """A complex constant as grammar text, from the reprs of its parts."""
+    return f"({_lit(c.real)}+{_lit(c.imag, 'i')})"
+
+
 def test_parse_basic_nodes():
-    e = parse_expr("z1*z2", 2)
-    assert isinstance(e, BinOp) and e.op == "*"
-    assert isinstance(e.left, Var) and e.left.index == 1
-    assert isinstance(e.right, Var) and e.right.index == 2
+    f = parse_map(["z1*z2"], 2)
+    assert f.program == (("var", 0, None), ("var", 1, None), ("*", 0, 1))
+    assert f.outputs == (2,)
 
-    e = parse_expr("1/(1-z2)", 2)
-    assert isinstance(e, BinOp) and e.op == "/"
+    assert _top(parse_map(["1/(1-z2)"], 2))[0] == "/"
 
-    e = parse_expr("z1^2", 1)
-    assert isinstance(e, Pow) and e.exponent == 2
+    f = parse_map(["z1^2"], 1)
+    assert f.program == (("var", 0, None), ("^", 0, 2))
+    assert _top(f) == ("^", 0, 2)
 
 
 def test_parse_unicode_minus_and_complex_literals():
-    e = parse_expr("1/(1−z2)", 2)
-    assert _value(e, [0.0, 0.5]) == pytest.approx(2.0)
-    assert _value(parse_expr("2+3i", 1), [0.0]) == pytest.approx(2 + 3j)
-    assert _value(parse_expr("i*z1", 1), [2.0]) == pytest.approx(2j)
-    assert _value(parse_expr("-z1+0.5", 1), [1.0]) == pytest.approx(-0.5)
+    assert _value("1/(1−z2)", [0.0, 0.5]) == pytest.approx(2.0)
+    assert _value("2+3i", [0.0]) == pytest.approx(2 + 3j)
+    assert _value("i*z1", [2.0]) == pytest.approx(2j)
+    assert _value("-z1+0.5", [1.0]) == pytest.approx(-0.5)
 
 
 def test_parse_errors_carry_position():
     with pytest.raises(ExprSyntaxError) as exc:
-        parse_expr("z1*", 1)
+        parse_map(["z1*"], 1)
     assert exc.value.position is not None
     with pytest.raises(ExprSyntaxError):
-        parse_expr("(z1", 1)
+        parse_map(["(z1"], 1)
     with pytest.raises(ExprSyntaxError):
-        parse_expr("z1^(2)", 1)
+        parse_map(["z1^(2)"], 1)
     with pytest.raises(ExprSyntaxError):
-        parse_expr("z1 z2", 2)
+        parse_map(["z1 z2"], 2)
     with pytest.raises(IndexError):
-        parse_expr("z3", 2)
+        parse_map(["z3"], 2)
     with pytest.raises(ExprSyntaxError):
-        parse_expr("z1^-1", 1)
+        parse_map(["z1^-1"], 1)
     # literals that overflow are rejected where they start, as exponents too
     with pytest.raises(ExprSyntaxError) as exc:
-        parse_expr("z1^1e999", 1)
+        parse_map(["z1^1e999"], 1)
     assert exc.value.position == 3
     with pytest.raises(ExprSyntaxError) as exc:
-        parse_expr("1e999", 1)
+        parse_map(["1e999"], 1)
     assert exc.value.position == 0
 
 
@@ -102,30 +116,30 @@ def test_parse_errors_carry_position():
 )
 def test_parse_error_messages_and_positions(src, message, position):
     with pytest.raises(ExprSyntaxError) as exc:
-        parse_expr(src, 1)
+        parse_map([src], 1)
     assert str(exc.value) == f"{message} (position {position})"
     assert exc.value.position == position
 
 
 def test_jet_pinned_examples():
-    value, grad = _jet(Const(3.5), np.zeros(2))
+    value, grad = _jet(_const(3.5), np.zeros(2))
     assert value == 3.5
     np.testing.assert_array_equal(grad, np.zeros(2))
 
-    value, grad = _jet(parse_expr("z1*z2", 2), [2.0, 3.0])
+    value, grad = _jet("z1*z2", [2.0, 3.0])
     assert value == pytest.approx(6.0)
     np.testing.assert_allclose(grad, [3.0, 2.0])
 
-    value, grad = _jet(parse_expr("1/(1-z1)", 1), [0.5])
+    value, grad = _jet("1/(1-z1)", [0.5])
     assert value == pytest.approx(2.0)
     np.testing.assert_allclose(grad, [4.0])
 
 
 def test_jet_singular_division():
     with pytest.raises(SingularEvaluationError):
-        _jet(parse_expr("1/z1", 1), [0.0])
+        _jet("1/z1", [0.0])
     with pytest.raises(SingularEvaluationError):
-        _value(parse_expr("1/(1-z1)", 1), [1.0])
+        _value("1/(1-z1)", [1.0])
 
 
 def test_jacobian_identity_and_example_map():
@@ -143,21 +157,21 @@ def test_jacobian_identity_and_example_map():
 
 
 def _random_expr(rng, arity, depth):
-    """Random expression whose divisions stay bounded away from zero on |z|<=0.5."""
+    """Random expression text whose divisions stay bounded away from zero on |z|<=0.5."""
     roll = rng.uniform()
     if depth == 0 or roll < 0.25:
         if rng.uniform() < 0.5:
-            return Const(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
-        return Var(int(rng.integers(1, arity + 1)))
+            return _const(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+        return f"z{int(rng.integers(1, arity + 1))}"
     if roll < 0.5:
-        return BinOp("+", _random_expr(rng, arity, depth - 1), _random_expr(rng, arity, depth - 1))
+        return f"({_random_expr(rng, arity, depth - 1)}+{_random_expr(rng, arity, depth - 1)})"
     if roll < 0.7:
-        return BinOp("*", _random_expr(rng, arity, depth - 1), _random_expr(rng, arity, depth - 1))
+        return f"({_random_expr(rng, arity, depth - 1)}*{_random_expr(rng, arity, depth - 1)})"
     if roll < 0.85:
-        return Pow(_random_expr(rng, arity, depth - 1), int(rng.integers(0, 4)))
+        return f"({_random_expr(rng, arity, depth - 1)})^{int(rng.integers(0, 4))}"
     # safe quotient: denominator 2 + z_k keeps |den| >= 1.5 on the sample ball
-    den = BinOp("+", Const(2.0), Var(int(rng.integers(1, arity + 1))))
-    return BinOp("/", _random_expr(rng, arity, depth - 1), den)
+    den = f"({_const(2.0)}+z{int(rng.integers(1, arity + 1))})"
+    return f"({_random_expr(rng, arity, depth - 1)}/{den})"
 
 
 def test_gradient_matches_finite_differences():
@@ -165,7 +179,7 @@ def test_gradient_matches_finite_differences():
     checked = 0
     while checked < 500:
         arity = int(rng.integers(1, 4))
-        expr = _random_expr(rng, arity, 3)
+        expr = parse_map([_random_expr(rng, arity, 3)], arity)
         z = random_ball_point(rng, arity, 0.5)
         value, grad = _jet(expr, z)
         if abs(value) > 1e3 or np.abs(grad).max() > 1e3:
@@ -181,12 +195,12 @@ def test_chain_rule_on_composed_polynomial_maps():
     def random_poly_map(m, n):
         comps = []
         for _ in range(n):
-            e = Const(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+            e = _const(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
             for k in range(1, m + 1):
                 c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                e = BinOp("+", e, BinOp("*", Const(c), Pow(Var(k), int(rng.integers(1, 3)))))
+                e = f"({e}+({_const(c)}*z{k}^{int(rng.integers(1, 3))}))"
             comps.append(e)
-        return MapExpr(comps, m)
+        return parse_map(comps, m)
 
     for _ in range(40):
         m = int(rng.integers(1, 4))
@@ -234,13 +248,13 @@ def _outcome(fn, *args):
 
 @settings(max_examples=300, deadline=None)
 @given(_GRAMMAR_TEXT)
-def test_parse_expr_returns_a_tree_or_a_grammar_error(src):
+def test_parse_map_returns_a_program_or_a_grammar_error(src):
     try:
-        expr = parse_expr(src, 2)
+        f = parse_map([src], 2)
     except (ExprSyntaxError, IndexError):
         return
-    assert isinstance(expr, Expr)
-    assert 0 <= expr.top <= 2
+    assert f.codim == 1 and 0 <= f.outputs[0] < len(f.program)
+    assert all(0 <= a < 2 for op, a, _ in f.program if op == "var")
 
 
 # Well-formed expression strings: every draw parses.
@@ -259,25 +273,60 @@ _POINT_COORD = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infi
 @settings(max_examples=300, deadline=None)
 @given(_EXPR_TEXT, _POINT_COORD, _POINT_COORD)
 def test_jet_value_is_the_scalar_value_bitwise(src, z1, z2):
-    expr = parse_expr(src, 2)
+    expr = parse_map([src], 2)
     jet_value = _outcome(lambda: _jet(expr, [z1, z2])[0])
     assert jet_value == _outcome(_value, expr, [z1, z2])
 
 
+def _operands(op, a, b):
+    """The positions an instruction reads."""
+    if op in ("const", "var"):
+        return ()
+    return (a,) if op in ("neg", "^") else (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPR_TEXT, _EXPR_TEXT)
+def test_programs_are_straight_line_and_hash_consed(src, other):
+    f = parse_map([src, other, src], 2)
+    for at, (op, a, b) in enumerate(f.program):
+        assert all(0 <= k < at for k in _operands(op, a, b))
+    assert len(set(f.program)) == len(f.program)
+    # a repeated component is the same instruction, not a second copy
+    assert f.outputs[0] == f.outputs[2] and max(f.outputs) < len(f.program)
+
+
+def test_shared_denominator_is_evaluated_once():
+    # every component of a Mobius map divides by the same 1 + c a^H z
+    phi, _ = mobius_map(ball(3), [0.1, 0.2j, -0.1])
+    assert len({b for op, a, b in phi.program if op == "/"}) == 1
+    z = np.array([0.3, -0.1j, 0.2])
+    quotients = []
+
+    def div(num, den):
+        quotients.append(den)
+        return num / den
+
+    values = fold(phi, complex, z.__getitem__, div)
+    assert len(quotients) == 3 and len({id(den) for den in quotients}) == 1
+    np.testing.assert_array_equal(values, evaluate_map(phi, z))
+
+
 def test_evaluator_limits_raise_kform_errors():
-    deep = parse_expr("+".join(["z1"] * 1200), 1)
-    for run in (_value, _jet):
-        with pytest.raises(EvaluationLimitError, match="too deep"):
-            run(deep, [0.5])
+    # no depth limit: a 10,000-term sum is one loop over its program
+    long = "+".join(["z1"] * 10_000)
+    assert _value(long, [0.5]) == 5000.0
+    value, grad = _jet(long, [0.5])
+    assert value == 5000.0 and grad.tolist() == [10_000.0]
     # Python's overflow of a literal power, and numpy's of a complex128 value or gradient
-    for huge, pt in ((parse_expr("9^999*z1", 1), [0.5]), (parse_expr("z1^2", 1), [1e200])):
+    for huge, pt in ((parse_map(["9^999*z1"], 1), [0.5]), (parse_map(["z1^2"], 1), [1e200])):
         for run in (_value, _jet):
             with pytest.raises(EvaluationLimitError, match="overflows"):
                 run(huge, pt)
     with pytest.raises(ExprSyntaxError, match="nests too deeply"):
-        parse_expr("(" * 600 + "z1" + ")" * 600, 1)
+        parse_map(["(" * 600 + "z1" + ")" * 600], 1)
     # coefficients that overflow the slice series cannot be ranked
     with np.errstate(over="ignore"), pytest.raises(EvaluationLimitError, match="series coefficients overflow"):
         rank_growth("abs_square", {"map": ["1e200*z1+1e200*z1^2"]}, [2, 4, 6])
-    # the limits leave shallower trees evaluable
-    assert _value(parse_expr("+".join(["z1"] * 100), 1), [0.5]) == 50.0
+    # the limits leave shorter sums evaluable
+    assert _value("+".join(["z1"] * 100), [0.5]) == 50.0

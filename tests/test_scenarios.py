@@ -362,7 +362,6 @@ def test_cli_malformed_scenario_fields_exit_two(tmp_path, capsys):
         (dict(_identity_flat(), map=["z1^1e999", "z2"]), "position 3"),
         (dict(_identity_flat(), tolerances={"ricci": None}), "tolerances.ricci"),
         (_umehara({"map": ["z1"]}), "series.params.p"),
-        (dict(_identity_flat(), map=["+".join(["z1"] * 1200), "z2"]), "too deep"),
         (dict(_identity_flat(), map=["(" * 600 + "z1" + ")" * 600, "z2"]), "map: expression nests too deeply"),
         (dict(_identity_flat(), map=["9^999*z1", "z2"]), "overflows"),
         (_umehara({"map": ["1e200*z1+1e200*z1^2"]}, name="abs_square"), "series coefficients overflow"),
@@ -391,6 +390,23 @@ def test_cli_malformed_scenario_fields_exit_two(tmp_path, capsys):
     path.write_text(json.dumps(_identity_flat()))
     assert main(["run", str(path), "--seed", "-5"]) == 2
     assert "sampling.seed must be a non-negative integer, got -5" in capsys.readouterr().err
+    # the overrides are checked in suite mode too, before the battery runs
+    path.write_text(json.dumps({"mode": "suite"}))
+    for flag, value, message in (
+        ("--seed", "-5", "sampling.seed must be a non-negative integer, got -5"),
+        ("--samples", "0", "sampling.count must be a positive integer, got 0"),
+    ):
+        assert main(["run", str(path), flag, value]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_cli_runs_a_10000_term_component(tmp_path, capsys):
+    # the evaluator has no depth limit: a long sum is one pass over its program
+    path = tmp_path / "long.json"
+    long = "+".join(["0.0001*z1"] * 10_000)
+    path.write_text(json.dumps(dict(_identity_flat(), map=[long, "z2"])))
+    assert main(["run", str(path)]) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_cli_overflow_prints_only_the_error(tmp_path):
