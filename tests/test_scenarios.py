@@ -1,9 +1,11 @@
 import json
 import math
+import subprocess
 import time
 
 import pytest
 
+from kform import suite
 from kform.cli import main
 from kform.errors import ScenarioError
 from kform.scenarios import parse_scenario, report_to_json, run_checks, run_scenario
@@ -495,6 +497,12 @@ def test_cli_runs_without_scipy(tmp_path):
     fresh = run_python("import sys, kform.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert fresh.returncode == 0, fresh.stderr
     assert fresh.stdout.strip() == "[]"
+    # the suite's c10 rerun: a whole battery in a fresh interpreter, imported as it imports it
+    argv = suite._rerun_argv()
+    argv[-1] += "\nsys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+    rerun = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert rerun.returncode == 0 and '"overall": "PASS"' in rerun.stdout, rerun.stderr
+    assert rerun.stderr == "[]"
     path = tmp_path / "psi.json"
     path.write_text(json.dumps(_umehara({"p": 1, "map": ["z1"]})))
     blocked = run_python(
