@@ -8,7 +8,6 @@ arguments, dispatches, prints, and serializes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import KformError, ScenarioError
@@ -79,7 +78,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return 2
     except KformError as exc:

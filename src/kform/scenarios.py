@@ -21,9 +21,16 @@ Scenario schema (all keys lowercase unless noted):
       "series": {"name": "psi", "params": {"p": 1, "map": ["z1"]}},  # umehara
       "orders": [2, 4, 6],                 # umehara: at least three
       "sampling": {"count": 50, "seed": 42, "radius": null},  # count <= 10000
-      "tolerances": {"proportionality": 1e-8, ...},  # only keys the mode reads
-      "expect": {"signature": [3, 0, 0], "verdict": "growing", "lambdaHat": 2}
+      "tolerances": {"proportionality": 1e-8, ...},  # positive; only keys the mode reads
+      "expect": {"verdict": "growing"}     # only keys the mode reads, see below
     }
+
+One table, ``_MODES``, holds each mode's row: the parser of its inputs, its
+handler, the tolerances it reads with their defaults, and the ``expect`` keys
+it reads (levi ``signature``, relatives ``lambdaHat``, umehara ``verdict``,
+which it requires).  A ``tolerances`` or ``expect`` key the mode does not
+read is an error, as is a bool where an integer belongs.  Umehara orders must
+ascend strictly and the series name must be a built-in one.
 
 "sig" defaults to dim (definite), and levi, rigidity and relatives need it
 definite; the relatives source is the maps' flat coordinate domain, so its
@@ -32,8 +39,10 @@ ball of that radius can leave the source chart, and on a curved source
 wherever the chart factor 1 + radius^2 overflows when squared; levi mode
 also rejects a radius at which the wedge metric loses its precision
 (``levi.levi_radius_fits``: past about 2.1e3 on projective space at top
-degree).  Report checks are sorted by name and overall is the conjunction
-of the per-check verdicts.
+degree).  Every such error is a ScenarioError, as is a scenario file that
+is not UTF-8 JSON or nests too deeply to decode; the CLI exits 2 on each.
+Report checks are sorted by name and overall is the conjunction of the
+per-check verdicts.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,6 +67,7 @@ from .rigidity import (
     ricci_pullback_check,
 )
 from .spaceforms import SpaceForm, radius_fits, sample_chart_points
+from .umehara import as_map, rank_growth
 
 __all__ = [
     "MODES",
@@ -69,18 +80,9 @@ __all__ = [
     "report_to_json",
 ]
 
-MODES = ("levi", "pullback", "relatives", "rigidity", "suite", "umehara")
-
 DEFAULT_SEED = 42
 DEFAULT_COUNT = 50
 MAX_COUNT = 10_000
-
-# the tolerances each mode reads, with their defaults; any other key is an error
-_TOLERANCES = {
-    "pullback": {"proportionality": DEFAULT_TOL},
-    "rigidity": {"rigidity": 1e-8, "factorSpread": 1e-6, "ricci": 1e-8},
-    "relatives": {"proportionality": DEFAULT_TOL, "lambdaMatch": 1e-8},
-}
 
 
 @dataclass(frozen=True)
@@ -144,233 +146,67 @@ def report_to_json(report: Report) -> str:
 # parsing
 
 
-def _space_from_json(obj, where: str) -> SpaceForm:
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{where} must be an object with kind and dim")
-    kind = obj.get("kind")
-    if kind not in ("euclidean", "ball", "projective"):
-        raise ScenarioError(
-            f"{where}.kind must be one of euclidean, ball, projective; got {kind!r}"
-        )
-    dim = obj.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ScenarioError(f"{where}.dim must be a positive integer, got {dim!r}")
-    sig = obj.get("sig", dim)
-    if not isinstance(sig, int) or isinstance(sig, bool) or not 0 <= sig <= dim:
-        raise ScenarioError(f"{where}.sig must be an integer in [0, dim], got {sig!r}")
-    return SpaceForm(kind, dim, sig)
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{field} must be a JSON object")
+    return value
 
 
-def _space_echo(sf: SpaceForm) -> dict:
-    return {"kind": sf.kind, "dim": sf.dim, "sig": sf.sig}
+def _integer(value, field: str, lo: int, hi: int | None = None) -> int:
+    """``value`` if it is an integer (not a bool) from ``lo``, 0 or 1, up to ``hi``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < lo:
+        kind = "positive" if lo else "non-negative"
+        raise ScenarioError(f"{field} must be a {kind} integer, got {value!r}")
+    if hi is not None and value > hi:
+        raise ScenarioError(f"{field} must be at most {hi}, got {value}")
+    return value
 
 
-def _map_from_json(obj, arity: int, codim: int, where: str) -> MapExpr:
-    if not isinstance(obj, list) or not all(isinstance(c, str) for c in obj):
-        raise ScenarioError(f"{where} must be a list of expression strings")
-    if len(obj) != codim:
-        raise ScenarioError(
-            f"{where} must have exactly {codim} components (the target dimension), got {len(obj)}"
-        )
-    try:
-        return parse_map(obj, arity)
-    except (KformError, IndexError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
-
-
-def _real(value, field: str) -> float:
+def _real(value, field: str, positive: bool = False) -> float:
     try:
         out = float(value)
     except (TypeError, ValueError, OverflowError):
         out = math.nan
     if isinstance(value, bool) or not math.isfinite(out):
         raise ScenarioError(f"{field} must be a finite number, got {value!r}")
+    if positive and not out > 0:
+        raise ScenarioError(f"{field} must be positive, got {value!r}")
     return out
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _reads(data: dict, key: str, mode: str, reads) -> dict:
+    """The object ``data[key]`` (default empty), naming only keys that ``mode`` reads."""
+    obj = _object(data.get(key, {}), key)
+    for name in obj:
+        if name not in reads:
+            listed = ", ".join(reads) or "none"
+            raise ScenarioError(f"{key}.{name} is not read by {mode} mode (it reads: {listed})")
+    return obj
 
 
-def _series_from_json(raw) -> dict:
-    if not isinstance(raw, dict) or not isinstance(raw.get("name"), str):
-        raise ScenarioError("series must be an object with a name and params")
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ScenarioError("series.params must be an object")
-    if raw["name"] in ("ball_slice", "proj_slice", "psi"):
-        p = params.get("p")
-        if not _is_int(p) or p < 0:
-            raise ScenarioError(f"series.params.p must be a nonnegative integer, got {p!r}")
-    if raw["name"] in ("psi", "abs_square"):
-        comps = params.get("map")
-        if not isinstance(comps, list) or not all(isinstance(c, str) for c in comps):
-            raise ScenarioError("series.params.map must be a list of expression strings")
-        from .umehara import as_map
-
-        try:
-            as_map(comps)
-        except (KformError, IndexError) as exc:
-            raise ScenarioError(f"series.params.map: {exc}") from exc
-    if "tol" in params and not _real(params["tol"], "series.params.tol") > 0:
-        raise ScenarioError(f"series.params.tol must be positive, got {params['tol']!r}")
-    return {"name": raw["name"], "params": params}
-
-
-def _int_field(data: dict, key: str, lo: int, hi: int | None = None) -> int:
-    value = data.get(key)
-    if not _is_int(value) or value < lo:
-        raise ScenarioError(f"{key} must be an integer >= {lo}, got {value!r}")
-    if hi is not None and value > hi:
-        raise ScenarioError(f"{key} must be at most {hi}, got {value}")
-    return value
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Validated scenario: normalized fields plus the canonical echo dict."""
-
-    mode: str
-    source: SpaceForm | None
-    targets: tuple
-    maps: tuple
-    p: int | None
-    r: float
-    series: dict | None
-    orders: tuple
-    count: int
-    seed: int
-    radius: float | None
-    tolerances: dict  # the mode's defaults, overridden by the scenario's
-    expect: dict
-    echo: dict
-
-
-def parse_scenario(data) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario root must be a JSON object")
-    mode = data.get("mode")
-    if mode not in MODES:
-        raise ScenarioError(f"mode must be one of {', '.join(MODES)}; got {mode!r}")
-
-    sampling = data.get("sampling", {})
-    if not isinstance(sampling, dict):
-        raise ScenarioError("sampling must be an object")
-    count = sampling.get("count", DEFAULT_COUNT)
-    if not _is_int(count) or count < 1:
-        raise ScenarioError(f"sampling.count must be a positive integer, got {count!r}")
-    if count > MAX_COUNT:
-        raise ScenarioError(f"sampling.count must be at most {MAX_COUNT}, got {count}")
-    seed = sampling.get("seed", DEFAULT_SEED)
-    if not _is_int(seed) or seed < 0:
-        raise ScenarioError(f"sampling.seed must be a non-negative integer, got {seed!r}")
-    radius = sampling.get("radius")
-    if radius is not None:
-        radius = _real(radius, "sampling.radius")
-        if not radius > 0:
-            raise ScenarioError(f"sampling.radius must be positive, got {radius}")
-
-    tolerances = data.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ScenarioError("tolerances must be an object of named floats")
-    tolerances = {str(k): _real(v, f"tolerances.{k}") for k, v in tolerances.items()}
-    known = _TOLERANCES.get(mode, {})
-    for key in tolerances:
-        if key not in known:
-            reads = ", ".join(known) or "none"
-            raise ScenarioError(f"tolerances.{key} is not read by {mode} mode (it reads: {reads})")
-    expect = data.get("expect", {})
-    if not isinstance(expect, dict):
-        raise ScenarioError("expect must be an object")
-    signature = expect.get("signature")
-    if signature is not None and (
-        not isinstance(signature, list) or len(signature) != 3 or not all(map(_is_int, signature))
-    ):
-        raise ScenarioError(f"expect.signature must be a list of three integers, got {signature!r}")
-    if expect.get("lambdaHat") is not None:
-        _real(expect["lambdaHat"], "expect.lambdaHat")
-
-    source = None
-    targets: tuple = ()
-    maps: tuple = ()
-    p = None
-    r = 1.0
-    series = None
-    orders: tuple = ()
-
-    echo: dict = {"mode": mode, "sampling": {"count": count, "seed": seed, "radius": radius}}
-    if tolerances:
-        echo["tolerances"] = dict(sorted(tolerances.items()))
-    if expect:
-        echo["expect"] = {k: expect[k] for k in sorted(expect)}
-
-    if mode in ("pullback", "rigidity"):
-        source = _space_from_json(data.get("source"), "source")
-        target = _space_from_json(data.get("target"), "target")
-        targets = (target,)
-        p = _int_field(data, "p", 1, min(source.dim, target.dim))
-        maps = (_map_from_json(data.get("map"), source.dim, target.dim, "map"),)
-        echo.update(
-            source=_space_echo(source),
-            target=_space_echo(target),
-            map=list(data["map"]),
-            p=p,
+def _space(obj, where: str, echo: dict) -> SpaceForm:
+    """The space form ``obj``; its echo entry goes to ``echo[where]``."""
+    obj = _object(obj, where)
+    kind = obj.get("kind")
+    if kind not in ("euclidean", "ball", "projective"):
+        raise ScenarioError(
+            f"{where}.kind must be one of euclidean, ball, projective; got {kind!r}"
         )
-    elif mode == "levi":
-        source = _space_from_json(data.get("source"), "source")
-        p = _int_field(data, "p", 1, source.dim)
-        r = _real(data.get("r", 1.0), "r")
-        if not r > 0:
-            raise ScenarioError(f"r must be positive, got {r}")
-        echo.update(source=_space_echo(source), p=p, r=r)
-    elif mode == "relatives":
-        source = _space_from_json(data.get("source"), "source")
-        if source.kind != "euclidean":  # both maps pull back from plain coordinates
-            raise ScenarioError(
-                f"source.kind must be euclidean for relatives mode, got {source.kind!r}"
-            )
-        raw_targets = data.get("targets")
-        if not isinstance(raw_targets, list) or len(raw_targets) != 2:
-            raise ScenarioError("targets must be a list of exactly two space forms")
-        targets = tuple(
-            _space_from_json(t, f"targets[{i}]") for i, t in enumerate(raw_targets)
-        )
-        raw_maps = data.get("maps")
-        if not isinstance(raw_maps, list) or len(raw_maps) != 2:
-            raise ScenarioError("maps must be a list of exactly two component lists")
-        maps = tuple(
-            _map_from_json(mlist, source.dim, targets[i].dim, f"maps[{i}]")
-            for i, mlist in enumerate(raw_maps)
-        )
-        p = _int_field(data, "p", 1, min(source.dim, targets[0].dim, targets[1].dim))
-        echo.update(
-            source=_space_echo(source),
-            targets=[_space_echo(t) for t in targets],
-            maps=[list(m) for m in raw_maps],
-            p=p,
-        )
-    elif mode == "umehara":
-        series = _series_from_json(data.get("series"))
-        raw_orders = data.get("orders")
-        if (
-            not isinstance(raw_orders, list)
-            or len(raw_orders) < 3
-            or not all(_is_int(n) and n >= 0 for n in raw_orders)
-        ):
-            # the verdict compares the last three ranks
-            raise ScenarioError("orders must be a list of at least three nonnegative integers")
-        orders = tuple(raw_orders)
-        verdict = expect.get("verdict")
-        if verdict not in ("bounded", "growing"):
-            raise ScenarioError(
-                "expect.verdict must be 'bounded' or 'growing' for umehara mode"
-            )
-        echo.update(series=series, orders=list(orders))
-    # suite mode carries no further fields
+    dim = _integer(obj.get("dim"), f"{where}.dim", 1)
+    sig = _integer(obj.get("sig", dim), f"{where}.sig", 0, dim)
+    echo[where] = {"kind": kind, "dim": dim, "sig": sig}
+    return SpaceForm(kind, dim, sig)
 
-    if mode in ("levi", "rigidity", "relatives") and not source.is_definite:
-        raise ScenarioError(f"source.sig must equal source.dim (a definite metric) for {mode} mode")
-    if mode in ("pullback", "rigidity", "levi") and radius is not None and not radius_fits(source, radius):
+
+def _source(data: dict, echo: dict, radius, definite_for: str | None = None) -> SpaceForm:
+    """The source space form, whose chart must hold the sampling ball;
+    ``definite_for`` names the mode, if any, that needs its metric definite."""
+    source = _space(data.get("source"), "source", echo)
+    if definite_for and not source.is_definite:
+        raise ScenarioError(
+            f"source.sig must equal source.dim (a definite metric) for {definite_for} mode"
+        )
+    if radius is not None and not radius_fits(source, radius):
         if -source.curv in source.eps:
             raise ScenarioError(
                 f"sampling.radius must be at most 1 on a {source.kind} source of signature "
@@ -380,28 +216,149 @@ def parse_scenario(data) -> Scenario:
             f"sampling.radius {radius} is too large for a {source.kind} source: "
             "the chart factor 1 + radius^2 overflows when squared"
         )
-    if mode == "levi" and radius is not None and not levi_radius_fits(source, p, radius):
+    return source
+
+
+def _map(obj, where: str, arity: int | None = None, codim: int | None = None) -> MapExpr:
+    """Component strings as a map in ``arity`` variables (by default the
+    largest index they name), with ``codim`` components if that is given."""
+    if not isinstance(obj, list) or not all(isinstance(c, str) for c in obj):
+        raise ScenarioError(f"{where} must be a list of expression strings")
+    if codim is not None and len(obj) != codim:
+        raise ScenarioError(
+            f"{where} must have exactly {codim} components (the target dimension), got {len(obj)}"
+        )
+    try:
+        return as_map(obj) if arity is None else parse_map(obj, arity)
+    except (KformError, IndexError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
+# the params each built-in series reads, besides the optional rank tolerance "tol"
+_SERIES = {"abs_square": ("map",), "ball_slice": ("p",), "proj_slice": ("p",), "psi": ("p", "map")}
+
+
+def _series(obj, echo: dict) -> tuple:
+    """The series name and params, with the map parsed; the echo keeps its strings."""
+    obj = _object(obj, "series")
+    name = obj.get("name")
+    if not isinstance(name, str) or name not in _SERIES:
+        raise ScenarioError(f"series.name must be one of {', '.join(_SERIES)}; got {name!r}")
+    params = _object(obj.get("params", {}), "series.params")
+    echo["series"] = {"name": name, "params": params}
+    parsed = dict(params)
+    if "p" in _SERIES[name]:
+        _integer(params.get("p"), "series.params.p", 0)
+    if "map" in _SERIES[name]:
+        parsed["map"] = _map(params.get("map"), "series.params.map")
+    if "tol" in params:
+        _real(params["tol"], "series.params.tol", positive=True)
+    return name, parsed
+
+
+def _pullback_inputs(data, expect, radius, echo, definite_for=None) -> tuple:
+    source = _source(data, echo, radius, definite_for)
+    target = _space(data.get("target"), "target", echo)
+    p = echo["p"] = _integer(data.get("p"), "p", 1, min(source.dim, target.dim))
+    F = _map(data.get("map"), "map", source.dim, target.dim)
+    echo["map"] = list(data["map"])
+    return source, target, F, p
+
+
+def _levi_inputs(data, expect, radius, echo) -> tuple:
+    source = _source(data, echo, radius, "levi")
+    p = echo["p"] = _integer(data.get("p"), "p", 1, source.dim)
+    r = echo["r"] = _real(data.get("r", 1.0), "r", positive=True)
+    if radius is not None and not levi_radius_fits(source, p, radius):
         raise ScenarioError(
             f"sampling.radius {radius} is too large for levi mode at p={p} on a {source.kind} "
             "source: the wedge metric there is not representable to the Levi zero tolerance"
         )
+    signature = expect.get("signature")
+    if signature is not None:
+        if not isinstance(signature, list) or len(signature) != 3:
+            raise ScenarioError(f"expect.signature must list three integers, got {signature!r}")
+        for i, count in enumerate(signature):
+            _integer(count, f"expect.signature[{i}]", 0)
+    return source, p, r
 
-    return Scenario(
-        mode=mode,
-        source=source,
-        targets=targets,
-        maps=maps,
-        p=p,
-        r=r,
-        series=series,
-        orders=orders,
-        count=count,
-        seed=seed,
-        radius=radius,
-        tolerances={**known, **tolerances},
-        expect=expect,
-        echo=echo,
-    )
+
+def _relatives_inputs(data, expect, radius, echo) -> tuple:
+    source = _source(data, echo, radius, "relatives")
+    if source.kind != "euclidean":  # both maps pull back from plain coordinates
+        raise ScenarioError(f"source.kind must be euclidean for relatives mode, got {source.kind!r}")
+    raw_targets, raw_maps = data.get("targets"), data.get("maps")
+    if not isinstance(raw_targets, list) or len(raw_targets) != 2:
+        raise ScenarioError("targets must be a list of exactly two space forms")
+    if not isinstance(raw_maps, list) or len(raw_maps) != 2:
+        raise ScenarioError("maps must be a list of exactly two component lists")
+    slots: dict = {}
+    targets = [_space(t, f"targets[{i}]", slots) for i, t in enumerate(raw_targets)]
+    maps = [_map(m, f"maps[{i}]", source.dim, targets[i].dim) for i, m in enumerate(raw_maps)]
+    if expect.get("lambdaHat") is not None:
+        _real(expect["lambdaHat"], "expect.lambdaHat")
+    p = echo["p"] = _integer(data.get("p"), "p", 1, min(sf.dim for sf in [source, *targets]))
+    echo.update(targets=list(slots.values()), maps=[list(m) for m in raw_maps])
+    return source, targets, maps, p
+
+
+def _umehara_inputs(data, expect, radius, echo) -> tuple:
+    name, params = _series(data.get("series"), echo)
+    orders = data.get("orders")
+    if not isinstance(orders, list) or len(orders) < 3:
+        # the verdict compares the last three ranks
+        raise ScenarioError("orders must be a list of at least three nonnegative integers")
+    for i, n in enumerate(orders):
+        _integer(n, f"orders[{i}]", 0)
+    if any(b <= a for a, b in zip(orders, orders[1:])):
+        raise ScenarioError(f"orders must be strictly ascending, got {orders}")
+    if expect.get("verdict") not in ("bounded", "growing"):
+        raise ScenarioError("expect.verdict must be 'bounded' or 'growing' for umehara mode")
+    echo["orders"] = list(orders)
+    return name, params, tuple(orders)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Validated scenario: sampling, tolerances, the handler's inputs, and the echo."""
+
+    mode: str
+    count: int
+    seed: int
+    radius: float | None
+    tolerances: dict  # the mode's defaults, overridden by the scenario's
+    expect: dict
+    inputs: tuple  # the mode handler's positional arguments after the scenario
+    echo: dict
+
+
+def parse_scenario(data) -> Scenario:
+    data = _object(data, "scenario root")
+    mode = data.get("mode")
+    if mode not in MODES:
+        raise ScenarioError(f"mode must be one of {', '.join(MODES)}; got {mode!r}")
+    row = _MODES[mode]
+
+    sampling = _object(data.get("sampling", {}), "sampling")
+    count = _integer(sampling.get("count", DEFAULT_COUNT), "sampling.count", 1, MAX_COUNT)
+    seed = _integer(sampling.get("seed", DEFAULT_SEED), "sampling.seed", 0)
+    radius = sampling.get("radius")
+    if radius is not None:
+        radius = _real(radius, "sampling.radius", positive=True)
+    echo: dict = {"mode": mode, "sampling": {"count": count, "seed": seed, "radius": radius}}
+
+    tolerances = {
+        key: _real(value, f"tolerances.{key}", positive=True)
+        for key, value in _reads(data, "tolerances", mode, row.tolerances).items()
+    }
+    expect = _reads(data, "expect", mode, row.expect)
+    if tolerances:
+        echo["tolerances"] = tolerances
+    if expect:
+        echo["expect"] = dict(expect)
+    inputs = row.inputs(data, expect, radius, echo)
+    tolerances = {**row.tolerances, **tolerances}
+    return Scenario(mode, count, seed, radius, tolerances, expect, inputs, echo)
 
 
 # ---------------------------------------------------------------------------
@@ -427,23 +384,21 @@ def run_checks(families) -> list:
     return records
 
 
-def _run_pullback(sc: Scenario):
-    src, tgt, F = sc.source, sc.targets[0], sc.maps[0]
+def _run_pullback(sc: Scenario, src, tgt, F, p):
     points = sample_chart_points(src, sc.count, sc.seed, sc.radius)
-    for deg in [sc.p] if sc.p == 1 else [sc.p, 1]:
+    for deg in [p] if p == 1 else [p, 1]:
         res = proportionality_test(F, src, tgt, deg, points, tol=sc.tolerances["proportionality"])
         fit = {"lambdaHat": res.lambdaHat, "residual": res.maxResidual}
         yield f"pullback_p{deg}", res.passed, fit
 
 
-def _run_rigidity(sc: Scenario):
-    src, tgt, F = sc.source, sc.targets[0], sc.maps[0]
+def _run_rigidity(sc: Scenario, src, tgt, F, p):
     tol = sc.tolerances["rigidity"]
     points = sample_chart_points(src, sc.count, sc.seed, sc.radius)
-    profiles = [profile_from_pullback(F, src, tgt, sc.p, w) for w in points]
+    profiles = [profile_from_pullback(F, src, tgt, p, w) for w in points]
     yield "eigen_products", all(eigen_products_check(prof, tol=tol) for prof in profiles), {}
 
-    if sc.p < src.dim:
+    if p < src.dim:
         factors = [conclude_isometry_factor(prof, tol=tol) for prof in profiles]
         if any(f is None for f in factors):
             yield "isometry_factor", False, {}
@@ -458,30 +413,28 @@ def _run_rigidity(sc: Scenario):
         yield "ricci_pullback", ok, {"residual": worst, "skipped": skipped}
 
 
-def _run_levi(sc: Scenario):
-    sigs, min_eig = levi_signatures(sc.source, sc.p, sc.r, sc.count, sc.seed, sc.radius)
+def _run_levi(sc: Scenario, source, p, r):
+    sigs, min_eig = levi_signatures(source, p, r, sc.count, sc.seed, sc.radius)
     expected = sc.expect.get("signature")
     ok = len(sigs) == 1 and (expected is None or sigs[0] == tuple(expected))
     yield "levi_signature", ok, {"signature": sigs[0], "residual": min_eig}
 
 
-def _run_umehara(sc: Scenario):
-    from .umehara import rank_growth
-
-    table, verdict = rank_growth(sc.series["name"], sc.series["params"], sc.orders)
+def _run_umehara(sc: Scenario, name, params, orders):
+    table, verdict = rank_growth(name, params, orders)
     yield "rank_growth", verdict == sc.expect["verdict"], {"rankTable": tuple(table)}
 
 
-def _run_relatives(sc: Scenario):
-    t1, t2 = sc.targets
+def _run_relatives(sc: Scenario, source, targets, maps, p):
+    t1, t2 = targets
     radius = sc.radius
     if radius is None:
         radius = 0.9 if "ball" in (t1.kind, t2.kind) else 2.0
-    points = sample_chart_points(sc.source, sc.count, sc.seed, radius)
+    points = sample_chart_points(source, sc.count, sc.seed, radius)
     tol = sc.tolerances["proportionality"]
-    res = relatives_test(sc.maps[0], sc.maps[1], t1, t2, sc.source.dim, sc.p, points, tol=tol)
+    res = relatives_test(maps[0], maps[1], t1, t2, source.dim, p, points, tol=tol)
     fit = {"lambdaHat": res.lambdaHat, "residual": res.maxResidual}
-    yield f"relatives_p{sc.p}", res.passed, fit
+    yield f"relatives_p{p}", res.passed, fit
     expected = sc.expect.get("lambdaHat")
     if expected is not None:
         dev = abs(res.lambdaHat - float(expected))
@@ -489,13 +442,36 @@ def _run_relatives(sc: Scenario):
         yield "lambda_matches", ok, {"lambdaHat": res.lambdaHat, "residual": dev}
 
 
-_HANDLERS = {
-    "pullback": _run_pullback,
-    "rigidity": _run_rigidity,
-    "levi": _run_levi,
-    "umehara": _run_umehara,
-    "relatives": _run_relatives,
+class _Mode(NamedTuple):
+    """One mode: the parser of its inputs, the handler they go to (none for
+    suite, which runs the canned battery), the tolerances it reads with their
+    defaults, and the ``expect`` keys it reads.  No other key is accepted."""
+
+    inputs: Callable  # (data, expect, radius, echo) -> the handler's inputs; writes their echo
+    handler: Callable | None
+    tolerances: dict
+    expect: tuple
+
+
+_MODES = {
+    "levi": _Mode(_levi_inputs, _run_levi, {}, ("signature",)),
+    "pullback": _Mode(_pullback_inputs, _run_pullback, {"proportionality": DEFAULT_TOL}, ()),
+    "relatives": _Mode(
+        _relatives_inputs,
+        _run_relatives,
+        {"proportionality": DEFAULT_TOL, "lambdaMatch": 1e-8},
+        ("lambdaHat",),
+    ),
+    "rigidity": _Mode(
+        lambda *args: _pullback_inputs(*args, definite_for="rigidity"),
+        _run_rigidity,
+        {"rigidity": 1e-8, "factorSpread": 1e-6, "ricci": 1e-8},
+        (),
+    ),
+    "suite": _Mode(lambda *args: (), None, {}, ()),
+    "umehara": _Mode(_umehara_inputs, _run_umehara, {}, ("verdict",)),
 }
+MODES = tuple(_MODES)
 
 
 def run_scenario(source, seed: int | None = None, samples: int | None = None) -> Report:
@@ -504,6 +480,8 @@ def run_scenario(source, seed: int | None = None, samples: int | None = None) ->
     seed and samples override the scenario's sampling block before it is
     parsed, so an override is checked like the field it replaces (suite mode
     then ignores both: it is pinned to its own defaults for reproducibility).
+    A file that is not UTF-8 JSON, or nests too deeply to decode, is a
+    ScenarioError.
     """
     if isinstance(source, dict):
         data = source
@@ -511,14 +489,15 @@ def run_scenario(source, seed: int | None = None, samples: int | None = None) ->
         with open(source, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
                 raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     overrides = {key: int(v) for key, v in (("seed", seed), ("count", samples)) if v is not None}
     if overrides and isinstance(data, dict) and isinstance(data.get("sampling", {}), dict):
         data = dict(data, sampling=dict(data.get("sampling", {}), **overrides))
     sc = parse_scenario(data)
-    if sc.mode == "suite":
+    handler = _MODES[sc.mode].handler
+    if handler is None:
         from .suite import run_paper_suite
 
         return run_paper_suite()
-    return _assemble(sc.echo, run_checks([_HANDLERS[sc.mode](sc)]))
+    return _assemble(sc.echo, run_checks([handler(sc, *sc.inputs)]))

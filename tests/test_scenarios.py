@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from kform import suite
+from kform import suite, umehara
 from kform.cli import main
 from kform.errors import ScenarioError
 from kform.scenarios import parse_scenario, report_to_json, run_checks, run_scenario
@@ -278,6 +278,26 @@ def _relatives(source):
         (lambda d: d.update(source={"kind": "projective", "dim": 2}, target={"kind": "projective", "dim": 2}, sampling={"radius": 1e200}), "sampling.radius 1e+200 is too large for a projective source"),
         (lambda d: d.update(mode="levi", source={"kind": "projective", "dim": 2}, sampling={"radius": 1e100}), "sampling.radius 1e+100 is too large for a projective source"),
         (lambda d: d.update(source={"kind": "ball", "dim": 2, "sig": 0}, sampling={"radius": 1e78}), "sampling.radius 1e+78 is too large for a ball source"),
+        # a bool is not an integer, in any integer field
+        (lambda d: d.update(sampling={"count": True}), "sampling.count must be a positive integer, got True"),
+        (lambda d: d.update(sampling={"seed": False}), "sampling.seed must be a non-negative integer, got False"),
+        (lambda d: d.update(p=True), "p must be a positive integer, got True"),
+        (lambda d: d.update(source={"kind": "euclidean", "dim": True}), "source.dim must be a positive integer, got True"),
+        (lambda d: d.update(target={"kind": "euclidean", "dim": 2, "sig": False}), "target.sig must be a non-negative integer, got False"),
+        (lambda d: d.update(_umehara({"p": True, "map": ["z1"]})), "series.params.p must be a non-negative integer, got True"),
+        (lambda d: d.update(_umehara({"p": 1, "map": ["z1"]}), orders=[2, True, 6]), "orders[1] must be a non-negative integer, got True"),
+        (lambda d: d.update(mode="levi", expect={"signature": [2, 0, False]}), "expect.signature[2] must be a non-negative integer, got False"),
+        # an expect key the mode does not read is an error, as a tolerance key is
+        (lambda d: d.update(expect={"lambdaHat": 3}), "expect.lambdaHat is not read by pullback mode (it reads: none)"),
+        (lambda d: d.update(mode="levi", expect={"verdict": "bounded"}), "expect.verdict is not read by levi mode (it reads: signature)"),
+        (lambda d: d.update(_umehara({"p": 1}, name="ball_slice"), expect={"verdict": "bounded", "lambdaHat": 1}), "expect.lambdaHat is not read by umehara mode (it reads: verdict)"),
+        # tolerances are positive, like series.params.tol
+        (lambda d: d.update(tolerances={"proportionality": 0}), "tolerances.proportionality must be positive, got 0"),
+        (lambda d: d.update(mode="rigidity", tolerances={"ricci": -1e-8}), "tolerances.ricci must be positive, got -1e-08"),
+        # the umehara inputs rank_growth would refuse are refused here, naming the field
+        (lambda d: d.update(_umehara({"p": 1}, name="nope")), "series.name must be one of abs_square, ball_slice, proj_slice, psi; got 'nope'"),
+        (lambda d: d.update(_umehara({"p": 1, "map": ["z1"]}), orders=[2, 6, 4]), "orders must be strictly ascending, got [2, 6, 4]"),
+        (lambda d: d.update(_umehara({"p": 1, "map": ["z1"]}), orders=[2, 2, 4]), "orders must be strictly ascending"),
     ],
 )
 def test_scenario_validation_names_the_field(mutate, fragment):
@@ -300,6 +320,16 @@ def test_radius_past_one_is_kept_where_the_chart_holds_it():
     assert parse_scenario(dict(_projective_identity(), sampling={"radius": 1e77})).radius == 1e77
     data = dict(_identity_flat(), sampling={"count": 10_000}, tolerances={"proportionality": 1e-9})
     assert parse_scenario(data).count == 10_000
+
+
+def test_umehara_parses_the_series_map_once(monkeypatch):
+    # rank_growth gets the MapExpr the parser built; the echo keeps the strings
+    calls = []
+    parse = umehara.parse_map
+    monkeypatch.setattr(umehara, "parse_map", lambda *args: calls.append(args) or parse(*args))
+    report = run_scenario(_umehara({"p": 1, "map": ["z1"]}))
+    assert report.overall == "PASS" and len(calls) == 1
+    assert report.scenario["series"] == {"name": "psi", "params": {"p": 1, "map": ["z1"]}}
 
 
 def test_relatives_validation():
@@ -357,6 +387,18 @@ def test_cli_parse_errors_exit_two(tmp_path, capsys):
     wrong.write_text(json.dumps({"mode": "nope"}))
     assert main(["run", str(wrong)]) == 2
     assert "mode" in capsys.readouterr().err
+
+
+def test_cli_unreadable_files_exit_two(tmp_path):
+    # bytes that are not UTF-8, and arrays nested past the recursion limit
+    script = "import sys\nfrom kform.cli import main\nsys.exit(main(['run', sys.argv[1]]))"
+    path = tmp_path / "unreadable.json"
+    for content in (b'{"mode": "\xff"}', b"[" * 200_000 + b"]" * 200_000):
+        path.write_bytes(content)
+        done = run_python(script, str(path))
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("scenario error: scenario file is not valid JSON: ")
 
 
 def test_cli_malformed_scenario_fields_exit_two(tmp_path, capsys):
