@@ -26,7 +26,14 @@ base-base Hessian block of rho is
 with c the curvature sign and S[k, K, I] = (-1)^(position of k in I) when
 I = K with k inserted, else 0, so that row k of V is the contraction
 e_k _| xi.  The probe takes this closed form; ``levi_form`` still sums one
-``wedge_curvature_block`` per (I, J) pair.  Eigenvalues are reported
+``wedge_curvature_block`` per (I, J) pair.
+
+``obstruction_probes`` runs the probe as one array pass over an (N, m) stack
+of points and their fibers: chart checks, centering frames, compounds,
+blocks, eigen solves and quadratic forms each run once for the stack, and
+only ``map_jet`` still runs point by point.  ``obstruction_probe`` is its
+one-point view.  ``levi_form``, ``levi_signatures`` and ``bundle_point``
+take one point at a time.  Eigenvalues are reported
 relative to the metric that S_r induces on its holomorphic tangent space,
 so the spectrum does not depend on the tangent basis or on the centering
 frame.  The tests check this analytic route against a finite-difference
@@ -45,6 +52,8 @@ from .errors import DegenerateSampleError, DimensionError, DomainError, Precondi
 from .expressions import MapExpr, map_jet
 from .linalg import (
     DEFAULT_ZERO_TOL,
+    _adjoint,
+    _stack_index,
     cofactor_matrix,
     generalized_eigenvalues,
     hermitian_eigen,
@@ -75,6 +84,7 @@ __all__ = [
     "levi_form",
     "levi_signatures",
     "obstruction_probe",
+    "obstruction_probes",
 ]
 
 # |xi_I| and pushforward norms below this count as vanishing
@@ -150,6 +160,16 @@ def _quad(a: np.ndarray, v: np.ndarray) -> float:
     return float(np.real(v @ a @ np.conj(v)))
 
 
+def _quads(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``_quad`` row by row: v^T a conj(v) for (..., k) vectors against (..., k, k) matrices."""
+    return np.real((v[..., None, :] @ a @ np.conj(v)[..., :, None])[..., 0, 0])
+
+
+def _apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a @ v for a (..., r, c) stack of matrices and a (..., c) stack of vectors."""
+    return (a @ v[..., None])[..., 0]
+
+
 def rho_gradient(sf: SpaceForm, p: int, r: float, z, xi):
     """Holomorphic Wirtinger gradient of rho_r, split as (d_z, d_xi).
 
@@ -211,14 +231,14 @@ def levi_radius_fits(sf: SpaceForm, p: int, radius: float) -> bool:
     stay normal floats.  ``bundle_point`` applies it at |z|, and
     ``scenarios.parse_scenario`` to a levi scenario's sampling radius.
     """
-    return sf.curv <= 0 or _wedge_norm_fits(sf, p, 1.0 + radius * radius)
+    return sf.curv <= 0 or bool(_wedge_norm_fits(sf, p, 1.0 + radius * radius))
 
 
-def _wedge_norm_fits(sf: SpaceForm, p: int, u: float) -> bool:
-    """``levi_radius_fits`` on projective space, given u = 1 + radius^2."""
+def _wedge_norm_fits(sf: SpaceForm, p: int, u):
+    """``levi_radius_fits`` on projective space, given u = 1 + radius^2 (a float or an array)."""
     if p == sf.dim:
         return u * sys.float_info.epsilon <= DEFAULT_ZERO_TOL
-    return p * math.log(u) <= -math.log(sys.float_info.min)
+    return p * np.log(u) <= -math.log(sys.float_info.min)
 
 
 def sample_bundle_points(
@@ -306,10 +326,12 @@ def _center_block(sf: SpaceForm, p: int, xi: np.ndarray) -> np.ndarray:
 
     with c = ``sf.curv`` and S the signed contractions of
     ``ppforms._contraction_signs``: row k of V is e_k _| xi.  Flat forms get
-    the exact zero block.
+    the exact zero block.  A (..., C(n, p)) stack of fibers gives the
+    (..., n, n) stack of blocks.
     """
-    v = _contraction_signs(sf.dim, p) @ xi
-    block = p * np.vdot(xi, xi).real * np.eye(sf.dim) + np.conj(v) @ v.T
+    v = (_contraction_signs(sf.dim, p) @ xi[..., None, :, None])[..., 0]
+    norm2 = np.sum((xi.conj() * xi).real, axis=-1)[..., None, None]
+    block = p * norm2 * np.eye(sf.dim) + np.conj(v) @ v.swapaxes(-2, -1)
     return hermitize(-sf.curv * block)
 
 
@@ -355,6 +377,82 @@ def levi_signatures(
     return signatures, min(float(np.abs(rep.eigenvalues).min()) for rep in reports)
 
 
+def obstruction_probes(
+    src: SpaceForm, tgt: SpaceForm, F: MapExpr, p: int, points, fibers
+) -> ProbeResult:
+    """``obstruction_probe`` at each point of an (N, m) stack, with its (N, C(m, p)) fibers.
+
+    One array pass over the stack: the chart checks, both centering frames,
+    the inverse, the wedge-norm normalization, the compounds, the closed-form
+    blocks, both eigen solves and the quadratic forms each run once for all
+    N probes; only ``map_jet`` runs point by point.  The four fields of the
+    result are (N,) arrays, row k the probe at point k.  A point outside the
+    source chart, an image F(w) outside the target chart and a zero fiber
+    raise for the whole stack, naming the stack index of the first one.  A
+    lone point (m,) with its fiber gives 0-d fields and index-free errors.
+    """
+    if tgt.kind != "ball" or not tgt.is_definite:
+        raise PreconditionError("probe target must be a definite ball")
+    if not src.is_definite:
+        raise PreconditionError("probe source must carry a definite metric")
+    z, u = _chart(src, points, stack=True)
+    if F.arity != src.dim:
+        raise DimensionError(f"map takes {F.arity} inputs, source has dimension {src.dim}")
+    if F.codim != tgt.dim:
+        raise DimensionError(f"map has {F.codim} components, target has dimension {tgt.dim}")
+    if z.ndim > 2:
+        raise DimensionError(f"probe points must be one point or an (N, m) stack, got {z.shape}")
+    lead, m, n, k = z.shape[:-1], src.dim, tgt.dim, len(index_basis(src.dim, p))
+    xi = np.asarray(fibers, dtype=np.complex128)
+    if xi.shape != lead + (k,):
+        raise DimensionError(f"fibers have shape {xi.shape}, expected {lead + (k,)}")
+    z, u, xi = z.reshape(-1, m), np.reshape(u, -1), xi.reshape(-1, k)
+
+    jets = [map_jet(F, w) for w in z]
+    fw = np.array([v for v, _ in jets]).reshape(-1, n)
+    jf = np.array([j for _, j in jets]).reshape(-1, n, m)
+    # every F(w) must lie in the target chart
+    dchi = center_automorphism(tgt, fw.reshape(lead + (n,)), stack=True).reshape(-1, n, n)
+
+    # the fibers onto S_1, as bundle_point scales one
+    far = ~_wedge_norm_fits(src, p, u)
+    if src.curv > 0 and far.any():
+        raise DomainError(
+            f"chart point{_stack_index(far.reshape(lead))} with 1 + |w|^2 = "
+            f"{u[far][0]:.3g} is too far out for the degree-{p} wedge norm to keep its precision"
+        )
+    norm2 = _quads(wedge_power_coeffs(metric(src, z), p), xi)
+    if not (norm2 > 0).all():
+        raise DegenerateSampleError(f"zero fiber vector{_stack_index(~(norm2 > 0).reshape(lead))}")
+    dpsi = center_automorphism(src, z, stack=True)
+    jg = dchi @ jf @ np.linalg.inv(dpsi)
+    xi0 = _apply(compound_matrix(dpsi, p), xi * np.sqrt(1.0 / norm2)[:, None])
+
+    z_src = _center_block(src, p, xi0)
+    sing, vecs = hermitian_eigen(hermitize(_adjoint(jg) @ jg))
+    # eigh sorts ascending, so the top eigenspace is the last `size` columns
+    sizes = np.sum(sing >= sing[:, -1:] - _TOP_GAP * np.abs(sing[:, -1:]), axis=-1)
+    eta = np.empty((len(z), m), dtype=np.complex128)
+    for size in set(sizes.tolist()):  # one pass per top multiplicity, usually just 1
+        rows = sizes == size
+        top = vecs[rows][:, :, m - size :]
+        # _quads(z_src, top @ c) is d^H B d for d = conj(c), with B as below
+        _, low = hermitian_eigen(hermitize(top.swapaxes(-2, -1) @ z_src[rows] @ top.conj()))
+        eta[rows] = _apply(top, low[:, :, 0].conj())
+    lhs = _quads(z_src, eta)
+
+    pushed_eta = _apply(jg, eta)
+    pushed_xi = _apply(compound_matrix(jg, p), xi0)
+    inconclusive = (sing[:, -1] <= _TINY**2) | (np.linalg.norm(pushed_xi, axis=-1) <= _TINY)
+    # the pushed fibers onto S_1 at the target center; inconclusive rows are left unscaled
+    tgt_norm2 = _quads(wedge_power_coeffs(metric(tgt, np.zeros(n)), p), pushed_xi)
+    scale = np.sqrt(1.0 / np.where(inconclusive, 1.0, tgt_norm2))
+    z_tgt = _center_block(tgt, p, pushed_xi * scale[:, None])
+    rhs = np.where(inconclusive, 0.0, _quads(z_tgt, pushed_eta))
+    conflict = (lhs <= _PROBE_TOL) & (rhs > _PROBE_TOL)
+    return ProbeResult(*(a.reshape(lead) for a in (lhs, rhs, conflict, inconclusive)))
+
+
 def obstruction_probe(
     src: SpaceForm, tgt: SpaceForm, F: MapExpr, p: int, w, xi
 ) -> ProbeResult:
@@ -373,40 +471,13 @@ def obstruction_probe(
     be a ball, whose Levi form is positive definite, so the horizontal block
     alone is a sound lower bound for rhs.
     The source kind is unrestricted; over a ball the probe simply reports
-    lhs > 0 and no conflict.
+    lhs > 0 and no conflict.  This is the one-point view of
+    ``obstruction_probes``.
     """
-    if tgt.kind != "ball" or not tgt.is_definite:
-        raise PreconditionError("probe target must be a definite ball")
-    if not src.is_definite:
-        raise PreconditionError("probe source must carry a definite metric")
-    w = chart_point(src, w)
-    if F.arity != src.dim:
-        raise DimensionError(f"map takes {F.arity} inputs, source has dimension {src.dim}")
-    if F.codim != tgt.dim:
-        raise DimensionError(f"map has {F.codim} components, target has dimension {tgt.dim}")
-    fw, jf = map_jet(F, w)
-    dchi = center_automorphism(tgt, fw)  # F(w) must lie in the target chart
-
-    pt = bundle_point(src, p, 1.0, w, xi)
-    dpsi = center_automorphism(src, w)
-    jg = dchi @ jf @ np.linalg.inv(dpsi)
-    xi0 = compound_matrix(dpsi, p) @ pt.fiber
-
-    z_src = _center_block(src, p, xi0)
-    sing, vecs = hermitian_eigen(hermitize(jg.conj().T @ jg))
-    top = vecs[:, sing >= sing[-1] - _TOP_GAP * abs(sing[-1])]
-    # _quad(z_src, top @ c) is d^H B d for d = conj(c), with B as below
-    _, low = hermitian_eigen(hermitize(top.T @ z_src @ top.conj()))
-    eta = top @ low[:, 0].conj()
-    lhs = _quad(z_src, eta)
-
-    pushed_eta = jg @ eta
-    pushed_xi = compound_matrix(jg, p) @ xi0
-    if float(sing[-1]) <= _TINY**2 or float(np.linalg.norm(pushed_xi)) <= _TINY:
-        return ProbeResult(lhs=lhs, rhs=0.0, conflict=False, inconclusive=True)
-
-    tgt_pt = bundle_point(tgt, p, 1.0, np.zeros(tgt.dim), pushed_xi)
-    z_tgt = _center_block(tgt, p, tgt_pt.fiber)
-    rhs = _quad(z_tgt, pushed_eta)
-    conflict = lhs <= _PROBE_TOL and rhs > _PROBE_TOL
-    return ProbeResult(lhs=lhs, rhs=rhs, conflict=bool(conflict), inconclusive=False)
+    res = obstruction_probes(src, tgt, F, p, np.reshape(w, -1), np.reshape(xi, -1))
+    return ProbeResult(
+        lhs=float(res.lhs),
+        rhs=float(res.rhs),
+        conflict=bool(res.conflict),
+        inconclusive=bool(res.inconclusive),
+    )

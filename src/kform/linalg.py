@@ -100,15 +100,17 @@ def det(m) -> complex:
 
 
 def minor_dets(m, rows, cols) -> np.ndarray:
-    """Determinants of m[rows[a], cols[b]] for 0-based index sets rows (R, k), cols (C, k).
+    """Determinants of m[..., rows[a], cols[b]] for 0-based index sets rows (R, k), cols (C, k).
 
-    All minors are gathered into one (R, C, k, k) stack for a single batched
-    ``np.linalg.det``; the result has shape (R, C), and empty minors (k = 0)
-    are 1.
+    All minors are gathered into one (..., R, C, k, k) stack for a single
+    batched ``np.linalg.det``; the result has shape (..., R, C), one (R, C)
+    block per matrix of a (..., r, c) stack, and empty minors (k = 0) are 1.
     """
-    r = np.asarray(rows, dtype=int)
-    c = np.asarray(cols, dtype=int)
-    return np.linalg.det(np.asarray(m)[r[:, None, :, None], c[None, :, None, :]])
+    m = np.asarray(m)
+    r = np.asarray(rows, dtype=int)[:, None, :, None]
+    c = np.asarray(cols, dtype=int)[None, :, None, :]
+    # a lone matrix is indexed without the Ellipsis, which costs numpy's indexing time
+    return np.linalg.det(m[r, c] if m.ndim == 2 else m[..., r, c])
 
 
 def cofactor_matrix(m) -> np.ndarray:

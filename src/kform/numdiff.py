@@ -42,6 +42,7 @@ def wirtinger_hessian(f, z, step: float = 1e-4) -> np.ndarray:
     n = z.size
     out = np.zeros((n, n), dtype=np.complex128)
     h = step
+    center = 4.0 * f(z)  # shared by every stencil
 
     def s(eta):
         return (
@@ -49,7 +50,7 @@ def wirtinger_hessian(f, z, step: float = 1e-4) -> np.ndarray:
             + f(z - h * eta)
             + f(z + 1j * h * eta)
             + f(z - 1j * h * eta)
-            - 4.0 * f(z)
+            - center
         ) / (4.0 * h * h)
 
     for a in range(n):

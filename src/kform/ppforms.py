@@ -95,10 +95,11 @@ def wedge_power_coeffs(g, p: int) -> np.ndarray:
 
     Entry (a, b) is the determinant of the (I_a, I_b) minor of ``g``, where
     I_a is entry a of ``index_basis(n, p)``; the (sqrt(-1))^p p! prefactor
-    is dropped (module docstring).
+    is dropped (module docstring).  A (..., n, n) stack of metrics gives the
+    (..., C(n,p), C(n,p)) stack of their coefficient matrices.
     """
     g = np.asarray(g, dtype=np.complex128)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+    if g.ndim < 2 or g.shape[-2] != g.shape[-1]:
         raise DimensionError(f"expected a square metric matrix, got shape {g.shape}")
     return hermitize(compound_matrix(g, p))
 
@@ -108,12 +109,13 @@ def compound_matrix(m, p: int) -> np.ndarray:
 
     For m of shape (n, k) the result has shape (C(n,p), C(k,p)); it is the
     action of m on p-vectors, so compounds are multiplicative (Cauchy-Binet).
+    A (..., n, k) stack of matrices gives the stack of their compounds.
     """
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2:
+    if m.ndim < 2:
         raise DimensionError(f"expected a matrix, got ndim {m.ndim}")
-    rows = _offsets(index_basis(m.shape[0], p))
-    cols = _offsets(index_basis(m.shape[1], p))
+    rows = _offsets(index_basis(m.shape[-2], p))
+    cols = _offsets(index_basis(m.shape[-1], p))
     return minor_dets(m, rows, cols)
 
 

@@ -14,14 +14,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import DegenerateSampleError, DomainError, PreconditionError
 from .expressions import MapExpr, map_jet
 from .linalg import det, generalized_eigenvalues
-from .ppforms import _pooled_ratio, pullback_pp, wedge_power_coeffs
+from .ppforms import _offsets, _pooled_ratio, index_basis, pullback_pp, wedge_power_coeffs
 from .spaceforms import SpaceForm, in_chart, metric, ricci
 
 __all__ = [
@@ -89,22 +88,46 @@ def profile_from_pullback(
     return EigenProfile(lambdas=lams, p=p, lambdaTarget=float(lambda_target))
 
 
+def _product_rule(lams, p: int, targets, tol: float):
+    """The product and spread rule on a stack of profiles that share m and p.
+
+    ``lams`` is an (S, m) stack of eigenvalue rows, sorted here as
+    ``EigenProfile`` sorts them, and ``targets`` their (S,) lambdaTargets.
+    Returns two (S,) arrays: ``products``, whether every p-fold product of a
+    row is within tol*|target| of its target, each product multiplying left
+    to right over the ascending row as ``math.prod`` does; and ``factors``,
+    the row mean where the products hold and the spread max - min is at most
+    10 tol max(|mean|, 1e-300), else NaN.
+    """
+    lams = np.sort(np.asarray(lams, dtype=float), axis=-1)
+    targets = np.asarray(targets, dtype=float)
+    picks = lams[:, _offsets(index_basis(lams.shape[-1], p))]
+    prods = picks[..., 0]
+    for j in range(1, p):
+        prods = prods * picks[..., j]
+    off = np.abs(prods - targets[:, None]) > tol * np.abs(targets)[:, None]
+    products = ~off.any(axis=-1)
+    mean = lams.sum(axis=-1) / lams.shape[-1]  # np.mean's sum and division
+    spread = lams[:, -1] - lams[:, 0]
+    flat = ~(spread > 10.0 * tol * np.maximum(np.abs(mean), 1e-300))
+    return products, np.where(products & flat, mean, np.nan)
+
+
+def _profile_rule(profile: EigenProfile, tol: float) -> tuple[bool, float]:
+    """``_product_rule`` on one profile, whose degree p must lie in 1..m."""
+    if not 1 <= profile.p <= profile.m:
+        raise PreconditionError(f"degree p={profile.p} out of range 1..{profile.m}")
+    products, factors = _product_rule(profile.lambdas[None], profile.p, [profile.lambdaTarget], tol)
+    return bool(products[0]), float(factors[0])
+
+
 def eigen_products_check(profile: EigenProfile, tol: float = DEFAULT_TOL) -> bool:
     """PASS iff every p-fold eigenvalue product is within tol*lambda of lambda.
 
-    Each product multiplies Python floats left to right over the ascending
-    eigenvalues.
+    Each product multiplies left to right over the ascending eigenvalues
+    (``_product_rule`` on one profile).
     """
-    p = profile.p
-    m = profile.m
-    if not 1 <= p <= m:
-        raise PreconditionError(f"degree p={p} out of range 1..{m}")
-    lam = profile.lambdaTarget
-    bound = tol * abs(lam)
-    for subset in combinations(profile.lambdas.tolist(), p):
-        if abs(math.prod(subset) - lam) > bound:
-            return False
-    return True
+    return _profile_rule(profile, tol)[0]
 
 
 def conclude_isometry_factor(profile: EigenProfile, tol: float = DEFAULT_TOL):
@@ -113,20 +136,15 @@ def conclude_isometry_factor(profile: EigenProfile, tol: float = DEFAULT_TOL):
     Requires p < m: at top degree a single determinant condition admits
     non-isometries, so the conclusion would be unsound and a precondition
     error is raised.  Returns None when the product check fails or the
-    eigenvalue spread exceeds the tolerance.
+    eigenvalue spread exceeds the tolerance (``_product_rule`` on one profile).
     """
     if profile.p >= profile.m:
         raise PreconditionError(
             f"isometry conclusion needs p < m, got p={profile.p}, m={profile.m}; "
             "top-degree preservation admits non-isometries"
         )
-    if not eigen_products_check(profile, tol):
-        return None
-    lams = profile.lambdas
-    mean = float(lams.mean())
-    if float(lams.max() - lams.min()) > 10.0 * tol * max(abs(mean), 1e-300):
-        return None
-    return mean
+    factor = _profile_rule(profile, tol)[1]
+    return None if math.isnan(factor) else factor
 
 
 def ricci_pullback_check(

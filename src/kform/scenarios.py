@@ -25,12 +25,16 @@ Scenario schema (all keys lowercase unless noted):
       "expect": {"verdict": "growing"}     # only keys the mode reads, see below
     }
 
-One table, ``_MODES``, holds each mode's row: the parser of its inputs, its
-handler, the tolerances it reads with their defaults, and the ``expect`` keys
-it reads (levi ``signature``, relatives ``lambdaHat``, umehara ``verdict``,
-which it requires).  A ``tolerances`` or ``expect`` key the mode does not
-read is an error, as is a bool where an integer belongs.  Umehara orders must
-ascend strictly and the series name must be a built-in one.
+One table, ``_MODES``, holds each mode's row: the top-level keys it reads,
+the parser of its inputs, its handler, the tolerances it reads with their
+defaults, and the ``expect`` keys it reads (levi ``signature``, relatives
+``lambdaHat``, umehara ``verdict``, which it requires).  A key that nothing
+reads is an error wherever it stands: at the top level, in ``sampling``,
+``tolerances``, ``expect``, a space form, ``series`` or ``series.params``
+(which reads the named series' params and ``tol``).  So is a bool where an
+integer belongs, and anything but a JSON number where a real one does.
+Umehara orders must ascend strictly and the series name must be a built-in
+one.
 
 "sig" defaults to dim (definite), and levi, rigidity and relatives need it
 definite; the relatives source is the maps' flat coordinate domain, so its
@@ -163,9 +167,10 @@ def _integer(value, field: str, lo: int, hi: int | None = None) -> int:
 
 
 def _real(value, field: str, positive: bool = False) -> float:
+    """``value`` as a float if it is a finite int or float (not a bool or a string)."""
     try:
-        out = float(value)
-    except (TypeError, ValueError, OverflowError):
+        out = float(value) if isinstance(value, (int, float)) else math.nan
+    except OverflowError:  # an int past the float range
         out = math.nan
     if isinstance(value, bool) or not math.isfinite(out):
         raise ScenarioError(f"{field} must be a finite number, got {value!r}")
@@ -174,19 +179,20 @@ def _real(value, field: str, positive: bool = False) -> float:
     return out
 
 
-def _reads(data: dict, key: str, mode: str, reads) -> dict:
-    """The object ``data[key]`` (default empty), naming only keys that ``mode`` reads."""
-    obj = _object(data.get(key, {}), key)
+def _reads(obj, where: str, reader: str, reads) -> dict:
+    """The object ``obj`` at ``where`` ("" for the root); it may hold only keys ``reader`` reads."""
+    obj = _object(obj, where or "scenario root")
     for name in obj:
         if name not in reads:
             listed = ", ".join(reads) or "none"
-            raise ScenarioError(f"{key}.{name} is not read by {mode} mode (it reads: {listed})")
+            key = f"{where}.{name}" if where else name
+            raise ScenarioError(f"{key} is not read by {reader} (it reads: {listed})")
     return obj
 
 
 def _space(obj, where: str, echo: dict) -> SpaceForm:
     """The space form ``obj``; its echo entry goes to ``echo[where]``."""
-    obj = _object(obj, where)
+    obj = _reads(obj, where, "a space form", ("kind", "dim", "sig"))
     kind = obj.get("kind")
     if kind not in ("euclidean", "ball", "projective"):
         raise ScenarioError(
@@ -240,11 +246,12 @@ _SERIES = {"abs_square": ("map",), "ball_slice": ("p",), "proj_slice": ("p",), "
 
 def _series(obj, echo: dict) -> tuple:
     """The series name and params, with the map parsed; the echo keeps its strings."""
-    obj = _object(obj, "series")
+    obj = _reads(obj, "series", "umehara mode", ("name", "params"))
     name = obj.get("name")
     if not isinstance(name, str) or name not in _SERIES:
         raise ScenarioError(f"series.name must be one of {', '.join(_SERIES)}; got {name!r}")
-    params = _object(obj.get("params", {}), "series.params")
+    reads = _SERIES[name] + ("tol",)
+    params = _reads(obj.get("params", {}), "series.params", f"the {name} series", reads)
     echo["series"] = {"name": name, "params": params}
     parsed = dict(params)
     if "p" in _SERIES[name]:
@@ -339,7 +346,8 @@ def parse_scenario(data) -> Scenario:
         raise ScenarioError(f"mode must be one of {', '.join(MODES)}; got {mode!r}")
     row = _MODES[mode]
 
-    sampling = _object(data.get("sampling", {}), "sampling")
+    reads = ("count", "seed", "radius")
+    sampling = _reads(data.get("sampling", {}), "sampling", f"{mode} mode", reads)
     count = _integer(sampling.get("count", DEFAULT_COUNT), "sampling.count", 1, MAX_COUNT)
     seed = _integer(sampling.get("seed", DEFAULT_SEED), "sampling.seed", 0)
     radius = sampling.get("radius")
@@ -347,16 +355,18 @@ def parse_scenario(data) -> Scenario:
         radius = _real(radius, "sampling.radius", positive=True)
     echo: dict = {"mode": mode, "sampling": {"count": count, "seed": seed, "radius": radius}}
 
+    given = _reads(data.get("tolerances", {}), "tolerances", f"{mode} mode", row.tolerances)
     tolerances = {
-        key: _real(value, f"tolerances.{key}", positive=True)
-        for key, value in _reads(data, "tolerances", mode, row.tolerances).items()
+        key: _real(value, f"tolerances.{key}", positive=True) for key, value in given.items()
     }
-    expect = _reads(data, "expect", mode, row.expect)
+    expect = _reads(data.get("expect", {}), "expect", f"{mode} mode", row.expect)
     if tolerances:
         echo["tolerances"] = tolerances
     if expect:
         echo["expect"] = dict(expect)
     inputs = row.inputs(data, expect, radius, echo)
+    # last, so that an error in a field the mode reads is the one reported
+    _reads(data, "", f"{mode} mode", _COMMON + row.keys)
     tolerances = {**row.tolerances, **tolerances}
     return Scenario(mode, count, seed, radius, tolerances, expect, inputs, echo)
 
@@ -443,33 +453,46 @@ def _run_relatives(sc: Scenario, source, targets, maps, p):
 
 
 class _Mode(NamedTuple):
-    """One mode: the parser of its inputs, the handler they go to (none for
-    suite, which runs the canned battery), the tolerances it reads with their
-    defaults, and the ``expect`` keys it reads.  No other key is accepted."""
+    """One mode: the top-level keys it reads besides ``_COMMON``, the parser
+    of its inputs, the handler they go to (none for suite, which runs the
+    canned battery), the tolerances it reads with their defaults, and the
+    ``expect`` keys it reads.  No other key is accepted."""
 
+    keys: tuple
     inputs: Callable  # (data, expect, radius, echo) -> the handler's inputs; writes their echo
     handler: Callable | None
     tolerances: dict
     expect: tuple
 
 
+# the top-level keys every mode reads
+_COMMON = ("mode", "sampling", "tolerances", "expect")
+
 _MODES = {
-    "levi": _Mode(_levi_inputs, _run_levi, {}, ("signature",)),
-    "pullback": _Mode(_pullback_inputs, _run_pullback, {"proportionality": DEFAULT_TOL}, ()),
+    "levi": _Mode(("source", "p", "r"), _levi_inputs, _run_levi, {}, ("signature",)),
+    "pullback": _Mode(
+        ("source", "target", "map", "p"),
+        _pullback_inputs,
+        _run_pullback,
+        {"proportionality": DEFAULT_TOL},
+        (),
+    ),
     "relatives": _Mode(
+        ("source", "targets", "maps", "p"),
         _relatives_inputs,
         _run_relatives,
         {"proportionality": DEFAULT_TOL, "lambdaMatch": 1e-8},
         ("lambdaHat",),
     ),
     "rigidity": _Mode(
+        ("source", "target", "map", "p"),
         lambda *args: _pullback_inputs(*args, definite_for="rigidity"),
         _run_rigidity,
         {"rigidity": 1e-8, "factorSpread": 1e-6, "ricci": 1e-8},
         (),
     ),
-    "suite": _Mode(lambda *args: (), None, {}, ()),
-    "umehara": _Mode(_umehara_inputs, _run_umehara, {}, ("verdict",)),
+    "suite": _Mode((), lambda *args: (), None, {}, ()),
+    "umehara": _Mode(("series", "orders"), _umehara_inputs, _run_umehara, {}, ("verdict",)),
 }
 MODES = tuple(_MODES)
 

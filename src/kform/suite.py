@@ -7,6 +7,13 @@ determinism of everything else.  A family is a generator that yields one
 ``(name, ok, fields)`` triple per check, and ``scenarios.run_checks`` turns
 the triples into CheckRecords; the wall-clock time it puts on each record
 never reaches the serialized form.
+
+The families that only the battery runs are array passes: c06 makes one
+``levi.obstruction_probes`` call per map (``map_jet`` still runs per point
+inside it), c08's brute-force minor oracle takes one batched determinant per
+(space, p), and c01 groups its samples by (m, p) for one QR, one pencil
+solve and one ``rigidity._product_rule`` per group.  The routes shared with
+the scenario modes (c02-c05, c07, c09) take one point at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .expressions import parse_map
-from .levi import levi_signatures, obstruction_probe
+from .levi import levi_signatures, obstruction_probes
 from .linalg import _adjoint, generalized_eigenvalues, hermitize, sign_counts
 from .numdiff import wirtinger_hessian
 from .ppforms import (
@@ -28,7 +35,7 @@ from .ppforms import (
     relatives_test,
     wedge_power_coeffs,
 )
-from .rigidity import EigenProfile, conclude_isometry_factor, eigen_products_check
+from .rigidity import _product_rule
 from .scenarios import DEFAULT_COUNT, DEFAULT_SEED, Report, _assemble, report_to_json, run_checks
 from .spaceforms import ball, euclidean, metric, projective, ricci, sample_chart_points
 from .umehara import ball_slice, bi_series, coeff_rank, proj_slice, rank_growth, series_eval
@@ -36,63 +43,59 @@ from .umehara import ball_slice, bi_series, coeff_rank, proj_slice, rank_growth,
 __all__ = ["run_paper_suite"]
 
 
-def _isometry_pencils(draws):
-    """Eigenvalues of each pencil (lam^(1/p) q^H g q, q^H g q), g = b^H b.
-
-    ``draws`` holds (m, p, lam, b, a) samples, q the unitary factor of a.
-    The samples are stacked by size m for one QR and one pencil solve per
-    size; the eigenvalue rows come back in the order of ``draws``.
-    """
-    sizes = [m for m, *_ in draws]
-    out = [None] * len(draws)
-    for m in sorted(set(sizes)):
-        picked = [k for k, size in enumerate(sizes) if size == m]
-        _, p, lam, b, a = zip(*(draws[k] for k in picked))
-        b, q = np.stack(b), np.linalg.qr(np.stack(a))[0]
-        base = _adjoint(q) @ (_adjoint(b) @ b) @ q
-        root = np.array([x ** (1.0 / y) for x, y in zip(lam, p)])
-        for k, row in zip(picked, generalized_eigenvalues(root[:, None, None] * base, base)):
-            out[k] = row
-    return out
-
-
 def _pencil_draw(rng):
-    """One c01 sample (m, p, lam, b, a), drawn in a fixed order from ``rng``."""
+    """One c01 sample (m, p, lam, raw), drawn in a fixed order from ``rng``.
+
+    raw holds four m x m normal draws: b = I + 0.3 (raw[0] + i raw[1]) and
+    a = raw[2] + i raw[3], built per (m, p) group by ``_c01``.
+    """
     m = int(rng.integers(2, 7))
     p = int(rng.integers(1, m))
     lam = float(np.exp(rng.uniform(-2.0, 2.0)))
-    b = np.eye(m) + 0.3 * (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
-    return m, p, lam, b, rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    return m, p, lam, rng.normal(size=(4, m, m))
 
 
-# c01 samples drawn and solved together; a block bounds the memory its
-# stacks hold (all 1,000 at once raised the suite's peak RSS by 2-4 MB)
-_C01_BLOCK = 100
+def _by_degree(draws):
+    """The draws grouped by their leading (m, p); each group comes with its columns stacked.
+
+    A generator, so only one group's stacks are held at a time.
+    """
+    groups: dict = {}
+    for m, p, *rest in draws:
+        groups.setdefault((m, p), []).append(rest)
+    for (m, p), rows in groups.items():
+        yield (m, p, *map(np.array, zip(*rows)))
 
 
 def _c01(seed: int):
+    # each (m, p) group is one stack: one QR, one pencil solve for the
+    # eigenvalues of (lam^(1/p) q^H g q, q^H g q), g = b^H b, q the unitary
+    # factor of a, and one product-and-spread rule
     rng = np.random.default_rng(seed + 1)
     worst = 0.0
     recovered = True
-    for _ in range(1000 // _C01_BLOCK):
-        draws = [_pencil_draw(rng) for _ in range(_C01_BLOCK)]
-        for (_, p, lam, _, _), lams in zip(draws, _isometry_pencils(draws)):
-            factor = conclude_isometry_factor(EigenProfile(lams, p, lam), tol=1e-8)
-            if factor is None:
-                recovered = False
-                continue
-            worst = max(worst, abs(factor - lam ** (1.0 / p)) / lam ** (1.0 / p))
+    for m, p, lam, raw in _by_degree([_pencil_draw(rng) for _ in range(1000)]):
+        b = np.eye(m) + 0.3 * (raw[:, 0] + 1j * raw[:, 1])
+        q = np.linalg.qr(raw[:, 2] + 1j * raw[:, 3])[0]
+        base = _adjoint(q) @ (_adjoint(b) @ b) @ q
+        root = np.array([x ** (1.0 / p) for x in lam.tolist()])
+        lams = generalized_eigenvalues(root[:, None, None] * base, base)
+        factors = _product_rule(lams, p, lam, tol=1e-8)[1]
+        recovered = recovered and not np.isnan(factors).any()
+        worst = max(worst, float(np.nanmax(np.abs(factors - root) / root, initial=0.0)))
     yield "c01_eigen_product_recovery", recovered and worst <= 1e-8, {"residual": worst}
 
-    false_accepts = 0
+    draws = []
     for _ in range(1000):
         m = int(rng.integers(2, 7))
         p = int(rng.integers(1, m))
-        lams = np.full(m, float(np.exp(rng.uniform(-1.0, 1.0))))
-        lams[int(rng.integers(0, m))] *= 1.05
-        target = float(np.prod(np.sort(lams)[:p]))
-        if eigen_products_check(EigenProfile(lams, p, target), tol=1e-8):
-            false_accepts += 1
+        draws.append((m, p, float(np.exp(rng.uniform(-1.0, 1.0))), int(rng.integers(0, m))))
+    false_accepts = 0
+    for m, p, value, bumped in _by_degree(draws):
+        lams = np.repeat(value[:, None], m, axis=1)
+        lams[np.arange(len(lams)), bumped] *= 1.05
+        target = np.sort(lams, axis=-1)[:, :p].prod(axis=-1)
+        false_accepts += int(_product_rule(lams, p, target, tol=1e-8)[0].sum())
     yield "c01_eigen_product_nonconstant", false_accepts == 0, {"residual": float(false_accepts)}
 
 
@@ -194,19 +197,22 @@ _PROJ_TO_BALL_MAPS = (
 )
 
 
+def _fibers(rng, count: int, dim: int) -> np.ndarray:
+    """``count`` fibers, each drawn as rng.normal(size=dim) + 1j * rng.normal(size=dim) in turn."""
+    raw = rng.normal(size=(count, 2, dim))
+    return raw[:, 0] + 1j * raw[:, 1]
+
+
 def _probe_family(src, tgt, maps, seed):
     rng = np.random.default_rng(seed)
     conclusive = 0
     all_conflict = True
     for k, comps in enumerate(maps):
         F = parse_map(list(comps), src.dim)
-        for w in sample_chart_points(src, 20, seed + k):
-            xi = rng.normal(size=src.dim) + 1j * rng.normal(size=src.dim)
-            res = obstruction_probe(src, tgt, F, 1, w, xi)
-            if res.inconclusive:
-                continue
-            conclusive += 1
-            all_conflict = all_conflict and res.conflict
+        points = sample_chart_points(src, 20, seed + k)
+        res = obstruction_probes(src, tgt, F, 1, points, _fibers(rng, len(points), src.dim))
+        conclusive += int(np.sum(~res.inconclusive))
+        all_conflict = all_conflict and bool(res.conflict[~res.inconclusive].all())
     return all_conflict and conclusive > 0
 
 
@@ -219,13 +225,10 @@ def _c06(seed: int):
 
     rng = np.random.default_rng(seed + 62)
     F = parse_map(["z1", "0"], 1)
-    min_lhs = np.inf
-    clean = True
-    for w in sample_chart_points(ball(1), 20, seed + 62):
-        xi = rng.normal(size=1) + 1j * rng.normal(size=1)
-        res = obstruction_probe(ball(1), ball(2), F, 1, w, xi)
-        clean = clean and not res.conflict and not res.inconclusive
-        min_lhs = min(min_lhs, res.lhs)
+    points = sample_chart_points(ball(1), 20, seed + 62)
+    res = obstruction_probes(ball(1), ball(2), F, 1, points, _fibers(rng, len(points), 1))
+    clean = not (res.conflict.any() or res.inconclusive.any())
+    min_lhs = float(res.lhs.min())
     yield "c06_probe_ball_control", clean and min_lhs > 1e-10, {"residual": min_lhs}
 
 
@@ -259,6 +262,25 @@ def _c07(seed: int):
     yield "c07_slice_identities", worst <= 1e-10, {"residual": worst}
 
 
+def _minor_oracle(g: np.ndarray, p: int) -> np.ndarray:
+    """det g[I, J] for every pair of p-subsets of an (N, n, n) stack, by one batched det.
+
+    The minors are cut in two plain takes, rows I and then columns J, not
+    by ``linalg.minor_dets``' one gather; the result is (N, C(n,p), C(n,p)).
+    """
+    index = np.subtract(index_basis(g.shape[-1], p), 1)
+    # (point, I, row, J, column) -> (point, I, J, row, column)
+    return np.linalg.det(g[:, index][..., index].transpose(0, 1, 3, 2, 4))
+
+
+def _cabs(z: np.ndarray) -> np.ndarray:
+    """|z| entrywise, rounded as abs() rounds one complex scalar (hypot).
+
+    numpy's vectorized abs of a complex array may differ in the last bit.
+    """
+    return np.hypot(z.real, z.imag)
+
+
 def _c08(seed: int):
     ok_pat = True
     for n, s in ((2, 0), (2, 1), (3, 1), (3, 2)):
@@ -279,19 +301,11 @@ def _c08(seed: int):
     worst = 0.0
     spaces = [euclidean(3, 2), ball(3), ball(3, 2), projective(3), projective(3, 1)]
     for i, sf in enumerate(spaces):
-        points = sample_chart_points(sf, 20, seed + 85 + i)
-        for w in points:
-            g = metric(sf, w)
-            for p in (1, 2):
-                basis = index_basis(3, p)
-                entries = wedge_power_coeffs(g, p)
-                for a, row in enumerate(basis):
-                    for b, col in enumerate(basis):
-                        rows = [idx - 1 for idx in row]
-                        cols = [idx - 1 for idx in col]
-                        brute = np.linalg.det(g[np.ix_(rows, cols)])
-                        dev = abs(entries[a, b] - brute) / (1.0 + abs(brute))
-                        worst = max(worst, float(dev))
+        g = metric(sf, sample_chart_points(sf, 20, seed + 85 + i))
+        for p in (1, 2):
+            brute = _minor_oracle(g, p)
+            dev = _cabs(wedge_power_coeffs(g, p) - brute) / (1.0 + _cabs(brute))
+            worst = max(worst, float(dev.max()))
     yield "c08_wedge_minor_consistency", worst <= 1e-10, {"residual": worst}
 
 

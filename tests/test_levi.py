@@ -11,12 +11,14 @@ from kform.errors import (
     PreconditionError,
 )
 import kform.levi
+import kform.suite
 from kform.expressions import compose, evaluate_map, jacobian, parse_map
 from kform.levi import (
     bundle_point,
     levi_form,
     levi_signatures,
     obstruction_probe,
+    obstruction_probes,
     rho_gradient,
     sample_bundle_points,
     tangent_basis,
@@ -279,8 +281,8 @@ def test_levi_spectra_ignore_the_centering_frame(monkeypatch):
     real = kform.levi.center_automorphism
     rng = np.random.default_rng(12)
 
-    def rotated(sf, w):
-        return random_unitary(rng, sf.dim) @ real(sf, w)
+    def rotated(sf, w, **stack):
+        return random_unitary(rng, sf.dim) @ real(sf, w, **stack)
 
     def close(a, b):
         return np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
@@ -352,8 +354,9 @@ def _probe_set(rng):
 def test_probe_closed_form_matches_the_block_sum_route(monkeypatch):
     real = kform.levi._center_block
 
-    def block_sum(sf, p, xi):
-        return kform.levi._wedge_hessian_block(sf, np.zeros(sf.dim), p, xi)
+    def block_sum(sf, p, xi):  # the probe passes a stack of fibers
+        blocks = [kform.levi._wedge_hessian_block(sf, np.zeros(sf.dim), p, x) for x in xi]
+        return np.array(blocks).reshape(xi.shape[:-1] + (sf.dim, sf.dim))
 
     conflicts = 0
     for src, tgt, F, p, w, xi in _probe_set(np.random.default_rng(29)):
@@ -366,6 +369,78 @@ def test_probe_closed_form_matches_the_block_sum_route(monkeypatch):
         assert abs(res.rhs - route.rhs) <= 1e-12 * abs(route.rhs), f"{src} p={p}"
         conflicts += res.conflict
     assert 0 < conflicts < 144
+
+
+def _assert_rows_are_lone_probes(src, tgt, F, p, points, fibers, rows=None):
+    stack = obstruction_probes(src, tgt, F, p, points, fibers)
+    for k in range(len(points)) if rows is None else rows:
+        lone = obstruction_probe(src, tgt, F, p, points[k], fibers[k])
+        assert (stack.conflict[k], stack.inconclusive[k]) == (lone.conflict, lone.inconclusive)
+        assert abs(stack.lhs[k] - lone.lhs) <= 1e-12 * abs(lone.lhs), f"{src} p={p} row {k}"
+        assert abs(stack.rhs[k] - lone.rhs) <= 1e-12 * abs(lone.rhs), f"{src} p={p} row {k}"
+    return stack
+
+
+def test_probe_stack_rows_are_the_one_point_probes():
+    # c06's 140 probes, one stack per map as the battery runs them
+    seed = 42
+    families = (
+        (euclidean(2), ball(3), kform.suite._FLAT_TO_BALL_MAPS, seed + 60),
+        (projective(1), ball(2), kform.suite._PROJ_TO_BALL_MAPS, seed + 61),
+        (ball(1), ball(2), (("z1", "0"),), seed + 62),
+    )
+    conclusive = 0
+    for src, tgt, maps, family_seed in families:
+        rng = np.random.default_rng(family_seed)
+        for k, comps in enumerate(maps):
+            F = parse_map(list(comps), src.dim)
+            points = sample_chart_points(src, 20, family_seed + k)
+            fibers = kform.suite._fibers(rng, len(points), src.dim)
+            res = _assert_rows_are_lone_probes(src, tgt, F, 1, points, fibers)
+            conclusive += int(np.sum(~res.inconclusive))
+    assert conclusive == 140
+
+    # the 144 probes of _probe_set, each in a stack with the other seven
+    # probes of its (source, p) under its own map, so rows of different
+    # spectra and fibers share every stacked solve
+    probes = list(_probe_set(np.random.default_rng(29)))
+    for start in range(0, len(probes), 8):
+        group = probes[start : start + 8]
+        points = np.array([w for *_, w, _ in group])
+        fibers = np.array([xi for *_, xi in group])
+        for j, (src, tgt, F, p, _, _) in enumerate(group):
+            _assert_rows_are_lone_probes(src, tgt, F, p, points, fibers, rows=[j])
+
+    # 0.5*z from B^3: the top singular value of the differential is triple at
+    # the centre and double elsewhere, so the tie rule runs once per size
+    F = parse_map(["0.5*z1", "0.5*z2", "0.5*z3", "0"], 3)
+    points = np.array([[0.1, 0.2j, -0.1], np.zeros(3), [0.3, 0.1, 0.2j], np.zeros(3)])
+    rng = np.random.default_rng(5)
+    for p in (1, 2):
+        fibers = np.array([_random_fiber(rng, ball(3), p) for _ in points])
+        _assert_rows_are_lone_probes(ball(3), ball(4), F, p, points, fibers)
+
+
+def test_probe_stack_errors_name_the_stack_index():
+    F = parse_map(["3*z1", "0"], 1)
+    points = np.array([[0.1], [0.2], [0.5], [0.1]])
+    fibers = np.ones((4, 1))
+    # F(w) = 1.5 at point 2 leaves the target ball
+    with pytest.raises(DomainError, match="point at stack index 2 outside the ball chart domain"):
+        obstruction_probes(euclidean(1), ball(2), F, 1, points, fibers)
+    with pytest.raises(DomainError, match="point at stack index 1 outside the ball chart domain"):
+        obstruction_probes(ball(1), ball(2), parse_map(["0.1*z1", "0"], 1), 1, [[0.1], [1.2]], [[1], [1]])
+    with pytest.raises(DegenerateSampleError, match="zero fiber vector at stack index 3"):
+        obstruction_probes(euclidean(1), ball(2), parse_map(["0.1*z1", "0"], 1), 1, points, [[1], [1], [1], [0]])
+    # a projective point too far out for the top-degree wedge norm
+    far = np.array([[0.1, 0.0], [3e3, 0.0], [0.2, 0.1]])
+    with pytest.raises(DomainError, match="chart point at stack index 1 with 1 \\+ \\|w\\|\\^2 = 9e\\+06"):
+        obstruction_probes(projective(2), ball(3), parse_map(["0", "0", "0"], 2), 2, far, np.ones((3, 1)))
+    # a lone point's errors carry no index
+    with pytest.raises(DomainError, match="^point outside the ball chart domain$"):
+        obstruction_probe(euclidean(1), ball(2), F, 1, [0.5], [1.0])
+    with pytest.raises(DimensionError, match="fibers have shape"):
+        obstruction_probes(euclidean(1), ball(2), F, 1, points, np.ones((3, 1)))
 
 
 def test_probe_flat_source_into_ball_conflicts():
@@ -452,7 +527,7 @@ def test_probe_differential_is_the_chain_rule(monkeypatch):
             obstruction_probe(src, tgt, F, 1, w, _random_fiber(rng, src, 1))
             (_, psi_inverse), (chi, _) = mobius_map(src, w), mobius_map(tgt, evaluate_map(F, w))
             route = jacobian(compose(chi, compose(F, psi_inverse)), np.zeros(m))
-            assert_allclose(pushed[-1], route, atol=1e-10)
+            assert_allclose(pushed[-1].reshape(route.shape), route, atol=1e-10)
 
 
 def test_probe_direction_ignores_the_eigen_solver_basis(monkeypatch):
@@ -464,13 +539,14 @@ def test_probe_direction_ignores_the_eigen_solver_basis(monkeypatch):
     real = kform.levi.hermitian_eigen
     rng = np.random.default_rng(7)
 
-    def rotated_top(h):
+    def rotated_top(h):  # the probe solves stacks of matrices
         vals, vecs = real(h)
-        top = vals >= vals[-1] - 1e-10 * abs(vals[-1])
-        k = int(top.sum())
-        u = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
         vecs = vecs.copy()
-        vecs[:, top] = vecs[:, top] @ u
+        for row, frame in zip(vals.reshape(-1, vals.shape[-1]), vecs.reshape(-1, *vecs.shape[-2:])):
+            top = row >= row[-1] - 1e-10 * abs(row[-1])
+            k = int(top.sum())
+            u = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+            frame[:, top] = frame[:, top] @ u
         return vals, vecs
 
     for p in (1, 2):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,27 @@ def test_compound_matrix_multiplicative():
         lhs = compound_matrix(a @ b, p)
         rhs = compound_matrix(a, p) @ compound_matrix(b, p)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+
+
+def test_compounds_and_wedge_coefficients_take_stacks():
+    # one batched gather for a (2, 3, n, k) stack equals one call per matrix, bit for bit
+    rng = np.random.default_rng(17)
+    for n, k in ((3, 3), (4, 2), (2, 4), (5, 5)):
+        a = rng.standard_normal((2, 3, n, k)) + 1j * rng.standard_normal((2, 3, n, k))
+        for p in range(1, min(n, k) + 1):
+            stacked = compound_matrix(a, p)
+            assert stacked.shape == (2, 3, math.comb(n, p), math.comb(k, p))
+            for i, j in np.ndindex(2, 3):
+                np.testing.assert_array_equal(stacked[i, j], compound_matrix(a[i, j], p))
+                if n == k:
+                    g = a[i, j] @ a[i, j].conj().T
+                    np.testing.assert_array_equal(
+                        wedge_power_coeffs(np.stack([g, 2 * g]), p)[1], wedge_power_coeffs(2 * g, p)
+                    )
+    with pytest.raises(DimensionError):
+        wedge_power_coeffs(np.zeros((2, 3, 4)), 1)
+    with pytest.raises(DimensionError):
+        compound_matrix(np.zeros(3), 1)
 
 
 def test_pullback_identity_map():

@@ -298,6 +298,20 @@ def _relatives(source):
         (lambda d: d.update(_umehara({"p": 1}, name="nope")), "series.name must be one of abs_square, ball_slice, proj_slice, psi; got 'nope'"),
         (lambda d: d.update(_umehara({"p": 1, "map": ["z1"]}), orders=[2, 6, 4]), "orders must be strictly ascending, got [2, 6, 4]"),
         (lambda d: d.update(_umehara({"p": 1, "map": ["z1"]}), orders=[2, 2, 4]), "orders must be strictly ascending"),
+        # a key the mode does not read is an error at every level, a misspelt one too
+        (lambda d: d.update(sampeling={"count": 5}), "sampeling is not read by pullback mode (it reads: mode, sampling, tolerances, expect, source, target, map, p)"),
+        (lambda d: d.update(targets=[{"kind": "ball", "dim": 2}]), "targets is not read by pullback mode"),
+        (lambda d: d.update(mode="rigidity", r=1.0), "r is not read by rigidity mode"),
+        (lambda d: d.update(sampling={"count": 5, "cuont": 3}), "sampling.cuont is not read by pullback mode (it reads: count, seed, radius)"),
+        (lambda d: d.update(source={"kind": "euclidean", "dim": 2, "sgi": 1}), "source.sgi is not read by a space form (it reads: kind, dim, sig)"),
+        (lambda d: d.update(_umehara({"p": 1, "map": ["z1"], "tool": 0}, name="ball_slice")), "series.params.map is not read by the ball_slice series (it reads: p, tol)"),
+        (lambda d: d.update(_umehara({"p": 1, "map": ["z1"], "tool": 0})), "series.params.tool is not read by the psi series (it reads: p, map, tol)"),
+        (lambda d: d.update(_umehara({"p": 1}, name="ball_slice"), series={"name": "ball_slice", "parms": {"p": 1}}), "series.parms is not read by umehara mode (it reads: name, params)"),
+        # a number is a JSON number, not a numeric string
+        (lambda d: d.update(tolerances={"proportionality": "1e-8"}), "tolerances.proportionality must be a finite number, got '1e-8'"),
+        (lambda d: d.update(sampling={"radius": "0.5"}), "sampling.radius must be a finite number, got '0.5'"),
+        (lambda d: d.update(_umehara({"p": 1, "map": ["z1"], "tol": "1e-9"})), "series.params.tol must be a finite number, got '1e-9'"),
+        (lambda d: d.update(mode="levi", r="1.5"), "r must be a finite number, got '1.5'"),
     ],
 )
 def test_scenario_validation_names_the_field(mutate, fragment):

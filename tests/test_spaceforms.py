@@ -222,6 +222,30 @@ def test_ricci_matches_log_det_hessian():
             np.testing.assert_allclose(ricci(sf, z), fd, atol=1e-5)
 
 
+def test_wirtinger_hessian_evaluates_the_center_once():
+    # four stencil points per direction, n diagonal directions and four per
+    # pair of coordinates, and f(z) once; f = |z|^2 + 2 |z_1|^2 |z_n|^2 has
+    # the Hessian I + 2 (|z_n|^2 e_1 e_1^T + |z_1|^2 e_n e_n^T + ...) below
+    for n in (1, 2, 3):
+        z = np.linspace(0.1, 0.3, n) + 0.2j
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return float(np.sum(np.abs(x) ** 2) + 2.0 * abs(x[0]) ** 2 * (abs(x[-1]) ** 2 if n > 1 else 0.0))
+
+        h = numdiff.wirtinger_hessian(f, z)
+        assert len(calls) == 1 + 4 * n + 16 * math.comb(n, 2)
+        assert sum(np.array_equal(x, z) for x in calls) == 1
+        expect = np.eye(n, dtype=complex)
+        if n > 1:
+            expect[0, 0] += 2.0 * abs(z[-1]) ** 2
+            expect[-1, -1] += 2.0 * abs(z[0]) ** 2
+            expect[0, -1] += 2.0 * np.conj(z[0]) * z[-1]
+            expect[-1, 0] += 2.0 * z[0] * np.conj(z[-1])
+        np.testing.assert_allclose(h, expect, atol=1e-6)
+
+
 def test_curvature_pinned_values():
     e1 = [1.0, 0.0]
     e2 = [0.0, 1.0]
@@ -429,6 +453,25 @@ def test_metric_and_ricci_take_stacks_of_points():
                     np.testing.assert_array_equal(g[k], metric(sf, w))
                     np.testing.assert_array_equal(r.reshape(24, n, n)[k], ricci(sf, w))
                 assert metric(sf, pts[:0]).shape == (0, n, n)
+
+
+def test_center_automorphism_takes_stacks_of_points():
+    # the stacked frames equal one call per point bit for bit, on definite
+    # curved forms and on flat forms of every signature
+    cases = [make(n) for make in (ball, projective) for n in (1, 2, 4)]
+    cases += [euclidean(n, sig) for n in (1, 3) for sig in range(n + 1)]
+    for sf in cases:
+        pts = sample_chart_points(sf, 12, seed=sf.dim + 3, radius=0.9)
+        frames = center_automorphism(sf, pts.reshape(3, 4, sf.dim), stack=True)
+        assert frames.shape == (3, 4, sf.dim, sf.dim) and frames.dtype == np.complex128
+        for k, w in enumerate(pts):
+            np.testing.assert_array_equal(frames.reshape(12, sf.dim, sf.dim)[k], center_automorphism(sf, w))
+        assert center_automorphism(sf, pts[:0], stack=True).shape == (0, sf.dim, sf.dim)
+    pts = np.array([[0.1, 0.2], [0.3, 0.1j], [0.9, 0.9]])
+    with pytest.raises(DomainError, match="point at stack index 2 outside the ball chart"):
+        center_automorphism(ball(2), pts, stack=True)
+    with pytest.raises(DomainError, match="only available for definite"):
+        center_automorphism(ball(2, 1), pts[:2], stack=True)
 
 
 def test_stacked_metric_names_the_bad_point():

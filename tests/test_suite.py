@@ -1,19 +1,25 @@
 import functools
 import importlib
+import math
 import os
 import pkgutil
 import signal
 import subprocess
 import sys
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 import kform
 from kform import ppforms, suite
 from kform.cli import main
 from kform.levi import levi_signatures
+from kform.linalg import _adjoint, generalized_eigenvalues
+from kform.ppforms import index_basis
+from kform.rigidity import _product_rule
 from kform.scenarios import DEFAULT_SEED, report_to_json, run_checks
-from kform.spaceforms import ball, euclidean, projective
+from kform.spaceforms import ball, euclidean, metric, projective, sample_chart_points
 
 
 def test_c05_records_show_the_observed_signatures(monkeypatch):
@@ -33,6 +39,55 @@ def test_c05_records_show_the_observed_signatures(monkeypatch):
     mixed, ball = records["c05_levi_projective_mixed"], records["c05_levi_ball"]
     assert mixed.verdict == "PASS" and mixed.signature == (3, 0, 2)
     assert ball.verdict == "PASS" and ball.signature == (0, 0, 5)
+
+
+def test_c08_minor_oracle_is_the_per_minor_loop():
+    # one batched det over c08's 100 metrics equals one np.ix_ minor at a
+    # time, bit for bit
+    spaces = [euclidean(3, 2), ball(3), ball(3, 2), projective(3), projective(3, 1)]
+    for i, sf in enumerate(spaces):
+        g = metric(sf, sample_chart_points(sf, 20, DEFAULT_SEED + 85 + i))
+        for p in (1, 2):
+            oracle = suite._minor_oracle(g, p)
+            basis = [np.subtract(I, 1) for I in index_basis(3, p)]
+            loop = [[[np.linalg.det(gk[np.ix_(I, J)]) for J in basis] for I in basis] for gk in g]
+            assert np.array_equal(oracle, np.array(loop)), f"{sf} p={p}"
+
+
+def _rule_by_loop(lams, p, target, tol):
+    # the per-profile rule as a plain loop: math.prod over ascending subsets,
+    # then the mean and the spread of the row
+    lams = sorted(lams)
+    products = all(abs(math.prod(s) - target) <= tol * abs(target) for s in combinations(lams, p))
+    mean = float(np.mean(lams))
+    flat = max(lams) - min(lams) <= 10.0 * tol * max(abs(mean), 1e-300)
+    return products, mean if products and flat else None
+
+
+def test_c01_rule_is_the_per_sample_loop():
+    # c01's pencils, grouped by (m, p) as c01 groups them, a spread of them
+    # that the products refuse, and top-degree rows whose spread is refused,
+    # against the loop on each sample: the same flags and factors, bit for bit
+    rng = np.random.default_rng(DEFAULT_SEED + 1)
+    cases = []
+    for m, p, lam, raw in suite._by_degree([suite._pencil_draw(rng) for _ in range(300)]):
+        b = np.eye(m) + 0.3 * (raw[:, 0] + 1j * raw[:, 1])
+        q = np.linalg.qr(raw[:, 2] + 1j * raw[:, 3])[0]
+        base = _adjoint(q) @ (_adjoint(b) @ b) @ q
+        root = np.array([x ** (1.0 / p) for x in lam.tolist()])
+        lams = generalized_eigenvalues(root[:, None, None] * base, base)
+        cases += [(lams, p, lam), (lams * np.linspace(1.0, 1.05, m), p, lam)]
+    top = rng.uniform(0.5, 2.0, size=(50, 3))
+    cases.append((top, 3, np.prod(top, axis=-1)))
+    seen = {"factor": 0, "spread": 0, "products": 0}
+    for lams, p, target in cases:
+        products, factors = _product_rule(lams, p, target, 1e-8)
+        for k, row in enumerate(lams.tolist()):
+            ok, factor = _rule_by_loop(row, p, float(target[k]), 1e-8)
+            assert bool(products[k]) == ok
+            assert (factor is None and np.isnan(factors[k])) or factor == factors[k]
+            seen["factor" if factor is not None else "spread" if ok else "products"] += 1
+    assert seen == {"factor": 300, "spread": 50, "products": 300}
 
 
 def _stub_battery():

@@ -3,10 +3,13 @@
 Generates the ``pullback``, ``levi`` and ``ranks`` ops of seeds 1-5 with
 ``perfbench/workloads.generate`` (which it only reads), runs each op and then
 ``kform suite --json`` in this process through ``kform.cli.main``, and prints
-the exit-code counts and one SHA-256 over (op id, exit code, stdout,
-canonical JSON report) of every run.  Two trees that print the same digest
-gave the same verdicts, numbers and printed lines on every op; stderr is not
-part of it.  Run from anywhere:
+the exit-code counts, one SHA-256 per workload and one for the suite over
+the same fields of their own runs, and last one SHA-256 over (op id, exit
+code, stdout, canonical JSON report) of every run.  Two trees that print the
+same digest gave the same verdicts, numbers and printed lines on every op;
+stderr is not part of it.  The per-workload lines show which part moved, so
+a change to the battery alone can show that the scenario ops did not.  Run
+from anywhere:
 
     python tools/report_digest.py
 
@@ -46,17 +49,18 @@ def _run(argv: list, report: Path) -> tuple[int, str, str]:
 
 def main() -> int:
     digest = hashlib.sha256()
+    parts = {name: hashlib.sha256() for name in (*WORKLOADS, "suite")}
     codes = Counter()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         runs = [
-            (op["id"], op["argv"], op["scenario"])
+            (workload, op["id"], op["argv"], op["scenario"])
             for workload in WORKLOADS
             for seed in SEEDS
             for op in generate(workload, seed)
         ]
-        runs.append(("suite", ["suite"], None))
-        for op_id, argv, scenario in runs:
+        runs.append(("suite", "suite", ["suite"], None))
+        for workload, op_id, argv, scenario in runs:
             if scenario is not None:
                 path = work / "scenario.json"
                 path.write_text(json.dumps(scenario, sort_keys=True), encoding="utf-8")
@@ -64,10 +68,14 @@ def main() -> int:
             code, out, text = _run(argv, work / "report.json")
             codes[code] += 1
             for part in (op_id, str(code), out, text):
-                digest.update(part.encode("utf-8") + b"\0")
+                data = part.encode("utf-8") + b"\0"
+                digest.update(data)
+                parts[workload].update(data)
     print(f"runs: {sum(codes.values())}")
     for code in sorted(codes):
         print(f"exit {code}: {codes[code]}")
+    for name, part in parts.items():
+        print(f"{name}: {part.hexdigest()}")
     print(f"sha256: {digest.hexdigest()}")
     return 0
 
