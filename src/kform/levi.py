@@ -53,6 +53,7 @@ from .expressions import MapExpr, map_jet
 from .linalg import (
     DEFAULT_ZERO_TOL,
     _adjoint,
+    _any,
     _stack_index,
     cofactor_matrix,
     generalized_eigenvalues,
@@ -156,12 +157,8 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _quad(a: np.ndarray, v: np.ndarray) -> float:
-    return float(np.real(v @ a @ np.conj(v)))
-
-
 def _quads(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``_quad`` row by row: v^T a conj(v) for (..., k) vectors against (..., k, k) matrices."""
+    """v^T a conj(v), real, row by row for (..., k) vectors against (..., k, k) matrices."""
     return np.real((v[..., None, :] @ a @ np.conj(v)[..., :, None])[..., 0, 0])
 
 
@@ -204,19 +201,32 @@ def bundle_point(sf: SpaceForm, p: int, r: float, z, xi) -> SphereBundlePoint:
     if r <= 0:
         raise PreconditionError(f"bundle radius must be positive, got {r}")
     z, u = _chart(sf, z)
-    if sf.curv > 0 and not _wedge_norm_fits(sf, p, u):
-        raise DomainError(
-            f"chart point with 1 + |w|^2 = {u:.3g} is too far out for the degree-{p} "
-            "wedge norm to keep its precision"
-        )
-    w = wedge_power_coeffs(metric(sf, z), p)
-    xi = _fiber_vector(xi, len(w))
-    norm2 = _quad(w, xi)
+    xi = _fiber_vector(xi, len(index_basis(sf.dim, p)))
+    return SphereBundlePoint(base=z, fiber=_onto_sphere(sf, p, r, z, u, xi), p=p, r=float(r))
+
+
+def _onto_sphere(sf: SpaceForm, p: int, r: float, z, u, xi) -> np.ndarray:
+    """The fibers xi over the chart points z, where u = 1 + c |z|^2, scaled onto S_r.
+
+    One point (m,) with its fiber (k,), or a (..., m) stack with its (..., k)
+    fibers.  A point at which ``levi_radius_fits`` fails raises
+    ``DomainError`` and a zero fiber ``DegenerateSampleError``, each naming
+    the stack index of the first one.
+    """
+    if sf.curv > 0:
+        far = np.logical_not(_wedge_norm_fits(sf, p, u))
+        if _any(far):
+            raise DomainError(
+                f"chart point{_stack_index(far)} with 1 + |w|^2 = {np.asarray(u)[far][0]:.3g} "
+                f"is too far out for the degree-{p} wedge norm to keep its precision"
+            )
+    norm2 = _quads(wedge_power_coeffs(metric(sf, z), p), xi)
     # W's entries shrink like 1/u^p far out in a projective chart, so the
     # norm is only asked to be positive
-    if not norm2 > 0:
-        raise DegenerateSampleError("zero fiber vector")
-    return SphereBundlePoint(base=z, fiber=xi * np.sqrt(r / norm2), p=p, r=float(r))
+    zero = np.logical_not(norm2 > 0)
+    if _any(zero):
+        raise DegenerateSampleError(f"zero fiber vector{_stack_index(zero)}")
+    return xi * np.sqrt(r / norm2)[..., None]
 
 
 def levi_radius_fits(sf: SpaceForm, p: int, radius: float) -> bool:
@@ -406,27 +416,17 @@ def obstruction_probes(
     xi = np.asarray(fibers, dtype=np.complex128)
     if xi.shape != lead + (k,):
         raise DimensionError(f"fibers have shape {xi.shape}, expected {lead + (k,)}")
-    z, u, xi = z.reshape(-1, m), np.reshape(u, -1), xi.reshape(-1, k)
 
-    jets = [map_jet(F, w) for w in z]
-    fw = np.array([v for v, _ in jets]).reshape(-1, n)
+    jets = [map_jet(F, w) for w in z.reshape(-1, m)]
+    fw = np.array([v for v, _ in jets]).reshape(lead + (n,))
     jf = np.array([j for _, j in jets]).reshape(-1, n, m)
     # every F(w) must lie in the target chart
-    dchi = center_automorphism(tgt, fw.reshape(lead + (n,)), stack=True).reshape(-1, n, n)
-
-    # the fibers onto S_1, as bundle_point scales one
-    far = ~_wedge_norm_fits(src, p, u)
-    if src.curv > 0 and far.any():
-        raise DomainError(
-            f"chart point{_stack_index(far.reshape(lead))} with 1 + |w|^2 = "
-            f"{u[far][0]:.3g} is too far out for the degree-{p} wedge norm to keep its precision"
-        )
-    norm2 = _quads(wedge_power_coeffs(metric(src, z), p), xi)
-    if not (norm2 > 0).all():
-        raise DegenerateSampleError(f"zero fiber vector{_stack_index(~(norm2 > 0).reshape(lead))}")
-    dpsi = center_automorphism(src, z, stack=True)
+    dchi = center_automorphism(tgt, fw).reshape(-1, n, n)
+    xi = _onto_sphere(src, p, 1.0, z, u, xi).reshape(-1, k)
+    z = z.reshape(-1, m)
+    dpsi = center_automorphism(src, z)
     jg = dchi @ jf @ np.linalg.inv(dpsi)
-    xi0 = _apply(compound_matrix(dpsi, p), xi * np.sqrt(1.0 / norm2)[:, None])
+    xi0 = _apply(compound_matrix(dpsi, p), xi)
 
     z_src = _center_block(src, p, xi0)
     sing, vecs = hermitian_eigen(hermitize(_adjoint(jg) @ jg))

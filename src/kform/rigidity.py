@@ -7,6 +7,11 @@ p < m this forces all eigenvalues equal to lambda^(1/p), i.e. the map is a
 local isometry up to that factor; for p = m a single product carries no such
 constraint (witness (1/2, 2 lambda)), so concluding a factor is refused.
 The Ricci comparison check covers the equidimensional determinant argument.
+
+``profiles_rule`` takes the product and spread rule over a list of profiles
+as one array pass; a rigidity scenario makes one call per run, and
+``eigen_products_check`` and ``conclude_isometry_factor`` are its
+one-profile views.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ __all__ = [
     "profile_from_pullback",
     "eigen_products_check",
     "conclude_isometry_factor",
+    "profiles_rule",
     "ricci_pullback_check",
 ]
 
@@ -113,21 +119,29 @@ def _product_rule(lams, p: int, targets, tol: float):
     return products, np.where(products & flat, mean, np.nan)
 
 
-def _profile_rule(profile: EigenProfile, tol: float) -> tuple[bool, float]:
-    """``_product_rule`` on one profile, whose degree p must lie in 1..m."""
-    if not 1 <= profile.p <= profile.m:
-        raise PreconditionError(f"degree p={profile.p} out of range 1..{profile.m}")
-    products, factors = _product_rule(profile.lambdas[None], profile.p, [profile.lambdaTarget], tol)
-    return bool(products[0]), float(factors[0])
+def profiles_rule(profiles, tol: float = DEFAULT_TOL):
+    """``_product_rule`` on a list of profiles that share m and p, as one stack.
+
+    Returns the (S,) arrays ``products`` (``eigen_products_check`` of each
+    profile) and ``factors`` (the mean where ``conclude_isometry_factor``
+    would conclude one, else NaN).  The degree p must lie in 1..m.
+    """
+    first = profiles[0]
+    if not 1 <= first.p <= first.m:
+        raise PreconditionError(f"degree p={first.p} out of range 1..{first.m}")
+    if any(prof.m != first.m or prof.p != first.p for prof in profiles):
+        raise PreconditionError("profiles of one stack must share m and p")
+    lams = np.array([prof.lambdas for prof in profiles])
+    return _product_rule(lams, first.p, [prof.lambdaTarget for prof in profiles], tol)
 
 
 def eigen_products_check(profile: EigenProfile, tol: float = DEFAULT_TOL) -> bool:
     """PASS iff every p-fold eigenvalue product is within tol*lambda of lambda.
 
     Each product multiplies left to right over the ascending eigenvalues
-    (``_product_rule`` on one profile).
+    (``profiles_rule`` on one profile).
     """
-    return _profile_rule(profile, tol)[0]
+    return bool(profiles_rule([profile], tol)[0][0])
 
 
 def conclude_isometry_factor(profile: EigenProfile, tol: float = DEFAULT_TOL):
@@ -136,14 +150,14 @@ def conclude_isometry_factor(profile: EigenProfile, tol: float = DEFAULT_TOL):
     Requires p < m: at top degree a single determinant condition admits
     non-isometries, so the conclusion would be unsound and a precondition
     error is raised.  Returns None when the product check fails or the
-    eigenvalue spread exceeds the tolerance (``_product_rule`` on one profile).
+    eigenvalue spread exceeds the tolerance (``profiles_rule`` on one profile).
     """
     if profile.p >= profile.m:
         raise PreconditionError(
             f"isometry conclusion needs p < m, got p={profile.p}, m={profile.m}; "
             "top-degree preservation admits non-isometries"
         )
-    factor = _profile_rule(profile, tol)[1]
+    factor = float(profiles_rule([profile], tol)[1][0])
     return None if math.isnan(factor) else factor
 
 

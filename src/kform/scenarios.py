@@ -64,12 +64,7 @@ from .errors import KformError, ScenarioError
 from .expressions import MapExpr, parse_map
 from .levi import levi_radius_fits, levi_signatures
 from .ppforms import DEFAULT_TOL, proportionality_test, relatives_test
-from .rigidity import (
-    conclude_isometry_factor,
-    eigen_products_check,
-    profile_from_pullback,
-    ricci_pullback_check,
-)
+from .rigidity import profile_from_pullback, profiles_rule, ricci_pullback_check
 from .spaceforms import SpaceForm, radius_fits, sample_chart_points
 from .umehara import as_map, rank_growth
 
@@ -406,15 +401,15 @@ def _run_rigidity(sc: Scenario, src, tgt, F, p):
     tol = sc.tolerances["rigidity"]
     points = sample_chart_points(src, sc.count, sc.seed, sc.radius)
     profiles = [profile_from_pullback(F, src, tgt, p, w) for w in points]
-    yield "eigen_products", all(eigen_products_check(prof, tol=tol) for prof in profiles), {}
+    products, factors = profiles_rule(profiles, tol=tol)
+    yield "eigen_products", bool(products.all()), {}
 
     if p < src.dim:
-        factors = [conclude_isometry_factor(prof, tol=tol) for prof in profiles]
-        if any(f is None for f in factors):
+        if np.isnan(factors).any():
             yield "isometry_factor", False, {}
         else:
             mean = float(np.mean(factors))
-            spread = float(max(factors) - min(factors))
+            spread = float(factors.max() - factors.min())
             ok = spread <= sc.tolerances["factorSpread"] * max(abs(mean), 1e-300)
             yield "isometry_factor", ok, {"lambdaHat": mean, "residual": spread}
 

@@ -22,11 +22,11 @@ closed form (``center_automorphism``) and seeded chart sampling.
 
 ``metric`` and ``ricci`` also take a (..., n) stack of points and return the
 (..., n, n) stack of their matrices, equal bit for bit to one call per point;
-``sample_chart_points`` checks its finished (count, n) array the same way,
-and ``center_automorphism(sf, w, stack=True)`` gives the (..., n, n) stack
-of frames.  A point of a stack that is not finite or lies outside the chart
-raises ``DomainError`` naming its stack index (``point at stack index 3
-outside the ball chart domain``).  Every other function takes one point.
+``center_automorphism`` gives the (..., n, n) stack of their frames, and
+``sample_chart_points`` checks its finished (count, n) array the same way.
+A point of a stack that is not finite or lies outside the chart raises
+``DomainError`` naming its stack index (``point at stack index 3 outside the
+ball chart domain``).  Every other function takes one point.
 """
 
 from __future__ import annotations
@@ -299,7 +299,7 @@ def wedge_curvature_block(sf: SpaceForm, w, I, J) -> np.ndarray:
 # chart-centering frames
 
 
-def center_automorphism(sf: SpaceForm, w, stack: bool = False) -> np.ndarray:
+def center_automorphism(sf: SpaceForm, w) -> np.ndarray:
     """Differential at ``w`` of an isometry moving the chart point ``w`` to 0.
 
     With u = 1 + c |w|^2 it is dphi = I / sqrt(u) - c w w^H / (u (1 + sqrt(u))),
@@ -311,12 +311,11 @@ def center_automorphism(sf: SpaceForm, w, stack: bool = False) -> np.ndarray:
     the translation z - w on flat forms and an automorphism of the ball or
     projective space otherwise, and it carries the metric at w to the metric
     at 0: dphi^T g(0) conj(dphi) = g(w).  Flat forms of any signature get
-    exactly I; indefinite curved forms raise a domain error.  With
-    ``stack=True`` a (..., n) stack of points gives the (..., n, n) stack of
-    their frames, and a point outside the chart is named by its stack index,
-    as in ``_chart``.
+    exactly I; indefinite curved forms raise a domain error.  A (..., n)
+    stack of points gives the (..., n, n) stack of their frames, and a point
+    outside the chart is named by its stack index, as in ``metric``.
     """
-    z0, u = _chart(sf, w, stack)
+    z0, u = _chart(sf, w, stack=True)
     n, c = sf.dim, sf.curv
     if c == 0:
         eye = np.eye(n, dtype=np.complex128)

@@ -105,13 +105,13 @@ def test_bundle_point_normalizes_onto_level_set():
         bundle_point(euclidean(2, sig=1), 1, 1.0, [0, 0], [1, 0])
     with pytest.raises(PreconditionError):
         bundle_point(ball(2), 1, -1.0, [0, 0], [1, 0])
-    with pytest.raises(DegenerateSampleError):
+    with pytest.raises(DegenerateSampleError, match="^zero fiber vector$"):
         bundle_point(ball(2), 1, 1.0, [0, 0], [0, 0])
     # far out in a projective chart: below top degree the norm holds, at top
     # degree the point is refused instead of losing the norm's precision
     pt = bundle_point(projective(2), 1, 1.0, [1e40, 2e40j], [1.0, 0.5])
     assert np.isfinite(pt.fiber).all() and np.abs(pt.fiber).max() > 0
-    with pytest.raises(DomainError, match="too far out for the degree-2 wedge norm"):
+    with pytest.raises(DomainError, match="^chart point with 1 \\+ \\|w\\|\\^2 = 1e\\+26 is too far out"):
         bundle_point(projective(2), 2, 1.0, [1e13, 0], [1.0])
 
 
@@ -281,8 +281,8 @@ def test_levi_spectra_ignore_the_centering_frame(monkeypatch):
     real = kform.levi.center_automorphism
     rng = np.random.default_rng(12)
 
-    def rotated(sf, w, **stack):
-        return random_unitary(rng, sf.dim) @ real(sf, w, **stack)
+    def rotated(sf, w):
+        return random_unitary(rng, sf.dim) @ real(sf, w)
 
     def close(a, b):
         return np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())

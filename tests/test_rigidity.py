@@ -16,6 +16,7 @@ from kform.rigidity import (
     conclude_isometry_factor,
     eigen_products_check,
     profile_from_pullback,
+    profiles_rule,
     ricci_pullback_check,
 )
 from kform.scenarios import run_scenario
@@ -95,6 +96,30 @@ def test_products_check_matches_the_numpy_product_loop():
             assert eigen_products_check(prof, tol) == want
             verdicts.append(want)
     assert 300 < sum(verdicts) < len(verdicts) - 300
+
+
+def test_profiles_rule_is_the_one_profile_checks():
+    # one stack per (m, p) gives each profile's products verdict and factor,
+    # over concluded and product-refused profiles
+    rng = np.random.default_rng(19)
+    seen = set()
+    for m in range(2, 7):
+        for p in range(1, m + 1):
+            base = rng.uniform(0.5, 2.0, size=(30, 1))
+            lams = base * (1.0 + 10.0 ** rng.uniform(-13, -1, size=(30, 1)) * rng.uniform(-1, 1, size=(30, m)))
+            profiles = [EigenProfile(row, p, float(b[0] ** p)) for row, b in zip(lams, base)]
+            products, factors = profiles_rule(profiles, tol=1e-8)
+            for prof, ok, factor in zip(profiles, products, factors):
+                assert bool(ok) == eigen_products_check(prof, tol=1e-8)
+                if p < m:
+                    want = conclude_isometry_factor(prof, tol=1e-8)
+                    assert (np.isnan(factor) and want is None) or factor == want
+                    seen.add((bool(ok), want is None))
+    assert seen == {(True, False), (False, True)}
+    with pytest.raises(PreconditionError, match="out of range 1..2"):
+        profiles_rule([EigenProfile([1.0, 1.0], 3, 1.0)])
+    with pytest.raises(PreconditionError, match="share m and p"):
+        profiles_rule([EigenProfile([1.0, 1.0], 1, 1.0), EigenProfile([1.0, 1.0], 2, 1.0)])
 
 
 def test_random_nonconstant_profiles_fail():

@@ -462,16 +462,16 @@ def test_center_automorphism_takes_stacks_of_points():
     cases += [euclidean(n, sig) for n in (1, 3) for sig in range(n + 1)]
     for sf in cases:
         pts = sample_chart_points(sf, 12, seed=sf.dim + 3, radius=0.9)
-        frames = center_automorphism(sf, pts.reshape(3, 4, sf.dim), stack=True)
+        frames = center_automorphism(sf, pts.reshape(3, 4, sf.dim))
         assert frames.shape == (3, 4, sf.dim, sf.dim) and frames.dtype == np.complex128
         for k, w in enumerate(pts):
             np.testing.assert_array_equal(frames.reshape(12, sf.dim, sf.dim)[k], center_automorphism(sf, w))
-        assert center_automorphism(sf, pts[:0], stack=True).shape == (0, sf.dim, sf.dim)
+        assert center_automorphism(sf, pts[:0]).shape == (0, sf.dim, sf.dim)
     pts = np.array([[0.1, 0.2], [0.3, 0.1j], [0.9, 0.9]])
     with pytest.raises(DomainError, match="point at stack index 2 outside the ball chart"):
-        center_automorphism(ball(2), pts, stack=True)
+        center_automorphism(ball(2), pts)
     with pytest.raises(DomainError, match="only available for definite"):
-        center_automorphism(ball(2, 1), pts[:2], stack=True)
+        center_automorphism(ball(2, 1), pts[:2])
 
 
 def test_stacked_metric_names_the_bad_point():
