@@ -25,19 +25,24 @@ base-base Hessian block of rho is
 
 with c the curvature sign and S[k, K, I] = (-1)^(position of k in I) when
 I = K with k inserted, else 0, so that row k of V is the contraction
-e_k _| xi.  The probe takes this closed form; ``levi_form`` still sums one
-``wedge_curvature_block`` per (I, J) pair.
+e_k _| xi.  The probe and ``levi_spectra`` take this closed form;
+``levi_form`` still sums one ``wedge_curvature_block`` per (I, J) pair and
+builds its tangent basis from ``rho_gradient``.
 
 ``obstruction_probes`` runs the probe as one array pass over an (N, m) stack
 of points and their fibers: chart checks, centering frames, compounds,
 blocks, eigen solves and quadratic forms each run once for the stack, and
 only ``map_jet`` still runs point by point.  ``obstruction_probe`` is its
-one-point view.  ``levi_form``, ``levi_signatures`` and ``bundle_point``
-take one point at a time.  Eigenvalues are reported
-relative to the metric that S_r induces on its holomorphic tangent space,
-so the spectrum does not depend on the tangent basis or on the centering
-frame.  The tests check this analytic route against a finite-difference
-Levi form of rho_r taken at any chart point (``tests/oracles.py``).
+one-point view.  ``levi_spectra`` is the same kind of pass for Levi forms,
+closed-form blocks and one batched eigen solve at the center; the battery's
+c05 takes it.  Levi mode takes ``levi_signatures``, which calls
+``levi_form`` at one point at a time, and so does ``bundle_point``; the
+tests check the two routes against each other row by row.  Eigenvalues are
+reported relative to the metric that S_r induces on its holomorphic tangent
+space, so the spectrum does not depend on the tangent basis or on the
+centering frame.  The tests check the analytic route against a
+finite-difference Levi form of rho_r taken at any chart point
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -83,6 +88,7 @@ __all__ = [
     "sample_bundle_points",
     "tangent_basis",
     "levi_form",
+    "levi_spectra",
     "levi_signatures",
     "obstruction_probe",
     "obstruction_probes",
@@ -312,9 +318,11 @@ def _report_from_form(h: np.ndarray, g: np.ndarray, cols: np.ndarray, tol: float
 def _wedge_hessian_block(sf: SpaceForm, z, p: int, xi: np.ndarray) -> np.ndarray:
     """sum_{I,J} B_IJ xi_I conj(xi_J): the base-base Hessian block of rho at the center.
 
-    One ``wedge_curvature_block`` per (I, J) pair.  Only ``levi_form`` still
-    takes it, until the benchmark times levi passes shorter than its 0.2 s
-    reference interval; then ``levi_form`` moves to ``_center_block`` too.
+    One ``wedge_curvature_block`` per (I, J) pair.  Only levi mode's route,
+    ``levi_signatures`` through ``levi_form``, still takes it; the battery's
+    c05 takes ``_center_block`` through ``levi_spectra``.  Once the benchmark
+    times levi passes shorter than its 0.2 s reference interval, ``levi_form``
+    becomes the one-point view of ``levi_spectra``.
     """
     basis = index_basis(sf.dim, p)
     out = np.zeros((sf.dim, sf.dim), dtype=np.complex128)
@@ -369,6 +377,38 @@ def levi_form(
     h = _block_diag(_wedge_hessian_block(sf, center, p, xi0), fiber_block)
     cols = tangent_basis(sf, p, center, xi0)
     return _report_from_form(h, _block_diag(g0, fiber_block), cols, tol)
+
+
+def levi_spectra(sf: SpaceForm, p: int, r: float, points, fibers) -> np.ndarray:
+    """``levi_form``'s eigenvalues at each point of an (N, m) stack, with its (N, C(m, p)) fibers.
+
+    One array pass at the chart center: the fibers are scaled onto S_r and
+    carried to the center by the compounds of the centering frames.  There
+    g = W = I, so the Hessian of rho is ``_center_block`` over the base and I
+    over the fiber, and its gradient is (0, conj(xi0)).  The holomorphic
+    tangent space is therefore the m base directions plus a hyperplane of the
+    fiber, on which the Hessian and the metric are both I: the spectrum
+    relative to the induced metric is the base block's eigenvalues and 1,
+    C(m, p) - 1 times, whatever the tangent basis.  One batched eigen solve
+    of the base blocks gives the (N, m + C(m, p) - 1) ascending spectra, row
+    k the one at point k.  A point outside the chart, a projective point too
+    far out and a zero fiber raise for the whole stack, naming the stack
+    index of the first one.
+    """
+    if not sf.is_definite:
+        raise PreconditionError("sphere bundles are only built over definite metrics")
+    if r <= 0:
+        raise PreconditionError(f"bundle radius must be positive, got {r}")
+    z, u = _chart(sf, points, stack=True)
+    k = len(index_basis(sf.dim, p))
+    xi = np.asarray(fibers, dtype=np.complex128)
+    if z.ndim != 2 or xi.shape != (len(z), k):
+        raise DimensionError(
+            f"expected (N, {sf.dim}) points and (N, {k}) fibers, got {z.shape} and {xi.shape}"
+        )
+    xi0 = _apply(compound_matrix(center_automorphism(sf, z), p), _onto_sphere(sf, p, r, z, u, xi))
+    base = hermitian_eigen(_center_block(sf, p, xi0))[0]
+    return np.sort(np.concatenate([base, np.ones((len(z), k - 1))], axis=-1), axis=-1)
 
 
 def levi_signatures(

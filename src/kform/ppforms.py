@@ -179,6 +179,11 @@ def proportionality_test(
     tol * (1 + |lambdaHat|).  A point where the source coefficients all
     vanish raises a degenerate-sample error.
     """
+    return _pooled_result(_proportionality_pairs(F, src, tgt, p, points), tol)
+
+
+def _proportionality_pairs(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, points) -> list:
+    """The (omega_src^p, F*omega_tgt^p) coefficients that ``proportionality_test`` pools."""
     pts = list(points)
     if not pts:
         raise DegenerateSampleError("need at least one sample point")
@@ -188,7 +193,7 @@ def proportionality_test(
         if float(np.abs(base).max()) == 0.0:
             raise DegenerateSampleError(f"omega^p coefficients vanish at sample {w!r}")
         pairs.append((base, pullback_pp(F, src, tgt, p, w)))
-    return _pooled_result(pairs, tol)
+    return pairs
 
 
 def relatives_test(
@@ -207,6 +212,13 @@ def relatives_test(
     a plain coordinate domain; only the two target forms enter).  Returns the
     pooled least-squares lambdaHat with G's pullback as the base.
     """
+    return _pooled_result(_relatives_pairs(F, G, tgt1, tgt2, m, p, points), tol)
+
+
+def _relatives_pairs(
+    F: MapExpr, G: MapExpr, tgt1: SpaceForm, tgt2: SpaceForm, m: int, p: int, points
+) -> list:
+    """The (G*omega_tgt2^p, F*omega_tgt1^p) coefficients that ``relatives_test`` pools."""
     if F.arity != m or G.arity != m:
         raise DimensionError(f"both maps must have arity {m}")
     src = euclidean(m)
@@ -220,4 +232,4 @@ def relatives_test(
         if float(np.abs(theta_g).max()) == 0.0:
             raise DegenerateSampleError(f"base pullback vanishes at sample {w!r}")
         pairs.append((theta_g, theta_f))
-    return _pooled_result(pairs, tol)
+    return pairs

@@ -8,12 +8,16 @@ determinism of everything else.  A family is a generator that yields one
 the triples into CheckRecords; the wall-clock time it puts on each record
 never reaches the serialized form.
 
-The families that only the battery runs are array passes: c06 makes one
-``levi.obstruction_probes`` call per map (``map_jet`` still runs per point
-inside it), c08's brute-force minor oracle takes one batched determinant per
-(space, p), and c01 groups its samples by (m, p) for one QR, one pencil
-solve and one ``rigidity._product_rule`` per group.  The routes shared with
-the scenario modes (c02-c05, c07, c09) take one point at a time.
+The families that only the battery runs are array passes: c05 makes one
+``levi.levi_spectra`` call per case, the closed-form pass at the chart
+center that ``tests/test_levi.py`` checks row by row against levi mode's
+``levi_form``; c06 makes one ``levi.obstruction_probes`` call per map
+(``map_jet`` still runs per point inside it); c08's brute-force minor
+oracle takes one batched determinant per (space, p); and c01 groups its
+samples by (m, p) for one QR, one pencil solve and one
+``rigidity._product_rule`` per group.  The routes shared with the scenario
+modes (c02-c04, c07, c09) take one point at a time; c02 and c09 compute
+each pullback once and read the (base, theta) pairs their tests pool.
 """
 
 from __future__ import annotations
@@ -25,13 +29,15 @@ from pathlib import Path
 import numpy as np
 
 from .expressions import parse_map
-from .levi import levi_signatures, obstruction_probes
+from .levi import levi_spectra, obstruction_probes, sample_bundle_points
 from .linalg import _adjoint, generalized_eigenvalues, hermitize, sign_counts
 from .numdiff import wirtinger_hessian
 from .ppforms import (
+    _pooled_result,
+    _proportionality_pairs,
+    _relatives_pairs,
     index_basis,
     proportionality_test,
-    pullback_pp,
     relatives_test,
     wedge_power_coeffs,
 )
@@ -104,8 +110,9 @@ def _c02(seed: int):
     F = parse_map(["z1+1/(1-z2)", "z2", "0", "0"], 2)
     points = sample_chart_points(src, 100, seed + 2, radius=0.5)
 
-    worst = max(float(np.abs(pullback_pp(F, src, tgt, 2, w)[0, 0] - 1.0)) for w in points)
-    res2 = proportionality_test(F, src, tgt, 2, points, tol=1e-12)
+    pairs = _proportionality_pairs(F, src, tgt, 2, points)
+    worst = max(float(np.abs(theta[0, 0] - 1.0)) for _, theta in pairs)
+    res2 = _pooled_result(pairs, tol=1e-12)
     ok2 = res2.passed and abs(res2.lambdaHat - 1.0) <= 1e-12 and worst <= 1e-12
     yield "c02_flat_example_p2", ok2, {"lambdaHat": res2.lambdaHat, "residual": worst}
 
@@ -125,12 +132,16 @@ def _c03(seed: int):
 
 
 def _c04(seed: int):
+    # against -d dbar log det g with det g = u^-(n+1), u = 1 + c |z|^2:
+    # (n + 1) c (u I - c conj(z) z^T) / u^2, from u and z alone
     worst = 0.0
     for n in (1, 2, 3):
-        for sf, sign in ((ball(n), -1.0), (projective(n), 1.0)):
-            points = sample_chart_points(sf, 200, seed + 4 + n)
-            dev = np.abs(ricci(sf, points) - sign * (n + 1) * metric(sf, points)).max()
-            worst = max(worst, float(dev))
+        for sf, c in ((ball(n), -1.0), (projective(n), 1.0)):
+            z = sample_chart_points(sf, 200, seed + 4 + n)
+            u = (1.0 + c * np.sum(np.abs(z) ** 2, axis=-1))[:, None, None]
+            pair = np.conj(z)[:, :, None] * z[:, None, :]
+            closed = (n + 1) * c * (u * np.eye(n) - c * pair) / u**2
+            worst = max(worst, float(np.abs(ricci(sf, z) - closed).max()))
     yield "c04_ricci_identity", worst <= 1e-9, {"residual": worst}
 
     worst_fd = 0.0
@@ -150,14 +161,18 @@ def _c04(seed: int):
 def _levi_cases(cases):
     """Check (space, p, expected signature, seed) cases on 20 bundle points each.
 
-    Returns whether every case shows only its expected signature with every
-    |eigenvalue| > 1e-8, the smallest |eigenvalue| over all cases, and the
-    signature to report: the first one seen off its case's expectation, else
-    the last case's.
+    Each case's points go through one ``levi_spectra`` pass.  Returns whether
+    every case shows only its expected signature with every |eigenvalue| >
+    1e-8, the smallest |eigenvalue| over all cases, and the signature to
+    report: the first one seen off its case's expectation, else the last
+    case's.
     """
     ok, margin, off, last = True, np.inf, None, None
     for sf, p, expected, seed in cases:
-        signatures, low = levi_signatures(sf, p, 1.0, 20, seed)
+        points = sample_bundle_points(sf, p, 1.0, 20, seed)
+        eigs = levi_spectra(sf, p, 1.0, [pt.base for pt in points], [pt.fiber for pt in points])
+        signatures = tuple(dict.fromkeys(sign_counts(row) for row in eigs))
+        low = float(np.abs(eigs).min())
         ok = ok and signatures == (expected,) and low > 1e-8
         margin = min(margin, low)
         off = off or next((s for s in signatures if s != expected), None)
@@ -319,12 +334,9 @@ def _c09(seed: int):
     fields = {"lambdaHat": res.lambdaHat, "residual": res.maxResidual}
     yield "c09_relatives_veronese", ok, fields
 
-    res2 = relatives_test(ident, ident, ball(1), projective(1), 1, 1, points, tol=1e-8)
-    ratios = [
-        float((pullback_pp(ident, euclidean(1), ball(1), 1, w)[0, 0]
-               / pullback_pp(ident, euclidean(1), projective(1), 1, w)[0, 0]).real)
-        for w in points
-    ]
+    pairs = _relatives_pairs(ident, ident, ball(1), projective(1), 1, 1, points)
+    res2 = _pooled_result(pairs, tol=1e-8)
+    ratios = [float((theta_f[0, 0] / theta_g[0, 0]).real) for theta_g, theta_f in pairs]
     spread = max(ratios) - min(ratios)
     ok2 = (not res2.passed) and spread > 1e-2
     yield "c09_relatives_ball_vs_projective", ok2, {"lambdaHat": res2.lambdaHat, "residual": spread}

@@ -17,12 +17,14 @@ from kform.levi import (
     bundle_point,
     levi_form,
     levi_signatures,
+    levi_spectra,
     obstruction_probe,
     obstruction_probes,
     rho_gradient,
     sample_bundle_points,
     tangent_basis,
 )
+from kform.linalg import sign_counts
 from kform.ppforms import _contraction_signs, index_basis, wedge_power_coeffs
 from kform.spaceforms import (
     ball,
@@ -326,6 +328,51 @@ def test_center_block_is_the_block_sum_in_closed_form():
         assert not kform.levi._center_block(euclidean(n), p, xi).any()
         signs = _contraction_signs(n, p)
         assert signs is _contraction_signs(n, p) and not signs.flags.writeable
+
+
+def _spectra_stacks(rng):
+    # B^n, P^n and C^n for n <= 5 and every p, and n = 6 at p = 1, 2, 6, at
+    # r = 0.7 and 1.5; stacks of two points off the center up to n = 4, one above
+    cases = [(n, p) for n in range(1, 6) for p in range(1, n + 1)] + [(6, 1), (6, 2), (6, 6)]
+    for n, p in cases:
+        for sf in (ball(n), projective(n), euclidean(n)):
+            for r in (0.7, 1.5):
+                points = sample_chart_points(sf, 2 if n <= 4 else 1, seed=int(rng.integers(1 << 30)))
+                yield sf, p, r, points, np.array([_random_fiber(rng, sf, p) for _ in points])
+
+
+def test_levi_spectra_rows_are_the_one_point_levi_forms():
+    # the closed-form center pass against levi_form's pair sums and general
+    # tangent basis, row by row
+    for sf, p, r, points, fibers in _spectra_stacks(np.random.default_rng(37)):
+        spectra = levi_spectra(sf, p, r, points, fibers)
+        assert spectra.shape == (len(points), sf.dim + len(index_basis(sf.dim, p)) - 1)
+        for k, (w, xi) in enumerate(zip(points, fibers)):
+            rep = levi_form(sf, p, r, w, xi)
+            scale = max(1.0, float(np.abs(rep.eigenvalues).max()))
+            assert np.abs(spectra[k] - rep.eigenvalues).max() <= 1e-13 * scale, f"{sf} p={p} r={r}"
+            assert sign_counts(spectra[k]) == (rep.nNeg, rep.nZero, rep.nPos), f"{sf} p={p} r={r}"
+
+
+def test_levi_spectra_errors_name_the_stack_index():
+    points = np.array([[0.1, 0.2], [0.3, -0.1j], [0.2, 0.1]])
+    fibers = np.ones((3, 2))
+    with pytest.raises(DegenerateSampleError, match="^zero fiber vector at stack index 2$"):
+        levi_spectra(ball(2), 1, 1.0, points, [[1, 0], [0, 1], [0, 0]])
+    far = np.array([[0.1, 0.0], [3e3, 0.0], [0.2, 0.1]])
+    with pytest.raises(DomainError, match="^chart point at stack index 1 with 1 \\+ \\|w\\|\\^2 = 9e\\+06"):
+        levi_spectra(projective(2), 2, 1.0, far, np.ones((3, 1)))
+    with pytest.raises(DomainError, match="^point at stack index 1 outside the ball chart domain$"):
+        levi_spectra(ball(2), 1, 1.0, [[0.1, 0.0], [1.2, 0.0]], np.ones((2, 2)))
+    with pytest.raises(PreconditionError, match="definite"):
+        levi_spectra(ball(2, sig=1), 1, 1.0, points, fibers)
+    for r in (0.0, -1.0):
+        with pytest.raises(PreconditionError, match="bundle radius must be positive"):
+            levi_spectra(ball(2), 1, r, points, fibers)
+    with pytest.raises(DimensionError, match="fibers"):
+        levi_spectra(ball(2), 1, 1.0, points, np.ones((2, 2)))
+    with pytest.raises(DimensionError, match="fibers"):
+        levi_spectra(ball(2), 1, 1.0, points[0], fibers[0])
 
 
 def _random_map(rng, m, scale):

@@ -14,7 +14,7 @@ import pytest
 import kform
 from kform import ppforms, suite
 from kform.cli import main
-from kform.levi import levi_signatures
+from kform.levi import levi_spectra
 from kform.linalg import _adjoint, generalized_eigenvalues
 from kform.ppforms import index_basis
 from kform.rigidity import _product_rule
@@ -23,14 +23,14 @@ from kform.spaceforms import ball, euclidean, metric, projective, sample_chart_p
 
 
 def test_c05_records_show_the_observed_signatures(monkeypatch):
-    def skewed(sf, p, r, count, seed, radius=None):
-        signatures, low = levi_signatures(sf, p, r, count, seed, radius)
+    def skewed(sf, p, r, points, fibers):
+        eigs = levi_spectra(sf, p, r, points, fibers)
         if sf == projective(2) and p == 2:
-            # the expected (2, 0, 0), then one wrong signature
-            return signatures + ((1, 0, 1),), low
-        return signatures, low
+            # the expected (2, 0, 0), then one wrong signature at the last point
+            eigs[-1, -1] = abs(eigs[-1, -1])
+        return eigs
 
-    monkeypatch.setattr(suite, "levi_signatures", skewed)
+    monkeypatch.setattr(suite, "levi_spectra", skewed)
     records = {rec.name: rec for rec in run_checks([suite._c05(DEFAULT_SEED)])}
     top = records["c05_levi_projective_top"]
     # the first signature off its expectation, not the family's last case
