@@ -13,11 +13,10 @@ import numpy as np
 from kform import (
     ball,
     euclidean,
-    levi_form,
+    levi_signatures,
     obstruction_probe,
     parse_map,
     projective,
-    sample_bundle_points,
 )
 
 print("signatures (negative, zero, positive) at 5 random bundle points each:")
@@ -28,11 +27,7 @@ for sf, p in [
     (ball(2), 1),
     (euclidean(2), 1),
 ]:
-    sigs = set()
-    for pt in sample_bundle_points(sf, p, 1.0, 5, seed=3):
-        rep = levi_form(sf, p, 1.0, pt.base, pt.fiber)
-        sigs.add((rep.nNeg, rep.nZero, rep.nPos))
-    (sig,) = sigs
+    (sig,), _ = levi_signatures(sf, p, 1.0, 5, seed=3)
     print(f"  {sf.kind}({sf.dim}), p={p}: {sig}")
 
 print()

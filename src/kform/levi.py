@@ -33,16 +33,26 @@ builds its tangent basis from ``rho_gradient``.
 of points and their fibers: chart checks, centering frames, compounds,
 blocks, eigen solves and quadratic forms each run once for the stack, and
 only ``map_jet`` still runs point by point.  ``obstruction_probe`` is its
-one-point view.  ``levi_spectra`` is the same kind of pass for Levi forms,
-closed-form blocks and one batched eigen solve at the center; the battery's
-c05 takes it.  Levi mode takes ``levi_signatures``, which calls
-``levi_form`` at one point at a time, and so does ``bundle_point``; the
-tests check the two routes against each other row by row.  Eigenvalues are
-reported relative to the metric that S_r induces on its holomorphic tangent
-space, so the spectrum does not depend on the tangent basis or on the
-centering frame.  The tests check the analytic route against a
-finite-difference Levi form of rho_r taken at any chart point
-(``tests/oracles.py``).
+one-point view.
+
+Levi results are plain arrays.  ``sample_bundle_points`` gives an (N, m)
+array of chart points and their (N, C(m, p)) fibers, scaled onto S_r in one
+pass.  A Levi spectrum is the ascending row of eigenvalues, reported
+relative to the metric that S_r induces on its holomorphic tangent space, so
+it does not depend on the tangent basis or on the centering frame; its
+length is the tangent space's complex dimension and ``sign_counts`` of it
+is the signature.  ``levi_spectra`` gives the rows of a stack in one pass,
+closed-form blocks and one batched eigen solve at the center, and
+``levi_form`` one row at a time.  ``spectrum_signatures`` is the one
+verdict rule on a set of rows: the distinct signatures, first seen first,
+and the smallest |eigenvalue|.  Levi mode (``levi_signatures``) and the
+battery's c05 both sample with ``sample_bundle_points`` and decide with
+``spectrum_signatures``; they differ only in the rows, ``levi_form`` per
+point against one ``levi_spectra`` pass, and the tests check the two routes
+against each other row by row.  ``levi_level_floor`` is the smallest level
+r whose signatures keep their precision.  The tests check the analytic
+route against a finite-difference Levi form of rho_r taken at any chart
+point (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -79,16 +89,16 @@ from .spaceforms import (
 )
 
 __all__ = [
-    "SphereBundlePoint",
-    "LeviReport",
     "ProbeResult",
     "rho_gradient",
     "bundle_point",
     "levi_radius_fits",
+    "levi_level_floor",
     "sample_bundle_points",
     "tangent_basis",
     "levi_form",
     "levi_spectra",
+    "spectrum_signatures",
     "levi_signatures",
     "obstruction_probe",
     "obstruction_probes",
@@ -102,35 +112,6 @@ _PROBE_TOL = 1e-10
 
 # eigenvalues of the probe's jg^H jg within this relative distance of the top one tie with it
 _TOP_GAP = 1e-10
-
-
-@dataclass(frozen=True)
-class SphereBundlePoint:
-    """A base chart point with a fiber p-vector normalized onto S_r."""
-
-    base: np.ndarray
-    fiber: np.ndarray
-    p: int
-    r: float
-
-
-@dataclass(frozen=True)
-class LeviReport:
-    """Eigenvalues and signature of a restricted Levi form.
-
-    The eigenvalues are relative to the induced metric: they solve
-    det(M^T H conj(M) - lambda M^T G conj(M)) = 0 for the tangent basis M, the
-    complex Hessian H of rho and G = diag(g, W), so they do not depend on the
-    choice of M or of the centering frame.  dimension is the complex
-    dimension of the holomorphic tangent space of S_r, i.e. m + |A| - 1 (just
-    m at top degree); the three counts sum to it.
-    """
-
-    eigenvalues: np.ndarray
-    nNeg: int
-    nZero: int
-    nPos: int
-    dimension: int
 
 
 @dataclass(frozen=True)
@@ -197,18 +178,23 @@ def rho_gradient(sf: SpaceForm, p: int, r: float, z, xi):
     return d_z, d_xi
 
 
-def bundle_point(sf: SpaceForm, p: int, r: float, z, xi) -> SphereBundlePoint:
-    """Scale xi so that (z, xi) lies exactly on S_r.
-
-    A point |z| at which ``levi_radius_fits`` fails raises ``DomainError``.
-    """
+def _bundle_chart(sf: SpaceForm, r: float, points):
+    """``_chart`` of the points, after the checks every sphere bundle S_r needs."""
     if not sf.is_definite:
         raise PreconditionError("sphere bundles are only built over definite metrics")
     if r <= 0:
         raise PreconditionError(f"bundle radius must be positive, got {r}")
-    z, u = _chart(sf, z)
+    return _chart(sf, points)
+
+
+def bundle_point(sf: SpaceForm, p: int, r: float, z, xi):
+    """The chart point z and xi scaled so that (z, xi) lies exactly on S_r.
+
+    A point |z| at which ``levi_radius_fits`` fails raises ``DomainError``.
+    """
+    z, u = _bundle_chart(sf, r, np.reshape(z, -1))
     xi = _fiber_vector(xi, len(index_basis(sf.dim, p)))
-    return SphereBundlePoint(base=z, fiber=_onto_sphere(sf, p, r, z, u, xi), p=p, r=float(r))
+    return z, _onto_sphere(sf, p, r, z, u, xi)
 
 
 def _onto_sphere(sf: SpaceForm, p: int, r: float, z, u, xi) -> np.ndarray:
@@ -257,6 +243,20 @@ def _wedge_norm_fits(sf: SpaceForm, p: int, u):
     return p * np.log(u) <= -math.log(sys.float_info.min)
 
 
+def levi_level_floor(p: int) -> float:
+    """The smallest level r at which degree-p Levi signatures keep their precision.
+
+    At the chart center every curved base eigenvalue of S_r is at least p r
+    in size, and ``sign_counts`` counts |eigenvalue| <= ``DEFAULT_ZERO_TOL``
+    as zero.  The floor asks p r >= 2 ``DEFAULT_ZERO_TOL``, so the smallest
+    base eigenvalue clears the tolerance by the tolerance itself: over 10^4
+    times the roundoff of the eigen solves at the center (a few hundred eps
+    at their unit scale, the fiber's eigenvalues being 1).
+    ``scenarios.parse_scenario`` applies it to a levi scenario's r.
+    """
+    return 2.0 * DEFAULT_ZERO_TOL / p
+
+
 def sample_bundle_points(
     sf: SpaceForm,
     p: int,
@@ -265,15 +265,16 @@ def sample_bundle_points(
     seed: int,
     radius: float | None = None,
 ):
-    """Deterministic sample of S_r points: chart bases plus random fibers."""
-    bases = sample_chart_points(sf, count, seed=seed, radius=radius)
-    n_fiber = len(index_basis(sf.dim, p))
+    """Deterministic sample of S_r: (count, m) chart points and their (count, C(m, p)) fibers.
+
+    Each point's fiber is drawn as a real and then an imaginary standard
+    normal vector, point after point, from default_rng(seed + 1), and all of
+    them are scaled onto S_r in one pass.
+    """
+    z, u = _bundle_chart(sf, r, sample_chart_points(sf, count, seed=seed, radius=radius))
     rng = np.random.default_rng(None if seed is None else seed + 1)
-    out = []
-    for z in bases:
-        raw = rng.standard_normal(n_fiber) + 1j * rng.standard_normal(n_fiber)
-        out.append(bundle_point(sf, p, r, z, raw))
-    return out
+    raw = rng.standard_normal((count, 2, len(index_basis(sf.dim, p))))
+    return z, _onto_sphere(sf, p, r, z, u, raw[:, 0] + 1j * raw[:, 1])
 
 
 def tangent_basis(sf: SpaceForm, p: int, z, xi) -> np.ndarray:
@@ -300,19 +301,6 @@ def tangent_basis(sf: SpaceForm, p: int, z, xi) -> np.ndarray:
     cols = np.eye(m + n_fiber, dtype=np.complex128)
     cols[m + pivot] = -np.concatenate([d_z, d_xi]) / d_xi[pivot]
     return np.delete(cols, m + pivot, axis=1)
-
-
-def _report_from_form(h: np.ndarray, g: np.ndarray, cols: np.ndarray, tol: float) -> LeviReport:
-    """Signature of the Hessian h on span(cols), against the induced metric g there."""
-    eigs = generalized_eigenvalues(hermitize(cols.T @ h @ cols.conj()), cols.T @ g @ cols.conj())
-    neg, zero, pos = sign_counts(eigs, tol)
-    return LeviReport(
-        eigenvalues=eigs,
-        nNeg=neg,
-        nZero=zero,
-        nPos=pos,
-        dimension=cols.shape[1],
-    )
 
 
 def _wedge_hessian_block(sf: SpaceForm, z, p: int, xi: np.ndarray) -> np.ndarray:
@@ -353,10 +341,16 @@ def _center_block(sf: SpaceForm, p: int, xi: np.ndarray) -> np.ndarray:
     return hermitize(-sf.curv * block)
 
 
-def levi_form(
-    sf: SpaceForm, p: int, r: float, z, xi, tol: float = DEFAULT_ZERO_TOL
-) -> LeviReport:
-    """Restricted Levi form of S_r at (z, xi), reported as a signature.
+def levi_form(sf: SpaceForm, p: int, r: float, z, xi) -> np.ndarray:
+    """Ascending eigenvalues of the restricted Levi form of S_r at (z, xi).
+
+    They solve det(M^T H conj(M) - lambda M^T G conj(M)) = 0 for the tangent
+    basis M, the complex Hessian H of rho and G = diag(g, W), so they do not
+    depend on the choice of M or of the centering frame; there are
+    m + C(m, p) - 1 of them (just m at top degree), the complex dimension of
+    the holomorphic tangent space of S_r, and ``sign_counts`` of the row is
+    the signature.  It agrees to roundoff with ``levi_spectra``'s row for
+    the same point.
 
     The point is first normalized onto S_r and moved to the chart center by
     a metric automorphism (fiber transported by the compound of the
@@ -369,14 +363,15 @@ def levi_form(
     under the translation automorphism).  The eigenvalues are taken against
     the induced metric M^T G conj(M), G = diag(g(0), W(0)) at the center.
     """
-    pt = bundle_point(sf, p, r, z, xi)
-    xi0 = compound_matrix(center_automorphism(sf, pt.base), p) @ pt.fiber
+    z, xi = bundle_point(sf, p, r, z, xi)
+    xi0 = compound_matrix(center_automorphism(sf, z), p) @ xi
     center = np.zeros(sf.dim, dtype=np.complex128)
     g0 = metric(sf, center)
     fiber_block = wedge_power_coeffs(g0, p)
     h = _block_diag(_wedge_hessian_block(sf, center, p, xi0), fiber_block)
+    g = _block_diag(g0, fiber_block)
     cols = tangent_basis(sf, p, center, xi0)
-    return _report_from_form(h, _block_diag(g0, fiber_block), cols, tol)
+    return generalized_eigenvalues(hermitize(cols.T @ h @ cols.conj()), cols.T @ g @ cols.conj())
 
 
 def levi_spectra(sf: SpaceForm, p: int, r: float, points, fibers) -> np.ndarray:
@@ -395,11 +390,7 @@ def levi_spectra(sf: SpaceForm, p: int, r: float, points, fibers) -> np.ndarray:
     far out and a zero fiber raise for the whole stack, naming the stack
     index of the first one.
     """
-    if not sf.is_definite:
-        raise PreconditionError("sphere bundles are only built over definite metrics")
-    if r <= 0:
-        raise PreconditionError(f"bundle radius must be positive, got {r}")
-    z, u = _chart(sf, points, stack=True)
+    z, u = _bundle_chart(sf, r, points)
     k = len(index_basis(sf.dim, p))
     xi = np.asarray(fibers, dtype=np.complex128)
     if z.ndim != 2 or xi.shape != (len(z), k):
@@ -411,20 +402,23 @@ def levi_spectra(sf: SpaceForm, p: int, r: float, points, fibers) -> np.ndarray:
     return np.sort(np.concatenate([base, np.ones((len(z), k - 1))], axis=-1), axis=-1)
 
 
+def spectrum_signatures(spectra) -> tuple[tuple, float]:
+    """The signatures of a set of Levi spectra, and their smallest |eigenvalue|.
+
+    ``spectra`` holds equal-length rows, each one point's eigenvalues.
+    Returns the distinct ``sign_counts`` (nNeg, nZero, nPos) of the rows in
+    the order first seen, and the minimum absolute eigenvalue over all rows.
+    """
+    signatures = tuple(dict.fromkeys(sign_counts(row) for row in spectra))
+    return signatures, float(np.abs(spectra).min())
+
+
 def levi_signatures(
     sf: SpaceForm, p: int, r: float, count: int, seed: int, radius: float | None = None
 ) -> tuple[tuple, float]:
-    """Levi signatures over a sample of S_r, and the smallest |eigenvalue|.
-
-    Takes ``levi_form`` at each point of ``sample_bundle_points`` and returns
-    the distinct (nNeg, nZero, nPos) triples in the order first seen, with
-    the minimum absolute Levi eigenvalue, relative to the induced metric,
-    over all points.
-    """
-    points = sample_bundle_points(sf, p, r, count, seed, radius)
-    reports = [levi_form(sf, p, r, pt.base, pt.fiber) for pt in points]
-    signatures = tuple(dict.fromkeys((rep.nNeg, rep.nZero, rep.nPos) for rep in reports))
-    return signatures, min(float(np.abs(rep.eigenvalues).min()) for rep in reports)
+    """``spectrum_signatures`` of ``levi_form`` at each point of ``sample_bundle_points``."""
+    points, fibers = sample_bundle_points(sf, p, r, count, seed, radius)
+    return spectrum_signatures([levi_form(sf, p, r, z, xi) for z, xi in zip(points, fibers)])
 
 
 def obstruction_probes(
@@ -445,7 +439,7 @@ def obstruction_probes(
         raise PreconditionError("probe target must be a definite ball")
     if not src.is_definite:
         raise PreconditionError("probe source must carry a definite metric")
-    z, u = _chart(src, points, stack=True)
+    z, u = _chart(src, points)
     if F.arity != src.dim:
         raise DimensionError(f"map takes {F.arity} inputs, source has dimension {src.dim}")
     if F.codim != tgt.dim:

@@ -59,16 +59,16 @@ def _any(flags) -> bool:
     return bool(flags.any() if flags.ndim else flags)
 
 
-def as_matrix(m, square: bool = True, stack: bool = False) -> np.ndarray:
-    """Validate ``m`` as a finite complex matrix and return a complex128 copy-view.
+def as_matrix(m, stack: bool = False) -> np.ndarray:
+    """Validate ``m`` as a finite square complex matrix and return a complex128 copy-view.
 
-    With ``stack=True`` a (..., r, c) stack of matrices is accepted too, and a
+    With ``stack=True`` a (..., m, m) stack of matrices is accepted too, and a
     non-finite entry names the stack index of its matrix.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 and (a.ndim < 2 or not stack):
         raise DimensionError(f"expected a matrix, got an array of ndim {a.ndim}")
-    if square and a.shape[-2] != a.shape[-1]:
+    if a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     if a.size and not np.isfinite(a).all():
         finite = np.isfinite(a).all(axis=(-2, -1))

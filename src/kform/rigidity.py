@@ -8,8 +8,9 @@ local isometry up to that factor; for p = m a single product carries no such
 constraint (witness (1/2, 2 lambda)), so concluding a factor is refused.
 The Ricci comparison check covers the equidimensional determinant argument.
 
-``profiles_rule`` takes the product and spread rule over a list of profiles
-as one array pass; a rigidity scenario makes one call per run, and
+``product_rule`` is the product and spread rule, on an (S, m) array of
+eigenvalue rows and their targets as one array pass.  A rigidity scenario
+makes one call per run and the battery's c01 one per (m, p) group;
 ``eigen_products_check`` and ``conclude_isometry_factor`` are its
 one-profile views.
 """
@@ -33,7 +34,7 @@ __all__ = [
     "profile_from_pullback",
     "eigen_products_check",
     "conclude_isometry_factor",
-    "profiles_rule",
+    "product_rule",
     "ricci_pullback_check",
 ]
 
@@ -94,54 +95,41 @@ def profile_from_pullback(
     return EigenProfile(lambdas=lams, p=p, lambdaTarget=float(lambda_target))
 
 
-def _product_rule(lams, p: int, targets, tol: float):
-    """The product and spread rule on a stack of profiles that share m and p.
+def product_rule(lams, p: int, targets, tol: float = DEFAULT_TOL):
+    """The product and spread rule on an (S, m) stack of eigenvalue rows of one degree p.
 
-    ``lams`` is an (S, m) stack of eigenvalue rows, sorted here as
-    ``EigenProfile`` sorts them, and ``targets`` their (S,) lambdaTargets.
-    Returns two (S,) arrays: ``products``, whether every p-fold product of a
-    row is within tol*|target| of its target, each product multiplying left
-    to right over the ascending row as ``math.prod`` does; and ``factors``,
-    the row mean where the products hold and the spread max - min is at most
+    The rows are sorted here as ``EigenProfile`` sorts them, and ``targets``
+    holds their (S,) lambdaTargets; p must lie in 1..m.  Returns two (S,)
+    arrays: ``products``, whether every p-fold product of a row is within
+    tol*|target| of its target, each product multiplying left to right over
+    the ascending row as ``math.prod`` does; and ``factors``, the row mean
+    where the products hold and the spread max - min is at most
     10 tol max(|mean|, 1e-300), else NaN.
     """
     lams = np.sort(np.asarray(lams, dtype=float), axis=-1)
+    m = lams.shape[-1]
+    if not 1 <= p <= m:
+        raise PreconditionError(f"degree p={p} out of range 1..{m}")
     targets = np.asarray(targets, dtype=float)
-    picks = lams[:, _offsets(index_basis(lams.shape[-1], p))]
+    picks = lams[:, _offsets(index_basis(m, p))]
     prods = picks[..., 0]
     for j in range(1, p):
         prods = prods * picks[..., j]
     off = np.abs(prods - targets[:, None]) > tol * np.abs(targets)[:, None]
     products = ~off.any(axis=-1)
-    mean = lams.sum(axis=-1) / lams.shape[-1]  # np.mean's sum and division
+    mean = lams.sum(axis=-1) / m  # np.mean's sum and division
     spread = lams[:, -1] - lams[:, 0]
     flat = ~(spread > 10.0 * tol * np.maximum(np.abs(mean), 1e-300))
     return products, np.where(products & flat, mean, np.nan)
-
-
-def profiles_rule(profiles, tol: float = DEFAULT_TOL):
-    """``_product_rule`` on a list of profiles that share m and p, as one stack.
-
-    Returns the (S,) arrays ``products`` (``eigen_products_check`` of each
-    profile) and ``factors`` (the mean where ``conclude_isometry_factor``
-    would conclude one, else NaN).  The degree p must lie in 1..m.
-    """
-    first = profiles[0]
-    if not 1 <= first.p <= first.m:
-        raise PreconditionError(f"degree p={first.p} out of range 1..{first.m}")
-    if any(prof.m != first.m or prof.p != first.p for prof in profiles):
-        raise PreconditionError("profiles of one stack must share m and p")
-    lams = np.array([prof.lambdas for prof in profiles])
-    return _product_rule(lams, first.p, [prof.lambdaTarget for prof in profiles], tol)
 
 
 def eigen_products_check(profile: EigenProfile, tol: float = DEFAULT_TOL) -> bool:
     """PASS iff every p-fold eigenvalue product is within tol*lambda of lambda.
 
     Each product multiplies left to right over the ascending eigenvalues
-    (``profiles_rule`` on one profile).
+    (``product_rule`` on one profile).
     """
-    return bool(profiles_rule([profile], tol)[0][0])
+    return bool(product_rule(profile.lambdas[None], profile.p, [profile.lambdaTarget], tol)[0][0])
 
 
 def conclude_isometry_factor(profile: EigenProfile, tol: float = DEFAULT_TOL):
@@ -150,14 +138,14 @@ def conclude_isometry_factor(profile: EigenProfile, tol: float = DEFAULT_TOL):
     Requires p < m: at top degree a single determinant condition admits
     non-isometries, so the conclusion would be unsound and a precondition
     error is raised.  Returns None when the product check fails or the
-    eigenvalue spread exceeds the tolerance (``profiles_rule`` on one profile).
+    eigenvalue spread exceeds the tolerance (``product_rule`` on one profile).
     """
     if profile.p >= profile.m:
         raise PreconditionError(
             f"isometry conclusion needs p < m, got p={profile.p}, m={profile.m}; "
             "top-degree preservation admits non-isometries"
         )
-    factor = float(profiles_rule([profile], tol)[1][0])
+    factor = float(product_rule(profile.lambdas[None], profile.p, [profile.lambdaTarget], tol)[1][0])
     return None if math.isnan(factor) else factor
 
 

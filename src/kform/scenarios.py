@@ -43,8 +43,10 @@ ball of that radius can leave the source chart, and on a curved source
 wherever the chart factor 1 + radius^2 overflows when squared; levi mode
 also rejects a radius at which the wedge metric loses its precision
 (``levi.levi_radius_fits``: past about 2.1e3 on projective space at top
-degree).  Every such error is a ScenarioError, as is a scenario file that
-is not UTF-8 JSON or nests too deeply to decode; the CLI exits 2 on each.
+degree), and a level r below ``levi.levi_level_floor(p)``, 2e-9 / p, where
+the curved Levi eigenvalues, about p r in size, near the zero tolerance.
+Every such error is a ScenarioError, as is a scenario file that is not
+UTF-8 JSON or nests too deeply to decode; the CLI exits 2 on each.
 Report checks are sorted by name and overall is the conjunction of the
 per-check verdicts.
 """
@@ -62,9 +64,9 @@ import numpy as np
 
 from .errors import KformError, ScenarioError
 from .expressions import MapExpr, parse_map
-from .levi import levi_radius_fits, levi_signatures
+from .levi import levi_level_floor, levi_radius_fits, levi_signatures
 from .ppforms import DEFAULT_TOL, proportionality_test, relatives_test
-from .rigidity import profile_from_pullback, profiles_rule, ricci_pullback_check
+from .rigidity import product_rule, profile_from_pullback, ricci_pullback_check
 from .spaceforms import SpaceForm, radius_fits, sample_chart_points
 from .umehara import as_map, rank_growth
 
@@ -271,6 +273,11 @@ def _levi_inputs(data, expect, radius, echo) -> tuple:
     source = _source(data, echo, radius, "levi")
     p = echo["p"] = _integer(data.get("p"), "p", 1, source.dim)
     r = echo["r"] = _real(data.get("r", 1.0), "r", positive=True)
+    if r < levi_level_floor(p):
+        raise ScenarioError(
+            f"r must be at least {levi_level_floor(p):.3g} for levi mode at p={p}, got {r!r}: "
+            "below it the Levi eigenvalues of a curved source, about p*r in size, near the zero tolerance"
+        )
     if radius is not None and not levi_radius_fits(source, p, radius):
         raise ScenarioError(
             f"sampling.radius {radius} is too large for levi mode at p={p} on a {source.kind} "
@@ -401,7 +408,8 @@ def _run_rigidity(sc: Scenario, src, tgt, F, p):
     tol = sc.tolerances["rigidity"]
     points = sample_chart_points(src, sc.count, sc.seed, sc.radius)
     profiles = [profile_from_pullback(F, src, tgt, p, w) for w in points]
-    products, factors = profiles_rule(profiles, tol=tol)
+    lams = np.array([prof.lambdas for prof in profiles])
+    products, factors = product_rule(lams, p, [prof.lambdaTarget for prof in profiles], tol)
     yield "eigen_products", bool(products.all()), {}
 
     if p < src.dim:

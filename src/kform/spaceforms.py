@@ -179,16 +179,14 @@ def radius_fits(sf: SpaceForm, r: float) -> bool:
     return sf.curv not in sf.eps or bool(_inside(1.0 + r * r))
 
 
-def _chart(sf: SpaceForm, w, stack: bool = False):
-    """The validated complex128 coordinates z of a chart point, and u = 1 + c |z|_s^2 there.
+def _chart(sf: SpaceForm, w):
+    """The validated complex128 coordinates z of chart points, and u = 1 + c |z|_s^2 there.
 
-    With ``stack=True`` the leading axes of a (..., n) array are kept: z has
-    that shape, u has shape (...), and the errors name the stack index of the
-    first bad point.  Otherwise ``w`` is flattened to one point.
+    The leading axes of a (..., n) array are kept: z has that shape, u has
+    shape (...), and the errors name the stack index of the first bad point.
+    A caller that takes one point flattens it first.
     """
-    z = np.asarray(w, dtype=np.complex128)
-    if not stack or z.ndim == 0:
-        z = z.reshape(-1)
+    z = np.atleast_1d(np.asarray(w, dtype=np.complex128))
     if z.shape[-1] != sf.dim:
         raise DimensionError(f"point has {z.shape[-1]} coordinates, expected {sf.dim}")
     if not np.isfinite(z).all():
@@ -213,7 +211,7 @@ def _pow2(u):
 
 def chart_point(sf: SpaceForm, w) -> np.ndarray:
     """Validate chart membership and return the coordinates as complex128."""
-    return _chart(sf, w)[0]
+    return _chart(sf, np.reshape(w, -1))[0]
 
 
 def metric(sf: SpaceForm, w) -> np.ndarray:
@@ -223,7 +221,7 @@ def metric(sf: SpaceForm, w) -> np.ndarray:
     which is diag(eps) on flat forms.  Hermitian everywhere; positive
     definite on definite space forms.  The result has shape (..., n, n).
     """
-    z, u = _chart(sf, w, stack=True)
+    z, u = _chart(sf, w)
     e, c = sf.eps, sf.curv
     pair = (c * e * np.conj(z))[..., :, None] * (e * z)[..., None, :]
     if z.ndim > 1:  # one factor per stacked matrix
@@ -233,7 +231,7 @@ def metric(sf: SpaceForm, w) -> np.ndarray:
 
 def metric_dz(sf: SpaceForm, w) -> np.ndarray:
     """Holomorphic first derivatives of the metric: out[l, j, k] = d g_{j kbar} / dz_l."""
-    z, u = _chart(sf, w)
+    z, u = _chart(sf, np.reshape(w, -1))
     e, c = sf.eps, sf.curv
     du = (c * e * np.conj(z))[:, None, None]  # d_l u
     diag_e = np.diag(e)
@@ -315,7 +313,7 @@ def center_automorphism(sf: SpaceForm, w) -> np.ndarray:
     stack of points gives the (..., n, n) stack of their frames, and a point
     outside the chart is named by its stack index, as in ``metric``.
     """
-    z0, u = _chart(sf, w, stack=True)
+    z0, u = _chart(sf, w)
     n, c = sf.dim, sf.curv
     if c == 0:
         eye = np.eye(n, dtype=np.complex128)
@@ -361,4 +359,4 @@ def sample_chart_points(sf: SpaceForm, count: int, seed: int, radius: float | No
         v /= np.linalg.norm(v)
         rho = r * rng.uniform() ** (1.0 / (2 * n))
         pts[k] = rho * (v[:n] + 1j * v[n:])
-    return _chart(sf, pts, stack=True)[0]
+    return _chart(sf, pts)[0]

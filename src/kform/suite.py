@@ -8,16 +8,25 @@ determinism of everything else.  A family is a generator that yields one
 the triples into CheckRecords; the wall-clock time it puts on each record
 never reaches the serialized form.
 
-The families that only the battery runs are array passes: c05 makes one
-``levi.levi_spectra`` call per case, the closed-form pass at the chart
-center that ``tests/test_levi.py`` checks row by row against levi mode's
-``levi_form``; c06 makes one ``levi.obstruction_probes`` call per map
-(``map_jet`` still runs per point inside it); c08's brute-force minor
-oracle takes one batched determinant per (space, p); and c01 groups its
-samples by (m, p) for one QR, one pencil solve and one
-``rigidity._product_rule`` per group.  The routes shared with the scenario
-modes (c02-c04, c07, c09) take one point at a time; c02 and c09 compute
-each pullback once and read the (base, theta) pairs their tests pool.
+The families that only the battery runs are array passes.  c05 samples
+each case with ``levi.sample_bundle_points``, makes one
+``levi.levi_spectra`` call on the stack and decides with
+``levi.spectrum_signatures``, the rule levi mode decides with; only the
+rows differ, since levi mode takes ``levi_form`` point by point and
+``tests/test_levi.py`` checks the two row by row.  c06 makes one
+``levi.obstruction_probes`` call per map (``map_jet`` still runs per point
+inside it), and c01 groups its samples by (m, p) for one QR, one pencil
+solve and one ``rigidity.product_rule``, the rule rigidity mode takes, per
+group.  The routes shared with the scenario modes (c02-c04, c07, c09) take
+one point at a time; c02 and c09 compute each pullback once and read the
+(base, theta) pairs their tests pool.
+
+Two checks compare a kernel with a second route that shares no code with
+it: c04_ricci_identity compares ``spaceforms.ricci`` with the closed form
+of -d dbar log det g from u and z, and c08_wedge_minor_consistency compares
+``ppforms.wedge_power_coeffs``, whose minors are LAPACK determinants, with
+``_minor_oracle``, whose 1 x 1 minors are the entries and whose 2 x 2
+minors are a d - b c.
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .expressions import parse_map
-from .levi import levi_spectra, obstruction_probes, sample_bundle_points
+from .levi import levi_spectra, obstruction_probes, sample_bundle_points, spectrum_signatures
 from .linalg import _adjoint, generalized_eigenvalues, hermitize, sign_counts
 from .numdiff import wirtinger_hessian
 from .ppforms import (
@@ -41,7 +50,7 @@ from .ppforms import (
     relatives_test,
     wedge_power_coeffs,
 )
-from .rigidity import _product_rule
+from .rigidity import product_rule
 from .scenarios import DEFAULT_COUNT, DEFAULT_SEED, Report, _assemble, report_to_json, run_checks
 from .spaceforms import ball, euclidean, metric, projective, ricci, sample_chart_points
 from .umehara import ball_slice, bi_series, coeff_rank, proj_slice, rank_growth, series_eval
@@ -86,7 +95,7 @@ def _c01(seed: int):
         base = _adjoint(q) @ (_adjoint(b) @ b) @ q
         root = np.array([x ** (1.0 / p) for x in lam.tolist()])
         lams = generalized_eigenvalues(root[:, None, None] * base, base)
-        factors = _product_rule(lams, p, lam, tol=1e-8)[1]
+        factors = product_rule(lams, p, lam, tol=1e-8)[1]
         recovered = recovered and not np.isnan(factors).any()
         worst = max(worst, float(np.nanmax(np.abs(factors - root) / root, initial=0.0)))
     yield "c01_eigen_product_recovery", recovered and worst <= 1e-8, {"residual": worst}
@@ -101,7 +110,7 @@ def _c01(seed: int):
         lams = np.repeat(value[:, None], m, axis=1)
         lams[np.arange(len(lams)), bumped] *= 1.05
         target = np.sort(lams, axis=-1)[:, :p].prod(axis=-1)
-        false_accepts += int(_product_rule(lams, p, target, tol=1e-8)[0].sum())
+        false_accepts += int(product_rule(lams, p, target, tol=1e-8)[0].sum())
     yield "c01_eigen_product_nonconstant", false_accepts == 0, {"residual": float(false_accepts)}
 
 
@@ -169,10 +178,8 @@ def _levi_cases(cases):
     """
     ok, margin, off, last = True, np.inf, None, None
     for sf, p, expected, seed in cases:
-        points = sample_bundle_points(sf, p, 1.0, 20, seed)
-        eigs = levi_spectra(sf, p, 1.0, [pt.base for pt in points], [pt.fiber for pt in points])
-        signatures = tuple(dict.fromkeys(sign_counts(row) for row in eigs))
-        low = float(np.abs(eigs).min())
+        points, fibers = sample_bundle_points(sf, p, 1.0, 20, seed)
+        signatures, low = spectrum_signatures(levi_spectra(sf, p, 1.0, points, fibers))
         ok = ok and signatures == (expected,) and low > 1e-8
         margin = min(margin, low)
         off = off or next((s for s in signatures if s != expected), None)
@@ -278,14 +285,18 @@ def _c07(seed: int):
 
 
 def _minor_oracle(g: np.ndarray, p: int) -> np.ndarray:
-    """det g[I, J] for every pair of p-subsets of an (N, n, n) stack, by one batched det.
+    """det g[I, J] for every pair of p-subsets of an (N, n, n) stack, p = 1 or 2, written out.
 
-    The minors are cut in two plain takes, rows I and then columns J, not
-    by ``linalg.minor_dets``' one gather; the result is (N, C(n,p), C(n,p)).
+    The 1 x 1 minors are the entries and the 2 x 2 minors a d - b c, so no
+    determinant kernel is shared with ``wedge_power_coeffs``; the result is
+    (N, C(n,p), C(n,p)).
     """
     index = np.subtract(index_basis(g.shape[-1], p), 1)
-    # (point, I, row, J, column) -> (point, I, J, row, column)
-    return np.linalg.det(g[:, index][..., index].transpose(0, 1, 3, 2, 4))
+    # (point, I, row, J, column): row s of I against column t of J
+    sub = g[:, index][..., index]
+    if p == 1:
+        return sub[:, :, 0, :, 0]
+    return sub[:, :, 0, :, 0] * sub[:, :, 1, :, 1] - sub[:, :, 0, :, 1] * sub[:, :, 1, :, 0]
 
 
 def _cabs(z: np.ndarray) -> np.ndarray:

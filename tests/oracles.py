@@ -17,8 +17,8 @@ from itertools import combinations
 import numpy as np
 
 from kform.expressions import parse_map
-from kform.levi import LeviReport, bundle_point, tangent_basis
-from kform.linalg import generalized_eigenvalues, hermitize, sign_counts
+from kform.levi import bundle_point, tangent_basis
+from kform.linalg import generalized_eigenvalues, hermitize
 from kform.numdiff import wirtinger_hessian
 from kform.ppforms import wedge_power_coeffs
 from kform.spaceforms import metric
@@ -190,24 +190,22 @@ def rho(sf, p: int, r: float, z, xi) -> float:
     return float(np.real(xi @ w @ np.conj(xi))) - float(r)
 
 
-def levi_form_fd(sf, p: int, r: float, z, xi, tol: float = 1e-6, step: float = 1e-4) -> LeviReport:
-    """Finite-difference Levi form of S_r at (z, xi), without moving the point.
+def levi_form_fd(sf, p: int, r: float, z, xi, step: float = 1e-4) -> np.ndarray:
+    """Finite-difference Levi spectrum of S_r at (z, xi), without moving the point.
 
     Differentiates ``rho`` over the stacked (z, xi) coordinates, so it works
     at any chart point, and restricts the Hessian to the library's tangent
-    basis; the eigenvalues are taken against the induced metric
-    G = diag(g(z), W(z)).  The looser default zero tolerance reflects the
-    truncation error of the stencils.
+    basis; the ascending eigenvalues are taken against the induced metric
+    G = diag(g(z), W(z)).  The truncation error of the stencils asks for a
+    looser zero tolerance than ``sign_counts``' default when counting signs.
     """
-    pt = bundle_point(sf, p, r, z, xi)
+    z, xi = bundle_point(sf, p, r, z, xi)
     m = sf.dim
-    x0 = np.concatenate([pt.base, pt.fiber])
-    h = wirtinger_hessian(lambda x: rho(sf, p, r, x[:m], x[m:]), x0, step=step)
-    g, k = metric(sf, pt.base), pt.fiber.size
+    h = wirtinger_hessian(lambda x: rho(sf, p, r, x[:m], x[m:]), np.concatenate([z, xi]), step=step)
+    g, k = metric(sf, z), xi.size
     induced = np.block([[g, np.zeros((m, k))], [np.zeros((k, m)), wedge_power_coeffs(g, p)]])
-    cols = tangent_basis(sf, p, pt.base, pt.fiber)
-    eigs = generalized_eigenvalues(hermitize(cols.T @ h @ cols.conj()), cols.T @ induced @ cols.conj())
-    return LeviReport(eigs, *sign_counts(eigs, tol), cols.shape[1])
+    cols = tangent_basis(sf, p, z, xi)
+    return generalized_eigenvalues(hermitize(cols.T @ h @ cols.conj()), cols.T @ induced @ cols.conj())
 
 
 def _literal(z) -> str:

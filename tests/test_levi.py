@@ -16,12 +16,14 @@ from kform.expressions import compose, evaluate_map, jacobian, parse_map
 from kform.levi import (
     bundle_point,
     levi_form,
+    levi_level_floor,
     levi_signatures,
     levi_spectra,
     obstruction_probe,
     obstruction_probes,
     rho_gradient,
     sample_bundle_points,
+    spectrum_signatures,
     tangent_basis,
 )
 from kform.linalg import sign_counts
@@ -101,8 +103,8 @@ def test_bundle_point_normalizes_onto_level_set():
             p = int(rng.integers(1, min(sf.dim, 2) + 1))
             r = float(rng.uniform(0.5, 3.0))
             z = sample_chart_points(sf, 1, seed=int(rng.integers(1 << 30)))[0]
-            pt = bundle_point(sf, p, r, z, _random_fiber(rng, sf, p))
-            assert abs(rho(sf, p, r, pt.base, pt.fiber)) < 1e-10
+            base, fiber = bundle_point(sf, p, r, z, _random_fiber(rng, sf, p))
+            assert abs(rho(sf, p, r, base, fiber)) < 1e-10
     with pytest.raises(PreconditionError):
         bundle_point(euclidean(2, sig=1), 1, 1.0, [0, 0], [1, 0])
     with pytest.raises(PreconditionError):
@@ -111,8 +113,8 @@ def test_bundle_point_normalizes_onto_level_set():
         bundle_point(ball(2), 1, 1.0, [0, 0], [0, 0])
     # far out in a projective chart: below top degree the norm holds, at top
     # degree the point is refused instead of losing the norm's precision
-    pt = bundle_point(projective(2), 1, 1.0, [1e40, 2e40j], [1.0, 0.5])
-    assert np.isfinite(pt.fiber).all() and np.abs(pt.fiber).max() > 0
+    _, fiber = bundle_point(projective(2), 1, 1.0, [1e40, 2e40j], [1.0, 0.5])
+    assert np.isfinite(fiber).all() and np.abs(fiber).max() > 0
     with pytest.raises(DomainError, match="^chart point with 1 \\+ \\|w\\|\\^2 = 1e\\+26 is too far out"):
         bundle_point(projective(2), 2, 1.0, [1e13, 0], [1.0])
 
@@ -120,11 +122,33 @@ def test_bundle_point_normalizes_onto_level_set():
 def test_sample_bundle_points_deterministic():
     a = sample_bundle_points(projective(2), 1, 1.0, 4, seed=11)
     b = sample_bundle_points(projective(2), 1, 1.0, 4, seed=11)
-    assert len(a) == 4
-    for pa, pb in zip(a, b):
-        assert_allclose(pa.base, pb.base)
-        assert_allclose(pa.fiber, pb.fiber)
-        assert abs(rho(projective(2), 1, 1.0, pa.base, pa.fiber)) < 1e-10
+    assert a[0].shape == (4, 2) and a[1].shape == (4, 2)
+    for za, xa, zb, xb in zip(*a, *b):
+        assert_allclose(za, zb)
+        assert_allclose(xa, xb)
+        assert abs(rho(projective(2), 1, 1.0, za, xa)) < 1e-10
+
+
+def test_sample_bundle_points_rows_are_the_one_point_bundle_points():
+    # one bundle_point per chart point, its fiber drawn real part then
+    # imaginary part from default_rng(seed + 1): the same points bit for bit,
+    # the fibers scaled in one stacked pass to within 1e-15 relative
+    for sf in (ball(3), projective(3), euclidean(2)):
+        for p in range(1, sf.dim + 1):
+            for r, seed in ((1.0, 5), (0.3, 17), (40.0, 23)):
+                points, fibers = sample_bundle_points(sf, p, r, 6, seed)
+                rng = np.random.default_rng(seed + 1)
+                k = len(index_basis(sf.dim, p))
+                for w, z, xi in zip(sample_chart_points(sf, 6, seed), points, fibers):
+                    raw = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+                    base, fiber = bundle_point(sf, p, r, w, raw)
+                    assert np.array_equal(z, base), f"{sf} p={p}"
+                    assert np.abs(xi - fiber).max() <= 1e-15 * np.abs(fiber).max(), f"{sf} p={p}"
+    assert [a.shape for a in sample_bundle_points(ball(2), 1, 1.0, 0, 3)] == [(0, 2), (0, 2)]
+    with pytest.raises(PreconditionError, match="definite"):
+        sample_bundle_points(ball(2, sig=1), 1, 1.0, 3, 3)
+    with pytest.raises(PreconditionError, match="bundle radius must be positive"):
+        sample_bundle_points(ball(2), 1, 0.0, 3, 3)
 
 
 def test_tangent_basis_annihilates_gradient():
@@ -162,19 +186,19 @@ def test_tangent_basis_center_structure():
 def test_levi_form_projective_top_degree_negative_definite():
     for m in (1, 2, 3):
         rep = levi_form(projective(m), m, 1.0, np.zeros(m), [1.0])
-        assert (rep.nNeg, rep.nZero, rep.nPos) == (m, 0, 0)
-        assert rep.dimension == m
-        assert_allclose(rep.eigenvalues, -(m + 1.0) * np.ones(m), atol=1e-12)
+        assert sign_counts(rep) == (m, 0, 0)
+        assert len(rep) == m
+        assert_allclose(rep, -(m + 1.0) * np.ones(m), atol=1e-12)
 
 
 def test_levi_form_projective_mixed_signature():
     rep = levi_form(projective(2), 1, 1.0, [0, 0], [1, 0])
-    assert (rep.nNeg, rep.nZero, rep.nPos) == (2, 0, 1)
-    assert rep.dimension == 3
-    assert_allclose(rep.eigenvalues, [-2.0, -1.0, 1.0], atol=1e-12)
+    assert sign_counts(rep) == (2, 0, 1)
+    assert len(rep) == 3
+    assert_allclose(rep, [-2.0, -1.0, 1.0], atol=1e-12)
     rep = levi_form(projective(3), 2, 1.0, [0, 0, 0], [1, 0, 0])
-    assert (rep.nNeg, rep.nZero, rep.nPos) == (3, 0, 2)
-    assert rep.dimension == 5
+    assert sign_counts(rep) == (3, 0, 2)
+    assert len(rep) == 5
 
 
 def test_levi_form_ball_strictly_pseudoconvex():
@@ -183,13 +207,14 @@ def test_levi_form_ball_strictly_pseudoconvex():
         for p in range(1, min(sf.dim, 2) + 1):
             z = sample_chart_points(sf, 1, seed=int(rng.integers(1 << 30)))[0]
             rep = levi_form(sf, p, 1.0, z, _random_fiber(rng, sf, p))
-            assert rep.nNeg == 0 and rep.nZero == 0
-            assert rep.nPos == rep.dimension
+            neg, zero, pos = sign_counts(rep)
+            assert neg == 0 and zero == 0
+            assert pos == len(rep)
 
 
 def test_levi_form_flat_base_directions_are_null():
     rep = levi_form(euclidean(2), 1, 1.0, [0.3, -0.1], [0.5, 1.0])
-    assert (rep.nNeg, rep.nZero, rep.nPos) == (0, 2, 1)
+    assert sign_counts(rep) == (0, 2, 1)
 
 
 def test_levi_signature_constant_over_points_and_phases():
@@ -199,16 +224,12 @@ def test_levi_signature_constant_over_points_and_phases():
         base_rep = levi_form(sf, p, 1.0, np.zeros(sf.dim), xi)
         # phase rotation leaves the whole spectrum unchanged
         rot = levi_form(sf, p, 1.0, np.zeros(sf.dim), np.exp(0.7j) * xi)
-        assert_allclose(rot.eigenvalues, base_rep.eigenvalues, atol=1e-10)
+        assert_allclose(rot, base_rep, atol=1e-10)
         # other representatives on S_r carry the same signature
         for seed in (21, 22):
             z = sample_chart_points(sf, 1, seed=seed)[0]
             rep = levi_form(sf, p, 1.0, z, _random_fiber(rng, sf, p))
-            assert (rep.nNeg, rep.nZero, rep.nPos) == (
-                base_rep.nNeg,
-                base_rep.nZero,
-                base_rep.nPos,
-            )
+            assert sign_counts(rep) == sign_counts(base_rep)
 
 
 def test_levi_form_matches_finite_differences_at_center():
@@ -226,8 +247,8 @@ def test_levi_form_matches_finite_differences_at_center():
         center = np.zeros(sf.dim)
         rep = levi_form(sf, p, 1.0, center, xi)
         fd = levi_form_fd(sf, p, 1.0, center, xi)
-        assert_allclose(fd.eigenvalues, rep.eigenvalues, atol=1e-5)
-        assert (fd.nNeg, fd.nZero, fd.nPos) == (rep.nNeg, rep.nZero, rep.nPos)
+        assert_allclose(fd, rep, atol=1e-5)
+        assert sign_counts(fd, 1e-6) == sign_counts(rep)
 
 
 def test_levi_form_fd_signature_off_center():
@@ -237,7 +258,7 @@ def test_levi_form_fd_signature_off_center():
         xi = _random_fiber(rng, sf, p)
         rep = levi_form(sf, p, 1.0, z, xi)
         fd = levi_form_fd(sf, p, 1.0, z, xi)
-        assert (fd.nNeg, fd.nZero, fd.nPos) == (rep.nNeg, rep.nZero, rep.nPos)
+        assert sign_counts(fd, 1e-6) == sign_counts(rep)
 
 
 def test_projective_positive_count_and_cr_signature_bound():
@@ -248,9 +269,9 @@ def test_projective_positive_count_and_cr_signature_bound():
     for m, p in ((2, 1), (3, 1), (3, 2), (4, 2)):
         sf = projective(m)
         n_fiber = len(index_basis(m, p))
-        rep = levi_form(sf, p, 1.0, np.zeros(m), _random_fiber(rng, sf, p))
-        assert (rep.nNeg, rep.nZero, rep.nPos) == (m, 0, n_fiber - 1)
-        assert min(rep.nNeg, rep.nPos) <= 0.5 * (m + n_fiber - 1)
+        neg, zero, pos = sign_counts(levi_form(sf, p, 1.0, np.zeros(m), _random_fiber(rng, sf, p)))
+        assert (neg, zero, pos) == (m, 0, n_fiber - 1)
+        assert min(neg, pos) <= 0.5 * (m + n_fiber - 1)
 
 
 def test_levi_signature_sweep():
@@ -263,6 +284,53 @@ def test_levi_signature_sweep():
                 assert sigs == (expect,), f"{sf} p={p}"
 
 
+def test_levi_signatures_hold_from_the_level_floor_to_1e12():
+    # the curved base eigenvalues are at least p r in size, so every level
+    # from levi_level_floor(p) up keeps the closed-form signatures, on both
+    # the levi-mode route and the center pass
+    for n in (2, 3):
+        for p in range(1, n + 1):
+            fiber = math.comb(n, p)
+            floor = levi_level_floor(p)
+            assert p * floor == pytest.approx(2 * kform.linalg.DEFAULT_ZERO_TOL)
+            for sf, expect in (
+                (ball(n), (0, 0, n + fiber - 1)),
+                (projective(n), (n, 0, fiber - 1)),
+                (euclidean(n), (0, n, fiber - 1)),
+            ):
+                for r in [floor] + [10.0**e for e in range(-8, 13, 2)]:
+                    sigs, low = levi_signatures(sf, p, r, 2, seed=7 * n + p)
+                    assert sigs == (expect,), f"{sf} p={p} r={r}"
+                    spectra = levi_spectra(sf, p, r, *sample_bundle_points(sf, p, r, 2, seed=3))
+                    assert spectrum_signatures(spectra)[0] == (expect,), f"{sf} p={p} r={r}"
+                    if sf.curv:  # the base eigenvalues, and the fiber's 1s below top degree
+                        assert low >= min(p * r, 1.0) * (1 - 1e-12), f"{sf} p={p} r={r}"
+
+
+def test_spectrum_signatures_rule():
+    # distinct sign counts in the order first seen, ties kept once, and
+    # entries within the zero tolerance counted as zero on either side
+    rows = np.array(
+        [
+            [-2.0, 0.5, 1.0],
+            [-1.0, 1e-10, 3.0],
+            [-2.0, 0.5, 1.0],
+            [-5e-10, 0.0, 2.0],
+            [-1.0, -1e-9, 4.0],
+            [-3.0, -2.0, 1.0],
+        ]
+    )
+    sigs, low = spectrum_signatures(rows)
+    assert sigs == ((1, 0, 2), (1, 1, 1), (0, 2, 1), (2, 0, 1))
+    assert low == 0.0
+    assert spectrum_signatures(rows[[5, 0, 5]]) == (((2, 0, 1), (1, 0, 2)), 0.5)
+    # a list of rows reads as their stack, as levi_signatures passes them
+    assert spectrum_signatures([np.array([-0.25, 2.0]), np.array([3.0, 4.0])]) == (
+        ((1, 0, 1), (0, 0, 2)),
+        0.25,
+    )
+
+
 def test_levi_spectrum_at_p1_is_closed_form():
     # against the induced metric, the p = 1 spectrum on S_r is -c r (n - 1
     # times) and -2 c r over the base, and 1 (n - 1 times) over the fiber,
@@ -271,10 +339,9 @@ def test_levi_spectrum_at_p1_is_closed_form():
     for make, c in ((ball, -1.0), (projective, 1.0)):
         for n in (2, 3, 4):
             sf = make(n)
-            for pt in sample_bundle_points(sf, 1, 1.5, 2, seed=int(rng.integers(1 << 30))):
-                rep = levi_form(sf, 1, 1.5, pt.base, pt.fiber)
+            for z, xi in zip(*sample_bundle_points(sf, 1, 1.5, 2, seed=int(rng.integers(1 << 30)))):
                 expect = np.sort([-c * 1.5] * (n - 1) + [-2 * c * 1.5] + [1.0] * (n - 1))
-                assert_allclose(rep.eigenvalues, expect, atol=1e-12)
+                assert_allclose(levi_form(sf, 1, 1.5, z, xi), expect, atol=1e-12)
 
 
 def test_levi_spectra_ignore_the_centering_frame(monkeypatch):
@@ -297,8 +364,8 @@ def test_levi_spectra_ignore_the_centering_frame(monkeypatch):
         monkeypatch.setattr(kform.levi, "center_automorphism", rotated)
         for _ in range(3):
             rep = levi_form(sf, p, 1.0, z, xi)
-            assert (rep.nNeg, rep.nZero, rep.nPos) == (base.nNeg, base.nZero, base.nPos)
-            assert close(rep.eigenvalues, base.eigenvalues), f"{sf} p={p}"
+            assert sign_counts(rep) == sign_counts(base)
+            assert close(rep, base), f"{sf} p={p}"
 
     F = parse_map(["0.4*z1+0.1*z2^2", "0.3*z2-0.2*z1*z2", "0.1*z1"], 2)
     for src in (euclidean(2), ball(2), projective(2)):
@@ -349,9 +416,9 @@ def test_levi_spectra_rows_are_the_one_point_levi_forms():
         assert spectra.shape == (len(points), sf.dim + len(index_basis(sf.dim, p)) - 1)
         for k, (w, xi) in enumerate(zip(points, fibers)):
             rep = levi_form(sf, p, r, w, xi)
-            scale = max(1.0, float(np.abs(rep.eigenvalues).max()))
-            assert np.abs(spectra[k] - rep.eigenvalues).max() <= 1e-13 * scale, f"{sf} p={p} r={r}"
-            assert sign_counts(spectra[k]) == (rep.nNeg, rep.nZero, rep.nPos), f"{sf} p={p} r={r}"
+            scale = max(1.0, float(np.abs(rep).max()))
+            assert np.abs(spectra[k] - rep).max() <= 1e-13 * scale, f"{sf} p={p} r={r}"
+            assert sign_counts(spectra[k]) == sign_counts(rep), f"{sf} p={p} r={r}"
 
 
 def test_levi_spectra_errors_name_the_stack_index():

@@ -15,8 +15,8 @@ from kform.rigidity import (
     EigenProfile,
     conclude_isometry_factor,
     eigen_products_check,
+    product_rule,
     profile_from_pullback,
-    profiles_rule,
     ricci_pullback_check,
 )
 from kform.scenarios import run_scenario
@@ -98,7 +98,7 @@ def test_products_check_matches_the_numpy_product_loop():
     assert 300 < sum(verdicts) < len(verdicts) - 300
 
 
-def test_profiles_rule_is_the_one_profile_checks():
+def test_product_rule_is_the_one_profile_checks():
     # one stack per (m, p) gives each profile's products verdict and factor,
     # over concluded and product-refused profiles
     rng = np.random.default_rng(19)
@@ -108,7 +108,7 @@ def test_profiles_rule_is_the_one_profile_checks():
             base = rng.uniform(0.5, 2.0, size=(30, 1))
             lams = base * (1.0 + 10.0 ** rng.uniform(-13, -1, size=(30, 1)) * rng.uniform(-1, 1, size=(30, m)))
             profiles = [EigenProfile(row, p, float(b[0] ** p)) for row, b in zip(lams, base)]
-            products, factors = profiles_rule(profiles, tol=1e-8)
+            products, factors = product_rule(lams, p, [prof.lambdaTarget for prof in profiles], tol=1e-8)
             for prof, ok, factor in zip(profiles, products, factors):
                 assert bool(ok) == eigen_products_check(prof, tol=1e-8)
                 if p < m:
@@ -116,10 +116,12 @@ def test_profiles_rule_is_the_one_profile_checks():
                     assert (np.isnan(factor) and want is None) or factor == want
                     seen.add((bool(ok), want is None))
     assert seen == {(True, False), (False, True)}
+    # the degree must lie in 1..m, on the array rule and on its one-profile views
+    for p in (0, 3, -1):
+        with pytest.raises(PreconditionError, match="out of range 1..2"):
+            product_rule(np.ones((4, 2)), p, np.ones(4))
     with pytest.raises(PreconditionError, match="out of range 1..2"):
-        profiles_rule([EigenProfile([1.0, 1.0], 3, 1.0)])
-    with pytest.raises(PreconditionError, match="share m and p"):
-        profiles_rule([EigenProfile([1.0, 1.0], 1, 1.0), EigenProfile([1.0, 1.0], 2, 1.0)])
+        eigen_products_check(EigenProfile([1.0, 1.0], 3, 1.0))
 
 
 def test_random_nonconstant_profiles_fail():

@@ -8,6 +8,7 @@ import pytest
 from kform import suite, umehara
 from kform.cli import main
 from kform.errors import ScenarioError
+from kform.levi import levi_level_floor
 from kform.scenarios import parse_scenario, report_to_json, run_checks, run_scenario
 from child import run_python
 
@@ -312,6 +313,10 @@ def _relatives(source):
         (lambda d: d.update(sampling={"radius": "0.5"}), "sampling.radius must be a finite number, got '0.5'"),
         (lambda d: d.update(_umehara({"p": 1, "map": ["z1"], "tol": "1e-9"})), "series.params.tol must be a finite number, got '1e-9'"),
         (lambda d: d.update(mode="levi", r="1.5"), "r must be a finite number, got '1.5'"),
+        # a level whose Levi eigenvalues, about p*r in size, would near the zero tolerance
+        (lambda d: d.update(mode="levi", r=1e-10), "r must be at least 2e-09 for levi mode at p=1, got 1e-10"),
+        (lambda d: d.update(mode="levi", r=1e-26), "r must be at least 2e-09 for levi mode at p=1, got 1e-26"),
+        (lambda d: d.update(mode="levi", source={"kind": "projective", "dim": 3}, p=3, r=6e-10), "r must be at least 6.67e-10 for levi mode at p=3, got 6e-10"),
     ],
 )
 def test_scenario_validation_names_the_field(mutate, fragment):
@@ -320,6 +325,18 @@ def test_scenario_validation_names_the_field(mutate, fragment):
     with pytest.raises(ScenarioError) as excinfo:
         parse_scenario(data)
     assert fragment in str(excinfo.value)
+
+
+def test_levi_level_floor_is_kept_and_pins_the_signatures():
+    # at the floor itself, and where the absolute zero tolerance used to
+    # count curved base eigenvalues as zero
+    cases = (("ball", 2, 1, (0, 0, 3)), ("projective", 2, 1, (2, 0, 1)), ("projective", 3, 3, (3, 0, 0)))
+    for kind, n, p, signature in cases:
+        for r in (levi_level_floor(p), 1e-8):
+            source = {"kind": kind, "dim": n}
+            scenario = {"mode": "levi", "source": source, "p": p, "r": r, "sampling": {"count": 3}}
+            (rec,) = run_scenario(scenario).checks
+            assert rec.verdict == "PASS" and tuple(rec.signature) == signature, (kind, p, r)
 
 
 def test_radius_past_one_is_kept_where_the_chart_holds_it():

@@ -13,7 +13,9 @@ from anywhere:
 
     python tools/report_digest.py
 
-The ``kform`` package is imported from this checkout's ``src``.
+The ``kform`` package is imported from this checkout's ``src``.  ``run_list``
+and ``run_all`` import no ``kform`` themselves, so another checkout's
+package can run the same list (``tools/compare_reports.py``).
 """
 
 from __future__ import annotations
@@ -28,49 +30,63 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "perfbench")]
 
-from kform.cli import main as kform_main  # noqa: E402
 from workloads import generate  # noqa: E402
 
 WORKLOADS = ("pullback", "levi", "ranks")
 SEEDS = range(1, 6)
 
 
-def _run(argv: list, report: Path) -> tuple[int, str, str]:
-    """Exit code, stdout and the JSON report (empty if none) of one CLI call."""
-    report.unlink(missing_ok=True)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = kform_main(argv + ["--json", str(report)])
-    text = report.read_text(encoding="utf-8") if report.exists() else ""
-    return code, out.getvalue(), text
+def run_list() -> list:
+    """Every run as (workload, op id, CLI argv, scenario or None): the ops, then the suite.
+
+    ``tools/compare_reports.py`` runs the same list.
+    """
+    runs = [
+        (workload, op["id"], op["argv"], op["scenario"])
+        for workload in WORKLOADS
+        for seed in SEEDS
+        for op in generate(workload, seed)
+    ]
+    runs.append(("suite", "suite", ["suite"], None))
+    return runs
+
+
+def run_all(kform_main, runs):
+    """Run each of ``runs`` through the CLI entry ``kform_main``, in this process.
+
+    Yields (workload, op id, exit code, stdout, JSON report or "") per run;
+    a scenario goes to the CLI as a file, and stderr is dropped.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        scenario_path, report = work / "scenario.json", work / "report.json"
+        for workload, op_id, argv, scenario in runs:
+            if scenario is not None:
+                scenario_path.write_text(json.dumps(scenario, sort_keys=True), encoding="utf-8")
+                argv = argv + [str(scenario_path)]
+            report.unlink(missing_ok=True)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = kform_main(argv + ["--json", str(report)])
+            text = report.read_text(encoding="utf-8") if report.exists() else ""
+            yield workload, op_id, code, out.getvalue(), text
 
 
 def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from kform.cli import main as kform_main
+
     digest = hashlib.sha256()
     parts = {name: hashlib.sha256() for name in (*WORKLOADS, "suite")}
     codes = Counter()
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        runs = [
-            (workload, op["id"], op["argv"], op["scenario"])
-            for workload in WORKLOADS
-            for seed in SEEDS
-            for op in generate(workload, seed)
-        ]
-        runs.append(("suite", "suite", ["suite"], None))
-        for workload, op_id, argv, scenario in runs:
-            if scenario is not None:
-                path = work / "scenario.json"
-                path.write_text(json.dumps(scenario, sort_keys=True), encoding="utf-8")
-                argv = argv + [str(path)]
-            code, out, text = _run(argv, work / "report.json")
-            codes[code] += 1
-            for part in (op_id, str(code), out, text):
-                data = part.encode("utf-8") + b"\0"
-                digest.update(data)
-                parts[workload].update(data)
+    for workload, op_id, code, out, text in run_all(kform_main, run_list()):
+        codes[code] += 1
+        for part in (op_id, str(code), out, text):
+            data = part.encode("utf-8") + b"\0"
+            digest.update(data)
+            parts[workload].update(data)
     print(f"runs: {sum(codes.values())}")
     for code in sorted(codes):
         print(f"exit {code}: {codes[code]}")
