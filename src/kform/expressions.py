@@ -86,7 +86,6 @@ class MapExpr:
     program: tuple
     outputs: tuple
     arity: int
-    sources: tuple | None = None
 
     @property
     def codim(self) -> int:
@@ -265,7 +264,7 @@ def parse_map(sources, arity: int) -> MapExpr:
         outputs = tuple(_Parser(src, arity, program).parse() for src in sources)
     except RecursionError:
         raise ExprSyntaxError("expression nests too deeply") from None
-    return MapExpr(tuple(program), outputs, arity, sources)
+    return MapExpr(tuple(program), outputs, arity)
 
 
 def compose(outer: MapExpr, inner: MapExpr) -> MapExpr:

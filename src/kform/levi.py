@@ -50,7 +50,8 @@ battery's c05 both sample with ``sample_bundle_points`` and decide with
 ``spectrum_signatures``; they differ only in the rows, ``levi_form`` per
 point against one ``levi_spectra`` pass, and the tests check the two routes
 against each other row by row.  ``levi_level_floor`` is the smallest level
-r whose signatures keep their precision.  The tests check the analytic
+r whose signatures keep their precision, and ``levi_level_ceiling`` the
+largest whose fibers and Levi forms stay finite.  The tests check the analytic
 route against a finite-difference Levi form of rho_r taken at any chart
 point (``tests/oracles.py``).
 """
@@ -94,6 +95,7 @@ __all__ = [
     "bundle_point",
     "levi_radius_fits",
     "levi_level_floor",
+    "levi_level_ceiling",
     "sample_bundle_points",
     "tangent_basis",
     "levi_form",
@@ -154,8 +156,8 @@ def _apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[..., None])[..., 0]
 
 
-def rho_gradient(sf: SpaceForm, p: int, r: float, z, xi):
-    """Holomorphic Wirtinger gradient of rho_r, split as (d_z, d_xi).
+def rho_gradient(sf: SpaceForm, p: int, z, xi):
+    """Holomorphic Wirtinger gradient of rho_r, split as (d_z, d_xi); the level r drops out.
 
     d_z[l] differentiates the minor determinants W_IJ through the cofactor
     expansion against the metric derivative; d_xi is W @ conj(xi).
@@ -218,7 +220,11 @@ def _onto_sphere(sf: SpaceForm, p: int, r: float, z, u, xi) -> np.ndarray:
     zero = np.logical_not(norm2 > 0)
     if _any(zero):
         raise DegenerateSampleError(f"zero fiber vector{_stack_index(zero)}")
-    return xi * np.sqrt(r / norm2)[..., None]
+    # sqrt(r / norm2) as sqrt(r 2^-128 / norm2) 2^64: the same bits wherever
+    # r / norm2 is a normal float, and finite where a short drawn fiber at a
+    # level near ``levi_level_ceiling`` overflows r / norm2 (the scaled fiber
+    # itself fits)
+    return xi * (np.sqrt(r * 2.0**-128 / norm2) * 2.0**64)[..., None]
 
 
 def levi_radius_fits(sf: SpaceForm, p: int, radius: float) -> bool:
@@ -229,8 +235,11 @@ def levi_radius_fits(sf: SpaceForm, p: int, radius: float) -> bool:
     p-vector meets the 1/u^2 direction, and the one wedge coefficient det g,
     about u^-(n+1), comes from entries near 1/u with a relative rounding
     error near u * eps, which must stay within ``DEFAULT_ZERO_TOL`` (radius
-    up to about 2.1e3).  Below top degree the coefficients near u^-p must
-    stay normal floats.  ``bundle_point`` applies it at |z|, and
+    up to about 2.1e3).  At every degree the unit level must stay under
+    ``levi_level_ceiling``, so that the fibers scaled onto S_1, up to
+    u^((p+1)/2) in size, fit the float range (below top degree radius up to
+    about 1e154^(1/(p+1)), and the coefficients near u^-p stay normal
+    floats).  ``bundle_point`` applies it at |z|, and
     ``scenarios.parse_scenario`` to a levi scenario's sampling radius.
     """
     return sf.curv <= 0 or bool(_wedge_norm_fits(sf, p, 1.0 + radius * radius))
@@ -238,9 +247,39 @@ def levi_radius_fits(sf: SpaceForm, p: int, radius: float) -> bool:
 
 def _wedge_norm_fits(sf: SpaceForm, p: int, u):
     """``levi_radius_fits`` on projective space, given u = 1 + radius^2 (a float or an array)."""
-    if p == sf.dim:
-        return u * sys.float_info.epsilon <= DEFAULT_ZERO_TOL
-    return p * np.log(u) <= -math.log(sys.float_info.min)
+    precise = (u * sys.float_info.epsilon <= DEFAULT_ZERO_TOL) | (p < sf.dim)
+    return precise & (_level_ceiling(sf, p, u) >= 1.0)
+
+
+@np.errstate(over="ignore")
+def _level_ceiling(sf: SpaceForm, p: int, u):
+    """``levi_level_ceiling`` given u = 1 + radius^2 (a float or an array; read on projective space only)."""
+    kappa = np.power(u, p + 1) if sf.curv > 0 else 1.0  # inf where it overflows: ceiling 0
+    return sys.float_info.max / (4.0 * (kappa + abs(sf.curv) * (math.comb(sf.dim, p) + p)))
+
+
+def levi_level_ceiling(sf: SpaceForm, p: int, radius: float) -> float:
+    """The largest level r at which degree-p Levi forms over the chart points |w| < radius stay finite.
+
+    A fiber xi scaled onto S_r over the chart point w has xi^H W xi = r, so
+    |xi|^2 <= kappa r with 1/kappa the smallest eigenvalue of W there.  On a
+    ball or a flat chart kappa <= 1: the metric's eigenvalues 1/u and 1/u^2
+    are at least 1.  On projective space they are 1/u and 1/u^2 with
+    u = 1 + |w|^2 <= 1 + radius^2, so kappa = (1 + radius^2)^(p+1).  At the
+    chart center |xi|^2 = r, and the Hessian block of rho sums the C(n, p)^2
+    terms xi_I conj(xi_J) B_IJ, |B_IJ| <= 2 |c|, so its partial sums stay
+    within 2 |c| C(n, p) r; its entries, -c (p |xi|^2 + |V_k|^2) on the
+    diagonal, within |c| (p + 1) r, and the Levi eigenvalues lie between
+    |c| p r and 2 |c| p r in size (the block vanishes on flat forms, c = 0).
+    The ceiling asks 4 (kappa + |c| (C(n, p) + p)) r <= the largest float,
+    so each of these fits with a factor 2 to spare for Hermitian
+    symmetrization and complex products.  The eigen solves scale their
+    input themselves.
+    ``levi_radius_fits`` asks the ceiling to be at least 1, and
+    ``scenarios.parse_scenario`` applies it to a levi scenario's r at its
+    sampling radius.
+    """
+    return float(_level_ceiling(sf, p, 1.0 + radius * radius))
 
 
 def levi_level_floor(p: int) -> float:
@@ -290,7 +329,7 @@ def tangent_basis(sf: SpaceForm, p: int, z, xi) -> np.ndarray:
     xi = _fiber_vector(xi, len(basis))
     if float(np.abs(xi).max()) <= _TINY:
         raise DegenerateSampleError("zero fiber vector")
-    d_z, d_xi = rho_gradient(sf, p, 0.0, z, xi)
+    d_z, d_xi = rho_gradient(sf, p, z, xi)
     m = sf.dim
     n_fiber = len(basis)
     pivot = int(np.argmax(np.abs(xi)))

@@ -11,15 +11,14 @@ The Ricci comparison check covers the equidimensional determinant argument.
 ``product_rule`` is the product and spread rule, on an (S, m) array of
 eigenvalue rows and their targets as one array pass.  A rigidity scenario
 makes one call per run and the battery's c01 one per (m, p) group;
-``eigen_products_check`` and ``conclude_isometry_factor`` are its
-one-profile views.
+``eigen_products_check`` and ``conclude_isometry_factor`` are its one-row
+views.  ``profile_from_pullback`` gives one sample point's row and target.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .ppforms import _offsets, _pooled_ratio, index_basis, pullback_pp, wedge_po
 from .spaceforms import SpaceForm, in_chart, metric, ricci
 
 __all__ = [
-    "EigenProfile",
     "profile_from_pullback",
     "eigen_products_check",
     "conclude_isometry_factor",
@@ -44,69 +42,37 @@ DEFAULT_TOL = 1e-8
 _SINGULAR_JAC_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class EigenProfile:
-    """Ascending eigenvalues of a (1,1) pullback against the source form.
+def profile_from_pullback(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, w):
+    """The eigenvalue row of F at the chart point w and its target, as (lams, target).
 
-    lambdas are the generalized eigenvalues, p the wedge degree under test,
-    and lambdaTarget the constant from the (p,p) proportionality.
-    """
-
-    lambdas: np.ndarray
-    p: int
-    lambdaTarget: float
-
-    def __post_init__(self):
-        lams = np.sort(np.asarray(self.lambdas, dtype=float).reshape(-1))
-        if lams.size == 0:
-            raise ValueError("profile needs at least one eigenvalue")
-        if not np.isfinite(lams).all():
-            raise ValueError("profile eigenvalues must be finite")
-        object.__setattr__(self, "lambdas", lams)
-
-    @property
-    def m(self) -> int:
-        return int(self.lambdas.size)
-
-
-def profile_from_pullback(
-    F: MapExpr,
-    src: SpaceForm,
-    tgt: SpaceForm,
-    p: int,
-    w,
-    lambda_target: float | None = None,
-) -> EigenProfile:
-    """Eigenvalue profile of F at the chart point w.
-
-    The (1,1) pullback coefficients are diagonalized against the source
-    metric (which must be positive definite).  When ``lambda_target`` is not
-    given it is estimated from the (p,p) pullback at the same point by the
-    pooled least-squares ratio; at p = 1 that is the (1,1) pullback already
-    in hand.
+    lams are the ascending generalized eigenvalues of the (1,1) pullback
+    against the source metric, which must be positive definite.  target is
+    the pooled least-squares ratio of the (p,p) pullback to the source's
+    p-th wedge power at the same point; at p = 1 that is the (1,1) pullback
+    already in hand.
     """
     theta1 = pullback_pp(F, src, tgt, 1, w)
     base = metric(src, w)
     lams = generalized_eigenvalues(theta1, base)
-    if lambda_target is None:
-        bp = wedge_power_coeffs(base, p)
-        theta = theta1 if p == 1 else pullback_pp(F, src, tgt, p, w)
-        lambda_target = _pooled_ratio([(bp, theta)])
-    return EigenProfile(lambdas=lams, p=p, lambdaTarget=float(lambda_target))
+    theta = theta1 if p == 1 else pullback_pp(F, src, tgt, p, w)
+    return lams, _pooled_ratio([(wedge_power_coeffs(base, p), theta)])
 
 
 def product_rule(lams, p: int, targets, tol: float = DEFAULT_TOL):
     """The product and spread rule on an (S, m) stack of eigenvalue rows of one degree p.
 
-    The rows are sorted here as ``EigenProfile`` sorts them, and ``targets``
-    holds their (S,) lambdaTargets; p must lie in 1..m.  Returns two (S,)
-    arrays: ``products``, whether every p-fold product of a row is within
-    tol*|target| of its target, each product multiplying left to right over
-    the ascending row as ``math.prod`` does; and ``factors``, the row mean
-    where the products hold and the spread max - min is at most
-    10 tol max(|mean|, 1e-300), else NaN.
+    The rows are sorted here, must be finite (else ``ValueError``), and
+    ``targets`` holds their (S,) targets; p must lie in 1..m, so an empty
+    row is refused.  Returns two (S,) arrays: ``products``, whether every
+    p-fold product of a row is within tol*|target| of its target, each
+    product multiplying left to right over the ascending row as
+    ``math.prod`` does; and ``factors``, the row mean where the products
+    hold and the spread max - min is at most 10 tol max(|mean|, 1e-300),
+    else NaN.
     """
     lams = np.sort(np.asarray(lams, dtype=float), axis=-1)
+    if not np.isfinite(lams).all():
+        raise ValueError("eigenvalue rows must be finite")
     m = lams.shape[-1]
     if not 1 <= p <= m:
         raise PreconditionError(f"degree p={p} out of range 1..{m}")
@@ -123,29 +89,30 @@ def product_rule(lams, p: int, targets, tol: float = DEFAULT_TOL):
     return products, np.where(products & flat, mean, np.nan)
 
 
-def eigen_products_check(profile: EigenProfile, tol: float = DEFAULT_TOL) -> bool:
-    """PASS iff every p-fold eigenvalue product is within tol*lambda of lambda.
+def eigen_products_check(lams, p: int, target: float, tol: float = DEFAULT_TOL) -> bool:
+    """PASS iff every p-fold product of the row lams is within tol*|target| of target.
 
-    Each product multiplies left to right over the ascending eigenvalues
-    (``product_rule`` on one profile).
+    Each product multiplies left to right over the ascending row
+    (``product_rule`` on one row).
     """
-    return bool(product_rule(profile.lambdas[None], profile.p, [profile.lambdaTarget], tol)[0][0])
+    return bool(product_rule(np.reshape(lams, (1, -1)), p, [target], tol)[0][0])
 
 
-def conclude_isometry_factor(profile: EigenProfile, tol: float = DEFAULT_TOL):
-    """The common eigenvalue lambda^(1/p), or None if the profile refuses it.
+def conclude_isometry_factor(lams, p: int, target: float, tol: float = DEFAULT_TOL):
+    """The common eigenvalue target^(1/p) of the row lams, or None if the row refuses it.
 
     Requires p < m: at top degree a single determinant condition admits
     non-isometries, so the conclusion would be unsound and a precondition
     error is raised.  Returns None when the product check fails or the
-    eigenvalue spread exceeds the tolerance (``product_rule`` on one profile).
+    eigenvalue spread exceeds the tolerance (``product_rule`` on one row).
     """
-    if profile.p >= profile.m:
+    m = np.size(lams)
+    if p >= m:
         raise PreconditionError(
-            f"isometry conclusion needs p < m, got p={profile.p}, m={profile.m}; "
+            f"isometry conclusion needs p < m, got p={p}, m={m}; "
             "top-degree preservation admits non-isometries"
         )
-    factor = float(product_rule(profile.lambdas[None], profile.p, [profile.lambdaTarget], tol)[1][0])
+    factor = float(product_rule(np.reshape(lams, (1, -1)), p, [target], tol)[1][0])
     return None if math.isnan(factor) else factor
 
 

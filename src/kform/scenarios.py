@@ -43,8 +43,10 @@ ball of that radius can leave the source chart, and on a curved source
 wherever the chart factor 1 + radius^2 overflows when squared; levi mode
 also rejects a radius at which the wedge metric loses its precision
 (``levi.levi_radius_fits``: past about 2.1e3 on projective space at top
-degree), and a level r below ``levi.levi_level_floor(p)``, 2e-9 / p, where
-the curved Levi eigenvalues, about p r in size, near the zero tolerance.
+degree), a level r below ``levi.levi_level_floor(p)``, 2e-9 / p, where
+the curved Levi eigenvalues, about p r in size, near the zero tolerance,
+and a level above ``levi.levi_level_ceiling`` at the sampling radius, where
+the scaled fibers and Levi forms overflow.
 Every such error is a ScenarioError, as is a scenario file that is not
 UTF-8 JSON or nests too deeply to decode; the CLI exits 2 on each.
 Report checks are sorted by name and overall is the conjunction of the
@@ -64,11 +66,11 @@ import numpy as np
 
 from .errors import KformError, ScenarioError
 from .expressions import MapExpr, parse_map
-from .levi import levi_level_floor, levi_radius_fits, levi_signatures
+from .levi import levi_level_ceiling, levi_level_floor, levi_radius_fits, levi_signatures
 from .ppforms import DEFAULT_TOL, proportionality_test, relatives_test
 from .rigidity import product_rule, profile_from_pullback, ricci_pullback_check
-from .spaceforms import SpaceForm, radius_fits, sample_chart_points
-from .umehara import as_map, rank_growth
+from .spaceforms import SpaceForm, default_radius, radius_fits, sample_chart_points
+from .umehara import SERIES, as_map, rank_growth
 
 __all__ = [
     "MODES",
@@ -237,23 +239,19 @@ def _map(obj, where: str, arity: int | None = None, codim: int | None = None) ->
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
-# the params each built-in series reads, besides the optional rank tolerance "tol"
-_SERIES = {"abs_square": ("map",), "ball_slice": ("p",), "proj_slice": ("p",), "psi": ("p", "map")}
-
-
 def _series(obj, echo: dict) -> tuple:
     """The series name and params, with the map parsed; the echo keeps its strings."""
     obj = _reads(obj, "series", "umehara mode", ("name", "params"))
     name = obj.get("name")
-    if not isinstance(name, str) or name not in _SERIES:
-        raise ScenarioError(f"series.name must be one of {', '.join(_SERIES)}; got {name!r}")
-    reads = _SERIES[name] + ("tol",)
-    params = _reads(obj.get("params", {}), "series.params", f"the {name} series", reads)
+    if not isinstance(name, str) or name not in SERIES:
+        raise ScenarioError(f"series.name must be one of {', '.join(SERIES)}; got {name!r}")
+    reads = SERIES[name][0]
+    params = _reads(obj.get("params", {}), "series.params", f"the {name} series", reads + ("tol",))
     echo["series"] = {"name": name, "params": params}
     parsed = dict(params)
-    if "p" in _SERIES[name]:
+    if "p" in reads:
         _integer(params.get("p"), "series.params.p", 0)
-    if "map" in _SERIES[name]:
+    if "map" in reads:
         parsed["map"] = _map(params.get("map"), "series.params.map")
     if "tol" in params:
         _real(params["tol"], "series.params.tol", positive=True)
@@ -282,6 +280,12 @@ def _levi_inputs(data, expect, radius, echo) -> tuple:
         raise ScenarioError(
             f"sampling.radius {radius} is too large for levi mode at p={p} on a {source.kind} "
             "source: the wedge metric there is not representable to the Levi zero tolerance"
+        )
+    ceiling = levi_level_ceiling(source, p, default_radius(source) if radius is None else radius)
+    if r > ceiling:
+        raise ScenarioError(
+            f"r must be at most {ceiling:.3g} for levi mode at p={p} on this {source.kind} "
+            f"source, got {r!r}: above it the fibers and Levi forms overflow"
         )
     signature = expect.get("signature")
     if signature is not None:
@@ -407,9 +411,8 @@ def _run_pullback(sc: Scenario, src, tgt, F, p):
 def _run_rigidity(sc: Scenario, src, tgt, F, p):
     tol = sc.tolerances["rigidity"]
     points = sample_chart_points(src, sc.count, sc.seed, sc.radius)
-    profiles = [profile_from_pullback(F, src, tgt, p, w) for w in points]
-    lams = np.array([prof.lambdas for prof in profiles])
-    products, factors = product_rule(lams, p, [prof.lambdaTarget for prof in profiles], tol)
+    lams, targets = zip(*(profile_from_pullback(F, src, tgt, p, w) for w in points))
+    products, factors = product_rule(np.array(lams), p, targets, tol)
     yield "eigen_products", bool(products.all()), {}
 
     if p < src.dim:

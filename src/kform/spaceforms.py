@@ -106,11 +106,6 @@ class SpaceForm:
         return _CURV[self.kind]
 
     @property
-    def hsc(self) -> float:
-        """Holomorphic sectional curvature constant 2c."""
-        return 2.0 * self.curv
-
-    @property
     def ricci_factor(self) -> float:
         """Constant c-tilde = c (n + 1) with ricci = c-tilde * metric."""
         return float(self.curv * (self.dim + 1))
@@ -199,16 +194,6 @@ def _chart(sf: SpaceForm, w):
     return z, u
 
 
-def _pow2(u):
-    """u**2 by libm's pow at every point, as a lone point's float takes it.
-
-    numpy squares a float array with one multiply, which rounds differently
-    from pow in about one case in a thousand; going through pow keeps a
-    stack's metrics equal to its per-point calls bit for bit.
-    """
-    return u**2 if isinstance(u, float) else (u.astype(object) ** 2).astype(float)
-
-
 def chart_point(sf: SpaceForm, w) -> np.ndarray:
     """Validate chart membership and return the coordinates as complex128."""
     return _chart(sf, np.reshape(w, -1))[0]
@@ -226,7 +211,7 @@ def metric(sf: SpaceForm, w) -> np.ndarray:
     pair = (c * e * np.conj(z))[..., :, None] * (e * z)[..., None, :]
     if z.ndim > 1:  # one factor per stacked matrix
         u = u[..., None, None]
-    return hermitize((u * np.diag(e) - pair) / _pow2(u))
+    return hermitize((u * np.diag(e) - pair) / (u * u))
 
 
 def metric_dz(sf: SpaceForm, w) -> np.ndarray:
@@ -237,7 +222,7 @@ def metric_dz(sf: SpaceForm, w) -> np.ndarray:
     diag_e = np.diag(e)
     # quotient rule; d_l of (eps wbar)(eps w)^T is (eps wbar) eps_l in column l
     num = du * diag_e - c * ((e * np.conj(z))[None, :, None] * diag_e[:, None, :])
-    return num / u**2 - 2.0 * du * metric(sf, z) / u
+    return num / (u * u) - 2.0 * du * metric(sf, z) / u
 
 
 def ricci(sf: SpaceForm, w) -> np.ndarray:

@@ -21,12 +21,40 @@ group.  The routes shared with the scenario modes (c02-c04, c07, c09) take
 one point at a time; c02 and c09 compute each pullback once and read the
 (base, theta) pairs their tests pool.
 
-Two checks compare a kernel with a second route that shares no code with
-it: c04_ricci_identity compares ``spaceforms.ricci`` with the closed form
-of -d dbar log det g from u and z, and c08_wedge_minor_consistency compares
-``ppforms.wedge_power_coeffs``, whose minors are LAPACK determinants, with
-``_minor_oracle``, whose 1 x 1 minors are the entries and whose 2 x 2
-minors are a d - b c.
+Every check compares the route under test with a second route that shares
+no code with it, most often a value known in closed form:
+
+    check                             under test          against
+    c01_eigen_product_recovery        pencil eigenvalues, the factor lam^(1/p)
+                                      product_rule        the pencils carry
+    c01_eigen_product_nonconstant     product_rule        rows 5% off: refused
+    c02_flat_example_p2               (2,2) pullbacks     Theta = |det J|^2 = 1
+    c02_flat_example_p1_fail          (1,1) pullbacks     residual > 1e-2
+    c03_veronese_isometry             (1,1) pullbacks     factor 2
+    c04_ricci_identity                spaceforms.ricci    closed form in u, z
+    c04_ricci_logdet_fd               spaceforms.ricci    FD Hessian of log det
+    c05_levi_projective_top           levi_spectra        (m, 0, 0)
+    c05_levi_projective_mixed         levi_spectra        (n, 0, C(n,p)-1), CR
+    c05_levi_ball                     levi_spectra        (0, 0, n + C(n,p)-1)
+    c06_probe_flat_to_ball            obstruction_probes  a conflict wherever
+    c06_probe_projective_to_ball      obstruction_probes  conclusive
+    c06_probe_ball_control            obstruction_probes  no conflict, lhs > 0
+    c07_rank_ball_slice               coeff_rank          n + 1
+    c07_rank_pair_bound               coeff_rank          <= 2 for f g* + g f*
+    c07_rank_psi_growth               rank_growth         strictly growing
+    c07_slice_identities              series_eval         (1-+|zeta|^2)^-(p+1)
+    c08_indefinite_patterns           spaceforms.metric   diag(eps), signs
+    c08_wedge_minor_consistency       wedge_power_coeffs  ``_minor_oracle``
+    c09_relatives_veronese            relatives_test      factor 2
+    c09_relatives_ball_vs_projective  pooled ratio        pointwise ratios
+    c10_determinism                   the battery here    a fresh interpreter
+
+c04_ricci_identity's closed form is -d dbar log det g = (n+1) c (u I -
+c conj(z) z^T) / u^2, computed from u and z alone.  CR is the CR bound:
+the positives are at most half the hypersurface's tangent dimension.
+c08's ``wedge_power_coeffs`` takes its minors as LAPACK determinants, and
+``_minor_oracle`` writes the 1 x 1 minors as the entries and the 2 x 2
+minors as a d - b c.  c10 compares the canonical JSON byte for byte.
 """
 
 from __future__ import annotations

@@ -5,16 +5,17 @@ conj(zeta)^k; the rank of the coefficient matrix is the invariant behind the
 algebra of functions spanned by f conj(g) + g conj(f) for holomorphic f, g:
 every member has finite rank (at most 2 per generator), so a function whose
 truncated ranks keep growing with the order cannot belong.  The built-in
-series are the diagonal slice functions of the ball and projective metrics,
+series, listed in ``SERIES`` with the params each reads, are the diagonal
+slice functions of the ball (c = -1) and projective (c = +1) metrics, one
+formula in the curvature sign c as in ``spaceforms``,
 
-    ball_slice(p) = (1 - |zeta|^2)^(-(p+1)),
-    proj_slice(p) = (1 + |zeta|^2)^(-(p+1)),
+    ball_slice(p), proj_slice(p) = (1 + c |zeta|^2)^(-(p+1)),
 
-and the composite psi(p, F) = (1 + ||F(zeta, 0, ..., 0)||^2)^(2p) *
-ball_slice(p) whose unbounded rank growth is the computational evidence that
-certain ball-to-projective map identities are impossible.  Ranks of
-truncations are evidence, never proofs: `rank_growth` reports a verdict, not
-a theorem.
+the squared norm abs_square(F) = ||F(zeta, 0, ..., 0)||^2, and the composite
+psi(p, F) = (1 + abs_square(F))^(2p) * ball_slice(p) whose unbounded rank
+growth is the computational evidence that certain ball-to-projective map
+identities are impossible.  Ranks of truncations are evidence, never
+proofs: `rank_growth` reports a verdict, not a theorem.
 
 All series arithmetic, the bidegree series above and the holomorphic Taylor
 coefficients of a map on the slice (zeta, 0, ..., 0), is one truncated-series
@@ -58,6 +59,7 @@ __all__ = [
     "psi",
     "abs_square",
     "as_map",
+    "SERIES",
     "builtin_series",
     "coeff_rank",
     "rank_growth",
@@ -86,10 +88,6 @@ class BiSeries:
                 f"order {self.order} needs a {self.order + 1}x{self.order + 1} matrix, got {c.shape}"
             )
         object.__setattr__(self, "coeffs", c)
-
-    @property
-    def is_real_valued(self) -> bool:
-        return float(np.abs(self.coeffs - self.coeffs.conj().T).max()) < 1e-12
 
 
 def bi_series(coeffs) -> BiSeries:
@@ -210,20 +208,22 @@ def power(a: BiSeries, n: int) -> BiSeries:
 # built-in series
 
 
-def ball_slice(p: int, n: int) -> BiSeries:
-    """(1 - |zeta|^2)^(-(p+1)): diagonal binomial coefficients C(k+p, p)."""
-    c = np.zeros((n + 1, n + 1), dtype=np.complex128)
+def _slice(c: int, p: int, n: int) -> BiSeries:
+    """(1 + c |zeta|^2)^(-(p+1)) for the curvature sign c: diagonal coefficients (-c)^k C(k+p, p)."""
+    coeffs = np.zeros((n + 1, n + 1), dtype=np.complex128)
     for k in range(n + 1):
-        c[k, k] = math.comb(k + p, p)
-    return BiSeries(order=n, coeffs=c)
+        coeffs[k, k] = (-c) ** k * math.comb(k + p, p)
+    return BiSeries(order=n, coeffs=coeffs)
+
+
+def ball_slice(p: int, n: int) -> BiSeries:
+    """(1 - |zeta|^2)^(-(p+1)), the slice at c = -1."""
+    return _slice(-1, p, n)
 
 
 def proj_slice(p: int, n: int) -> BiSeries:
-    """(1 + |zeta|^2)^(-(p+1)): the alternating-sign twin of ball_slice."""
-    c = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    for k in range(n + 1):
-        c[k, k] = (-1) ** k * math.comb(k + p, p)
-    return BiSeries(order=n, coeffs=c)
+    """(1 + |zeta|^2)^(-(p+1)), the slice at c = +1."""
+    return _slice(1, p, n)
 
 
 def abs_square(F: MapExpr, n: int) -> BiSeries:
@@ -248,31 +248,34 @@ def as_map(value) -> MapExpr:
     if isinstance(value, MapExpr):
         return value
     sources = [str(c) for c in value]
-    arity = 1
-    for src in sources:
-        for tok in re.findall(r"z(\d+)", src):
-            arity = max(arity, int(tok))
+    arity = max([1] + [int(tok) for src in sources for tok in re.findall(r"z(\d+)", src)])
     return parse_map(sources, arity)
+
+
+# The built-in series: name -> (the params it reads besides the rank
+# tolerance "tol", in the order its builder takes them before n; the builder)
+SERIES = {
+    "abs_square": (("map",), abs_square),
+    "ball_slice": (("p",), ball_slice),
+    "proj_slice": (("p",), proj_slice),
+    "psi": (("p", "map"), psi),
+}
+
+# how builtin_series reads each param: "p" an integer, "map" a MapExpr or expression strings
+_PARAM = {"p": int, "map": as_map}
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def builtin_series(name: str, params: dict, n: int) -> BiSeries:
-    """Named series to order n: ball_slice, proj_slice, psi, abs_square.
+    """The ``SERIES`` entry ``name`` to order n, built from the params it reads.
 
-    params carries "p" for the slice functions and additionally "map" (a
-    MapExpr or list of expression strings) for psi and abs_square.  numpy
-    does not warn of overflow here: the coefficients come out non-finite,
-    and ``coeff_rank`` reports that as ``EvaluationLimitError``.
+    numpy does not warn of overflow here: the coefficients come out
+    non-finite, and ``coeff_rank`` reports that as ``EvaluationLimitError``.
     """
-    if name == "ball_slice":
-        return ball_slice(int(params["p"]), n)
-    if name == "proj_slice":
-        return proj_slice(int(params["p"]), n)
-    if name == "psi":
-        return psi(int(params["p"]), as_map(params["map"]), n)
-    if name == "abs_square":
-        return abs_square(as_map(params["map"]), n)
-    raise ScenarioError(f"unknown series name {name!r}")
+    if name not in SERIES:
+        raise ScenarioError(f"unknown series name {name!r}")
+    reads, build = SERIES[name]
+    return build(*(_PARAM[key](params[key]) for key in reads), n)
 
 
 # ---------------------------------------------------------------------------

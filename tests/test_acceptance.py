@@ -20,7 +20,7 @@ from kform.ppforms import (
     relatives_test,
     wedge_power_coeffs,
 )
-from kform.rigidity import EigenProfile, conclude_isometry_factor, eigen_products_check
+from kform.rigidity import conclude_isometry_factor, eigen_products_check
 from kform.scenarios import report_to_json
 from kform.spaceforms import (
     ball,
@@ -54,9 +54,7 @@ def test_criterion_01_eigen_product_rigidity():
         q = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
         base = q.conj().T @ g @ q
         h = lam ** (1.0 / p) * base
-        factor = conclude_isometry_factor(
-            EigenProfile(generalized_eigenvalues(h, base), p, lam), tol=1e-8
-        )
+        factor = conclude_isometry_factor(generalized_eigenvalues(h, base), p, lam, tol=1e-8)
         if factor is None:
             ok = False
             continue
@@ -70,7 +68,7 @@ def test_criterion_01_eigen_product_rigidity():
         lams = np.full(m, float(np.exp(rng.uniform(-1.0, 1.0))))
         lams[int(rng.integers(0, m))] *= 1.05
         target = float(np.prod(np.sort(lams)[:p]))
-        if not eigen_products_check(EigenProfile(lams, p, target), tol=1e-8):
+        if not eigen_products_check(lams, p, target, tol=1e-8):
             rejected += 1
     ok = ok and rejected == 1000
     _report(1, ok, f"worst recovery {worst:.2e}, {rejected}/1000 non-constant rejected")

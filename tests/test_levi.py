@@ -90,7 +90,7 @@ def test_rho_gradient_matches_finite_differences():
         for p in range(1, min(sf.dim, 2) + 1):
             z = sample_chart_points(sf, 1, seed=int(rng.integers(1 << 30)), radius=0.4)[0]
             xi = _random_fiber(rng, sf, p)
-            d_z, d_xi = rho_gradient(sf, p, 1.0, z, xi)
+            d_z, d_xi = rho_gradient(sf, p, z, xi)
             fd = fd_wirtinger_gradient(_stacked_rho(sf, p, 1.0), np.concatenate([z, xi]))
             assert_allclose(d_z, fd[: sf.dim], atol=1e-6)
             assert_allclose(d_xi, fd[sf.dim :], atol=1e-6)
@@ -162,7 +162,7 @@ def test_tangent_basis_annihilates_gradient():
         cols = tangent_basis(sf, p, z, xi)
         n_fiber = len(index_basis(sf.dim, p))
         assert cols.shape == (sf.dim + n_fiber, sf.dim + n_fiber - 1)
-        d_z, d_xi = rho_gradient(sf, p, 1.0, z, xi)
+        d_z, d_xi = rho_gradient(sf, p, z, xi)
         grad = np.concatenate([d_z, d_xi])
         pairings = np.abs(grad @ cols)
         assert float(pairings.max()) < 1e-11

@@ -12,7 +12,6 @@ from kform.expressions import parse_map
 from kform.linalg import generalized_eigenvalues
 from kform.ppforms import _pooled_ratio, proportionality_test, pullback_pp, wedge_power_coeffs
 from kform.rigidity import (
-    EigenProfile,
     conclude_isometry_factor,
     eigen_products_check,
     product_rule,
@@ -29,47 +28,60 @@ FLAT_EXAMPLE_2 = ["z1+1/(1-z2)", "z2"]
 BALL_AUT_INTO_B3 = ["(z1-0.3)/(1-0.3*z1)", "0.9539392014169456*z2/(1-0.3*z1)", "0"]
 
 
-def test_profile_sorts_and_validates():
-    prof = EigenProfile(lambdas=[3.0, 1.0, 2.0], p=1, lambdaTarget=2.0)
-    assert_allclose(prof.lambdas, [1.0, 2.0, 3.0])
-    assert prof.m == 3
-    with pytest.raises(ValueError):
-        EigenProfile(lambdas=[], p=1, lambdaTarget=1.0)
-    with pytest.raises(ValueError):
-        EigenProfile(lambdas=[np.nan], p=1, lambdaTarget=1.0)
+def test_rows_are_sorted_and_validated():
+    # an unsorted row gets the verdicts of the sorted row
+    for row in ([3.0, 1.0, 2.0], [1.0, 2.0, 3.0]):
+        assert eigen_products_check(row, 1, 2.0, 0.5)
+        assert not eigen_products_check(row, 1, 2.0)
+        assert not eigen_products_check(row, 2, 3.0, 0.5)
+        assert eigen_products_check(row, 2, 3.0, 1.0)
+        assert conclude_isometry_factor(row, 1, 2.0, 0.5) == 2.0
+        assert conclude_isometry_factor(row, 1, 2.0) is None
+    for tol, ok, factor in ((0.1, False, np.nan), (1.0, True, 2.0)):
+        products, factors = product_rule([[3.0, 1.0, 2.0], [1.0, 2.0, 3.0]], 2, [3.0, 3.0], tol)
+        assert products.tolist() == [ok, ok]
+        np.testing.assert_array_equal(factors, [factor, factor])
+    # an empty row has no degree in range, and a non-finite row is refused
+    with pytest.raises(PreconditionError, match="out of range 1..0"):
+        eigen_products_check([], 1, 1.0)
+    with pytest.raises(PreconditionError):
+        conclude_isometry_factor([], 1, 1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            eigen_products_check([1.0, bad], 1, 1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            conclude_isometry_factor([1.0, bad], 1, 1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            product_rule([[1.0, 1.0], [1.0, bad]], 1, [1.0, 1.0])
 
 
-def test_products_check_constant_profile_passes():
-    prof = EigenProfile(lambdas=[2.0, 2.0, 2.0], p=2, lambdaTarget=4.0)
-    assert eigen_products_check(prof)
-    assert conclude_isometry_factor(prof) == pytest.approx(2.0, rel=1e-12)
+def test_products_check_constant_row_passes():
+    assert eigen_products_check([2.0, 2.0, 2.0], 2, 4.0)
+    assert conclude_isometry_factor([2.0, 2.0, 2.0], 2, 4.0) == pytest.approx(2.0, rel=1e-12)
 
 
-def test_products_check_mixed_profile_fails():
+def test_products_check_mixed_row_fails():
     # pairwise products 2, 4, 8 cannot all match one constant
-    prof = EigenProfile(lambdas=[1.0, 2.0, 4.0], p=2, lambdaTarget=4.0)
-    assert not eigen_products_check(prof)
-    assert conclude_isometry_factor(prof) is None
+    assert not eigen_products_check([1.0, 2.0, 4.0], 2, 4.0)
+    assert conclude_isometry_factor([1.0, 2.0, 4.0], 2, 4.0) is None
 
 
 def test_top_degree_witness_passes_products_but_refuses_conclusion():
     # (1/2, 2*lam) preserves the top product without being conformal
     lam = 3.7
-    prof = EigenProfile(lambdas=[0.5, 2.0 * lam], p=2, lambdaTarget=lam)
-    assert eigen_products_check(prof)
+    row = [0.5, 2.0 * lam]
+    assert eigen_products_check(row, 2, lam)
     with pytest.raises(PreconditionError):
-        conclude_isometry_factor(prof)
+        conclude_isometry_factor(row, 2, lam)
 
 
 def test_degree_out_of_range_rejected():
-    prof = EigenProfile(lambdas=[1.0, 1.0], p=3, lambdaTarget=1.0)
     with pytest.raises(PreconditionError):
-        eigen_products_check(prof)
+        eigen_products_check([1.0, 1.0], 3, 1.0)
 
 
-def _products_verdict_by_np_prod(profile, tol):
-    lam = profile.lambdaTarget
-    subsets = combinations(profile.lambdas, profile.p)
+def _products_verdict_by_np_prod(lams, p, lam, tol):
+    subsets = combinations(np.sort(lams), p)
     return all(abs(float(np.prod(s)) - lam) <= tol * abs(lam) for s in subsets)
 
 
@@ -84,47 +96,46 @@ def test_products_check_matches_the_numpy_product_loop():
         p = int(rng.integers(1, m + 1))
         lams = np.exp(rng.normal(scale=10.0 ** rng.uniform(-9, 0), size=m))
         if k % 2:
-            prof = EigenProfile(lambdas=lams, p=p, lambdaTarget=1.0)
-            worst = max(abs(float(np.prod(s)) - 1.0) for s in combinations(prof.lambdas, p))
+            target = 1.0
+            worst = max(abs(float(np.prod(s)) - 1.0) for s in combinations(np.sort(lams), p))
             tols = [worst, np.nextafter(worst, 0.0)]
         else:
             target = float(np.prod(rng.choice(lams, size=p, replace=False)))
-            prof = EigenProfile(lambdas=lams, p=p, lambdaTarget=target)
             tols = [10.0 ** rng.uniform(-16, -1)]
         for tol in tols:
-            want = _products_verdict_by_np_prod(prof, tol)
-            assert eigen_products_check(prof, tol) == want
+            want = _products_verdict_by_np_prod(lams, p, target, tol)
+            assert eigen_products_check(lams, p, target, tol) == want
             verdicts.append(want)
     assert 300 < sum(verdicts) < len(verdicts) - 300
 
 
-def test_product_rule_is_the_one_profile_checks():
-    # one stack per (m, p) gives each profile's products verdict and factor,
-    # over concluded and product-refused profiles
+def test_product_rule_is_the_one_row_checks():
+    # one stack per (m, p) gives each row's products verdict and factor,
+    # over concluded and product-refused rows
     rng = np.random.default_rng(19)
     seen = set()
     for m in range(2, 7):
         for p in range(1, m + 1):
             base = rng.uniform(0.5, 2.0, size=(30, 1))
             lams = base * (1.0 + 10.0 ** rng.uniform(-13, -1, size=(30, 1)) * rng.uniform(-1, 1, size=(30, m)))
-            profiles = [EigenProfile(row, p, float(b[0] ** p)) for row, b in zip(lams, base)]
-            products, factors = product_rule(lams, p, [prof.lambdaTarget for prof in profiles], tol=1e-8)
-            for prof, ok, factor in zip(profiles, products, factors):
-                assert bool(ok) == eigen_products_check(prof, tol=1e-8)
+            targets = base[:, 0] ** p
+            products, factors = product_rule(lams, p, targets, tol=1e-8)
+            for row, target, ok, factor in zip(lams, targets, products, factors):
+                assert bool(ok) == eigen_products_check(row, p, target, tol=1e-8)
                 if p < m:
-                    want = conclude_isometry_factor(prof, tol=1e-8)
+                    want = conclude_isometry_factor(row, p, target, tol=1e-8)
                     assert (np.isnan(factor) and want is None) or factor == want
                     seen.add((bool(ok), want is None))
     assert seen == {(True, False), (False, True)}
-    # the degree must lie in 1..m, on the array rule and on its one-profile views
+    # the degree must lie in 1..m, on the array rule and on its one-row views
     for p in (0, 3, -1):
         with pytest.raises(PreconditionError, match="out of range 1..2"):
             product_rule(np.ones((4, 2)), p, np.ones(4))
     with pytest.raises(PreconditionError, match="out of range 1..2"):
-        eigen_products_check(EigenProfile([1.0, 1.0], 3, 1.0))
+        eigen_products_check([1.0, 1.0], 3, 1.0)
 
 
-def test_random_nonconstant_profiles_fail():
+def test_random_nonconstant_rows_fail():
     rng = np.random.default_rng(7)
     for _ in range(1000):
         m = int(rng.integers(2, 7))
@@ -132,11 +143,10 @@ def test_random_nonconstant_profiles_fail():
         lams = rng.uniform(0.5, 2.0, size=m)
         lams[int(rng.integers(m))] *= 1.05
         target = float(np.prod(np.sort(lams)[:p]))
-        prof = EigenProfile(lambdas=lams, p=p, lambdaTarget=target)
-        assert not eigen_products_check(prof)
+        assert not eigen_products_check(lams, p, target)
 
 
-def test_passing_profiles_are_constant():
+def test_passing_rows_are_constant():
     # below top degree the product constraint pins every eigenvalue
     rng = np.random.default_rng(11)
     tol = 1e-8
@@ -146,10 +156,9 @@ def test_passing_profiles_are_constant():
         base = float(rng.uniform(0.3, 3.0))
         scale = 10.0 ** rng.uniform(-12, -3)
         lams = base * (1.0 + scale * rng.uniform(-1, 1, size=m))
-        prof = EigenProfile(lambdas=lams, p=p, lambdaTarget=float(base**p))
-        if eigen_products_check(prof, tol):
-            spread = float(prof.lambdas.max() - prof.lambdas.min())
-            assert spread <= 10.0 * tol * float(prof.lambdas.mean())
+        if eigen_products_check(lams, p, float(base**p), tol):
+            spread = float(lams.max() - lams.min())
+            assert spread <= 10.0 * tol * float(lams.mean())
 
 
 def test_construct_then_recover_factor():
@@ -161,10 +170,7 @@ def test_construct_then_recover_factor():
         mu = lam ** (1.0 / p)
         g = random_posdef(rng, m)
         h = mu * g
-        prof = EigenProfile(
-            lambdas=generalized_eigenvalues(h, g), p=p, lambdaTarget=lam
-        )
-        got = conclude_isometry_factor(prof)
+        got = conclude_isometry_factor(generalized_eigenvalues(h, g), p, lam)
         assert got is not None
         assert got == pytest.approx(mu, rel=1e-8)
 
@@ -172,27 +178,27 @@ def test_construct_then_recover_factor():
 def test_profile_from_identity_pullback():
     sf = ball(2)
     for w in sample_chart_points(sf, 5, seed=3):
-        prof = profile_from_pullback(identity_map(2), sf, sf, 2, w)
-        assert_allclose(prof.lambdas, [1.0, 1.0], atol=1e-10)
-        assert prof.lambdaTarget == pytest.approx(1.0, abs=1e-10)
-        assert conclude_isometry_factor(EigenProfile(prof.lambdas, 1, 1.0)) is not None
+        lams, target = profile_from_pullback(identity_map(2), sf, sf, 2, w)
+        assert_allclose(lams, [1.0, 1.0], atol=1e-10)
+        assert target == pytest.approx(1.0, abs=1e-10)
+        assert conclude_isometry_factor(lams, 1, 1.0) is not None
 
 
 def test_profile_from_scaled_flat_map():
     a = 0.7
     F = parse_map([f"{a}*z1", f"{a}*z2", "0"], 2)
     src, tgt = euclidean(2), euclidean(3)
-    prof = profile_from_pullback(F, src, tgt, 2, [0.4, -0.2])
-    assert_allclose(prof.lambdas, [a**2, a**2], atol=1e-12)
-    assert prof.lambdaTarget == pytest.approx(a**4, abs=1e-12)
+    lams, target = profile_from_pullback(F, src, tgt, 2, [0.4, -0.2])
+    assert_allclose(lams, [a**2, a**2], atol=1e-12)
+    assert target == pytest.approx(a**4, abs=1e-12)
 
 
 def test_profile_veronese_matches_factor_two():
     F = parse_map(VERONESE, 1)
-    prof = profile_from_pullback(F, projective(1), projective(2), 1, [0.3])
-    assert_allclose(prof.lambdas, [2.0], atol=1e-10)
-    assert prof.lambdaTarget == pytest.approx(2.0, abs=1e-10)
-    assert eigen_products_check(prof)
+    lams, target = profile_from_pullback(F, projective(1), projective(2), 1, [0.3])
+    assert_allclose(lams, [2.0], atol=1e-10)
+    assert target == pytest.approx(2.0, abs=1e-10)
+    assert eigen_products_check(lams, 1, target)
 
 
 def test_profile_requires_definite_source():
@@ -288,4 +294,4 @@ def test_profile_pulls_back_once_per_point_at_p1(monkeypatch):
     for w in sample_chart_points(src, 10, seed=5):
         bp = wedge_power_coeffs(metric(src, w), 1)
         separate = _pooled_ratio([(bp, pullback_pp(F, src, tgt, 1, w))])
-        assert profile_from_pullback(F, src, tgt, 1, w).lambdaTarget == separate
+        assert profile_from_pullback(F, src, tgt, 1, w)[1] == separate

@@ -1,15 +1,19 @@
+import itertools
 import json
 import math
 import subprocess
+import sys
 import time
+import warnings
 
 import pytest
 
 from kform import suite, umehara
 from kform.cli import main
 from kform.errors import ScenarioError
-from kform.levi import levi_level_floor
+from kform.levi import levi_level_ceiling, levi_level_floor, levi_radius_fits
 from kform.scenarios import parse_scenario, report_to_json, run_checks, run_scenario
+from kform.spaceforms import SpaceForm, default_radius, radius_fits
 from child import run_python
 
 
@@ -317,6 +321,9 @@ def _relatives(source):
         (lambda d: d.update(mode="levi", r=1e-10), "r must be at least 2e-09 for levi mode at p=1, got 1e-10"),
         (lambda d: d.update(mode="levi", r=1e-26), "r must be at least 2e-09 for levi mode at p=1, got 1e-26"),
         (lambda d: d.update(mode="levi", source={"kind": "projective", "dim": 3}, p=3, r=6e-10), "r must be at least 6.67e-10 for levi mode at p=3, got 6e-10"),
+        # a level whose scaled fibers and Levi forms would overflow the float range
+        (lambda d: d.update(mode="levi", source={"kind": "ball", "dim": 3}, p=1, r=1e308), "r must be at most 8.99e+306 for levi mode at p=1 on this ball source, got 1e+308"),
+        (lambda d: d.update(mode="levi", source={"kind": "projective", "dim": 3}, p=3, r=1e306), "r must be at most 7.15e+304 for levi mode at p=3 on this projective source, got 1e+306"),
     ],
 )
 def test_scenario_validation_names_the_field(mutate, fragment):
@@ -337,6 +344,43 @@ def test_levi_level_floor_is_kept_and_pins_the_signatures():
             scenario = {"mode": "levi", "source": source, "p": p, "r": r, "sampling": {"count": 3}}
             (rec,) = run_scenario(scenario).checks
             assert rec.verdict == "PASS" and tuple(rec.signature) == signature, (kind, p, r)
+
+
+def _largest_levi_radius(sf, p):
+    """The largest sampling radius a levi scenario accepts on sf at degree p, to 1e-12 relative."""
+    fits = lambda radius: radius_fits(sf, radius) and levi_radius_fits(sf, p, radius)
+    if fits(sys.float_info.max):
+        return sys.float_info.max
+    lo, hi = 1.0, 1e78
+    while hi - lo > 1e-12 * lo:
+        mid = math.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
+
+
+def test_levi_level_ceiling_runs_without_warnings():
+    # at the ceiling, at the default radius and at the largest one levi mode
+    # accepts, every space form keeps the signature of the unit level
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, n in itertools.product(("ball", "projective", "euclidean"), (2, 3)):
+            for p in range(1, n + 1):
+                sf = SpaceForm(kind, n, n)
+                scenario = {"mode": "levi", "source": {"kind": kind, "dim": n}, "p": p}
+                (unit,) = run_scenario(scenario).checks
+                for radius in (None, _largest_levi_radius(sf, p)):
+                    r = levi_level_ceiling(sf, p, default_radius(sf) if radius is None else radius)
+                    assert r >= 1.0
+                    sampling = {"radius": radius}
+                    (rec,) = run_scenario(dict(scenario, r=r, sampling=sampling)).checks
+                    assert rec.verdict == "PASS", (kind, n, p, radius)
+                    assert rec.signature == unit.signature, (kind, n, p, radius)
+                    with pytest.raises(ScenarioError, match="^r must be at most"):
+                        parse_scenario(dict(scenario, r=r * 1.001, sampling=sampling))
+    # the extreme levels kept at the default radius
+    for kind, n, p, r in (("projective", 3, 1, 1e300), ("projective", 3, 2, 1e300), ("ball", 3, 3, 1e306)):
+        scenario = {"mode": "levi", "source": {"kind": kind, "dim": n}, "p": p, "r": r}
+        assert run_scenario(scenario).overall == "PASS"
 
 
 def test_radius_past_one_is_kept_where_the_chart_holds_it():
@@ -450,6 +494,9 @@ def test_cli_malformed_scenario_fields_exit_two(tmp_path, capsys):
         # at top degree the wedge metric's one coefficient loses its precision far out
         (dict(mode="levi", source={"kind": "projective", "dim": 2}, p=2, sampling={"radius": 1e13}), "sampling.radius 10000000000000.0 is too large for levi mode at p=2"),
         (dict(mode="levi", source={"kind": "projective", "dim": 2}, p=2, sampling={"radius": 1e40}), "sampling.radius 1e+40 is too large for levi mode at p=2"),
+        # levels whose fibers and Levi forms would overflow the float range
+        (dict(mode="levi", source={"kind": "ball", "dim": 3}, p=1, r=1e308), "r must be at most 8.99e+306"),
+        (dict(mode="levi", source={"kind": "projective", "dim": 3}, p=3, r=1e306), "r must be at most 7.15e+304"),
         (dict(_projective_identity(), source={"kind": "euclidean", "dim": 2}, sampling={"radius": 1e200}), "outside the target chart"),
         # numpy overflows in a map's jet are errors of the run, not warnings
         (dict(_identity_flat(), map=["z1^2", "z2"], sampling={"count": 2, "radius": 1e200}), "expression overflows"),

@@ -87,7 +87,6 @@ def test_curvature_sign_sets_the_constants():
         for n, s in ((1, 1), (3, 1), (3, 0)):
             sf = make(n, s)
             assert sf.curv == c
-            assert sf.hsc == 2.0 * c
             assert sf.ricci_factor == c * (n + 1)
 
 

@@ -12,8 +12,10 @@ from kform.errors import (
 )
 from kform.expressions import parse_map
 from kform.ppforms import wedge_power_coeffs
+from kform.scenarios import parse_scenario
 from kform.spaceforms import ball, metric, projective
 from kform.umehara import (
+    SERIES,
     BiSeries,
     abs_square,
     add,
@@ -55,6 +57,11 @@ def _rank_oracle(coeffs, tol=1e-10):
     return int(np.linalg.matrix_rank(coeffs, tol=tol * scale))
 
 
+def _is_real_valued(s):
+    # a bidegree series is a real-valued function iff its coefficients are Hermitian
+    return float(np.abs(s.coeffs - s.coeffs.conj().T).max()) < 1e-12
+
+
 def test_bi_series_validation():
     with pytest.raises(DimensionError):
         bi_series(np.zeros((2, 3)))
@@ -62,7 +69,7 @@ def test_bi_series_validation():
         BiSeries(order=3, coeffs=np.zeros((3, 3)))
     s = bi_series(np.eye(4))
     assert s.order == 3
-    assert s.is_real_valued
+    assert _is_real_valued(s)
 
 
 def test_add_requires_matching_orders():
@@ -260,10 +267,10 @@ def test_real_symmetry_preserved_by_arithmetic():
         herm[0, 0] = 2.0
         a = bi_series(herm)
         b = ball_slice(1, 4)
-        assert add(a, b).is_real_valued
-        assert multiply(a, b).is_real_valued
-        assert reciprocal(a).is_real_valued
-        assert power(a, 3).is_real_valued
+        assert _is_real_valued(add(a, b))
+        assert _is_real_valued(multiply(a, b))
+        assert _is_real_valued(reciprocal(a))
+        assert _is_real_valued(power(a, 3))
 
 
 def test_coeff_rank_basics():
@@ -432,6 +439,27 @@ def test_rank_growth_validation():
             rank_growth("ball_slice", {"p": 1}, orders)
     with pytest.raises(ScenarioError):
         builtin_series("no_such_series", {}, 4)
+
+
+def test_series_catalogue_is_one_table():
+    # the scenario parser and builtin_series both read umehara.SERIES, in its order
+    assert list(SERIES) == ["abs_square", "ball_slice", "proj_slice", "psi"]
+    values = {"p": 2, "map": ["z1", "0.5*z1^2"]}
+    for name, (reads, build) in SERIES.items():
+        params = {key: values[key] for key in reads}
+        scenario = {"mode": "umehara", "series": {"name": name, "params": params}}
+        scenario.update(orders=[2, 4, 6], expect={"verdict": "bounded"})
+        assert parse_scenario(scenario).inputs[0] == name
+        scenario["series"]["params"] = dict(params, tool=1)
+        with pytest.raises(ScenarioError, match=f"series.params.tool is not read by the {name} series"):
+            parse_scenario(scenario)
+        args = [values["p"] if key == "p" else parse_map(values["map"], 1) for key in reads]
+        assert np.array_equal(builtin_series(name, params, 6).coeffs, build(*args, 6).coeffs)
+    # both slices are (1 + c |zeta|^2)^-(p+1), diagonal (-c)^k C(k+p, p), c = -1 and +1
+    for p in (0, 1, 4):
+        diag = np.array([math.comb(k + p, p) for k in range(9)], dtype=float)
+        assert np.array_equal(ball_slice(p, 8).coeffs, np.diag(diag))
+        assert np.array_equal(proj_slice(p, 8).coeffs, np.diag((-1.0) ** np.arange(9) * diag))
 
 
 def test_power_validation():
