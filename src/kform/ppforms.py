@@ -1,5 +1,5 @@
 """Wedge powers of Kähler forms: coefficient matrices, pullbacks, and the
-proportionality / relatives decision procedures.
+one rule that decides the proportionality and relatives identities.
 
 The coefficient of omega^p over a pair of increasing multi-indices (I, J) is
 the determinant of the (I, J) minor of the metric.  The common prefactor
@@ -8,6 +8,15 @@ both sides of every identity tested here, so only the minor determinants
 matter.  A coefficient matrix is a plain Hermitian ndarray whose rows and
 columns follow ``index_basis(n, p)``, the lexicographic tuple of increasing
 p-tuples; it is positive definite for definite space forms.
+
+Both identities, F*omega_tgt^p = lambda omega_src^p and F*omega_1^p =
+lambda G*omega_2^p, are decided by ``pooled_fit`` on (S, K, K) stacks of
+base and pulled-back coefficients, one row per sample point, which
+``sample_stacks`` builds from a pair function: its base is omega_src^p for
+``proportionality_test`` and G*omega_2^p for ``relatives_test``.  lambdaHat
+is the least-squares real ratio pooled over every entry and point; the
+residual is the worst entry of |theta - lambdaHat base|, and the identity
+holds when it is below tol (1 + |lambdaHat|).
 """
 
 from __future__ import annotations
@@ -30,6 +39,10 @@ __all__ = [
     "wedge_power_coeffs",
     "compound_matrix",
     "pullback_pp",
+    "pooled_fit",
+    "sample_stacks",
+    "proportionality_stacks",
+    "relatives_stacks",
     "proportionality_test",
     "relatives_test",
 ]
@@ -141,27 +154,67 @@ def pullback_pp(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, w) -> np.nda
     return hermitize(d.T @ wtgt @ np.conj(d))
 
 
-def _pooled_ratio(pairs) -> float:
-    """Least-squares real lambda for sum over (base, theta) pairs |theta - lambda*base|^2."""
-    num = 0.0
-    den = 0.0
-    for base, theta in pairs:
-        num += float(np.sum(np.conj(base) * theta).real)
-        den += float(np.sum(np.abs(base) ** 2))
-    if den == 0.0:
+def pooled_fit(base, theta, tol: float = DEFAULT_TOL) -> PullbackResult:
+    """The pooled comparison theta = lambda * base on (S, K, K) stacks, one point per row.
+
+    lambdaHat = sum_s Re<base_s, theta_s> / sum_s |base_s|^2, each point
+    reduced over its (K, K) entries and the points added in sample order;
+    maxResidual is the worst entry of |theta - lambdaHat * base|, and the
+    verdict passes iff it is below tol * (1 + |lambdaHat|).
+    """
+    num = np.sum(np.conj(base) * theta, axis=(-2, -1)).real.tolist()
+    den = np.sum(np.abs(base) ** 2, axis=(-2, -1)).tolist()
+    lam, total = 0.0, 0.0
+    for a, b in zip(num, den):
+        lam, total = lam + a, total + b
+    if total == 0.0:
         raise DegenerateSampleError("base form coefficients vanish at every sample point")
-    return num / den
+    lam /= total
+    resid = float(np.abs(theta - lam * base).max())
+    return PullbackResult(lambdaHat=lam, maxResidual=resid, passed=bool(resid < tol * (1.0 + abs(lam))))
 
 
-def _pooled_result(pairs, tol: float) -> PullbackResult:
-    """The pooled ratio with the worst entry residual and the verdict."""
-    lam = _pooled_ratio(pairs)
-    resid = max(float(np.abs(theta - lam * base).max()) for base, theta in pairs)
-    return PullbackResult(
-        lambdaHat=lam,
-        maxResidual=resid,
-        passed=bool(resid < tol * (1.0 + abs(lam))),
+def sample_stacks(pair, points):
+    """The (S, K, K) stacks (base, theta) of ``pair(w)`` over the S sample points, in order.
+
+    An empty sample, or a point where the base coefficients all vanish, raises
+    a degenerate-sample error; the latter names the point's 0-based index.
+    """
+    pts = list(points)
+    if not pts:
+        raise DegenerateSampleError("need at least one sample point")
+    bases, thetas = [], []
+    for k, w in enumerate(pts):
+        base, theta = pair(w)
+        if float(np.abs(base).max()) == 0.0:
+            raise DegenerateSampleError(f"base form coefficients vanish at sample {k}")
+        bases.append(base)
+        thetas.append(theta)
+    return np.array(bases), np.array(thetas)
+
+
+def proportionality_stacks(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, points):
+    """The stacks of omega_src^p and F*omega_tgt^p that ``proportionality_test`` fits."""
+    return sample_stacks(
+        lambda w: (wedge_power_coeffs(metric(src, w), p), pullback_pp(F, src, tgt, p, w)), points
     )
+
+
+def relatives_stacks(F: MapExpr, G: MapExpr, tgt1: SpaceForm, tgt2: SpaceForm, p: int, points):
+    """The stacks of G*omega_tgt2^p and F*omega_tgt1^p that ``relatives_test`` fits.
+
+    Both maps pull back from plain coordinates of F's arity; a G of another
+    arity raises ``DimensionError``.
+    """
+    if G.arity != F.arity:
+        raise DimensionError(f"both maps must have arity {F.arity}, G has {G.arity}")
+    src = euclidean(F.arity)
+
+    def pair(w):
+        theta = pullback_pp(F, src, tgt1, p, w)
+        return pullback_pp(G, src, tgt2, p, w), theta
+
+    return sample_stacks(pair, points)
 
 
 def proportionality_test(
@@ -172,28 +225,8 @@ def proportionality_test(
     points,
     tol: float = DEFAULT_TOL,
 ) -> PullbackResult:
-    """Decide whether F*omega_tgt^p = lambda * omega_src^p on the samples.
-
-    lambdaHat is the least-squares ratio pooled across all matrix entries and
-    points; the verdict passes iff the worst entry residual is below
-    tol * (1 + |lambdaHat|).  A point where the source coefficients all
-    vanish raises a degenerate-sample error.
-    """
-    return _pooled_result(_proportionality_pairs(F, src, tgt, p, points), tol)
-
-
-def _proportionality_pairs(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, points) -> list:
-    """The (omega_src^p, F*omega_tgt^p) coefficients that ``proportionality_test`` pools."""
-    pts = list(points)
-    if not pts:
-        raise DegenerateSampleError("need at least one sample point")
-    pairs = []
-    for w in pts:
-        base = wedge_power_coeffs(metric(src, w), p)
-        if float(np.abs(base).max()) == 0.0:
-            raise DegenerateSampleError(f"omega^p coefficients vanish at sample {w!r}")
-        pairs.append((base, pullback_pp(F, src, tgt, p, w)))
-    return pairs
+    """Decide whether F*omega_tgt^p = lambda * omega_src^p on the samples (``pooled_fit``)."""
+    return pooled_fit(*proportionality_stacks(F, src, tgt, p, points), tol)
 
 
 def relatives_test(
@@ -201,35 +234,14 @@ def relatives_test(
     G: MapExpr,
     tgt1: SpaceForm,
     tgt2: SpaceForm,
-    m: int,
     p: int,
     points,
     tol: float = DEFAULT_TOL,
 ) -> PullbackResult:
-    """Decide whether F*omega_tgt1^p = lambda * G*omega_tgt2^p on the samples.
+    """Decide whether F*omega_tgt1^p = lambda * G*omega_tgt2^p on the samples (``pooled_fit``).
 
-    Both maps pull back from a common m-dimensional source chart (treated as
-    a plain coordinate domain; only the two target forms enter).  Returns the
-    pooled least-squares lambdaHat with G's pullback as the base.
+    Both maps pull back from a common source chart of F's arity, treated as a
+    plain coordinate domain: only the two target forms enter, and G's
+    pullback is the base.
     """
-    return _pooled_result(_relatives_pairs(F, G, tgt1, tgt2, m, p, points), tol)
-
-
-def _relatives_pairs(
-    F: MapExpr, G: MapExpr, tgt1: SpaceForm, tgt2: SpaceForm, m: int, p: int, points
-) -> list:
-    """The (G*omega_tgt2^p, F*omega_tgt1^p) coefficients that ``relatives_test`` pools."""
-    if F.arity != m or G.arity != m:
-        raise DimensionError(f"both maps must have arity {m}")
-    src = euclidean(m)
-    pts = list(points)
-    if not pts:
-        raise DegenerateSampleError("need at least one sample point")
-    pairs = []
-    for w in pts:
-        theta_f = pullback_pp(F, src, tgt1, p, w)
-        theta_g = pullback_pp(G, src, tgt2, p, w)
-        if float(np.abs(theta_g).max()) == 0.0:
-            raise DegenerateSampleError(f"base pullback vanishes at sample {w!r}")
-        pairs.append((theta_g, theta_f))
-    return pairs
+    return pooled_fit(*relatives_stacks(F, G, tgt1, tgt2, p, points), tol)

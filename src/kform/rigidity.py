@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DegenerateSampleError, DomainError, PreconditionError
 from .expressions import MapExpr, map_jet
 from .linalg import det, generalized_eigenvalues
-from .ppforms import _offsets, _pooled_ratio, index_basis, pullback_pp, wedge_power_coeffs
+from .ppforms import _offsets, index_basis, pooled_fit, pullback_pp, wedge_power_coeffs
 from .spaceforms import SpaceForm, in_chart, metric, ricci
 
 __all__ = [
@@ -47,15 +47,15 @@ def profile_from_pullback(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, w)
 
     lams are the ascending generalized eigenvalues of the (1,1) pullback
     against the source metric, which must be positive definite.  target is
-    the pooled least-squares ratio of the (p,p) pullback to the source's
-    p-th wedge power at the same point; at p = 1 that is the (1,1) pullback
-    already in hand.
+    ``ppforms.pooled_fit``'s lambdaHat of the (p,p) pullback against the
+    source's p-th wedge power at this one point; at p = 1 that is the (1,1)
+    pullback already in hand.
     """
     theta1 = pullback_pp(F, src, tgt, 1, w)
     base = metric(src, w)
     lams = generalized_eigenvalues(theta1, base)
     theta = theta1 if p == 1 else pullback_pp(F, src, tgt, p, w)
-    return lams, _pooled_ratio([(wedge_power_coeffs(base, p), theta)])
+    return lams, pooled_fit(wedge_power_coeffs(base, p)[None], theta[None]).lambdaHat
 
 
 def product_rule(lams, p: int, targets, tol: float = DEFAULT_TOL):

@@ -448,7 +448,7 @@ def _run_relatives(sc: Scenario, source, targets, maps, p):
         radius = 0.9 if "ball" in (t1.kind, t2.kind) else 2.0
     points = sample_chart_points(source, sc.count, sc.seed, radius)
     tol = sc.tolerances["proportionality"]
-    res = relatives_test(maps[0], maps[1], t1, t2, source.dim, p, points, tol=tol)
+    res = relatives_test(maps[0], maps[1], t1, t2, p, points, tol=tol)
     fit = {"lambdaHat": res.lambdaHat, "residual": res.maxResidual}
     yield f"relatives_p{p}", res.passed, fit
     expected = sc.expect.get("lambdaHat")

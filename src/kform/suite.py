@@ -18,8 +18,10 @@ rows differ, since levi mode takes ``levi_form`` point by point and
 inside it), and c01 groups its samples by (m, p) for one QR, one pencil
 solve and one ``rigidity.product_rule``, the rule rigidity mode takes, per
 group.  The routes shared with the scenario modes (c02-c04, c07, c09) take
-one point at a time; c02 and c09 compute each pullback once and read the
-(base, theta) pairs their tests pool.
+one point at a time; c02 and c09 compute each pullback once, as the
+(S, K, K) stacks of ``ppforms.proportionality_stacks`` and
+``ppforms.relatives_stacks``, and read the theta[:, 0, 0] entries and
+pointwise ratios of the same stacks that ``ppforms.pooled_fit`` decides on.
 
 Every check compares the route under test with a second route that shares
 no code with it, most often a value known in closed form:
@@ -28,8 +30,10 @@ no code with it, most often a value known in closed form:
     c01_eigen_product_recovery        pencil eigenvalues, the factor lam^(1/p)
                                       product_rule        the pencils carry
     c01_eigen_product_nonconstant     product_rule        rows 5% off: refused
-    c02_flat_example_p2               (2,2) pullbacks     Theta = |det J|^2 = 1
-    c02_flat_example_p1_fail          (1,1) pullbacks     residual > 1e-2
+    c02_flat_example_p2               pooled_fit on       theta[:, 0, 0] = |det J|^2
+                                      (2,2) stacks        = 1 at every point
+    c02_flat_example_p1_fail          proportionality_    residual > 1e-2
+                                      test, (1,1)
     c03_veronese_isometry             (1,1) pullbacks     factor 2
     c04_ricci_identity                spaceforms.ricci    closed form in u, z
     c04_ricci_logdet_fd               spaceforms.ricci    FD Hessian of log det
@@ -46,7 +50,8 @@ no code with it, most often a value known in closed form:
     c08_indefinite_patterns           spaceforms.metric   diag(eps), signs
     c08_wedge_minor_consistency       wedge_power_coeffs  ``_minor_oracle``
     c09_relatives_veronese            relatives_test      factor 2
-    c09_relatives_ball_vs_projective  pooled ratio        pointwise ratios
+    c09_relatives_ball_vs_projective  pooled_fit on       spread of the pointwise
+                                      (1,1) stacks        ratios theta / base
     c10_determinism                   the battery here    a fresh interpreter
 
 c04_ricci_identity's closed form is -d dbar log det g = (n+1) c (u I -
@@ -70,11 +75,11 @@ from .levi import levi_spectra, obstruction_probes, sample_bundle_points, spectr
 from .linalg import _adjoint, generalized_eigenvalues, hermitize, sign_counts
 from .numdiff import wirtinger_hessian
 from .ppforms import (
-    _pooled_result,
-    _proportionality_pairs,
-    _relatives_pairs,
     index_basis,
+    pooled_fit,
+    proportionality_stacks,
     proportionality_test,
+    relatives_stacks,
     relatives_test,
     wedge_power_coeffs,
 )
@@ -147,9 +152,9 @@ def _c02(seed: int):
     F = parse_map(["z1+1/(1-z2)", "z2", "0", "0"], 2)
     points = sample_chart_points(src, 100, seed + 2, radius=0.5)
 
-    pairs = _proportionality_pairs(F, src, tgt, 2, points)
-    worst = max(float(np.abs(theta[0, 0] - 1.0)) for _, theta in pairs)
-    res2 = _pooled_result(pairs, tol=1e-12)
+    base, theta = proportionality_stacks(F, src, tgt, 2, points)
+    worst = float(np.abs(theta[:, 0, 0] - 1.0).max())
+    res2 = pooled_fit(base, theta, tol=1e-12)
     ok2 = res2.passed and abs(res2.lambdaHat - 1.0) <= 1e-12 and worst <= 1e-12
     yield "c02_flat_example_p2", ok2, {"lambdaHat": res2.lambdaHat, "residual": worst}
 
@@ -368,15 +373,15 @@ def _c09(seed: int):
     ident = parse_map(["z1"], 1)
     points = sample_chart_points(euclidean(1), 50, seed + 9, radius=0.8)
 
-    res = relatives_test(veronese, ident, projective(2), projective(1), 1, 1, points, tol=1e-8)
+    res = relatives_test(veronese, ident, projective(2), projective(1), 1, points, tol=1e-8)
     ok = res.passed and abs(res.lambdaHat - 2.0) <= 1e-8
     fields = {"lambdaHat": res.lambdaHat, "residual": res.maxResidual}
     yield "c09_relatives_veronese", ok, fields
 
-    pairs = _relatives_pairs(ident, ident, ball(1), projective(1), 1, 1, points)
-    res2 = _pooled_result(pairs, tol=1e-8)
-    ratios = [float((theta_f[0, 0] / theta_g[0, 0]).real) for theta_g, theta_f in pairs]
-    spread = max(ratios) - min(ratios)
+    base, theta = relatives_stacks(ident, ident, ball(1), projective(1), 1, points)
+    res2 = pooled_fit(base, theta, tol=1e-8)
+    ratios = (theta[:, 0, 0] / base[:, 0, 0]).real
+    spread = float(ratios.max() - ratios.min())
     ok2 = (not res2.passed) and spread > 1e-2
     yield "c09_relatives_ball_vs_projective", ok2, {"lambdaHat": res2.lambdaHat, "residual": spread}
 

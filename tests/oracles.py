@@ -12,6 +12,7 @@ Hessian at the chart center that ``kform.levi.levi_form`` uses.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -261,3 +262,14 @@ def increasing_multiindices(n: int, p: int):
 
     rec(1, [])
     return out
+
+
+def pooled_ratio_fsum(base, theta) -> float:
+    """The least-squares real lambda of theta ~ lambda * base over every entry of two stacks.
+
+    sum Re(conj(b) t) / sum |b|^2 over the flattened entries, each sum
+    correctly rounded by ``math.fsum`` from Python complex products.
+    """
+    pairs = [(complex(b), complex(t)) for b, t in zip(np.ravel(base), np.ravel(theta))]
+    num = math.fsum((b.conjugate() * t).real for b, t in pairs)
+    return num / math.fsum(b.real**2 + b.imag**2 for b, _ in pairs)

@@ -241,12 +241,10 @@ def test_criterion_09_relatives():
     veronese = parse_map(["1.4142135623730951*z1", "z1^2"], 1)
     ident = parse_map(["z1"], 1)
     points = sample_chart_points(euclidean(1), 50, SEED + 9, radius=0.8)
-    res = relatives_test(
-        veronese, ident, projective(2), projective(1), 1, 1, points, tol=1e-8
-    )
+    res = relatives_test(veronese, ident, projective(2), projective(1), 1, points, tol=1e-8)
     ok = res.passed and abs(res.lambdaHat - 2.0) <= 1e-8
 
-    res2 = relatives_test(ident, ident, ball(1), projective(1), 1, 1, points, tol=1e-8)
+    res2 = relatives_test(ident, ident, ball(1), projective(1), 1, points, tol=1e-8)
     ratios = [
         float(
             (

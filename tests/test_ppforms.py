@@ -10,6 +10,8 @@ from kform.ppforms import (
     _offsets,
     compound_matrix,
     index_basis,
+    pooled_fit,
+    proportionality_stacks,
     proportionality_test,
     pullback_pp,
     relatives_test,
@@ -22,6 +24,7 @@ from oracles import (
     identity_map,
     increasing_multiindices,
     mp_compounds,
+    pooled_ratio_fsum,
     random_ball_point,
     random_hermitian,
 )
@@ -298,10 +301,10 @@ def test_proportionality_requires_points():
 def test_relatives_same_map_and_veronese():
     pts = sample_chart_points(projective(1), 30, seed=7)
     F = parse_map(VERONESE, 1)
-    res = relatives_test(F, F, projective(2), projective(2), 1, 1, pts)
+    res = relatives_test(F, F, projective(2), projective(2), 1, pts)
     assert res.passed and res.lambdaHat == pytest.approx(1.0, abs=1e-12)
 
-    res2 = relatives_test(F, identity_map(1), projective(2), projective(1), 1, 1, pts)
+    res2 = relatives_test(F, identity_map(1), projective(2), projective(1), 1, pts)
     assert res2.passed
     assert abs(res2.lambdaHat - 2.0) < 1e-10
 
@@ -309,7 +312,58 @@ def test_relatives_same_map_and_veronese():
 def test_relatives_ball_vs_projective_fails():
     pts = sample_chart_points(ball(1), 50, seed=42)
     F = parse_map(["z1", "0"], 1)
-    res = relatives_test(F, identity_map(1), ball(2), projective(1), 1, 1, pts)
+    res = relatives_test(F, identity_map(1), ball(2), projective(1), 1, pts)
     assert not res.passed
     # pointwise ratios (1-|z|^2)^-2 vs (1+|z|^2)^-2 spread far apart
     assert res.maxResidual > 1e-2
+
+
+def test_pooled_fit_lambda_matches_fsum_oracle():
+    rng = np.random.default_rng(11)
+    for S, K in [(1, 1), (3, 1), (50, 3), (20, 10), (7, 28)]:
+        base = rng.normal(size=(S, K, K)) + 1j * rng.normal(size=(S, K, K))
+        theta = 1.7 * base + 1e-3 * (rng.normal(size=(S, K, K)) + 1j * rng.normal(size=(S, K, K)))
+        scales = 10.0 ** rng.uniform(-6, 6, size=(S, 1, 1))
+        base, theta = base * scales, theta * scales
+        lam = pooled_fit(base, theta).lambdaHat
+        assert lam == pytest.approx(pooled_ratio_fsum(base, theta), rel=1e-13)
+    # degenerate stacks: a base that vanishes at all points but one, theta zero,
+    # theta an exact multiple, and coefficients far apart in size
+    base = np.zeros((4, 3, 3), dtype=complex)
+    base[2, 1, 1] = 2.0
+    theta = np.full((4, 3, 3), 0.5 + 0.25j)
+    res = pooled_fit(base, theta)
+    assert res.lambdaHat == pooled_ratio_fsum(base, theta) == 0.25
+    assert pooled_fit(base, np.zeros_like(theta)).lambdaHat == 0.0
+    exact = np.arange(1.0, 10.0).reshape(1, 3, 3) * np.array([1e-150, 1.0, 1e150])[:, None, None]
+    lam = pooled_fit(exact, 3.0 * exact).lambdaHat
+    assert lam == pytest.approx(pooled_ratio_fsum(exact, 3.0 * exact), rel=1e-15) and lam == pytest.approx(3.0, rel=1e-15)
+    with pytest.raises(DegenerateSampleError, match="every sample point"):
+        pooled_fit(np.zeros((2, 1, 1)), np.ones((2, 1, 1)))
+
+
+def test_pooled_fit_reads_the_stacks_of_both_tests():
+    pts = sample_chart_points(projective(2), 20, seed=3)
+    F = parse_map(["z1", "z2", "0.5*z1*z2"], 2)
+    base, theta = proportionality_stacks(F, projective(2), projective(3), 1, pts)
+    assert base.shape == theta.shape == (20, 2, 2)
+    assert pooled_fit(base, theta, 1e-9) == proportionality_test(F, projective(2), projective(3), 1, pts)
+    assert pooled_fit(base, theta).lambdaHat == pytest.approx(pooled_ratio_fsum(base, theta), rel=1e-13)
+
+
+def test_vanishing_base_names_the_sample_index():
+    # G = z1^2 pulls the flat metric back to 4|z|^2, which vanishes at the origin only
+    pts = [[0.5], [0.25j], [0.0], [0.3]]
+    G = parse_map(["z1^2"], 1)
+    with pytest.raises(DegenerateSampleError, match="vanish at sample 2$"):
+        relatives_test(identity_map(1), G, euclidean(1), euclidean(1), 1, pts)
+    with pytest.raises(DegenerateSampleError, match="at least one sample point"):
+        relatives_test(identity_map(1), G, euclidean(1), euclidean(1), 1, [])
+
+
+def test_relatives_maps_of_different_arity_raise():
+    pts = sample_chart_points(euclidean(1), 5, seed=1)
+    with pytest.raises(DimensionError, match="arity"):
+        relatives_test(identity_map(1), identity_map(2), euclidean(1), euclidean(2), 1, pts)
+    with pytest.raises(DimensionError, match="arity"):
+        relatives_test(identity_map(2), identity_map(1), euclidean(2), euclidean(1), 1, pts)

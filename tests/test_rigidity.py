@@ -10,7 +10,7 @@ import kform.rigidity as rigidity
 from kform.errors import DefinitenessError, DegenerateSampleError, DomainError, PreconditionError
 from kform.expressions import parse_map
 from kform.linalg import generalized_eigenvalues
-from kform.ppforms import _pooled_ratio, proportionality_test, pullback_pp, wedge_power_coeffs
+from kform.ppforms import pooled_fit, proportionality_test, pullback_pp, wedge_power_coeffs
 from kform.rigidity import (
     conclude_isometry_factor,
     eigen_products_check,
@@ -289,9 +289,9 @@ def test_profile_pulls_back_once_per_point_at_p1(monkeypatch):
     }
     assert run_scenario(scenario).overall == "PASS"
     assert calls == [1] * 10
-    # lambda is bit for bit the pooled ratio of a separate (1,1) pullback
+    # lambda is bit for bit the one-point pooled fit of a separate (1,1) pullback
     src, tgt, F = ball(2), ball(3), parse_map(BALL_AUT_INTO_B3, 2)
     for w in sample_chart_points(src, 10, seed=5):
         bp = wedge_power_coeffs(metric(src, w), 1)
-        separate = _pooled_ratio([(bp, pullback_pp(F, src, tgt, 1, w))])
+        separate = pooled_fit(bp[None], pullback_pp(F, src, tgt, 1, w)[None]).lambdaHat
         assert profile_from_pullback(F, src, tgt, 1, w)[1] == separate
