@@ -14,9 +14,13 @@ lambda G*omega_2^p, are decided by ``pooled_fit`` on (S, K, K) stacks of
 base and pulled-back coefficients, one row per sample point, which
 ``sample_stacks`` builds from a pair function: its base is omega_src^p for
 ``proportionality_test`` and G*omega_2^p for ``relatives_test``.  lambdaHat
-is the least-squares real ratio pooled over every entry and point; the
-residual is the worst entry of |theta - lambdaHat base|, and the identity
-holds when it is below tol (1 + |lambdaHat|).
+is the least-squares real ratio pooled over every entry and point.  The
+residual is base-relative: at each point the worst entry of |theta -
+lambdaHat base| over that point's largest |base| coefficient, worst over
+the points.  The identity holds when it is below tol (1 + |lambdaHat|).
+Since the omega^p coefficients scale like u^-(p+1), an absolute residual
+would fail true isometries where they grow (near the ball's edge) and pass
+false maps where they decay (far out in the projective chart).
 """
 
 from __future__ import annotations
@@ -158,38 +162,37 @@ def pooled_fit(base, theta, tol: float = DEFAULT_TOL) -> PullbackResult:
     """The pooled comparison theta = lambda * base on (S, K, K) stacks, one point per row.
 
     lambdaHat = sum_s Re<base_s, theta_s> / sum_s |base_s|^2, each point
-    reduced over its (K, K) entries and the points added in sample order;
-    maxResidual is the worst entry of |theta - lambdaHat * base|, and the
-    verdict passes iff it is below tol * (1 + |lambdaHat|).
+    reduced over its (K, K) entries and the points added in sample order.
+    maxResidual is the worst over the points of max |theta_s - lambdaHat
+    base_s| / max |base_s|, so it does not grow or shrink with the scale of
+    the coefficients, and the verdict passes iff it is below tol * (1 +
+    |lambdaHat|).  A point whose base coefficients all vanish raises a
+    degenerate-sample error that names its 0-based index.
     """
+    scale = np.abs(base).max(axis=(-2, -1))
+    if not scale.all():
+        raise DegenerateSampleError(f"base form coefficients vanish at sample {int(np.argmin(scale))}")
     num = np.sum(np.conj(base) * theta, axis=(-2, -1)).real.tolist()
     den = np.sum(np.abs(base) ** 2, axis=(-2, -1)).tolist()
     lam, total = 0.0, 0.0
     for a, b in zip(num, den):
         lam, total = lam + a, total + b
     if total == 0.0:
-        raise DegenerateSampleError("base form coefficients vanish at every sample point")
+        raise DegenerateSampleError("base form coefficients underflow at every sample point")
     lam /= total
-    resid = float(np.abs(theta - lam * base).max())
+    resid = float((np.abs(theta - lam * base).max(axis=(-2, -1)) / scale).max())
     return PullbackResult(lambdaHat=lam, maxResidual=resid, passed=bool(resid < tol * (1.0 + abs(lam))))
 
 
 def sample_stacks(pair, points):
     """The (S, K, K) stacks (base, theta) of ``pair(w)`` over the S sample points, in order.
 
-    An empty sample, or a point where the base coefficients all vanish, raises
-    a degenerate-sample error; the latter names the point's 0-based index.
+    An empty sample raises a degenerate-sample error.
     """
     pts = list(points)
     if not pts:
         raise DegenerateSampleError("need at least one sample point")
-    bases, thetas = [], []
-    for k, w in enumerate(pts):
-        base, theta = pair(w)
-        if float(np.abs(base).max()) == 0.0:
-            raise DegenerateSampleError(f"base form coefficients vanish at sample {k}")
-        bases.append(base)
-        thetas.append(theta)
+    bases, thetas = zip(*map(pair, pts))
     return np.array(bases), np.array(thetas)
 
 

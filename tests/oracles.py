@@ -214,6 +214,20 @@ def _literal(z) -> str:
     return f"(({z.real!r})+({z.imag!r})*i)"
 
 
+def mobius_components(sf, a, sign: int = -1) -> list:
+    """The component strings of ``mobius_map``'s phi_a (sign -1) or of its inverse (sign 1)."""
+    a = np.asarray(a, dtype=np.complex128).reshape(-1)
+    n, c = a.size, sf.curv
+    u = 1.0 + c * float(np.vdot(a, a).real)
+    mat = np.sqrt(u) * np.eye(n) - c * np.outer(a, np.conj(a)) / (1.0 + np.sqrt(u))
+
+    def linear(row, const):
+        return "+".join(f"{_literal(x)}*z{k + 1}" for k, x in enumerate(row)) + f"+{_literal(const)}"
+
+    den = linear(-sign * c * np.conj(a), 1.0)
+    return [f"({linear(mat[j], sign * a[j])})/({den})" for j in range(n)]
+
+
 def mobius_map(sf, a):
     """The isometry phi_a moving the chart point ``a`` to 0, and its inverse.
 
@@ -226,22 +240,12 @@ def mobius_map(sf, a):
 
     On the lift [1; z] these are the matrices [[1, c a^H], [-a, A]] and
     [[1, -c a^H], [a, A]], whose product is u I.  Both maps are built as
-    expression strings and parsed, so they share no code with
-    ``center_automorphism``.  Definite forms and flat forms of any signature.
+    expression strings (``mobius_components``) and parsed, so they share no
+    code with ``center_automorphism``.  Definite forms and flat forms of any
+    signature.
     """
-    a = np.asarray(a, dtype=np.complex128).reshape(-1)
-    n, c = a.size, sf.curv
-    u = 1.0 + c * float(np.vdot(a, a).real)
-    mat = np.sqrt(u) * np.eye(n) - c * np.outer(a, np.conj(a)) / (1.0 + np.sqrt(u))
-
-    def linear(row, const):
-        return "+".join(f"{_literal(x)}*z{k + 1}" for k, x in enumerate(row)) + f"+{_literal(const)}"
-
-    def fraction(sign):
-        den = linear(-sign * c * np.conj(a), 1.0)
-        return parse_map([f"({linear(mat[j], sign * a[j])})/({den})" for j in range(n)], n)
-
-    return fraction(-1), fraction(1)
+    n = np.size(a)
+    return parse_map(mobius_components(sf, a, -1), n), parse_map(mobius_components(sf, a, 1), n)
 
 
 def identity_map(n: int):

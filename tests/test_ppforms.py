@@ -23,6 +23,7 @@ from oracles import (
     cofactor_det,
     identity_map,
     increasing_multiindices,
+    mobius_components,
     mp_compounds,
     pooled_ratio_fsum,
     random_ball_point,
@@ -327,10 +328,10 @@ def test_pooled_fit_lambda_matches_fsum_oracle():
         base, theta = base * scales, theta * scales
         lam = pooled_fit(base, theta).lambdaHat
         assert lam == pytest.approx(pooled_ratio_fsum(base, theta), rel=1e-13)
-    # degenerate stacks: a base that vanishes at all points but one, theta zero,
+    # degenerate stacks: a base with one nonzero entry per point, theta zero,
     # theta an exact multiple, and coefficients far apart in size
     base = np.zeros((4, 3, 3), dtype=complex)
-    base[2, 1, 1] = 2.0
+    base[:, 1, 1] = 2.0
     theta = np.full((4, 3, 3), 0.5 + 0.25j)
     res = pooled_fit(base, theta)
     assert res.lambdaHat == pooled_ratio_fsum(base, theta) == 0.25
@@ -338,8 +339,10 @@ def test_pooled_fit_lambda_matches_fsum_oracle():
     exact = np.arange(1.0, 10.0).reshape(1, 3, 3) * np.array([1e-150, 1.0, 1e150])[:, None, None]
     lam = pooled_fit(exact, 3.0 * exact).lambdaHat
     assert lam == pytest.approx(pooled_ratio_fsum(exact, 3.0 * exact), rel=1e-15) and lam == pytest.approx(3.0, rel=1e-15)
-    with pytest.raises(DegenerateSampleError, match="every sample point"):
+    with pytest.raises(DegenerateSampleError, match="vanish at sample 0$"):
         pooled_fit(np.zeros((2, 1, 1)), np.ones((2, 1, 1)))
+    with pytest.raises(DegenerateSampleError, match="underflow at every sample point"):
+        pooled_fit(np.full((2, 1, 1), 1e-170), np.ones((2, 1, 1)))
 
 
 def test_pooled_fit_reads_the_stacks_of_both_tests():
@@ -367,3 +370,24 @@ def test_relatives_maps_of_different_arity_raise():
         relatives_test(identity_map(1), identity_map(2), euclidean(1), euclidean(2), 1, pts)
     with pytest.raises(DimensionError, match="arity"):
         relatives_test(identity_map(2), identity_map(1), euclidean(2), euclidean(1), 1, pts)
+
+
+@pytest.mark.parametrize("space, reach", [(ball, 0.85), (projective, 0.5)])
+def test_verdicts_hold_at_every_scale(space, reach):
+    # the omega^p coefficients scale like u^-(p+1): they grow toward the
+    # ball's edge and decay far out in the projective chart.  An absolute
+    # residual failed the automorphisms of B^6 at p = 6 and of B^8 at
+    # p = 7, 8 here, and passed the perturbed maps of P^n for n >= 4, p >= 4
+    rng = np.random.default_rng(7)
+    for n in range(1, 9):
+        sf = space(n)
+        comps = mobius_components(sf, random_ball_point(rng, n, reach))
+        aut = parse_map(comps, n)
+        bent = parse_map([comps[0] + "+1e-6*z1^2", *comps[1:]], n)
+        scaled = parse_map([f"0.7*({c})" for c in comps], n)
+        pts = sample_chart_points(sf, 6, seed=n)
+        for p in range(1, n + 1):
+            res = proportionality_test(aut, sf, sf, p, pts)
+            assert res.passed and res.lambdaHat == pytest.approx(1.0, rel=1e-9), (n, p)
+            assert not proportionality_test(bent, sf, sf, p, pts).passed, (n, p)
+            assert not proportionality_test(scaled, sf, sf, p, pts).passed, (n, p)
