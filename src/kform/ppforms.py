@@ -32,7 +32,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateSampleError, DimensionError, DomainError
+from .errors import DegenerateSampleError, DimensionError, DomainError, EvaluationLimitError
 from .expressions import MapExpr, map_jet
 from .linalg import hermitize, minor_dets
 from .spaceforms import SpaceForm, chart_point, euclidean, in_chart, metric
@@ -143,7 +143,8 @@ def pullback_pp(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, w) -> np.nda
                   * det(JF[I, L]) * conj(det(JF[J, K]))
     over source multi-indices L, K; computed as D^T W conj(D) with D the p-th
     compound of the Jacobian.  Hermitian, and positive semidefinite whenever
-    the target form is definite.
+    the target form is definite.  An entry that overflows raises
+    ``EvaluationLimitError``.
     """
     if F.arity != src.dim:
         raise DimensionError(f"map arity {F.arity} != source dim {src.dim}")
@@ -154,8 +155,22 @@ def pullback_pp(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, w) -> np.nda
     if not in_chart(tgt, fz):
         raise DomainError("map image lies outside the target chart domain")
     wtgt = wedge_power_coeffs(metric(tgt, fz), p)
-    d = compound_matrix(jf, p)
-    return hermitize(d.T @ wtgt @ np.conj(d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = compound_matrix(jf, p)
+        theta = finite(d.T @ wtgt @ np.conj(d), f"the ({p},{p}) pullback")
+    return hermitize(theta)
+
+
+def finite(a, what: str) -> np.ndarray:
+    """``a`` itself when every entry is finite; else ``EvaluationLimitError`` naming ``what``.
+
+    Run inside ``np.errstate(over="ignore", invalid="ignore")`` around the
+    arithmetic that made ``a``, so an overflow is this one error and no
+    numpy warning.
+    """
+    if not np.isfinite(a).all():
+        raise EvaluationLimitError(f"{what} overflows the float range")
+    return a
 
 
 def pooled_fit(base, theta, tol: float = DEFAULT_TOL) -> PullbackResult:

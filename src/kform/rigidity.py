@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DegenerateSampleError, DomainError, PreconditionError
 from .expressions import MapExpr, map_jet
 from .linalg import det, generalized_eigenvalues
-from .ppforms import _offsets, index_basis, pooled_fit, pullback_pp, wedge_power_coeffs
+from .ppforms import _offsets, finite, index_basis, pooled_fit, pullback_pp, wedge_power_coeffs
 from .spaceforms import SpaceForm, in_chart, metric, ricci
 
 __all__ = [
@@ -128,7 +128,8 @@ def ricci_pullback_check(
     Equidimensional only (src.dim must equal tgt.dim).  Samples where the
     Jacobian is numerically singular are skipped with a warning; the verdict
     covers the remaining points.  A map image outside the target chart
-    raises ``DomainError``, as in ``pullback_pp``.  Returns (passed,
+    raises ``DomainError``, and a pullback that overflows
+    ``EvaluationLimitError``, as in ``pullback_pp``.  Returns (passed,
     max_residual, n_skipped).
     """
     if src.dim != tgt.dim:
@@ -148,7 +149,8 @@ def ricci_pullback_check(
             continue
         if not in_chart(tgt, fw):
             raise DomainError("map image lies outside the target chart domain")
-        pulled = jf.T @ ricci(tgt, fw) @ np.conj(jf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pulled = finite(jf.T @ ricci(tgt, fw) @ np.conj(jf), "the Ricci pullback")
         resid = float(np.abs(pulled - ricci(src, w)).max())
         worst = max(worst, resid)
     if skipped == len(pts):

@@ -7,7 +7,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import kform.rigidity as rigidity
-from kform.errors import DefinitenessError, DegenerateSampleError, DomainError, PreconditionError
+from kform.errors import (
+    DefinitenessError,
+    DegenerateSampleError,
+    DomainError,
+    EvaluationLimitError,
+    PreconditionError,
+)
 from kform.expressions import parse_map
 from kform.linalg import generalized_eigenvalues
 from kform.ppforms import pooled_fit, proportionality_test, pullback_pp, wedge_power_coeffs
@@ -268,6 +274,12 @@ def test_ricci_check_requires_equal_dimensions():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="map image lies outside the target chart domain"):
             ricci_pullback_check(far, ball(1), projective(1), [[0.5]])
+    # a Jacobian whose Ricci pullback J^T Ric conj(J) overflows at an image in the chart
+    steep = parse_map(["1e200*z1"], 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationLimitError, match="the Ricci pullback overflows"):
+            ricci_pullback_check(steep, projective(1), projective(1), [[0.0]])
 
 
 def test_profile_pulls_back_once_per_point_at_p1(monkeypatch):

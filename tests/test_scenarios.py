@@ -241,6 +241,20 @@ def _relatives(source):
     }
 
 
+def _overflowing_pullbacks():
+    """Scenarios whose (p,p) pullback overflows the float range, each with that p."""
+    flat, disc = {"kind": "euclidean", "dim": 1}, {"kind": "ball", "dim": 1}
+    pair = dict(_relatives(flat), targets=[flat, flat])
+    return [
+        (dict(_identity_flat(), source=flat, target=flat, map=["1e200*z1^3"]), 1),
+        (dict(_identity_flat(), source=disc, target=flat, map=["1e160*z1"]), 1),
+        (dict(_identity_flat(), mode="rigidity", source=disc, target=flat, map=["1e160*z1"]), 1),
+        (dict(pair, maps=[["1e160*z1"], ["z1"]]), 1),
+        (dict(pair, maps=[["z1"], ["1e160*z1"]]), 1),
+        (dict(_identity_flat(), map=["1e100*z1", "1e100*z2"], p=2), 2),
+    ]
+
+
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
@@ -500,6 +514,8 @@ def test_cli_malformed_scenario_fields_exit_two(tmp_path, capsys):
         (dict(_projective_identity(), source={"kind": "euclidean", "dim": 2}, sampling={"radius": 1e200}), "outside the target chart"),
         # numpy overflows in a map's jet are errors of the run, not warnings
         (dict(_identity_flat(), map=["z1^2", "z2"], sampling={"count": 2, "radius": 1e200}), "expression overflows"),
+        # and so are overflows in the pullback that the jet feeds
+        *((data, f"the ({p},{p}) pullback overflows") for data, p in _overflowing_pullbacks()),
     ]:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
@@ -544,6 +560,19 @@ def test_cli_overflow_prints_only_the_error(tmp_path):
     done = run_python(script, str(path))
     assert done.returncode == 2
     assert done.stderr.startswith("error: expression overflows") and done.stderr.count("\n") == 1
+
+
+
+def test_cli_pullback_overflow_prints_only_the_error(tmp_path, capsys):
+    # one error line and exit 2, with no numpy warning and no traceback first
+    path = tmp_path / "overflow.json"
+    for data, p in _overflowing_pullbacks():
+        path.write_text(json.dumps(data))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(path)]) == 2
+        assert not caught, [str(w.message) for w in caught]
+        assert capsys.readouterr().err == f"error: the ({p},{p}) pullback overflows the float range\n"
 
 
 def test_cli_reports_skipped_ricci_samples(tmp_path, capsys):
