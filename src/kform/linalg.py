@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DefinitenessError, DimensionError
+from .errors import DefinitenessError, DimensionError, EvaluationLimitError
 
 __all__ = [
     "as_matrix",
+    "finite",
     "hermitize",
     "det",
     "minor_dets",
@@ -73,6 +74,18 @@ def as_matrix(m, stack: bool = False) -> np.ndarray:
     if a.size and not np.isfinite(a).all():
         finite = np.isfinite(a).all(axis=(-2, -1))
         raise ValueError(f"matrix entries{_stack_index(~finite)} must be finite")
+    return a
+
+
+def finite(a, what: str) -> np.ndarray:
+    """``a`` itself when every entry is finite; else ``EvaluationLimitError`` naming ``what``.
+
+    Run inside ``np.errstate(over="ignore", invalid="ignore")`` around the
+    arithmetic that made ``a``, so an overflow is this one error and no
+    numpy warning.
+    """
+    if not np.isfinite(a).all():
+        raise EvaluationLimitError(f"{what} overflows the float range")
     return a
 
 

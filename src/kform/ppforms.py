@@ -11,9 +11,9 @@ p-tuples; it is positive definite for definite space forms.
 
 Both identities, F*omega_tgt^p = lambda omega_src^p and F*omega_1^p =
 lambda G*omega_2^p, are decided by ``pooled_fit`` on (S, K, K) stacks of
-base and pulled-back coefficients, one row per sample point, which
-``sample_stacks`` builds from a pair function: its base is omega_src^p for
-``proportionality_test`` and G*omega_2^p for ``relatives_test``.  lambdaHat
+base and pulled-back coefficients, one row per sample point.  One builder
+makes both kinds of stack from a pair function, whose base is omega_src^p
+for ``proportionality_test`` and G*omega_2^p for ``relatives_test``.  lambdaHat
 is the least-squares real ratio pooled over every entry and point.  The
 residual is base-relative: at each point the worst entry of |theta -
 lambdaHat base| over that point's largest |base| coefficient, worst over
@@ -32,9 +32,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DegenerateSampleError, DimensionError, DomainError, EvaluationLimitError
+from .errors import DegenerateSampleError, DimensionError, DomainError
 from .expressions import MapExpr, map_jet
-from .linalg import hermitize, minor_dets
+from .linalg import finite, hermitize, minor_dets
 from .spaceforms import SpaceForm, chart_point, euclidean, in_chart, metric
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "compound_matrix",
     "pullback_pp",
     "pooled_fit",
-    "sample_stacks",
     "proportionality_stacks",
     "relatives_stacks",
     "proportionality_test",
@@ -161,18 +160,6 @@ def pullback_pp(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, w) -> np.nda
     return hermitize(theta)
 
 
-def finite(a, what: str) -> np.ndarray:
-    """``a`` itself when every entry is finite; else ``EvaluationLimitError`` naming ``what``.
-
-    Run inside ``np.errstate(over="ignore", invalid="ignore")`` around the
-    arithmetic that made ``a``, so an overflow is this one error and no
-    numpy warning.
-    """
-    if not np.isfinite(a).all():
-        raise EvaluationLimitError(f"{what} overflows the float range")
-    return a
-
-
 def pooled_fit(base, theta, tol: float = DEFAULT_TOL) -> PullbackResult:
     """The pooled comparison theta = lambda * base on (S, K, K) stacks, one point per row.
 
@@ -199,7 +186,7 @@ def pooled_fit(base, theta, tol: float = DEFAULT_TOL) -> PullbackResult:
     return PullbackResult(lambdaHat=lam, maxResidual=resid, passed=bool(resid < tol * (1.0 + abs(lam))))
 
 
-def sample_stacks(pair, points):
+def _stacks(pair, points):
     """The (S, K, K) stacks (base, theta) of ``pair(w)`` over the S sample points, in order.
 
     An empty sample raises a degenerate-sample error.
@@ -213,7 +200,7 @@ def sample_stacks(pair, points):
 
 def proportionality_stacks(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, points):
     """The stacks of omega_src^p and F*omega_tgt^p that ``proportionality_test`` fits."""
-    return sample_stacks(
+    return _stacks(
         lambda w: (wedge_power_coeffs(metric(src, w), p), pullback_pp(F, src, tgt, p, w)), points
     )
 
@@ -232,7 +219,7 @@ def relatives_stacks(F: MapExpr, G: MapExpr, tgt1: SpaceForm, tgt2: SpaceForm, p
         theta = pullback_pp(F, src, tgt1, p, w)
         return pullback_pp(G, src, tgt2, p, w), theta
 
-    return sample_stacks(pair, points)
+    return _stacks(pair, points)
 
 
 def proportionality_test(

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import DegenerateSampleError, DomainError, PreconditionError
 from .expressions import MapExpr, map_jet
-from .linalg import det, generalized_eigenvalues
-from .ppforms import _offsets, finite, index_basis, pooled_fit, pullback_pp, wedge_power_coeffs
+from .linalg import det, finite, generalized_eigenvalues
+from .ppforms import _offsets, index_basis, pooled_fit, pullback_pp, wedge_power_coeffs
 from .spaceforms import SpaceForm, in_chart, metric, ricci
 
 __all__ = [
@@ -143,13 +143,13 @@ def ricci_pullback_check(
     skipped = 0
     for k, w in enumerate(pts):
         fw, jf = map_jet(F, w)
-        if abs(det(jf)) < _SINGULAR_JAC_TOL:
-            warnings.warn(f"singular Jacobian at sample {k}; point skipped")
-            skipped += 1
-            continue
-        if not in_chart(tgt, fw):
-            raise DomainError("map image lies outside the target chart domain")
         with np.errstate(over="ignore", invalid="ignore"):
+            if abs(det(jf)) < _SINGULAR_JAC_TOL:
+                warnings.warn(f"singular Jacobian at sample {k}; point skipped")
+                skipped += 1
+                continue
+            if not in_chart(tgt, fw):
+                raise DomainError("map image lies outside the target chart domain")
             pulled = finite(jf.T @ ricci(tgt, fw) @ np.conj(jf), "the Ricci pullback")
         resid = float(np.abs(pulled - ricci(src, w)).max())
         worst = max(worst, resid)

@@ -30,10 +30,8 @@ no code with it, most often a value known in closed form:
     c01_eigen_product_recovery        pencil eigenvalues, the factor lam^(1/p)
                                       product_rule        the pencils carry
     c01_eigen_product_nonconstant     product_rule        rows 5% off: refused
-    c02_flat_example_p2               pooled_fit on       theta[:, 0, 0] = |det J|^2
-                                      (2,2) stacks        = 1 at every point
-    c02_flat_example_p1_fail          proportionality_    residual > 1e-2
-                                      test, (1,1)
+    c02_flat_example_p2               (2,2) pooled_fit    theta[:, 0, 0] = |det J|^2 = 1
+    c02_flat_example_p1_fail          (1,1) pooled_fit    residual > 1e-2
     c03_veronese_isometry             (1,1) pullbacks     factor 2
     c04_ricci_identity                spaceforms.ricci    closed form in u, z
     c04_ricci_logdet_fd               spaceforms.ricci    FD Hessian of log det
@@ -50,8 +48,7 @@ no code with it, most often a value known in closed form:
     c08_indefinite_patterns           spaceforms.metric   diag(eps), signs
     c08_wedge_minor_consistency       wedge_power_coeffs  ``_minor_oracle``
     c09_relatives_veronese            relatives_test      factor 2
-    c09_relatives_ball_vs_projective  pooled_fit on       spread of the pointwise
-                                      (1,1) stacks        ratios theta / base
+    c09_relatives_ball_vs_projective  (1,1) pooled_fit    pointwise theta / base
     c10_determinism                   the battery here    a fresh interpreter
 
 c04_ricci_identity's closed form is -d dbar log det g = (n+1) c (u I -

@@ -274,12 +274,14 @@ def test_ricci_check_requires_equal_dimensions():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="map image lies outside the target chart domain"):
             ricci_pullback_check(far, ball(1), projective(1), [[0.5]])
-    # a Jacobian whose Ricci pullback J^T Ric conj(J) overflows at an image in the chart
-    steep = parse_map(["1e200*z1"], 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(EvaluationLimitError, match="the Ricci pullback overflows"):
-            ricci_pullback_check(steep, projective(1), projective(1), [[0.0]])
+    # Jacobians whose Ricci pullback J^T Ric conj(J), and at n = 2 also det J,
+    # overflow at an image in the chart
+    for n in (1, 2):
+        steep = parse_map([f"1e200*z{k}" for k in range(1, n + 1)], n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationLimitError, match="the Ricci pullback overflows"):
+                ricci_pullback_check(steep, projective(n), projective(n), [[0.0] * n])
 
 
 def test_profile_pulls_back_once_per_point_at_p1(monkeypatch):

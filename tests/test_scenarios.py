@@ -547,7 +547,7 @@ def test_cli_runs_a_10000_term_component(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_cli_overflow_prints_only_the_error(tmp_path):
+def test_cli_overflow_prints_only_the_error(tmp_path, capsys):
     # the error line is all of stderr: numpy does not warn of the overflow first
     path = tmp_path / "overflow.json"
     script = "import sys\nfrom kform.cli import main\nsys.exit(main(['run', sys.argv[1]]))"
@@ -560,12 +560,7 @@ def test_cli_overflow_prints_only_the_error(tmp_path):
     done = run_python(script, str(path))
     assert done.returncode == 2
     assert done.stderr.startswith("error: expression overflows") and done.stderr.count("\n") == 1
-
-
-
-def test_cli_pullback_overflow_prints_only_the_error(tmp_path, capsys):
-    # one error line and exit 2, with no numpy warning and no traceback first
-    path = tmp_path / "overflow.json"
+    # a pullback that overflows: one error line and exit 2, with no numpy warning first
     for data, p in _overflowing_pullbacks():
         path.write_text(json.dumps(data))
         with warnings.catch_warnings(record=True) as caught:
