@@ -97,6 +97,7 @@ __all__ = [
     "levi_level_floor",
     "levi_level_ceiling",
     "sample_bundle_points",
+    "draw_fibers",
     "tangent_basis",
     "levi_form",
     "levi_spectra",
@@ -270,7 +271,10 @@ def levi_level_ceiling(sf: SpaceForm, p: int, radius: float) -> float:
     terms xi_I conj(xi_J) B_IJ, |B_IJ| <= 2 |c|, so its partial sums stay
     within 2 |c| C(n, p) r; its entries, -c (p |xi|^2 + |V_k|^2) on the
     diagonal, within |c| (p + 1) r, and the Levi eigenvalues lie between
-    |c| p r and 2 |c| p r in size (the block vanishes on flat forms, c = 0).
+    |c| p r and 2 |c| p r in size.  ``_center_block`` forms the bracket
+    p |xi|^2 I + conj(V) V^T, within (p + 1) r, before it multiplies by -c,
+    so it takes that route only on curved forms, |c| = 1; on flat forms,
+    c = 0, the block is exactly zero and is not formed.
     The ceiling asks 4 (kappa + |c| (C(n, p) + p)) r <= the largest float,
     so each of these fits with a factor 2 to spare for Hermitian
     symmetrization and complex products.  The eigen solves scale their
@@ -306,14 +310,18 @@ def sample_bundle_points(
 ):
     """Deterministic sample of S_r: (count, m) chart points and their (count, C(m, p)) fibers.
 
-    Each point's fiber is drawn as a real and then an imaginary standard
-    normal vector, point after point, from default_rng(seed + 1), and all of
-    them are scaled onto S_r in one pass.
+    The fibers are ``draw_fibers`` from default_rng(seed + 1), all scaled
+    onto S_r in one pass.
     """
     z, u = _bundle_chart(sf, r, sample_chart_points(sf, count, seed=seed, radius=radius))
     rng = np.random.default_rng(None if seed is None else seed + 1)
-    raw = rng.standard_normal((count, 2, len(index_basis(sf.dim, p))))
-    return z, _onto_sphere(sf, p, r, z, u, raw[:, 0] + 1j * raw[:, 1])
+    return z, _onto_sphere(sf, p, r, z, u, draw_fibers(rng, count, len(index_basis(sf.dim, p))))
+
+
+def draw_fibers(rng, count: int, k: int) -> np.ndarray:
+    """``count`` fibers of length k, each a real and then an imaginary standard normal draw from ``rng``."""
+    raw = rng.standard_normal((count, 2, k))
+    return raw[:, 0] + 1j * raw[:, 1]
 
 
 def tangent_basis(sf: SpaceForm, p: int, z, xi) -> np.ndarray:
@@ -371,9 +379,12 @@ def _center_block(sf: SpaceForm, p: int, xi: np.ndarray) -> np.ndarray:
 
     with c = ``sf.curv`` and S the signed contractions of
     ``ppforms._contraction_signs``: row k of V is e_k _| xi.  Flat forms get
-    the exact zero block.  A (..., C(n, p)) stack of fibers gives the
-    (..., n, n) stack of blocks.
+    the exact zero block, without forming the bracket, which overflows at
+    levels near ``levi_level_ceiling``.  A (..., C(n, p)) stack of fibers
+    gives the (..., n, n) stack of blocks.
     """
+    if sf.curv == 0:
+        return np.zeros(xi.shape[:-1] + (sf.dim, sf.dim), dtype=np.complex128)
     v = (_contraction_signs(sf.dim, p) @ xi[..., None, :, None])[..., 0]
     norm2 = np.sum((xi.conj() * xi).real, axis=-1)[..., None, None]
     block = p * norm2 * np.eye(sf.dim) + np.conj(v) @ v.swapaxes(-2, -1)

@@ -19,7 +19,7 @@ Scenario schema (all keys lowercase unless noted):
       "p": 1,
       "r": 1.0,                            # levi mode only: bundle level set
       "series": {"name": "psi", "params": {"p": 1, "map": ["z1"]}},  # umehara
-      "orders": [2, 4, 6],                 # umehara: at least three
+      "orders": [2, 4, 6],                 # umehara: at least three, each <= 240
       "sampling": {"count": 50, "seed": 42, "radius": null},  # count <= 10000
       "tolerances": {"proportionality": 1e-8, ...},  # positive; only keys the mode reads
       "expect": {"verdict": "growing"}     # only keys the mode reads, see below
@@ -35,6 +35,10 @@ reads is an error wherever it stands: at the top level, in ``sampling``,
 integer belongs, and anything but a JSON number where a real one does.
 Umehara orders must ascend strictly and the series name must be a built-in
 one.
+
+A dim, and C(dim, p) on every space form of the scenario, must be at most
+``MAX_WIDTH`` (70), and an umehara order at most ``MAX_ORDER`` (240), so
+that no scenario asks for more memory than a host has.
 
 "sig" defaults to dim (definite), and levi, rigidity and relatives need it
 definite; the relatives source is the maps' flat coordinate domain, so its
@@ -86,6 +90,14 @@ __all__ = [
 DEFAULT_SEED = 42
 DEFAULT_COUNT = 50
 MAX_COUNT = 10_000
+# the largest dim of a space form and the largest C(dim, p), the side of the (p,p)
+# coefficient matrices: each sample point holds a few matrices of these sides, and at
+# 70 = C(8, 4), the widest degree at n <= 8, a stack of MAX_COUNT of them is 784 MB
+MAX_WIDTH = 70
+# the largest umehara order N: a series holds (N+1)^2 coefficients and one product
+# costs about N^4 / 2 multiply-adds, so psi takes about a second at twice the
+# benchmark's largest order, 120
+MAX_ORDER = 240
 
 
 @dataclass(frozen=True)
@@ -197,7 +209,7 @@ def _space(obj, where: str, echo: dict) -> SpaceForm:
         raise ScenarioError(
             f"{where}.kind must be one of euclidean, ball, projective; got {kind!r}"
         )
-    dim = _integer(obj.get("dim"), f"{where}.dim", 1)
+    dim = _integer(obj.get("dim"), f"{where}.dim", 1, MAX_WIDTH)
     sig = _integer(obj.get("sig", dim), f"{where}.sig", 0, dim)
     echo[where] = {"kind": kind, "dim": dim, "sig": sig}
     return SpaceForm(kind, dim, sig)
@@ -258,10 +270,19 @@ def _series(obj, echo: dict) -> tuple:
     return name, parsed
 
 
+def _degree(data, echo: dict, *spaces) -> int:
+    """The degree p, from 1 to the smallest dim of ``spaces``, where no C(dim, p) exceeds MAX_WIDTH."""
+    p = echo["p"] = _integer(data.get("p"), "p", 1, min(sf.dim for sf in spaces))
+    width = max(math.comb(sf.dim, p) for sf in spaces)
+    if width > MAX_WIDTH:
+        raise ScenarioError(f"p={p} gives {width} multi-indices C(dim, p), more than {MAX_WIDTH}")
+    return p
+
+
 def _pullback_inputs(data, expect, radius, echo, definite_for=None) -> tuple:
     source = _source(data, echo, radius, definite_for)
     target = _space(data.get("target"), "target", echo)
-    p = echo["p"] = _integer(data.get("p"), "p", 1, min(source.dim, target.dim))
+    p = _degree(data, echo, source, target)
     F = _map(data.get("map"), "map", source.dim, target.dim)
     echo["map"] = list(data["map"])
     return source, target, F, p
@@ -269,7 +290,7 @@ def _pullback_inputs(data, expect, radius, echo, definite_for=None) -> tuple:
 
 def _levi_inputs(data, expect, radius, echo) -> tuple:
     source = _source(data, echo, radius, "levi")
-    p = echo["p"] = _integer(data.get("p"), "p", 1, source.dim)
+    p = _degree(data, echo, source)
     r = echo["r"] = _real(data.get("r", 1.0), "r", positive=True)
     if r < levi_level_floor(p):
         raise ScenarioError(
@@ -310,7 +331,7 @@ def _relatives_inputs(data, expect, radius, echo) -> tuple:
     maps = [_map(m, f"maps[{i}]", source.dim, targets[i].dim) for i, m in enumerate(raw_maps)]
     if expect.get("lambdaHat") is not None:
         _real(expect["lambdaHat"], "expect.lambdaHat")
-    p = echo["p"] = _integer(data.get("p"), "p", 1, min(sf.dim for sf in [source, *targets]))
+    p = _degree(data, echo, source, *targets)
     echo.update(targets=list(slots.values()), maps=[list(m) for m in raw_maps])
     return source, targets, maps, p
 
@@ -322,7 +343,7 @@ def _umehara_inputs(data, expect, radius, echo) -> tuple:
         # the verdict compares the last three ranks
         raise ScenarioError("orders must be a list of at least three nonnegative integers")
     for i, n in enumerate(orders):
-        _integer(n, f"orders[{i}]", 0)
+        _integer(n, f"orders[{i}]", 0, MAX_ORDER)
     if any(b <= a for a, b in zip(orders, orders[1:])):
         raise ScenarioError(f"orders must be strictly ascending, got {orders}")
     if expect.get("verdict") not in ("bounded", "growing"):
@@ -442,13 +463,11 @@ def _run_umehara(sc: Scenario, name, params, orders):
 
 
 def _run_relatives(sc: Scenario, source, targets, maps, p):
-    t1, t2 = targets
-    radius = sc.radius
-    if radius is None:
-        radius = 0.9 if "ball" in (t1.kind, t2.kind) else 2.0
+    # by default, the smallest chart radius of the targets (the flat source's is the largest)
+    radius = min(map(default_radius, targets)) if sc.radius is None else sc.radius
     points = sample_chart_points(source, sc.count, sc.seed, radius)
     tol = sc.tolerances["proportionality"]
-    res = relatives_test(maps[0], maps[1], t1, t2, p, points, tol=tol)
+    res = relatives_test(*maps, *targets, p, points, tol=tol)
     fit = {"lambdaHat": res.lambdaHat, "residual": res.maxResidual}
     yield f"relatives_p{p}", res.passed, fit
     expected = sc.expect.get("lambdaHat")

@@ -15,9 +15,10 @@ each case with ``levi.sample_bundle_points``, makes one
 rows differ, since levi mode takes ``levi_form`` point by point and
 ``tests/test_levi.py`` checks the two row by row.  c06 makes one
 ``levi.obstruction_probes`` call per map (``map_jet`` still runs per point
-inside it), and c01 groups its samples by (m, p) for one QR, one pencil
-solve and one ``rigidity.product_rule``, the rule rigidity mode takes, per
-group.  The routes shared with the scenario modes (c02-c04, c07, c09) take
+inside it), on fibers from ``levi.draw_fibers``, the draw that
+``sample_bundle_points`` makes; c01 groups its samples by (m, p) for one
+QR, one pencil solve and one ``rigidity.product_rule``, the rule rigidity
+mode takes, per group.  The routes shared with the scenario modes (c02-c04, c07, c09) take
 one point at a time; c02 and c09 compute each pullback once, as the
 (S, K, K) stacks of ``ppforms.proportionality_stacks`` and
 ``ppforms.relatives_stacks``, and read the theta[:, 0, 0] entries and
@@ -68,7 +69,7 @@ from pathlib import Path
 import numpy as np
 
 from .expressions import parse_map
-from .levi import levi_spectra, obstruction_probes, sample_bundle_points, spectrum_signatures
+from .levi import draw_fibers, levi_spectra, obstruction_probes, sample_bundle_points, spectrum_signatures
 from .linalg import _adjoint, generalized_eigenvalues, hermitize, sign_counts
 from .numdiff import wirtinger_hessian
 from .ppforms import (
@@ -249,12 +250,6 @@ _PROJ_TO_BALL_MAPS = (
 )
 
 
-def _fibers(rng, count: int, dim: int) -> np.ndarray:
-    """``count`` fibers, each drawn as rng.normal(size=dim) + 1j * rng.normal(size=dim) in turn."""
-    raw = rng.normal(size=(count, 2, dim))
-    return raw[:, 0] + 1j * raw[:, 1]
-
-
 def _probe_family(src, tgt, maps, seed):
     rng = np.random.default_rng(seed)
     conclusive = 0
@@ -262,7 +257,7 @@ def _probe_family(src, tgt, maps, seed):
     for k, comps in enumerate(maps):
         F = parse_map(list(comps), src.dim)
         points = sample_chart_points(src, 20, seed + k)
-        res = obstruction_probes(src, tgt, F, 1, points, _fibers(rng, len(points), src.dim))
+        res = obstruction_probes(src, tgt, F, 1, points, draw_fibers(rng, len(points), src.dim))
         conclusive += int(np.sum(~res.inconclusive))
         all_conflict = all_conflict and bool(res.conflict[~res.inconclusive].all())
     return all_conflict and conclusive > 0
@@ -278,7 +273,7 @@ def _c06(seed: int):
     rng = np.random.default_rng(seed + 62)
     F = parse_map(["z1", "0"], 1)
     points = sample_chart_points(ball(1), 20, seed + 62)
-    res = obstruction_probes(ball(1), ball(2), F, 1, points, _fibers(rng, len(points), 1))
+    res = obstruction_probes(ball(1), ball(2), F, 1, points, draw_fibers(rng, len(points), 1))
     clean = not (res.conflict.any() or res.inconclusive.any())
     min_lhs = float(res.lhs.min())
     yield "c06_probe_ball_control", clean and min_lhs > 1e-10, {"residual": min_lhs}

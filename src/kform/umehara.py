@@ -211,8 +211,11 @@ def power(a: BiSeries, n: int) -> BiSeries:
 def _slice(c: int, p: int, n: int) -> BiSeries:
     """(1 + c |zeta|^2)^(-(p+1)) for the curvature sign c: diagonal coefficients (-c)^k C(k+p, p)."""
     coeffs = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    for k in range(n + 1):
-        coeffs[k, k] = (-c) ** k * math.comb(k + p, p)
+    try:
+        for k in range(n + 1):
+            coeffs[k, k] = (-c) ** k * math.comb(k + p, p)
+    except OverflowError as exc:  # a binomial past the float range
+        raise EvaluationLimitError("series coefficients overflow") from exc
     return BiSeries(order=n, coeffs=coeffs)
 
 
@@ -239,7 +242,9 @@ def abs_square(F: MapExpr, n: int) -> BiSeries:
 def psi(p: int, F: MapExpr, n: int) -> BiSeries:
     """(1 + ||F(zeta, 0, ...)||^2)^(2p) * (1 - |zeta|^2)^(-(p+1))."""
     one_plus = add(bi_series(_unit((n + 1, n + 1))), abs_square(F, n))
-    return multiply(power(one_plus, 2 * p), ball_slice(p, n))
+    # the slice first, so that a p whose binomials overflow raises before 2 log2(p) products
+    slice_ = ball_slice(p, n)
+    return multiply(power(one_plus, 2 * p), slice_)
 
 
 def as_map(value) -> MapExpr:
@@ -271,6 +276,7 @@ def builtin_series(name: str, params: dict, n: int) -> BiSeries:
 
     numpy does not warn of overflow here: the coefficients come out
     non-finite, and ``coeff_rank`` reports that as ``EvaluationLimitError``.
+    A slice binomial past the float range raises it at once.
     """
     if name not in SERIES:
         raise ScenarioError(f"unknown series name {name!r}")

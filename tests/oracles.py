@@ -113,63 +113,6 @@ def fd_wirtinger_gradient(f, z, h: float = 1e-5) -> np.ndarray:
     return out
 
 
-def fd_mixed_hessian(f, z, h: float = 1e-4) -> np.ndarray:
-    """Central-difference mixed Hessian d^2/(dz_a dzbar_b) of a scalar f.
-
-    The diagonal uses the 5-point Laplacian identity
-    d^2 f / (dz_a dzbar_a) = Laplacian_a(f) / 4; off-diagonal entries use the
-    Wirtinger product of first-difference stencils.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    n = z.size
-    out = np.zeros((n, n), dtype=np.complex128)
-
-    def basis(a):
-        e = np.zeros(n, dtype=np.complex128)
-        e[a] = 1.0
-        return e
-
-    for a in range(n):
-        ea = basis(a)
-        out[a, a] = (
-            f(z + h * ea)
-            + f(z - h * ea)
-            + f(z + 1j * h * ea)
-            - 4.0 * f(z)
-            + f(z - 1j * h * ea)
-        ) / (4 * h * h)
-        for b in range(n):
-            if b == a:
-                continue
-            eb = basis(b)
-            dxx = (
-                f(z + h * ea + h * eb)
-                - f(z + h * ea - h * eb)
-                - f(z - h * ea + h * eb)
-                + f(z - h * ea - h * eb)
-            ) / (4 * h * h)
-            dyy = (
-                f(z + 1j * h * ea + 1j * h * eb)
-                - f(z + 1j * h * ea - 1j * h * eb)
-                - f(z - 1j * h * ea + 1j * h * eb)
-                + f(z - 1j * h * ea - 1j * h * eb)
-            ) / (4 * h * h)
-            dxy = (
-                f(z + h * ea + 1j * h * eb)
-                - f(z + h * ea - 1j * h * eb)
-                - f(z - h * ea + 1j * h * eb)
-                + f(z - h * ea - 1j * h * eb)
-            ) / (4 * h * h)
-            dyx = (
-                f(z + 1j * h * ea + h * eb)
-                - f(z + 1j * h * ea - h * eb)
-                - f(z - 1j * h * ea + h * eb)
-                + f(z - 1j * h * ea - h * eb)
-            ) / (4 * h * h)
-            out[a, b] = 0.25 * ((dxx + dyy) + 1j * (dxy - dyx))
-    return out
-
-
 def fd_directional_hessian(f, z, eta, h: float = 1e-4) -> float:
     """d^2 f / (dt dtbar) of t -> f(z + t*eta) at t = 0, by a 5-point stencil."""
     z = np.asarray(z, dtype=np.complex128)

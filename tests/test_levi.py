@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ import kform.suite
 from kform.expressions import compose, evaluate_map, jacobian, parse_map
 from kform.levi import (
     bundle_point,
+    draw_fibers,
     levi_form,
+    levi_level_ceiling,
     levi_level_floor,
     levi_signatures,
     levi_spectra,
@@ -30,6 +33,7 @@ from kform.linalg import sign_counts
 from kform.ppforms import _contraction_signs, index_basis, wedge_power_coeffs
 from kform.spaceforms import (
     ball,
+    default_radius,
     euclidean,
     metric,
     projective,
@@ -307,6 +311,20 @@ def test_levi_signatures_hold_from_the_level_floor_to_1e12():
                         assert low >= min(p * r, 1.0) * (1 - 1e-12), f"{sf} p={p} r={r}"
 
 
+def test_levi_spectra_at_the_level_ceiling():
+    # at levi_level_ceiling the center pass keeps the unit level's signatures
+    # without a numpy warning: on C^3 at p = 3 it once formed the bracket
+    # p |xi|^2 I + conj(V) V^T before multiplying by -c = 0, and overflowed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (2, 3):
+            for p in range(1, n + 1):
+                for sf in (ball(n), projective(n), euclidean(n)):
+                    r = levi_level_ceiling(sf, p, default_radius(sf))
+                    unit, top = (levi_spectra(sf, p, x, *sample_bundle_points(sf, p, x, 20, seed=3)) for x in (1.0, r))
+                    assert spectrum_signatures(top)[0] == spectrum_signatures(unit)[0], f"{sf} p={p}"
+
+
 def test_spectrum_signatures_rule():
     # distinct sign counts in the order first seen, ties kept once, and
     # entries within the zero tolerance counted as zero on either side
@@ -509,7 +527,7 @@ def test_probe_stack_rows_are_the_one_point_probes():
         for k, comps in enumerate(maps):
             F = parse_map(list(comps), src.dim)
             points = sample_chart_points(src, 20, family_seed + k)
-            fibers = kform.suite._fibers(rng, len(points), src.dim)
+            fibers = draw_fibers(rng, len(points), src.dim)
             res = _assert_rows_are_lone_probes(src, tgt, F, 1, points, fibers)
             conclusive += int(np.sum(~res.inconclusive))
     assert conclusive == 140

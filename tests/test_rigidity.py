@@ -14,7 +14,7 @@ from kform.errors import (
     EvaluationLimitError,
     PreconditionError,
 )
-from kform.expressions import parse_map
+from kform.expressions import compose, parse_map
 from kform.linalg import generalized_eigenvalues
 from kform.ppforms import pooled_fit, proportionality_test, pullback_pp, wedge_power_coeffs
 from kform.rigidity import (
@@ -26,7 +26,7 @@ from kform.rigidity import (
 )
 from kform.scenarios import run_scenario
 from kform.spaceforms import ball, euclidean, metric, projective, sample_chart_points
-from oracles import identity_map, random_posdef
+from oracles import identity_map, mobius_components, random_ball_point, random_posdef, random_unitary
 
 VERONESE = ["1.4142135623730951*z1", "z1^2"]
 FLAT_EXAMPLE_2 = ["z1+1/(1-z2)", "z2"]
@@ -250,6 +250,39 @@ def test_ricci_check_flat_example_passes_while_isometry_fails():
     ok, resid, skipped = ricci_pullback_check(F, euclidean(2), euclidean(2), pts)
     assert ok and resid == 0.0 and skipped == 0
     assert not proportionality_test(F, euclidean(2), euclidean(2), 1, pts, tol=1e-8).passed
+
+
+def _linear_map(u):
+    """z -> u z as a parsed map."""
+    n = len(u)
+    comps = ["+".join(f"({c.real!r}+({c.imag!r})*i)*z{k + 1}" for k, c in enumerate(row)) for row in u.tolist()]
+    return parse_map(comps, n)
+
+
+@pytest.mark.parametrize("space, radius", [(ball, 0.999), (ball, 0.99999), (projective, 20.0)])
+def test_ricci_check_holds_at_every_scale(space, radius):
+    # Ricci entries grow like u^-2 toward the ball's edge and decay far out in
+    # the projective chart.  An absolute residual failed the Moebius
+    # automorphism of B^3 at radius 0.999 (3.7e-7 against 1e-8)
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        sf = space(n)
+        pts = sample_chart_points(sf, 5, seed=n, radius=radius)
+        u = random_unitary(rng, n)
+        comps = mobius_components(sf, random_ball_point(rng, n, 0.5))
+        mobius = parse_map(comps, n)
+        for aut in (mobius, _linear_map(u), compose(_linear_map(u), mobius)):
+            ok, resid, skipped = ricci_pullback_check(aut, sf, sf, pts)
+            assert ok and skipped == 0, (n, resid)
+        bent = parse_map([comps[0] + "+1e-6*z1^2", *comps[1:]], n)
+        for false in (bent, _linear_map(0.7 * u)):
+            ok, resid, _ = ricci_pullback_check(false, sf, sf, pts)
+            assert not ok, (n, resid)
+        # flat to flat both sides vanish; flat to curved the residual is 1
+        flat = sample_chart_points(euclidean(n), 5, seed=n)
+        assert ricci_pullback_check(_linear_map(u), euclidean(n), euclidean(n), flat) == (True, 0.0, 0)
+        small = _linear_map(0.3 * u)
+        assert ricci_pullback_check(small, euclidean(n), sf, flat) == (False, 1.0, 0)
 
 
 def test_ricci_check_skips_singular_jacobians():

@@ -170,6 +170,28 @@ def test_relatives_scenario_veronese_vs_identity():
     assert report.overall == "PASS"
 
 
+def test_relatives_sample_inside_indefinite_projective_charts():
+    # with no radius given, relatives sample at the smallest default radius of
+    # their targets, 0.9 on P^n_s with s < n, whose chart ends at |z|_s^2 = -1;
+    # a fixed 2.0 put the points outside the target chart
+    for n in (1, 2, 3):
+        identity = [f"z{k}" for k in range(1, n + 1)]
+        for s in range(n):
+            target = {"kind": "projective", "dim": n, "sig": s}
+            for p in range(1, n + 1):
+                scenario = {
+                    "mode": "relatives",
+                    "source": {"kind": "euclidean", "dim": n},
+                    "targets": [target, target],
+                    "maps": [identity, identity],
+                    "p": p,
+                    "expect": {"lambdaHat": 1.0},
+                }
+                report = run_scenario(scenario)
+                assert report.overall == "PASS", (n, s, p)
+                assert all(rec.lambdaHat == pytest.approx(1.0, rel=1e-12) for rec in report.checks)
+
+
 def test_run_checks_times_each_check_from_the_previous_yield():
     def slow():
         time.sleep(0.05)
@@ -516,11 +538,39 @@ def test_cli_malformed_scenario_fields_exit_two(tmp_path, capsys):
         (dict(_identity_flat(), map=["z1^2", "z2"], sampling={"count": 2, "radius": 1e200}), "expression overflows"),
         # and so are overflows in the pullback that the jet feeds
         *((data, f"the ({p},{p}) pullback overflows") for data, p in _overflowing_pullbacks()),
+        # and slice binomials past the float range, also inside psi
+        (_umehara({"p": 10**400}, name="ball_slice"), "series coefficients overflow"),
+        (_umehara({"p": 10**400, "map": ["z1"]}), "series coefficients overflow"),
+        # sizes past the parser's limits
+        (dict(_identity_flat(), source={"kind": "euclidean", "dim": 71}), "source.dim must be at most 70"),
+        (dict(_identity_flat(), target={"kind": "euclidean", "dim": 10**6}), "target.dim must be at most 70"),
     ]:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert main(["run", str(path)]) == 2
         assert fragment in capsys.readouterr().err
+    # sizes that would not fit in memory, run in a child whose address space
+    # is capped 1 GiB above what it holds after import, so that a missing
+    # limit ends there in a MemoryError instead of filling the host
+    script = (
+        "import resource, sys\n"
+        "from kform.cli import main\n"
+        "with open('/proc/self/statm') as fh:\n"
+        "    size = int(fh.read().split()[0]) * resource.getpagesize()\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size + (1 << 30), resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "sys.exit(main(['run', sys.argv[1]]))"
+    )
+    flat26 = {"kind": "euclidean", "dim": 26}
+    for data, fragment in [
+        (dict(_identity_flat(), source=flat26, target=flat26, map=[f"z{k}" for k in range(1, 27)], p=13),
+         "p=13 gives 10400600 multi-indices"),
+        ({"mode": "levi", "source": {"kind": "ball", "dim": 26}, "p": 13}, "p=13 gives 10400600 multi-indices"),
+        (dict(_umehara({"p": 1}, name="ball_slice"), orders=[1, 2, 20000]), "orders[2] must be at most 240"),
+    ]:
+        path.write_text(json.dumps(data))
+        done = run_python(script, str(path))
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.count("\n") == 1 and fragment in done.stderr
     # a negative seed, in the file or from the --seed override, names the field
     path.write_text(json.dumps(dict(_identity_flat(), sampling={"seed": -1})))
     assert main(["run", str(path)]) == 2
