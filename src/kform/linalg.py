@@ -26,6 +26,7 @@ from .errors import DefinitenessError, DimensionError, EvaluationLimitError
 __all__ = [
     "as_matrix",
     "finite",
+    "pow2_scaled",
     "hermitize",
     "det",
     "minor_dets",
@@ -86,6 +87,22 @@ def finite(a, what: str) -> np.ndarray:
     """
     if not np.isfinite(a).all():
         raise EvaluationLimitError(f"{what} overflows the float range")
+    return a
+
+
+def pow2_scaled(m) -> np.ndarray:
+    """A complex copy of the matrix m with its rows, then its columns, scaled by powers of two.
+
+    Each nonzero row, and then each nonzero column, comes to peak in
+    [1/2, 1); a zero row or column stays zero.  Powers of two scale exactly,
+    keep the rank and cannot overflow, so a test on the result (a rank, a
+    determinant) judges m on its own scale, not on an absolute one.
+    """
+    a = np.array(m, dtype=np.complex128)
+    for axis in (-1, -2):
+        _, exponent = np.frexp(np.abs(a).max(axis=axis, keepdims=True))
+        a.real = np.ldexp(a.real, -exponent)  # a zero row or column has exponent 0
+        a.imag = np.ldexp(a.imag, -exponent)
     return a
 
 

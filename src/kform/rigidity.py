@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateSampleError, DomainError, PreconditionError
 from .expressions import MapExpr, map_jet
-from .linalg import det, finite, generalized_eigenvalues
+from .linalg import det, finite, generalized_eigenvalues, pow2_scaled
 from .ppforms import _offsets, index_basis, pooled_fit, pullback_pp, wedge_power_coeffs
 from .spaceforms import SpaceForm, in_chart, metric, ricci
 
@@ -38,7 +38,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 
-# |det J| below this counts as a singular sample in ricci_pullback_check
+# |det| of the power-of-two scaled Jacobian below this counts as a singular
+# sample in ricci_pullback_check
 _SINGULAR_JAC_TOL = 1e-12
 
 
@@ -134,11 +135,13 @@ def ricci_pullback_check(
     residual is below tol.
 
     Equidimensional only (src.dim must equal tgt.dim).  Samples where the
-    Jacobian is numerically singular are skipped with a warning; the verdict
-    covers the remaining points.  A map image outside the target chart
-    raises ``DomainError``, and a pullback that overflows
-    ``EvaluationLimitError``, as in ``pullback_pp``.  Returns (passed,
-    max_residual, n_skipped).
+    Jacobian is singular on its own scale are skipped with a warning: |det|
+    below 1e-12 once ``linalg.pow2_scaled`` has brought its rows and then
+    its columns to peak in [1/2, 1), so a zero row or column skips and a
+    homothety by 1e-5 does not.  The verdict covers the remaining points.
+    A map image outside the target chart raises ``DomainError``, and a
+    pullback that overflows ``EvaluationLimitError``, as in ``pullback_pp``.
+    Returns (passed, max_residual, n_skipped).
     """
     if src.dim != tgt.dim:
         raise PreconditionError(
@@ -152,7 +155,7 @@ def ricci_pullback_check(
     for k, w in enumerate(pts):
         fw, jf = map_jet(F, w)
         with np.errstate(over="ignore", invalid="ignore"):
-            if abs(det(jf)) < _SINGULAR_JAC_TOL:
+            if abs(det(pow2_scaled(jf))) < _SINGULAR_JAC_TOL:
                 warnings.warn(f"singular Jacobian at sample {k}; point skipped")
                 skipped += 1
                 continue

@@ -84,7 +84,7 @@ from .ppforms import (
 from .rigidity import product_rule
 from .scenarios import DEFAULT_COUNT, DEFAULT_SEED, Report, _assemble, report_to_json, run_checks
 from .spaceforms import ball, euclidean, metric, projective, ricci, sample_chart_points
-from .umehara import ball_slice, bi_series, coeff_rank, proj_slice, rank_growth, series_eval
+from .umehara import BiSeries, ball_slice, coeff_rank, proj_slice, rank_growth, series_eval
 
 __all__ = ["run_paper_suite"]
 
@@ -289,7 +289,7 @@ def _c07(seed: int):
         tf = rng.normal(size=7) + 1j * rng.normal(size=7)
         tg = rng.normal(size=7) + 1j * rng.normal(size=7)
         c = np.outer(tf, np.conj(tg)) + np.outer(tg, np.conj(tf))
-        ok_pairs = ok_pairs and coeff_rank(bi_series(c)) <= 2
+        ok_pairs = ok_pairs and coeff_rank(BiSeries(c)) <= 2
     yield "c07_rank_pair_bound", ok_pairs, {}
 
     table, verdict = rank_growth("psi", {"p": 1, "map": ["z1"]}, (2, 4, 6, 8, 10))

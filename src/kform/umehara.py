@@ -19,9 +19,9 @@ proofs: `rank_growth` reports a verdict, not a theorem.
 
 All series arithmetic, the bidegree series above and the holomorphic Taylor
 coefficients of a map on the slice (zeta, 0, ..., 0), is one truncated-series
-algebra: one product, one reciprocal and one power by repeated squaring.  The
-product computes only the kept coefficients.  In one variable it is a
-convolution cut to the operands' length.  In two it works row by row: row j
+type, ``BiSeries``, with ``+ - * /``, one reciprocal and one power by repeated
+squaring.  The product computes only the kept coefficients.  In one variable
+it is a convolution cut to the operands' length.  In two it works row by row: row j
 of a*b is sum_{r <= j} T(a[r]) b[j - r], where T(x) is the lower-triangular
 Toeplitz matrix of x, i.e. the truncated 1-D product by x, so each row of a
 costs one matrix product.
@@ -33,7 +33,6 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,14 +44,11 @@ from .errors import (
     SingularEvaluationError,
 )
 from .expressions import MapExpr, fold, parse_map
+from .linalg import pow2_scaled
 
 __all__ = [
     "BiSeries",
-    "bi_series",
-    "add",
     "multiply",
-    "reciprocal",
-    "power",
     "series_eval",
     "ball_slice",
     "proj_slice",
@@ -68,78 +64,66 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class BiSeries:
-    """Truncated expansion sum_{j,k <= order} coeffs[j, k] zeta^j conj(zeta)^k.
-
-    Represents a real-valued function iff coeffs is Hermitian; all built-ins
-    and any arithmetic on Hermitian inputs keep that symmetry.
-    """
-
-    order: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise DimensionError(f"coefficient matrix must be square, got {c.shape}")
-        if c.shape[0] != self.order + 1:
-            raise DimensionError(
-                f"order {self.order} needs a {self.order + 1}x{self.order + 1} matrix, got {c.shape}"
-            )
-        object.__setattr__(self, "coeffs", c)
-
-
-def bi_series(coeffs) -> BiSeries:
-    c = np.asarray(coeffs, dtype=np.complex128)
-    return BiSeries(order=c.shape[0] - 1, coeffs=c)
-
-
 def _unit(shape, k: int = 0) -> np.ndarray:
     """Coefficients with a 1 at flat index k, all zero when k is past the end:
     the series 1 for k = 0, and zeta for k = 1 in one variable."""
     return np.eye(1, np.prod(shape), k, dtype=np.complex128).reshape(shape)
 
 
-class _Series:
+class BiSeries:
     """Truncated series: coefficients of zeta^j (1-D) or zeta^j conj(zeta)^k
-    (2-D), cut back to the array's shape after every operation.
+    (square 2-D), cut back to the operands' shape after every operation.
 
-    The module's one product, reciprocal and power, and the slice algebra
-    for ``fold``.  The 2-D product adds b[: R - r] T(a[r])^T into rows r..R-1
-    for each row r of a, building one C x C Toeplitz matrix at a time, so no
-    coefficient past the (R, C) block is computed and the working memory
-    stays O(C^2) beyond the operands.
+    A 1-D series holds a map's Taylor coefficients on the slice, the algebra
+    of ``fold``; a 2-D one is a bidegree series, real-valued iff its
+    coefficients are Hermitian, which the built-ins and any arithmetic on
+    Hermitian inputs keep.  ``order`` is the highest power kept.  Operands
+    of different shapes raise ``DimensionError``.  The 2-D product adds
+    b[: R - r] T(a[r])^T into rows r..R-1 for each row r of a, building one
+    C x C Toeplitz matrix at a time, so no coefficient past the (R, C) block
+    is computed and the working memory stays O(C^2) beyond the operands.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("coeffs",)
 
-    def __init__(self, c: np.ndarray):
-        self.c = c
+    def __init__(self, coeffs):
+        c = np.asarray(coeffs, dtype=np.complex128)
+        if c.ndim not in (1, 2) or c.shape != c.shape[:1] * c.ndim:
+            raise DimensionError(f"series coefficients must be 1-D or square, got shape {c.shape}")
+        self.coeffs = c
+
+    @property
+    def order(self) -> int:
+        return self.coeffs.shape[0] - 1
+
+    def _other(self, o) -> np.ndarray:
+        if o.coeffs.shape != self.coeffs.shape:
+            raise DimensionError(f"series shapes differ: {self.coeffs.shape} and {o.coeffs.shape}")
+        return o.coeffs
 
     def __add__(self, o):
-        return _Series(self.c + o.c)
+        return BiSeries(self.coeffs + self._other(o))
 
     def __sub__(self, o):
-        return _Series(self.c - o.c)
+        return BiSeries(self.coeffs - self._other(o))
 
     def __neg__(self):
-        return _Series(-self.c)
+        return BiSeries(-self.coeffs)
 
     def __mul__(self, o):
-        a, b = self.c, o.c
+        a, b = self.coeffs, self._other(o)
         if a.ndim == 1:
-            return _Series(np.convolve(a, b)[: a.size])
+            return BiSeries(np.convolve(a, b)[: a.size])
         rows, cols = a.shape
         # T(x)^T[k, i] = x[i - k] for i >= k and 0 below: a gather from x
         # behind cols - 1 zeros
-        padded = np.zeros((rows, 2 * cols - 1), dtype=np.result_type(a, b))
+        padded = np.zeros((rows, 2 * cols - 1), dtype=np.complex128)
         padded[:, cols - 1 :] = a
         toeplitz_t = cols - 1 - np.subtract.outer(np.arange(cols), np.arange(cols))
-        out = np.zeros((rows, cols), dtype=padded.dtype)
+        out = np.zeros((rows, cols), dtype=np.complex128)
         for r in range(rows):
             out[r:] += b[: rows - r] @ padded[r][toeplitz_t]
-        return _Series(out)
+        return BiSeries(out)
 
     def __truediv__(self, o):
         return self * o.reciprocal()
@@ -150,7 +134,7 @@ class _Series:
         Solved one coefficient at a time in the lexicographic order of
         ``np.ndindex``, which reaches every index after all indices below it.
         """
-        a = self.c
+        a = self.coeffs
         a0 = a.flat[0]
         if abs(a0) == 0.0:
             raise SingularEvaluationError("reciprocal needs a nonzero constant coefficient")
@@ -161,47 +145,27 @@ class _Series:
             window = tuple(slice(i + 1) for i in idx)
             # b[idx] is still zero, so the full window sum omits it
             b[idx] = -np.sum(a[window][flip] * b[window]) / a0
-        return _Series(b)
+        return BiSeries(b)
 
     def __pow__(self, n: int):
-        """By repeated squaring over the bits of n, so the cost grows with log n."""
-        out = self if n else _Series(_unit(self.c.shape))
+        """By repeated squaring over the bits of n >= 0, so the cost grows with log n."""
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"series power wants a nonnegative integer, got {n!r}")
+        out = self if n else BiSeries(_unit(self.coeffs.shape))
         for bit in bin(n)[3:]:  # the leading bit is out = self
             out = out * out * self if bit == "1" else out * out
         return out
 
 
-def _same_order(a: BiSeries, b: BiSeries) -> int:
-    if a.order != b.order:
-        raise DimensionError(f"orders differ: {a.order} and {b.order}")
-    return a.order
-
-
-def add(a: BiSeries, b: BiSeries) -> BiSeries:
-    n = _same_order(a, b)
-    return BiSeries(order=n, coeffs=(_Series(a.coeffs) + _Series(b.coeffs)).c)
-
-
 def multiply(a: BiSeries, b: BiSeries) -> BiSeries:
-    n = _same_order(a, b)
-    return BiSeries(order=n, coeffs=(_Series(a.coeffs) * _Series(b.coeffs)).c)
+    """The product a * b as a module function."""
+    return a * b
 
 
 def series_eval(s: BiSeries, zeta: complex) -> complex:
     pows = np.power(complex(zeta), np.arange(s.order + 1))
     return complex(pows @ s.coeffs @ np.conj(pows))
-
-
-def reciprocal(a: BiSeries) -> BiSeries:
-    """Truncated inverse; the constant coefficient must be nonzero."""
-    return BiSeries(order=a.order, coeffs=_Series(a.coeffs).reciprocal().c)
-
-
-def power(a: BiSeries, n: int) -> BiSeries:
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"series power wants a nonnegative integer, got {n!r}")
-    return BiSeries(order=a.order, coeffs=(_Series(a.coeffs) ** n).c)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +180,7 @@ def _slice(c: int, p: int, n: int) -> BiSeries:
             coeffs[k, k] = (-c) ** k * math.comb(k + p, p)
     except OverflowError as exc:  # a binomial past the float range
         raise EvaluationLimitError("series coefficients overflow") from exc
-    return BiSeries(order=n, coeffs=coeffs)
+    return BiSeries(coeffs)
 
 
 def ball_slice(p: int, n: int) -> BiSeries:
@@ -234,17 +198,17 @@ def abs_square(F: MapExpr, n: int) -> BiSeries:
     one, zeta = _unit(n + 1), _unit(n + 1, 1)
     c = np.zeros((n + 1, n + 1), dtype=np.complex128)
     # the Taylor coefficients of every component on the slice, where only z1 varies
-    for t in fold(F, lambda v: _Series(v * one), lambda k: _Series(float(k == 0) * zeta)):
-        c += np.outer(t.c, np.conj(t.c))
-    return BiSeries(order=n, coeffs=c)
+    for t in fold(F, lambda v: BiSeries(v * one), lambda k: BiSeries(float(k == 0) * zeta)):
+        c += np.outer(t.coeffs, np.conj(t.coeffs))
+    return BiSeries(c)
 
 
 def psi(p: int, F: MapExpr, n: int) -> BiSeries:
     """(1 + ||F(zeta, 0, ...)||^2)^(2p) * (1 - |zeta|^2)^(-(p+1))."""
-    one_plus = add(bi_series(_unit((n + 1, n + 1))), abs_square(F, n))
+    one_plus = BiSeries(_unit((n + 1, n + 1))) + abs_square(F, n)
     # the slice first, so that a p whose binomials overflow raises before 2 log2(p) products
     slice_ = ball_slice(p, n)
-    return multiply(power(one_plus, 2 * p), slice_)
+    return multiply(one_plus ** (2 * p), slice_)
 
 
 def as_map(value) -> MapExpr:
@@ -291,11 +255,10 @@ def builtin_series(name: str, params: dict, n: int) -> BiSeries:
 def coeff_rank(s: BiSeries, tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank of the coefficient matrix by complete-pivot elimination.
 
-    The rows, then the columns, are first scaled by powers of two so that
-    each nonzero one peaks in [1/2, 1).  That is exact and keeps the rank, and
-    it lets coefficients spanning many decades count alike.  The threshold is
-    tol times the largest scaled magnitude, fixed once up front; tol must be
-    positive.  Each pivot's row and column are then set to exactly zero, so
+    The rows, then the columns, are first scaled by powers of two
+    (``linalg.pow2_scaled``), which keeps the rank and lets coefficients
+    spanning many decades count alike.  The threshold is tol times the
+    largest scaled magnitude, fixed once up front; tol must be positive.  Each pivot's row and column are then set to exactly zero, so
     roundoff left there is never taken as a pivot and the rank is at most
     min(R, C), reached in at most that many steps.  The loop updates two
     preallocated buffers in place.  Non-finite coefficients raise
@@ -303,13 +266,11 @@ def coeff_rank(s: BiSeries, tol: float = DEFAULT_RANK_TOL) -> int:
     """
     if not tol > 0:
         raise ValueError(f"rank tolerance must be positive, got {tol!r}")
-    a = np.array(s.coeffs, dtype=np.complex128)
-    if not np.isfinite(a).all():
+    if s.coeffs.ndim != 2:
+        raise DimensionError("a coefficient rank needs a bidegree (2-D) series")
+    if not np.isfinite(s.coeffs).all():
         raise EvaluationLimitError("series coefficients overflow")
-    for axis in (1, 0):
-        _, exponent = np.frexp(np.abs(a).max(axis=axis, keepdims=True))
-        a.real = np.ldexp(a.real, -exponent)  # a zero row or column has exponent 0
-        a.imag = np.ldexp(a.imag, -exponent)
+    a = pow2_scaled(s.coeffs)
     mag = np.abs(a)
     scale = float(mag.max())
     if scale == 0.0:
@@ -351,7 +312,7 @@ def rank_growth(name: str, params: dict, orders) -> tuple[list, str]:
         raise PreconditionError(f"the verdict compares three ranks; need three orders, got {orders}")
     tol = float(params.get("tol", DEFAULT_RANK_TOL)) if params else DEFAULT_RANK_TOL
     top = builtin_series(name, params, orders[-1]).coeffs
-    table = [(n, coeff_rank(bi_series(top[: n + 1, : n + 1]), tol)) for n in orders]
+    table = [(n, coeff_rank(BiSeries(top[: n + 1, : n + 1]), tol)) for n in orders]
     tail = [r for _, r in table][-3:]
     verdict = "bounded" if len(set(tail)) == 1 else "growing"
     return table, verdict

@@ -31,7 +31,7 @@ from kform.spaceforms import (
     sample_chart_points,
 )
 from kform.suite import run_paper_suite
-from kform.umehara import ball_slice, bi_series, coeff_rank, proj_slice, psi, series_eval
+from kform.umehara import BiSeries, ball_slice, coeff_rank, proj_slice, psi, series_eval
 
 SEED = 42
 
@@ -186,7 +186,7 @@ def test_criterion_07_coefficient_ranks():
         tf = rng.normal(size=7) + 1j * rng.normal(size=7)
         tg = rng.normal(size=7) + 1j * rng.normal(size=7)
         c = np.outer(tf, np.conj(tg)) + np.outer(tg, np.conj(tf))
-        ok = ok and coeff_rank(bi_series(c)) <= 2
+        ok = ok and coeff_rank(BiSeries(c)) <= 2
     ranks = [coeff_rank(psi(1, parse_map(["z1"], 1), n)) for n in (2, 4, 6, 8, 10)]
     ok = ok and all(b > a for a, b in zip(ranks, ranks[1:]))
     worst = 0.0

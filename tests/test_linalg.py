@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from kform.errors import DefinitenessError, DimensionError
 from kform.linalg import (
@@ -8,6 +9,7 @@ from kform.linalg import (
     generalized_eigenvalues,
     hermitian_eigen,
     hermitize,
+    pow2_scaled,
     sign_counts,
 )
 from kform.ppforms import compound_matrix
@@ -75,6 +77,26 @@ def test_cofactor_matrix_matches_cofactor_oracle():
             np.testing.assert_allclose(cofactor_matrix(m), expect, atol=1e-10 * scale)
         # adjugate identity m @ cof^T = det(m) I, also when det(m) = 0
         np.testing.assert_allclose(singular @ cofactor_matrix(singular).T, 0.0, atol=1e-10)
+
+
+def test_pow2_scaled_rows_then_columns_peak_below_one():
+    # exact: each entry is the original times a power of two, the rank kept,
+    # and entries from 1e-300 to 1e300 neither overflow nor underflow to 0
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        n = int(rng.integers(1, 7))
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        m *= 10.0 ** rng.uniform(-300, 300, size=(n, 1)) * 10.0 ** rng.uniform(-8, 8, size=(1, n))
+        m[int(rng.integers(n))] = 0.0
+        a = pow2_scaled(m)
+        nonzero = np.abs(m).max(axis=1) > 0
+        peaks = np.abs(a).max(axis=0)
+        assert ((peaks >= 0.5) & (peaks < 1.0) | (peaks == 0.0)).all()
+        assert (a[~nonzero] == 0).all() and (a[nonzero] != 0).all()
+        ratio = np.log2(np.abs(a[m != 0]) / np.abs(m[m != 0]))
+        assert_allclose(ratio, np.round(ratio), atol=1e-9)
+        u, v = (rng.standard_normal((n, 1)) for _ in range(2))
+        assert np.linalg.matrix_rank(pow2_scaled(u @ v.T)) == 1
 
 
 def test_hermitize_projects_to_hermitian_part():

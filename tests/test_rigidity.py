@@ -259,11 +259,15 @@ def _linear_map(u):
     return parse_map(comps, n)
 
 
-@pytest.mark.parametrize("space, radius", [(ball, 0.999), (ball, 0.99999), (projective, 20.0)])
+@pytest.mark.parametrize(
+    "space, radius", [(ball, 0.999), (ball, 0.99999), (projective, 20.0), (projective, 1e3)]
+)
 def test_ricci_check_holds_at_every_scale(space, radius):
     # Ricci entries grow like u^-2 toward the ball's edge and decay far out in
     # the projective chart.  An absolute residual failed the Moebius
-    # automorphism of B^3 at radius 0.999 (3.7e-7 against 1e-8)
+    # automorphism of B^3 at radius 0.999 (3.7e-7 against 1e-8), and an
+    # absolute |det J| < 1e-12 skipped 1 to 4 of the 5 points of P^4..P^8 at
+    # radius 1e3 (all of them at P^5)
     rng = np.random.default_rng(5)
     for n in range(1, 9):
         sf = space(n)
@@ -291,6 +295,13 @@ def test_ricci_check_skips_singular_jacobians():
     with pytest.warns(UserWarning):
         ok, _, skipped = ricci_pullback_check(F, euclidean(2), euclidean(2), pts)
     assert ok and skipped == 1
+    # a Jacobian singular on its own scale skips; one with tiny entries does not
+    tiny = parse_map(["z1+z2", "1e-20*z1"], 2)
+    assert ricci_pullback_check(tiny, euclidean(2), euclidean(2), pts) == (True, 0.0, 0)
+    for rows in (["1e-20*z1", "1e-20*z1"], ["z1+z2", "0*z1"]):
+        with pytest.warns(UserWarning):
+            with pytest.raises(DegenerateSampleError):
+                ricci_pullback_check(parse_map(rows, 2), euclidean(2), euclidean(2), pts)
     constant = parse_map(["0.1", "0.2"], 2)
     with pytest.warns(UserWarning):
         with pytest.raises(DegenerateSampleError):

@@ -621,26 +621,32 @@ def test_cli_overflow_prints_only_the_error(tmp_path, capsys):
 
 
 def test_cli_reports_skipped_ricci_samples(tmp_path, capsys):
-    # z1^40 has a numerically singular Jacobian near the center of the disc
+    # the 1x1 Jacobian 1000 z^999 of z1^1000 underflows to exactly 0 near the
+    # center of the disc.  (z1^40's 40 z^39 is tiny there, but not singular on
+    # its own scale, and skips nothing.)
     data = dict(
         _identity_flat(),
         mode="rigidity",
         source={"kind": "ball", "dim": 1},
         target={"kind": "ball", "dim": 1},
-        map=["z1^40"],
+        map=["z1^1000"],
         sampling={"count": 50, "seed": 42},
     )
     path, out_path = tmp_path / "ricci.json", tmp_path / "report.json"
     path.write_text(json.dumps(data))
     with pytest.warns(UserWarning, match="point skipped"):
         main(["run", str(path), "--json", str(out_path)])
-    assert "skipped=13" in capsys.readouterr().out
+    assert "skipped=14" in capsys.readouterr().out
     (ricci,) = [c for c in json.loads(out_path.read_text())["checks"] if c["name"] == "ricci_pullback"]
-    assert ricci["skipped"] == 13
-    # a check that skipped nothing serializes no count
-    path.write_text(json.dumps(dict(data, map=["z1"])))
-    assert main(["run", str(path), "--json", str(out_path)]) == 0
-    assert all("skipped" not in c for c in json.loads(out_path.read_text())["checks"])
+    assert ricci["skipped"] == 14 and ricci["verdict"] == "FAIL"
+    # a check that skipped nothing serializes no count: the disc's identity,
+    # and the homothety 1e-5 z of C^3, whose det J = 1e-15 is not singular
+    flat3 = {"kind": "euclidean", "dim": 3}
+    homothety = dict(data, source=flat3, target=flat3, map=["1e-5*z1", "1e-5*z2", "1e-5*z3"])
+    for scenario in (dict(data, map=["z1"]), homothety):
+        path.write_text(json.dumps(scenario))
+        assert main(["run", str(path), "--json", str(out_path)]) == 0
+        assert all("skipped" not in c for c in json.loads(out_path.read_text())["checks"])
 
 
 def test_cli_umehara_huge_power_returns(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -18,20 +19,15 @@ from kform.umehara import (
     SERIES,
     BiSeries,
     abs_square,
-    add,
     ball_slice,
-    bi_series,
     builtin_series,
     coeff_rank,
     multiply,
-    power,
     proj_slice,
     psi,
     rank_growth,
-    reciprocal,
     series_eval,
 )
-from kform.umehara import _Series
 from child import run_python
 
 
@@ -39,14 +35,14 @@ def _diag_series(values):
     n = len(values) - 1
     c = np.zeros((n + 1, n + 1), dtype=complex)
     c[np.arange(n + 1), np.arange(n + 1)] = values
-    return bi_series(c)
+    return BiSeries(c)
 
 
 def _one_minus_abs2(n):
     c = np.zeros((n + 1, n + 1), dtype=complex)
     c[0, 0] = 1.0
     c[1, 1] = -1.0
-    return bi_series(c)
+    return BiSeries(c)
 
 
 def _rank_oracle(coeffs, tol=1e-10):
@@ -63,18 +59,24 @@ def _is_real_valued(s):
 
 
 def test_bi_series_validation():
-    with pytest.raises(DimensionError):
-        bi_series(np.zeros((2, 3)))
-    with pytest.raises(DimensionError):
-        BiSeries(order=3, coeffs=np.zeros((3, 3)))
-    s = bi_series(np.eye(4))
+    for shape in ((2, 3), (3, 3, 3), ()):
+        with pytest.raises(DimensionError):
+            BiSeries(np.zeros(shape))
+    s = BiSeries(np.eye(4))
     assert s.order == 3
     assert _is_real_valued(s)
+    assert BiSeries(np.ones(6)).order == 5
+    with pytest.raises(AttributeError):
+        s.order = 2
 
 
-def test_add_requires_matching_orders():
-    with pytest.raises(DimensionError):
-        add(ball_slice(1, 3), ball_slice(1, 4))
+def test_arithmetic_requires_matching_orders():
+    pairs = [(ball_slice(1, 3), ball_slice(1, 4)), (BiSeries(np.ones(4)), BiSeries(np.ones(5)))]
+    pairs.append((BiSeries(np.ones(4)), ball_slice(1, 3)))  # one order, 1-D against 2-D
+    for a, b in pairs:
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv, multiply):
+            with pytest.raises(DimensionError):
+                op(a, b)
 
 
 def test_multiply_pinned_difference_of_squares():
@@ -95,7 +97,7 @@ def test_multiply_matches_pointwise_product():
         b = np.zeros((6, 6), dtype=complex)
         a[:3, :3] = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         b[:3, :3] = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        sa, sb = bi_series(a), bi_series(b)
+        sa, sb = BiSeries(a), BiSeries(b)
         zeta = 0.4 * (rng.normal() + 1j * rng.normal())
         lhs = series_eval(multiply(sa, sb), zeta)
         rhs = series_eval(sa, zeta) * series_eval(sb, zeta)
@@ -114,20 +116,20 @@ def test_multiply_matches_convolve2d_within_error_bound():
 
     for n in range(1, 41):
         a, b = entries(n), entries(n)
-        got = multiply(bi_series(a), bi_series(b)).coeffs
+        got = multiply(BiSeries(a), BiSeries(b)).coeffs
         expected = convolve2d(a, b)[:n, :n]
         bound = 1e-13 * convolve2d(np.abs(a), np.abs(b))[:n, :n]
         assert (np.abs(got - expected) <= bound).all(), n
 
 
 def test_reciprocal_geometric_series():
-    rec = reciprocal(_one_minus_abs2(6))
+    rec = _one_minus_abs2(6).reciprocal()
     assert_allclose(rec.coeffs, np.eye(7), atol=1e-13)
 
 
 def test_reciprocal_of_cube_is_binomial_diagonal():
     n = 6
-    rec = reciprocal(power(_one_minus_abs2(n), 3))
+    rec = (_one_minus_abs2(n) ** 3).reciprocal()
     assert_allclose(rec.coeffs, ball_slice(2, n).coeffs, atol=1e-11)
 
 
@@ -137,8 +139,8 @@ def test_reciprocal_roundtrip_random():
         c = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         c = 0.2 * c
         c[0, 0] = 1.0 + rng.uniform(0.5, 1.5)
-        s = bi_series(c)
-        back = reciprocal(reciprocal(s))
+        s = BiSeries(c)
+        back = s.reciprocal().reciprocal()
         assert_allclose(back.coeffs, s.coeffs, rtol=1e-11, atol=1e-11)
 
 
@@ -146,11 +148,27 @@ def test_power_matches_repeated_multiply():
     rng = np.random.default_rng(23)
     c = 0.3 * (rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
     c[0, 0] = 1.0
-    s = bi_series(c)
-    product = bi_series(np.eye(1, 49).reshape(7, 7))
+    s = BiSeries(c)
+    product = BiSeries(np.eye(1, 49).reshape(7, 7))
     for n in range(10):
-        assert_allclose(power(s, n).coeffs, product.coeffs, rtol=1e-12, atol=1e-12)
+        assert_allclose((s**n).coeffs, product.coeffs, rtol=1e-12, atol=1e-12)
         product = multiply(product, s)
+
+
+def test_one_and_two_dimensional_series_share_reciprocal_and_power():
+    # |f|^2 has coefficients outer(f, conj(f)), so |f^n|^2 = (|f|^2)^n and |1/f|^2 = 1/|f|^2
+    rng = np.random.default_rng(43)
+
+    def abs2(f):
+        return BiSeries(np.outer(f.coeffs, np.conj(f.coeffs)))
+
+    for order in (0, 1, 4, 9):
+        c = 0.5 * (rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1))
+        c[0] = 2.0
+        f = BiSeries(c)
+        for n in range(6):
+            assert_allclose(abs2(f**n).coeffs, (abs2(f) ** n).coeffs, rtol=1e-12, atol=1e-12)
+        assert_allclose(abs2(f.reciprocal()).coeffs, abs2(f).reciprocal().coeffs, rtol=1e-12, atol=1e-12)
 
 
 def test_slice_reciprocal_times_polynomial_is_one():
@@ -160,15 +178,18 @@ def test_slice_reciprocal_times_polynomial_is_one():
         head = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
         head[0] = 2.0 + rng.uniform()
         poly[: min(degree, order) + 1] = head[: order + 1]
-        product = (_Series(poly).reciprocal() * _Series(poly)).c
+        product = (BiSeries(poly).reciprocal() * BiSeries(poly)).coeffs
         assert_allclose(product, np.eye(1, order + 1)[0], atol=1e-10)
+        assert_allclose((BiSeries(poly) / BiSeries(poly)).coeffs, product, atol=1e-10)
 
 
 def test_reciprocal_zero_constant_raises():
     c = np.zeros((3, 3), dtype=complex)
     c[1, 1] = 1.0
     with pytest.raises(SingularEvaluationError):
-        reciprocal(bi_series(c))
+        BiSeries(c).reciprocal()
+    with pytest.raises(SingularEvaluationError):
+        BiSeries(c[1]).reciprocal()
 
 
 def test_slice_diagonals_pinned():
@@ -265,19 +286,22 @@ def test_real_symmetry_preserved_by_arithmetic():
         raw = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         herm = 0.1 * (raw + raw.conj().T)
         herm[0, 0] = 2.0
-        a = bi_series(herm)
+        a = BiSeries(herm)
         b = ball_slice(1, 4)
-        assert _is_real_valued(add(a, b))
+        assert _is_real_valued(a + b)
+        assert _is_real_valued(a - b)
+        assert _is_real_valued(-a)
         assert _is_real_valued(multiply(a, b))
-        assert _is_real_valued(reciprocal(a))
-        assert _is_real_valued(power(a, 3))
+        assert _is_real_valued(a / b)
+        assert _is_real_valued(a.reciprocal())
+        assert _is_real_valued(a**3)
 
 
 def test_coeff_rank_basics():
-    assert coeff_rank(bi_series(np.zeros((4, 4)))) == 0
+    assert coeff_rank(BiSeries(np.zeros((4, 4)))) == 0
     only = np.zeros((4, 4), dtype=complex)
     only[1, 1] = 1.0
-    assert coeff_rank(bi_series(only)) == 1
+    assert coeff_rank(BiSeries(only)) == 1
     for p in (1, 2, 3):
         for n in (4, 7, 10):
             assert coeff_rank(ball_slice(p, n)) == n + 1
@@ -294,7 +318,7 @@ def test_coeff_rank_matches_svd_oracle():
             u = rng.normal(size=n) + 1j * rng.normal(size=n)
             v = rng.normal(size=n) + 1j * rng.normal(size=n)
             c += np.outer(u, v)
-        s = bi_series(c)
+        s = BiSeries(c)
         assert coeff_rank(s) == _rank_oracle(c)
 
 
@@ -310,7 +334,12 @@ def test_coeff_rank_ignores_power_of_two_scalings():
         c = u @ v
         rows = np.exp2(rng.integers(-100, 101, size=(n, 1)))
         cols = np.exp2(rng.integers(-100, 101, size=(1, n)))
-        assert coeff_rank(bi_series(rows * c * cols)) == coeff_rank(bi_series(c)) == r
+        assert coeff_rank(BiSeries(rows * c * cols)) == coeff_rank(BiSeries(c)) == r
+
+
+def test_coeff_rank_wants_a_bidegree_series():
+    with pytest.raises(DimensionError):
+        coeff_rank(BiSeries(np.ones(4)))
 
 
 def test_coeff_rank_rejects_nonpositive_tol():
@@ -335,14 +364,14 @@ def test_coeff_rank_is_at_most_the_block_size():
     done = run_python(
         "import numpy as np\n"
         "from hypothesis import given, settings, strategies as st\n"
-        "from kform.umehara import bi_series, coeff_rank\n"
+        "from kform.umehara import BiSeries, coeff_rank\n"
         "@settings(max_examples=150, deadline=None, database=None)\n"
         "@given(st.integers(1, 12), st.integers(0, 12), st.integers(0, 2**32 - 1),\n"
         "       st.sampled_from([1e-300, 1e-18, 1e-16]))\n"
         "def bounded(n, k, seed, tol):\n"
         "    rng = np.random.default_rng(seed)\n"
         "    u, v = (rng.normal(size=(n, min(k, n), 2)) @ [1, 1j] for _ in range(2))\n"
-        "    assert coeff_rank(bi_series(u @ v.T), tol) <= n\n"
+        "    assert coeff_rank(BiSeries(u @ v.T), tol) <= n\n"
         "bounded()\n"
     )
     assert done.returncode == 0, done.stderr
@@ -355,7 +384,7 @@ def test_pair_rank_bound():
         tf = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
         tg = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
         c = np.outer(tf, np.conj(tg)) + np.outer(tg, np.conj(tf))
-        assert coeff_rank(bi_series(c)) <= 2
+        assert coeff_rank(BiSeries(c)) <= 2
 
 
 def test_sum_of_r_pairs_rank_bound():
@@ -367,7 +396,7 @@ def test_sum_of_r_pairs_rank_bound():
                 tf = rng.normal(size=9) + 1j * rng.normal(size=9)
                 tg = rng.normal(size=9) + 1j * rng.normal(size=9)
                 c += np.outer(tf, np.conj(tg)) + np.outer(tg, np.conj(tf))
-            assert coeff_rank(bi_series(c)) <= 2 * r
+            assert coeff_rank(BiSeries(c)) <= 2 * r
 
 
 def test_rank_invariant_under_phase_rotation():
@@ -378,7 +407,7 @@ def test_rank_invariant_under_phase_rotation():
     for _ in range(100):
         theta = rng.uniform(0.0, 2.0 * np.pi)
         phases = np.exp(1j * theta * idx)
-        rotated = bi_series(s.coeffs * np.outer(phases, np.conj(phases)))
+        rotated = BiSeries(s.coeffs * np.outer(phases, np.conj(phases)))
         assert coeff_rank(rotated) == base
 
 
@@ -463,6 +492,9 @@ def test_series_catalogue_is_one_table():
 
 
 def test_power_validation():
-    with pytest.raises(ValueError):
-        power(ball_slice(1, 3), -1)
-    assert_allclose(power(ball_slice(1, 3), 0).coeffs[0, 0], 1.0)
+    for s in (ball_slice(1, 3), BiSeries(np.ones(4))):
+        with pytest.raises(ValueError):
+            s ** -1
+        with pytest.raises(TypeError):
+            s ** 1.5
+        assert_allclose((s**0).coeffs, np.eye(1, s.coeffs.size).reshape(s.coeffs.shape))
