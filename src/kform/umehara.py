@@ -88,8 +88,8 @@ class BiSeries:
 
     def __init__(self, coeffs):
         c = np.asarray(coeffs, dtype=np.complex128)
-        if c.ndim not in (1, 2) or c.shape != c.shape[:1] * c.ndim:
-            raise DimensionError(f"series coefficients must be 1-D or square, got shape {c.shape}")
+        if c.ndim not in (1, 2) or c.shape != c.shape[:1] * c.ndim or c.size == 0:
+            raise DimensionError(f"series coefficients must be nonempty, 1-D or square, got shape {c.shape}")
         self.coeffs = c
 
     @property
@@ -164,6 +164,9 @@ def multiply(a: BiSeries, b: BiSeries) -> BiSeries:
 
 
 def series_eval(s: BiSeries, zeta: complex) -> complex:
+    """The bidegree series s at zeta: sum c_jk zeta^j conj(zeta)^k."""
+    if s.coeffs.ndim != 2:
+        raise DimensionError(f"series_eval needs a bidegree (2-D) series, got shape {s.coeffs.shape}")
     pows = np.power(complex(zeta), np.arange(s.order + 1))
     return complex(pows @ s.coeffs @ np.conj(pows))
 
@@ -258,11 +261,17 @@ def coeff_rank(s: BiSeries, tol: float = DEFAULT_RANK_TOL) -> int:
     The rows, then the columns, are first scaled by powers of two
     (``linalg.pow2_scaled``), which keeps the rank and lets coefficients
     spanning many decades count alike.  The threshold is tol times the
-    largest scaled magnitude, fixed once up front; tol must be positive.  Each pivot's row and column are then set to exactly zero, so
+    largest scaled magnitude, fixed once up front; tol must be positive.
+    Each step divides the pivot column by the pivot once (R complex
+    divisions, not R x C) and subtracts its outer product with the pivot
+    row; the pivot's row and column are then set to exactly zero, so
     roundoff left there is never taken as a pivot and the rank is at most
-    min(R, C), reached in at most that many steps.  The loop updates two
-    preallocated buffers in place.  Non-finite coefficients raise
-    ``EvaluationLimitError``.
+    min(R, C), reached in at most that many steps.  Dividing the column
+    rather than the whole update moves only the rounding of the remaining
+    entries, by an ulp or so, against a threshold that does not move; the
+    tests pin the ranks to ``tests/oracles.coeff_rank_reference``, which
+    divides every entry of the update.  The loop updates two preallocated
+    buffers in place.  Non-finite coefficients raise ``EvaluationLimitError``.
     """
     if not tol > 0:
         raise ValueError(f"rank tolerance must be positive, got {tol!r}")
@@ -282,8 +291,8 @@ def coeff_rank(s: BiSeries, tol: float = DEFAULT_RANK_TOL) -> int:
         pivot = a[i, j]
         if abs(pivot) <= threshold:
             return rank
+        a[:, j] /= pivot  # in place: the pivot column is zeroed below
         np.multiply.outer(a[:, j], a[i], out=update)
-        update /= pivot
         a -= update
         a[i] = 0.0
         a[:, j] = 0.0

@@ -7,7 +7,11 @@ so the tests exercise two independent computation routes.  The one
 exception is ``levi_form_fd``: it differentiates the sphere bundle's
 defining function ``rho`` numerically, but restricts the result with the
 library's tangent basis and spectrum, so what it checks is the closed-form
-Hessian at the chart center that ``kform.levi.levi_form`` uses.
+Hessian at the chart center that ``kform.levi.levi_form`` uses.  The
+other is ``coeff_rank_reference``, the elimination that
+``kform.umehara.coeff_rank`` ran before it divided only the pivot column:
+the same algorithm with another rounding, kept so that a change of rounding
+is checked against the ranks it used to give.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from kform.expressions import parse_map
 from kform.levi import bundle_point, tangent_basis
-from kform.linalg import generalized_eigenvalues, hermitize
+from kform.linalg import generalized_eigenvalues, hermitize, pow2_scaled
 from kform.numdiff import wirtinger_hessian
 from kform.ppforms import wedge_power_coeffs
 from kform.spaceforms import metric
@@ -220,3 +224,26 @@ def pooled_ratio_fsum(base, theta) -> float:
     pairs = [(complex(b), complex(t)) for b, t in zip(np.ravel(base), np.ravel(theta))]
     num = math.fsum((b.conjugate() * t).real for b, t in pairs)
     return num / math.fsum(b.real**2 + b.imag**2 for b, _ in pairs)
+
+
+def coeff_rank_reference(coeffs, tol: float = 1e-10) -> int:
+    """The complete-pivot rank of ``kform.umehara.coeff_rank``, dividing every entry of each update.
+
+    Same scaling (``pow2_scaled``), threshold (tol times the largest scaled
+    magnitude, fixed up front), pivot order (``argmax``) and zeroing of the
+    pivot row and column; each step forms the outer product of the pivot
+    column and row and divides all of it by the pivot.
+    """
+    a = pow2_scaled(coeffs)
+    mag = np.abs(a)
+    threshold = tol * float(mag.max())
+    for rank in range(min(a.shape)):
+        i, j = np.unravel_index(int(np.argmax(mag)), a.shape)
+        pivot = a[i, j]
+        if abs(pivot) <= threshold:
+            return rank
+        a -= np.multiply.outer(a[:, j], a[i]) / pivot
+        a[i] = 0.0
+        a[:, j] = 0.0
+        mag = np.abs(a)
+    return min(a.shape)

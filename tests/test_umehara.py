@@ -29,6 +29,8 @@ from kform.umehara import (
     series_eval,
 )
 from child import run_python
+from kform.linalg import pow2_scaled
+from oracles import coeff_rank_reference
 
 
 def _diag_series(values):
@@ -322,6 +324,69 @@ def test_coeff_rank_matches_svd_oracle():
         assert coeff_rank(s) == _rank_oracle(c)
 
 
+def _both_routes(c, tol=1e-10):
+    # coeff_rank divides the pivot column once, the reference every entry of the update
+    got = coeff_rank(BiSeries(c), tol)
+    assert got == coeff_rank_reference(c, tol)
+    return got
+
+
+def _complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def test_coeff_rank_matches_reference_on_low_rank_products():
+    rng = np.random.default_rng(41)
+    for _ in range(150):
+        n = int(rng.integers(2, 14))
+        r = int(rng.integers(0, n + 1))
+        c = _complex_normal(rng, (n, r)) @ _complex_normal(rng, (r, n))
+        assert _both_routes(c) == r
+        # zeroed entries can raise or lower the rank; the two routes must still agree
+        c[rng.random((n, n)) < 0.3] = 0.0
+        _both_routes(c)
+
+
+def test_coeff_rank_matches_reference_on_permuted_block_diagonals():
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        sizes = rng.integers(1, 6, size=int(rng.integers(1, 5)))
+        ranks = [int(rng.integers(0, k + 1)) for k in sizes]
+        n = int(sizes.sum())
+        c = np.zeros((n, n), dtype=complex)
+        start = 0
+        for k, r in zip(sizes, ranks):
+            # blocks a few decades apart, each still far above the threshold
+            block = _complex_normal(rng, (k, r)) @ _complex_normal(rng, (r, k))
+            c[start : start + k, start : start + k] = block * 10.0 ** rng.integers(-3, 4)
+            start += k
+        c = c[rng.permutation(n)][:, rng.permutation(n)]
+        assert _both_routes(c) == sum(ranks)
+
+
+def test_coeff_rank_matches_reference_on_tied_diagonals():
+    rng = np.random.default_rng(47)
+    for _ in range(50):
+        n = int(rng.integers(2, 12))
+        values = rng.choice([0.0, 0.5, 1.0, 3.0], size=n) * np.exp(1j * rng.choice([0.0, np.pi / 2, np.pi], size=n))
+        assert _both_routes(np.diag(values)) == np.count_nonzero(values)
+
+
+def test_coeff_rank_matches_reference_at_the_threshold():
+    # every entry peaks in [1/2, 1) on its row and column, so pow2_scaled keeps
+    # the matrix as it is and the threshold is tol * 0.75 exactly as coeff_rank forms it
+    tol = 0.8
+    at = tol * 0.75
+    block = np.array([[0.75, 0.5], [0.5j, -0.75]])
+    for edge, extra in ((np.nextafter(at, 0.0), 0), (at, 0), (np.nextafter(at, 1.0), 1)):
+        diagonal = np.diag([0.75, 0.75j, edge, -0.75])
+        blocks = np.zeros((3, 3), dtype=complex)
+        blocks[:2, :2], blocks[2, 2] = block, edge * 1j
+        for c, rank in ((diagonal, 3), (blocks, 2)):
+            assert np.array_equal(pow2_scaled(c), c)
+            assert _both_routes(c, tol) == rank + extra
+
+
 def test_coeff_rank_ignores_power_of_two_scalings():
     # rows and columns spread over 2^-100 .. 2^100 keep the rank of the
     # unscaled matrix, which a threshold on the raw maximum would lose
@@ -335,6 +400,21 @@ def test_coeff_rank_ignores_power_of_two_scalings():
         rows = np.exp2(rng.integers(-100, 101, size=(n, 1)))
         cols = np.exp2(rng.integers(-100, 101, size=(1, n)))
         assert coeff_rank(BiSeries(rows * c * cols)) == coeff_rank(BiSeries(c)) == r
+
+
+def test_empty_series_are_refused():
+    with pytest.raises(DimensionError, match=r"\(0,\)"):
+        BiSeries(np.zeros(0))
+
+
+def test_coeff_rank_of_an_empty_block_is_refused():
+    with pytest.raises(DimensionError, match=r"\(0, 0\)"):
+        coeff_rank(BiSeries(np.zeros((0, 0))))
+
+
+def test_series_eval_wants_a_bidegree_series():
+    with pytest.raises(DimensionError, match=r"\(4,\)"):
+        series_eval(BiSeries(np.ones(4)), 0.1)
 
 
 def test_coeff_rank_wants_a_bidegree_series():
