@@ -458,7 +458,10 @@ def spectrum_signatures(spectra) -> tuple[tuple, float]:
     ``spectra`` holds equal-length rows, each one point's eigenvalues.
     Returns the distinct ``sign_counts`` (nNeg, nZero, nPos) of the rows in
     the order first seen, and the minimum absolute eigenvalue over all rows.
+    An empty set of rows raises a degenerate-sample error.
     """
+    if not len(spectra):
+        raise DegenerateSampleError("need at least one sample point")
     signatures = tuple(dict.fromkeys(sign_counts(row) for row in spectra))
     return signatures, float(np.abs(spectra).min())
 

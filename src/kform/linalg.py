@@ -189,9 +189,12 @@ def hermitian_eigen(h):
 def sign_counts(eigenvalues, tol: float = DEFAULT_ZERO_TOL):
     """Count (negative, zero, positive) entries of a real spectrum.
 
-    Entries with ``|w| <= tol`` count as zero.
+    Entries with ``|w| <= tol`` count as zero, so the three counts cover the
+    spectrum; a non-finite entry raises ``ValueError``.
     """
     w = np.asarray(eigenvalues, dtype=float).reshape(-1)
+    if not np.isfinite(w).all():
+        raise ValueError("spectrum entries must be finite")
     n_zero = int(np.sum(np.abs(w) <= tol))
     n_neg = int(np.sum(w < -tol))
     n_pos = int(np.sum(w > tol))

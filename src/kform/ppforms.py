@@ -160,6 +160,15 @@ def pullback_pp(F: MapExpr, src: SpaceForm, tgt: SpaceForm, p: int, w) -> np.nda
     return hermitize(theta)
 
 
+def _point_sums(base, theta):
+    """Each point's Re<base_s, theta_s> and |base_s|^2, summed over its (K, K) entries.
+
+    Two (S,) arrays for (S, K, K) stacks, 0-d for one (K, K) pair.  A point's
+    own ratio num / den is ``pooled_fit``'s lambdaHat on that point alone.
+    """
+    return np.sum(np.conj(base) * theta, axis=(-2, -1)).real, np.sum(np.abs(base) ** 2, axis=(-2, -1))
+
+
 def pooled_fit(base, theta, tol: float = DEFAULT_TOL) -> PullbackResult:
     """The pooled comparison theta = lambda * base on (S, K, K) stacks, one point per row.
 
@@ -174,10 +183,8 @@ def pooled_fit(base, theta, tol: float = DEFAULT_TOL) -> PullbackResult:
     scale = np.abs(base).max(axis=(-2, -1))
     if not scale.all():
         raise DegenerateSampleError(f"base form coefficients vanish at sample {int(np.argmin(scale))}")
-    num = np.sum(np.conj(base) * theta, axis=(-2, -1)).real.tolist()
-    den = np.sum(np.abs(base) ** 2, axis=(-2, -1)).tolist()
     lam, total = 0.0, 0.0
-    for a, b in zip(num, den):
+    for a, b in np.column_stack(_point_sums(base, theta)).tolist():
         lam, total = lam + a, total + b
     if total == 0.0:
         raise DegenerateSampleError("base form coefficients underflow at every sample point")

@@ -72,7 +72,7 @@ from .errors import KformError, ScenarioError
 from .expressions import MapExpr, parse_map
 from .levi import levi_level_ceiling, levi_level_floor, levi_radius_fits, levi_signatures
 from .ppforms import DEFAULT_TOL, proportionality_test, relatives_test
-from .rigidity import product_rule, profile_from_pullback, ricci_pullback_check
+from .rigidity import product_rule, profiles_from_pullback, ricci_pullback_check
 from .spaceforms import SpaceForm, default_radius, radius_fits, sample_chart_points
 from .umehara import SERIES, as_map, rank_growth
 
@@ -432,8 +432,8 @@ def _run_pullback(sc: Scenario, src, tgt, F, p):
 def _run_rigidity(sc: Scenario, src, tgt, F, p):
     tol = sc.tolerances["rigidity"]
     points = sample_chart_points(src, sc.count, sc.seed, sc.radius)
-    lams, targets = zip(*(profile_from_pullback(F, src, tgt, p, w) for w in points))
-    products, factors = product_rule(np.array(lams), p, targets, tol)
+    lams, targets = profiles_from_pullback(F, src, tgt, p, points)
+    products, factors = product_rule(lams, p, targets, tol)
     yield "eigen_products", bool(products.all()), {}
 
     if p < src.dim:

@@ -11,22 +11,29 @@ Hessian at the chart center that ``kform.levi.levi_form`` uses.  The
 other is ``coeff_rank_reference``, the elimination that
 ``kform.umehara.coeff_rank`` ran before it divided only the pivot column:
 the same algorithm with another rounding, kept so that a change of rounding
-is checked against the ranks it used to give.
+is checked against the ranks it used to give.  The last is
+``ricci_pullback_reference``, the point-by-point loop
+``kform.rigidity.ricci_pullback_check`` ran before it read the (1,1)
+stacks: J^T Ric_tgt(F) conj(J) from its own Jacobian and ``ricci``, which
+checks that rewrite, not the Ricci tensor itself (the battery's c04
+compares ``ricci`` with its closed form and finite differences).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
 
-from kform.expressions import parse_map
+from kform.errors import DegenerateSampleError, DomainError
+from kform.expressions import map_jet, parse_map
 from kform.levi import bundle_point, tangent_basis
-from kform.linalg import generalized_eigenvalues, hermitize, pow2_scaled
+from kform.linalg import det, finite, generalized_eigenvalues, hermitize, pow2_scaled
 from kform.numdiff import wirtinger_hessian
 from kform.ppforms import wedge_power_coeffs
-from kform.spaceforms import metric
+from kform.spaceforms import in_chart, metric, ricci
 
 
 def cofactor_det(m) -> complex:
@@ -247,3 +254,32 @@ def coeff_rank_reference(coeffs, tol: float = 1e-10) -> int:
         a[:, j] = 0.0
         mag = np.abs(a)
     return min(a.shape)
+
+
+def ricci_pullback_reference(F, src, tgt, points, tol: float = 1e-8):
+    """(passed, max_residual, n_skipped) of the Ricci identity, one point at a time.
+
+    At each point in order: a Jacobian whose |det| is below 1e-12 once
+    ``pow2_scaled`` is skipped with a warning; an image outside the target
+    chart raises ``DomainError``; else the residual is the worst entry of
+    |J^T Ric_tgt(F(w)) conj(J) - Ric_src(w)| over the larger of the two
+    sides' largest entries (0 where both vanish).  All points skipped raise
+    ``DegenerateSampleError``.
+    """
+    worst, skipped = 0.0, 0
+    for k, w in enumerate(points):
+        fw, jf = map_jet(F, w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if abs(det(pow2_scaled(jf))) < 1e-12:
+                warnings.warn(f"singular Jacobian at sample {k}; point skipped")
+                skipped += 1
+                continue
+            if not in_chart(tgt, fw):
+                raise DomainError("map image lies outside the target chart domain")
+            pulled = finite(jf.T @ ricci(tgt, fw) @ np.conj(jf), "the Ricci pullback")
+        own = ricci(src, w)
+        scale = float(np.abs([pulled, own]).max()) or 1.0
+        worst = max(worst, float(np.abs(pulled - own).max()) / scale)
+    if skipped == len(points):
+        raise DegenerateSampleError("all samples had singular Jacobians")
+    return worst < tol, worst, skipped

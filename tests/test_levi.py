@@ -325,6 +325,15 @@ def test_levi_spectra_at_the_level_ceiling():
                     assert spectrum_signatures(top)[0] == spectrum_signatures(unit)[0], f"{sf} p={p}"
 
 
+def test_empty_levi_sample_is_refused():
+    # no rows have no smallest |eigenvalue|: the sample is refused by name
+    for spectra in ([], np.zeros((0, 3))):
+        with pytest.raises(DegenerateSampleError, match="need at least one sample point"):
+            spectrum_signatures(spectra)
+    with pytest.raises(DegenerateSampleError, match="need at least one sample point"):
+        levi_signatures(ball(2), 1, 1.0, 0, 1)
+
+
 def test_spectrum_signatures_rule():
     # distinct sign counts in the order first seen, ties kept once, and
     # entries within the zero tolerance counted as zero on either side

@@ -153,6 +153,14 @@ def test_signature_examples_and_congruence_invariance():
         assert _signature(u @ h @ u.conj().T) == expect
 
 
+def test_sign_counts_cover_the_spectrum():
+    # a NaN or infinite entry would fall in none of the three counts
+    for bad in ([np.nan, 1.0], [1.0, np.inf], [-np.inf]):
+        with pytest.raises(ValueError, match="spectrum entries must be finite"):
+            sign_counts(bad)
+    assert sum(sign_counts([-1.0, 0.0, 1e300])) == 3
+
+
 def test_generalized_eigenvalues_pinned_example():
     h = np.diag([2.0, 8.0])
     g = np.diag([1.0, 2.0])

@@ -1,4 +1,4 @@
-import sys
+import math
 import warnings
 from itertools import combinations
 
@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import kform.rigidity as rigidity
+import kform.ppforms as ppforms
 from kform.errors import (
     DefinitenessError,
     DegenerateSampleError,
+    DimensionError,
     DomainError,
     EvaluationLimitError,
     PreconditionError,
 )
-from kform.expressions import compose, parse_map
+from kform.expressions import compose, map_jet, parse_map
 from kform.linalg import generalized_eigenvalues
 from kform.ppforms import pooled_fit, proportionality_test, pullback_pp, wedge_power_coeffs
 from kform.rigidity import (
@@ -22,11 +23,19 @@ from kform.rigidity import (
     eigen_products_check,
     product_rule,
     profile_from_pullback,
+    profiles_from_pullback,
     ricci_pullback_check,
 )
 from kform.scenarios import run_scenario
 from kform.spaceforms import ball, euclidean, metric, projective, sample_chart_points
-from oracles import identity_map, mobius_components, random_ball_point, random_posdef, random_unitary
+from oracles import (
+    identity_map,
+    mobius_components,
+    random_ball_point,
+    random_posdef,
+    random_unitary,
+    ricci_pullback_reference,
+)
 
 VERONESE = ["1.4142135623730951*z1", "z1^2"]
 FLAT_EXAMPLE_2 = ["z1+1/(1-z2)", "z2"]
@@ -139,6 +148,12 @@ def test_product_rule_is_the_one_row_checks():
             product_rule(np.ones((4, 2)), p, np.ones(4))
     with pytest.raises(PreconditionError, match="out of range 1..2"):
         eigen_products_check([1.0, 1.0], 3, 1.0)
+    # one target per row of an (S, m) array: other shapes name both shapes
+    for targets in (np.ones((3, 2)), [1.0, 1.0], 1.0):
+        with pytest.raises(DimensionError, match=r"got \(3, 2\) and \("):
+            product_rule(np.ones((3, 2)), 1, targets)
+    with pytest.raises(DimensionError, match=r"got \(3,\) and \(3,\)"):
+        product_rule(np.ones(3), 1, np.ones(3))
 
 
 def test_random_nonconstant_rows_fail():
@@ -289,6 +304,119 @@ def test_ricci_check_holds_at_every_scale(space, radius):
         assert ricci_pullback_check(small, euclidean(n), sf, flat) == (False, 1.0, 0)
 
 
+def _sweep(space, radius):
+    """The maps of ``test_ricci_check_holds_at_every_scale`` on space(n), n = 1..8.
+
+    Yields (sf, points, maps): the Moebius, unitary and composed automorphisms,
+    the bent and shrunk false maps, and z1 -> z1^2, whose Jacobian is singular
+    at the extra point with w1 = 0 put last.
+    """
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        sf = space(n)
+        pts = sample_chart_points(sf, 5, seed=n, radius=radius)
+        u = random_unitary(rng, n)
+        comps = mobius_components(sf, random_ball_point(rng, n, 0.5))
+        mobius = parse_map(comps, n)
+        bent = parse_map([comps[0] + "+1e-6*z1^2", *comps[1:]], n)
+        square = parse_map(["z1^2", *(f"z{k}" for k in range(2, n + 1))], n)
+        maps = (mobius, _linear_map(u), compose(_linear_map(u), mobius), bent, _linear_map(0.7 * u), square)
+        yield sf, np.vstack([pts, np.r_[0.0, pts[0, 1:]]]), maps
+
+
+def _log_range(*arrays) -> float:
+    """The largest |ln x| over the nonzero magnitudes x of the entries of the arrays."""
+    mags = np.abs(np.concatenate([np.ravel(a) for a in arrays]))
+    return float(np.abs(np.log(mags[mags > 0.0])).max())
+
+
+U = 2.0**-53  # the unit roundoff
+
+
+@pytest.mark.parametrize(
+    "space, radius", [(ball, 0.999), (ball, 0.99999), (projective, 20.0), (projective, 1e3)]
+)
+def test_ricci_check_is_the_pointwise_reference(space, radius):
+    # the fixed-ratio view k_tgt Theta1 against k_src g gives the pointwise
+    # reference's verdict and skipped count, and its residual to roundoff.  Per
+    # point both routes form the same J^T (k g_tgt) conj(J) and k g_src from
+    # the same J and metrics: the stacks round each of the 2n terms of an
+    # entry, the 1 x 1 determinants of C_1(J) and C_1(g) (numpy takes a
+    # determinant through its logarithm, off by up to |ln x| + 8 ulps), k and
+    # hermitize; the reference rounds the 2n terms and k.  So the entries of
+    # the two sides move by at most (4n + 3l + 28) u k |J|^T |g_tgt| |J| and
+    # (l + 10) u |k g_src|, l the widest |ln| of an entry; a move e in both
+    # sides moves max|P - O| / max(|P|, |O|) by at most (1 + r) e / scale.
+    # The factor 2 covers the second-order terms; observed moves stay under 8%
+    # of the bound
+    for sf, pts, maps in _sweep(space, radius):
+        k, n = sf.ricci_factor, sf.dim
+        for F in maps:
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                ok, resid, skipped = ricci_pullback_check(F, sf, sf, pts)
+                want_ok, want, want_skipped = ricci_pullback_reference(F, sf, sf, pts)
+            assert (ok, skipped) == (want_ok, want_skipped)
+            assert len(seen) == 2 * skipped and skipped == (F is maps[-1])
+            bound = 0.0
+            for w in pts[: len(pts) - skipped]:
+                fw, jf = jet = map_jet(F, w)
+                g_tgt, g_src = metric(sf, fw), metric(sf, w)
+                l = _log_range(*jet, g_tgt, g_src)
+                pulled = abs(k) * np.abs(jf).T @ np.abs(g_tgt) @ np.abs(jf)
+                scale = max(np.abs(k * jf.T @ g_tgt @ np.conj(jf)).max(), abs(k) * np.abs(g_src).max()) or 1.0
+                move = (4 * n + 3 * l + 28) * pulled.max() + (l + 10) * abs(k) * np.abs(g_src).max()
+                bound = max(bound, 2.0 * (1.0 + want) * U * move / scale)
+            assert abs(resid - want) <= bound, (n, resid, want, bound)
+        # flat to flat, flat to curved, and a Jacobian singular at every point
+        flat = sample_chart_points(euclidean(n), 5, seed=n)
+        pairs = ((maps[1], euclidean(n), (True, 0.0, 0)), (_linear_map(0.3 * np.eye(n)), sf, (False, 1.0, 0)))
+        for F, tgt, want in pairs:
+            assert ricci_pullback_check(F, euclidean(n), tgt, flat) == want
+            assert ricci_pullback_reference(F, euclidean(n), tgt, flat) == want
+        null = _linear_map(np.diag(np.r_[np.ones(n - 1), 0.0]))
+        for check in (ricci_pullback_check, ricci_pullback_reference):
+            with pytest.warns(UserWarning), pytest.raises(DegenerateSampleError, match="all samples"):
+                check(null, sf, sf, pts)
+
+
+@pytest.mark.parametrize("space, radius", [(ball, 0.99999), (projective, 20.0)])
+def test_cauchy_binet_targets_are_the_pp_pullback_fits(space, radius):
+    # the target at degree p is <B, X> / |B|^2 with B = C_p(g_src) and
+    # X = C_p(Theta1) on the stacks, against the one-point pooled fit of
+    # pullback_pp's C_p(J)^T C_p(g_tgt) conj C_p(J), the same X by
+    # Cauchy-Binet.  First order in u, with M = (|J|_2^2 |g_tgt|_2)^p >= |X|_2
+    # and l the widest |ln| of an entry or p-minor: an entry of Theta1 carries
+    # the 2n rounded terms and three 1 x 1 determinants (l + 8 each, numpy
+    # going through the logarithm), a p-minor multiplies p of them and adds
+    # its own LU and logarithm (p + l + 8), so 2p(2n + l + 8) u M bounds an
+    # entry of the stacks' X; the product C_p(J)^T W conj C_p(J) sums K^2
+    # terms whose magnitudes total at most sqrt(K) M, each rounded 2K times and
+    # carrying three p-minors' errors, so (2K + 3(p + l + 8)) sqrt(K) u M; the
+    # inner products round K^2 terms of t's scale, at most K M / |B|_F
+    # (Cauchy-Schwarz), and |X - X'|_F <= K max|X - X'|.  Observed moves stay
+    # under 2% of the bound.  The ball's edge is sampled at its harsher radius
+    # only; not at P^n radius 1e3, where the metric's smallest eigenvalue is
+    # below the pencil's 1e-10 floor
+    for sf, pts, maps in _sweep(space, radius):
+        n = sf.dim
+        for F in (maps[2], maps[5]):
+            jets = [map_jet(F, w) for w in pts]
+            g_tgt = [metric(sf, fw) for fw, _ in jets]
+            for p in range(2, n + 1):
+                K = math.comb(n, p)
+                targets = profiles_from_pullback(F, sf, sf, p, pts)[1]
+                for w, target, (_, jf), g in zip(pts, targets.tolist(), jets, g_tgt):
+                    base = wedge_power_coeffs(metric(sf, w), p)
+                    theta = pullback_pp(F, sf, sf, p, w)
+                    want = pooled_fit(base[None], theta[None]).lambdaHat
+                    l = _log_range(jf, g, metric(sf, w), theta, base)
+                    size = (np.linalg.norm(jf, 2) ** 2 * np.linalg.norm(g, 2)) ** p
+                    per_entry = 2 * p * (2 * n + l + 8) + (2 * K + 3 * (p + l + 8)) * math.sqrt(K) + 2 * K * K
+                    bound = per_entry * U * K * size / np.linalg.norm(base)
+                    assert abs(target - want) <= bound, (n, p, target, want, bound)
+
+
 def test_ricci_check_skips_singular_jacobians():
     F = parse_map(["z1^2", "z2"], 2)
     pts = [[0.0, 0.3], [0.2, 0.1]]
@@ -318,38 +446,45 @@ def test_ricci_check_requires_equal_dimensions():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="map image lies outside the target chart domain"):
             ricci_pullback_check(far, ball(1), projective(1), [[0.5]])
-    # Jacobians whose Ricci pullback J^T Ric conj(J), and at n = 2 also det J,
-    # overflow at an image in the chart
+    # Jacobians whose (1,1) pullback J^T g conj(J) overflows at an image in the chart
     for n in (1, 2):
         steep = parse_map([f"1e200*z{k}" for k in range(1, n + 1)], n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(EvaluationLimitError, match="the Ricci pullback overflows"):
+            with pytest.raises(EvaluationLimitError, match=r"the \(1,1\) pullback overflows"):
                 ricci_pullback_check(steep, projective(n), projective(n), [[0.0] * n])
 
 
-def test_profile_pulls_back_once_per_point_at_p1(monkeypatch):
+def test_rigidity_rows_take_one_11_pullback_per_point(monkeypatch):
+    # at p = 2 as at p = 1: the degree-p targets are compounds of the (1,1) stack
     calls = []
 
     def counting(*args):
-        if sys._getframe(1).f_code is profile_from_pullback.__code__:
-            calls.append(args[3])
+        calls.append(args[3])
         return pullback_pp(*args)
 
-    monkeypatch.setattr(rigidity, "pullback_pp", counting)
-    scenario = {
-        "mode": "rigidity",
-        "source": {"kind": "ball", "dim": 2},
-        "target": {"kind": "ball", "dim": 3},
-        "map": BALL_AUT_INTO_B3,
-        "p": 1,
-        "sampling": {"count": 10, "seed": 5},
-    }
-    assert run_scenario(scenario).overall == "PASS"
-    assert calls == [1] * 10
-    # lambda is bit for bit the one-point pooled fit of a separate (1,1) pullback
+    monkeypatch.setattr(ppforms, "pullback_pp", counting)
+    for p in (1, 2):
+        scenario = {
+            "mode": "rigidity",
+            "source": {"kind": "ball", "dim": 2},
+            "target": {"kind": "ball", "dim": 3},
+            "map": BALL_AUT_INTO_B3,
+            "p": p,
+            "sampling": {"count": 10, "seed": 5},
+        }
+        calls.clear()
+        assert run_scenario(scenario).overall == "PASS"
+        assert calls == [1] * 10
+    monkeypatch.undo()
+    # lambda is bit for bit the one-point pooled fit of a separate (1,1) pullback;
+    # the stacked targets sum each point's entries in another order, so they
+    # agree with it to a few ulps of the 4-term sums
     src, tgt, F = ball(2), ball(3), parse_map(BALL_AUT_INTO_B3, 2)
-    for w in sample_chart_points(src, 10, seed=5):
+    pts = sample_chart_points(src, 10, seed=5)
+    targets = profiles_from_pullback(F, src, tgt, 1, pts)[1]
+    for w, target in zip(pts, targets.tolist()):
         bp = wedge_power_coeffs(metric(src, w), 1)
         separate = pooled_fit(bp[None], pullback_pp(F, src, tgt, 1, w)[None]).lambdaHat
         assert profile_from_pullback(F, src, tgt, 1, w)[1] == separate
+        assert target == pytest.approx(separate, rel=1e-15, abs=0.0)
