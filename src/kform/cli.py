@@ -1,6 +1,7 @@
 """Command-line front end: run scenario files or the canned suite.
 
-Exit codes: 0 all checks PASS, 1 at least one FAIL, 2 usage or parse error.
+Exit codes: 0 all checks PASS, 1 at least one FAIL, 2 usage or parse error
+or a JSON report that cannot be written.
 All numeric work lives in the library modules; this layer only parses
 arguments, dispatches, prints, and serializes.
 """
@@ -8,6 +9,7 @@ arguments, dispatches, prints, and serializes.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import KformError, ScenarioError
@@ -24,6 +26,9 @@ _FIELD_FORMATS = (
     ("skipped", lambda v: f"skipped={v}"),
 )
 
+# the stderr prefix of an error that exits 2: the first class it is an instance of
+_ERROR_PREFIXES = ((ScenarioError, "scenario error"), (OSError, "cannot read scenario"), (KformError, "error"))
+
 
 def _print_report(report: Report) -> None:
     for rec in report.checks:
@@ -31,14 +36,27 @@ def _print_report(report: Report) -> None:
         parts = [f"{rec.name}: {rec.verdict}"]
         parts += [fmt(fields[key]) for key, fmt in _FIELD_FORMATS if key in fields]
         print("  ".join(parts))
-    print(f"overall: {report.overall}")
+    print(f"overall: {report.overall}", flush=True)
 
 
 def _emit(report: Report, json_path: str | None) -> int:
-    _print_report(report)
+    """Write the JSON report, then print; the verdict's exit code, or 2 if the report cannot be written.
+
+    A reader that closes stdout early (``kform suite | head -1``) ends the
+    printing, not the run: stdout is pointed at the null device, so the
+    interpreter's last flush has nowhere to fail.
+    """
     if json_path is not None:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            fh.write(report_to_json(report))
+        try:
+            with open(json_path, "w", encoding="utf-8") as fh:
+                fh.write(report_to_json(report))
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return 2
+    try:
+        _print_report(report)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report.overall == "PASS" else 1
 
 
@@ -75,14 +93,9 @@ def main(argv=None) -> int:
             report = run_scenario(args.scenario, seed=args.seed, samples=args.samples)
         else:
             report = run_paper_suite()
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cannot read scenario: {exc}", file=sys.stderr)
-        return 2
-    except KformError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, KformError) as exc:
+        prefix = next(text for kind, text in _ERROR_PREFIXES if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return 2
     return _emit(report, args.json_path)
 

@@ -328,20 +328,24 @@ def sample_chart_points(sf: SpaceForm, count: int, seed: int, radius: float | No
     """``count`` seeded points, uniform in the real 2n-ball of the chart radius.
 
     Algorithm (documented for reproducibility): with rng = default_rng(seed),
-    each point draws a standard normal direction in R^{2n}, normalizes it,
-    and scales by radius * U^(1/(2n)) with U uniform; the first n entries are
-    real parts, the last n imaginary parts.  The finished array is checked
-    once; a point outside the chart raises ``DomainError`` naming its index.
+    each point in turn draws a standard normal direction in R^{2n}, then a
+    uniform U; the direction is normalized and scaled by radius * U^(1/(2n));
+    the first n entries are real parts, the last n imaginary parts.  The
+    draws come one point at a time, the normalization in one pass over the
+    stack, bit for bit as per point: each norm is the square root of one
+    row's dot product, the sum ``np.linalg.norm`` takes.  The finished
+    array is checked once; a point outside the chart raises ``DomainError``
+    naming its index.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     r = default_radius(sf) if radius is None else float(radius)
     n = sf.dim
     rng = np.random.default_rng(seed)
-    pts = np.zeros((count, n), dtype=np.complex128)
+    v = np.empty((count, 2 * n))
+    rho = np.empty(count)
     for k in range(count):
-        v = rng.standard_normal(2 * n)
-        v /= np.linalg.norm(v)
-        rho = r * rng.uniform() ** (1.0 / (2 * n))
-        pts[k] = rho * (v[:n] + 1j * v[n:])
-    return _chart(sf, pts)[0]
+        v[k] = rng.standard_normal(2 * n)
+        rho[k] = r * rng.uniform() ** (1.0 / (2 * n))
+    v /= np.sqrt(v[:, None, :] @ v[:, :, None])[:, 0]
+    return _chart(sf, rho[:, None] * (v[:, :n] + 1j * v[:, n:]))[0]

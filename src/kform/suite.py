@@ -3,7 +3,9 @@
 Each family c01..c09 exercises one headline identity or obstruction at desk
 scale; c10 reruns the whole battery in a fresh interpreter, started alongside
 the first run, and byte-compares the canonical JSON, so a PASS certifies
-determinism of everything else.  A family is a generator that yields one
+determinism of everything else.  The rerun decides how long the suite
+takes, so it exits as soon as its report is flushed, without the
+interpreter's teardown.  A family is a generator that yields one
 ``(name, ok, fields)`` triple per check, and ``scenarios.run_checks`` turns
 the triples into CheckRecords; the wall-clock time it puts on each record
 never reaches the serialized form.
@@ -16,10 +18,14 @@ rows differ, since levi mode takes ``levi_form`` point by point and
 ``tests/test_levi.py`` checks the two row by row.  c06 makes one
 ``levi.obstruction_probes`` call per map (``map_jet`` still runs per point
 inside it), on fibers from ``levi.draw_fibers``, the draw that
-``sample_bundle_points`` makes; c01 groups its samples by (m, p) for one
-QR, one pencil solve and one ``rigidity.product_rule``, the rule rigidity
-mode takes, per group.  The routes shared with the scenario modes (c02-c04, c07, c09) take
-one point at a time; c02 and c09 compute each pullback once, as the
+``sample_bundle_points`` makes.  c01 draws m, p and lam once each for
+all 1,000 pencils, then each size's normals as one array in ascending m;
+it takes one QR and one pencil solve per size, and one
+``rigidity.product_rule``, the rule rigidity mode takes, per (m, p).  The
+routes shared with the scenario modes (c02-c04, c07, c09) take one point
+at a time, their points from ``spaceforms.sample_chart_points``, which
+normalizes a whole sample in one array pass; c02 and c09 compute each
+pullback once, as the
 (S, K, K) stacks of ``ppforms.proportionality_stacks`` and
 ``ppforms.relatives_stacks``, and read the theta[:, 0, 0] entries and
 pointwise ratios of the same stacks that ``ppforms.pooled_fit`` decides on.
@@ -89,59 +95,56 @@ from .umehara import BiSeries, ball_slice, coeff_rank, proj_slice, rank_growth, 
 __all__ = ["run_paper_suite"]
 
 
-def _pencil_draw(rng):
-    """One c01 sample (m, p, lam, raw), drawn in a fixed order from ``rng``.
+def _pencils(rng, count: int):
+    """c01's ``count`` pencils, drawn from ``rng``: (p, lam, root, eigenvalue rows) per (m, p) group.
 
-    raw holds four m x m normal draws: b = I + 0.3 (raw[0] + i raw[1]) and
-    a = raw[2] + i raw[3], built per (m, p) group by ``_c01``.
+    m, p and lam are each drawn once for all pencils; then each size m, in
+    ascending order, draws the normals of its k pencils as one (k, 4, m, m)
+    array raw.  A pencil is (root q^H g q, q^H g q): g = b^H b with
+    b = I + 0.3 (raw[0] + i raw[1]), q the unitary factor of
+    raw[2] + i raw[3], root = lam^(1/p).  One QR and one pencil solve per
+    size; a generator, so only one size's stacks are held at a time.
     """
-    m = int(rng.integers(2, 7))
-    p = int(rng.integers(1, m))
-    lam = float(np.exp(rng.uniform(-2.0, 2.0)))
-    return m, p, lam, rng.normal(size=(4, m, m))
-
-
-def _by_degree(draws):
-    """The draws grouped by their leading (m, p); each group comes with its columns stacked.
-
-    A generator, so only one group's stacks are held at a time.
-    """
-    groups: dict = {}
-    for m, p, *rest in draws:
-        groups.setdefault((m, p), []).append(rest)
-    for (m, p), rows in groups.items():
-        yield (m, p, *map(np.array, zip(*rows)))
+    m = rng.integers(2, 7, size=count)
+    p = rng.integers(1, m)
+    lam = np.exp(rng.uniform(-2.0, 2.0, size=count))
+    for size in np.unique(m):
+        at = m == size
+        raw = rng.normal(size=(int(at.sum()), 4, size, size))
+        b = np.eye(size) + 0.3 * (raw[:, 0] + 1j * raw[:, 1])
+        q = np.linalg.qr(raw[:, 2] + 1j * raw[:, 3])[0]
+        base = _adjoint(q) @ (_adjoint(b) @ b) @ q
+        root = lam[at] ** (1.0 / p[at])
+        lams = generalized_eigenvalues(root[:, None, None] * base, base)
+        for degree in np.unique(p[at]):
+            of = p[at] == degree
+            yield int(degree), lam[at][of], root[of], lams[of]
 
 
 def _c01(seed: int):
-    # each (m, p) group is one stack: one QR, one pencil solve for the
-    # eigenvalues of (lam^(1/p) q^H g q, q^H g q), g = b^H b, q the unitary
-    # factor of a, and one product-and-spread rule
+    # each (m, p) group is one product-and-spread rule, the rule rigidity
+    # mode takes, on the eigenvalue rows of its pencils
     rng = np.random.default_rng(seed + 1)
-    worst = 0.0
-    recovered = True
-    for m, p, lam, raw in _by_degree([_pencil_draw(rng) for _ in range(1000)]):
-        b = np.eye(m) + 0.3 * (raw[:, 0] + 1j * raw[:, 1])
-        q = np.linalg.qr(raw[:, 2] + 1j * raw[:, 3])[0]
-        base = _adjoint(q) @ (_adjoint(b) @ b) @ q
-        root = np.array([x ** (1.0 / p) for x in lam.tolist()])
-        lams = generalized_eigenvalues(root[:, None, None] * base, base)
+    worst, recovered = 0.0, True
+    for p, lam, root, lams in _pencils(rng, 1000):
         factors = product_rule(lams, p, lam, tol=1e-8)[1]
         recovered = recovered and not np.isnan(factors).any()
         worst = max(worst, float(np.nanmax(np.abs(factors - root) / root, initial=0.0)))
     yield "c01_eigen_product_recovery", recovered and worst <= 1e-8, {"residual": worst}
 
-    draws = []
-    for _ in range(1000):
-        m = int(rng.integers(2, 7))
-        p = int(rng.integers(1, m))
-        draws.append((m, p, float(np.exp(rng.uniform(-1.0, 1.0))), int(rng.integers(0, m))))
+    # rows of one value with one entry 5% off, drawn as the pencils are:
+    # m, p, the value and the bumped entry, each once for all rows
+    m = rng.integers(2, 7, size=1000)
+    p = rng.integers(1, m)
+    value = np.exp(rng.uniform(-1.0, 1.0, size=1000))
+    bumped = rng.integers(0, m)
     false_accepts = 0
-    for m, p, value, bumped in _by_degree(draws):
-        lams = np.repeat(value[:, None], m, axis=1)
-        lams[np.arange(len(lams)), bumped] *= 1.05
-        target = np.sort(lams, axis=-1)[:, :p].prod(axis=-1)
-        false_accepts += int(product_rule(lams, p, target, tol=1e-8)[0].sum())
+    for size, degree in np.unique(np.stack([m, p], axis=1), axis=0).tolist():
+        at = (m == size) & (p == degree)
+        lams = np.repeat(value[at, None], size, axis=1)
+        lams[np.arange(len(lams)), bumped[at]] *= 1.05
+        target = np.sort(lams, axis=-1)[:, :degree].prod(axis=-1)
+        false_accepts += int(product_rule(lams, degree, target, tol=1e-8)[0].sum())
     yield "c01_eigen_product_nonconstant", false_accepts == 0, {"residual": float(false_accepts)}
 
 
@@ -158,8 +161,7 @@ def _c02(seed: int):
 
     res1 = proportionality_test(F, src, tgt, 1, points, tol=1e-8)
     ok1 = (not res1.passed) and res1.maxResidual > 1e-2
-    fields = {"lambdaHat": res1.lambdaHat, "residual": res1.maxResidual}
-    yield "c02_flat_example_p1_fail", ok1, fields
+    yield "c02_flat_example_p1_fail", ok1, {"lambdaHat": res1.lambdaHat, "residual": res1.maxResidual}
 
 
 def _c03(seed: int):
@@ -167,8 +169,7 @@ def _c03(seed: int):
     points = sample_chart_points(projective(1), 50, seed + 3)
     res = proportionality_test(F, projective(1), projective(2), 1, points, tol=1e-10)
     ok = res.passed and abs(res.lambdaHat - 2.0) <= 1e-10 and res.lambdaHat >= 1.0
-    fields = {"lambdaHat": res.lambdaHat, "residual": abs(res.lambdaHat - 2.0)}
-    yield "c03_veronese_isometry", ok, fields
+    yield "c03_veronese_isometry", ok, {"lambdaHat": res.lambdaHat, "residual": abs(res.lambdaHat - 2.0)}
 
 
 def _c04(seed: int):
@@ -188,13 +189,8 @@ def _c04(seed: int):
     for n in (1, 2):
         for sf in (ball(n), projective(n)):
             for w in sample_chart_points(sf, 3, seed + 44 + n):
-
-                def logdet(z, sf=sf):
-                    return float(np.log(np.linalg.det(metric(sf, z)).real))
-
-                h = wirtinger_hessian(logdet, w)
-                dev = np.abs(ricci(sf, w) + h).max()
-                worst_fd = max(worst_fd, float(dev))
+                h = wirtinger_hessian(lambda z, sf=sf: float(np.log(np.linalg.det(metric(sf, z)).real)), w)
+                worst_fd = max(worst_fd, float(np.abs(ricci(sf, w) + h).max()))
     yield "c04_ricci_logdet_fd", worst_fd <= 1e-5, {"residual": worst_fd}
 
 
@@ -367,8 +363,7 @@ def _c09(seed: int):
 
     res = relatives_test(veronese, ident, projective(2), projective(1), 1, points, tol=1e-8)
     ok = res.passed and abs(res.lambdaHat - 2.0) <= 1e-8
-    fields = {"lambdaHat": res.lambdaHat, "residual": res.maxResidual}
-    yield "c09_relatives_veronese", ok, fields
+    yield "c09_relatives_veronese", ok, {"lambdaHat": res.lambdaHat, "residual": res.maxResidual}
 
     base, theta = relatives_stacks(ident, ident, ball(1), projective(1), 1, points)
     res2 = pooled_fit(base, theta, tol=1e-8)
@@ -394,13 +389,18 @@ def _rerun_argv() -> list:
 
     A fresh interpreter with this interpreter's warning filters; this
     package's root goes first on its ``sys.path``, so no environment
-    variable or isolation flag can make it import another kform.
+    variable or isolation flag can make it import another kform.  Once the
+    report is written and flushed it leaves through ``os._exit(0)``, so c10
+    does not wait for the interpreter's teardown; an exception before the
+    write still exits nonzero.
     """
     code = "\n".join([
-        "import sys",
+        "import os, sys",
         f"sys.path.insert(0, {str(Path(__file__).parents[1])!r})",
         "from kform.suite import _ECHO, _assemble, _battery, report_to_json",
         "sys.stdout.write(report_to_json(_assemble(_ECHO, _battery())))",
+        "sys.stdout.flush()",
+        "os._exit(0)",
     ])
     return [sys.executable, *("-W" + w for w in sys.warnoptions), "-c", code]
 

@@ -17,6 +17,10 @@ is checked against the ranks it used to give.  The last is
 stacks: J^T Ric_tgt(F) conj(J) from its own Jacobian and ``ricci``, which
 checks that rewrite, not the Ricci tensor itself (the battery's c04
 compares ``ricci`` with its closed form and finite differences).
+``sample_chart_points_reference`` is the per-point loop
+``kform.spaceforms.sample_chart_points`` ran before it normalized the whole
+stack in one pass, kept so that the sampler's points stay bit for bit the
+ones it always drew.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from kform.levi import bundle_point, tangent_basis
 from kform.linalg import det, finite, generalized_eigenvalues, hermitize, pow2_scaled
 from kform.numdiff import wirtinger_hessian
 from kform.ppforms import wedge_power_coeffs
-from kform.spaceforms import in_chart, metric, ricci
+from kform.spaceforms import default_radius, in_chart, metric, ricci
 
 
 def cofactor_det(m) -> complex:
@@ -283,3 +287,22 @@ def ricci_pullback_reference(F, src, tgt, points, tol: float = 1e-8):
     if skipped == len(points):
         raise DegenerateSampleError("all samples had singular Jacobians")
     return worst < tol, worst, skipped
+
+
+def sample_chart_points_reference(sf, count: int, seed: int, radius: float | None = None) -> np.ndarray:
+    """The chart sampler's (count, n) points, drawn and normalized one point at a time.
+
+    Each point draws a standard normal direction in R^{2n}, divides it by
+    its ``np.linalg.norm`` and scales it by radius * U^(1/(2n)), U uniform.
+    Nothing is checked: a point outside the chart is returned as drawn.
+    """
+    r = default_radius(sf) if radius is None else float(radius)
+    n = sf.dim
+    rng = np.random.default_rng(seed)
+    pts = np.zeros((count, n), dtype=np.complex128)
+    for k in range(count):
+        v = rng.standard_normal(2 * n)
+        v /= np.linalg.norm(v)
+        rho = r * rng.uniform() ** (1.0 / (2 * n))
+        pts[k] = rho * (v[:n] + 1j * v[n:])
+    return pts

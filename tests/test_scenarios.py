@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -485,6 +486,35 @@ def test_cli_run_fail_exit_code(tmp_path):
     assert main(["run", str(path)]) == 1
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("scenario, verdict", [(_identity_flat, 0), (_flat_embedding_example, 1)])
+def test_cli_closed_stdout_keeps_the_report_and_the_verdict(tmp_path, monkeypatch, unbuffered, scenario, verdict):
+    # a reader that is gone before the first line (kform ... | head -1 at its
+    # limit): the report is written, the exit code is the verdict's, no traceback
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    path, out_path = tmp_path / "scenario.json", tmp_path / "report.json"
+    path.write_text(json.dumps(scenario()))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        script = "import sys\nfrom kform.cli import main\nsys.exit(main(sys.argv[1:]))"
+        done = run_python(script, "run", str(path), "--json", str(out_path), stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == verdict, done.stderr
+    assert done.stderr == ""
+    assert out_path.read_text() == report_to_json(run_scenario(scenario()))
+
+
+def test_cli_unwritable_report_exits_two(tmp_path, capsys):
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps(_identity_flat()))
+    assert main(["run", str(path), "--json", str(tmp_path / "missing" / "report.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cannot write report: ") and "missing" in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_parse_errors_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -699,7 +729,11 @@ def test_cli_runs_without_scipy(tmp_path):
     assert fresh.stdout.strip() == "[]"
     # the suite's c10 rerun: a whole battery in a fresh interpreter, imported as it imports it
     argv = suite._rerun_argv()
-    argv[-1] += "\nsys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+    # the probe goes before the rerun's os._exit, which would skip it, and flushes its own write
+    probe = "sys.stderr.write(repr(sorted(m for m in sys.modules if m.startswith('scipy'))))\nsys.stderr.flush()"
+    head, exit_line = argv[-1].rsplit("\n", 1)
+    assert exit_line == "os._exit(0)"
+    argv[-1] = f"{head}\n{probe}\n{exit_line}"
     rerun = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert rerun.returncode == 0 and '"overall": "PASS"' in rerun.stdout, rerun.stderr
     assert rerun.stderr == "[]"

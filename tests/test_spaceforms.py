@@ -30,6 +30,7 @@ from oracles import (
     fd_wirtinger_gradient,
     mobius_map,
     random_ball_point,
+    sample_chart_points_reference,
 )
 
 ALL_KINDS = [euclidean, ball, projective]
@@ -484,32 +485,29 @@ def test_stacked_metric_names_the_bad_point():
         metric(ball(2), np.zeros((4, 3)))
 
 
-def _sample_point_by_point(sf, count, seed, radius):
-    """The sampler as a loop that checks each point when it is drawn."""
-    n = sf.dim
-    rng = np.random.default_rng(seed)
-    pts = np.zeros((count, n), dtype=np.complex128)
-    for k in range(count):
-        v = rng.standard_normal(2 * n)
-        v /= np.linalg.norm(v)
-        rho = radius * rng.uniform() ** (1.0 / (2 * n))
-        pts[k] = chart_point(sf, rho * (v[:n] + 1j * v[n:]))
-    return pts
-
-
 def test_sample_chart_points_equals_the_per_point_loop():
+    # the one-pass normalization against the loop it replaced, bit for bit:
+    # flat, ball, projective and indefinite projective forms, n = 1..8, at
+    # the default and an explicit radius, and every signature at n <= 4
+    cases = [make(n) for make in ALL_KINDS for n in range(1, 9)]
+    cases += [projective(n, n // 2) for n in range(1, 9)]
+    for sf in cases:
+        for count in (0, 1, 5, 200):
+            for radius in (None, 0.5):
+                got = sample_chart_points(sf, count, seed=count + sf.dim, radius=radius)
+                assert got.shape == (count, sf.dim) and got.dtype == np.complex128
+                assert np.array_equal(got, sample_chart_points_reference(sf, count, count + sf.dim, radius)), (sf, count)
     for make in ALL_KINDS:
         for n in (1, 2, 4):
             for sig in range(n + 1):
                 sf = make(n, sig)
-                for radius in (0.5, 0.9):
-                    np.testing.assert_array_equal(
-                        sample_chart_points(sf, 30, seed=n + sig, radius=radius),
-                        _sample_point_by_point(sf, 30, n + sig, radius),
-                    )
-    assert sample_chart_points(ball(2), 0, seed=1).shape == (0, 2)
+                got = sample_chart_points(sf, 30, seed=n + sig, radius=0.9)
+                assert np.array_equal(got, sample_chart_points_reference(sf, 30, n + sig, 0.9)), sf
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        sample_chart_points(ball(2), -1, seed=1)
+    # a point outside the chart is named by its index in the drawn stack
     for sf in (ball(2), projective(2, 1)):
-        with pytest.raises(DomainError, match="outside the"):
+        drawn = sample_chart_points_reference(sf, 50, 3, 1.5)
+        first = next(k for k, w in enumerate(drawn) if not in_chart(sf, w))
+        with pytest.raises(DomainError, match=f"point at stack index {first} outside the"):
             sample_chart_points(sf, 50, seed=3, radius=1.5)
-        with pytest.raises(DomainError):
-            _sample_point_by_point(sf, 50, 3, 1.5)

@@ -15,7 +15,6 @@ import kform
 from kform import ppforms, suite
 from kform.cli import main
 from kform.levi import levi_spectra
-from kform.linalg import _adjoint, generalized_eigenvalues
 from kform.ppforms import index_basis
 from kform.rigidity import product_rule
 from kform.scenarios import DEFAULT_SEED, report_to_json, run_checks
@@ -66,18 +65,14 @@ def _rule_by_loop(lams, p, target, tol):
 
 
 def test_c01_rule_is_the_per_sample_loop():
-    # c01's pencils, grouped by (m, p) as c01 groups them, a spread of them
-    # that the products refuse, and top-degree rows whose spread is refused,
-    # against the loop on each sample: the same flags and factors, bit for bit
+    # c01's pencils, drawn and grouped by (m, p) as c01 draws them, a spread
+    # of them that the products refuse, and top-degree rows whose spread is
+    # refused, against the loop on each sample: the same flags and factors,
+    # bit for bit
     rng = np.random.default_rng(DEFAULT_SEED + 1)
     cases = []
-    for m, p, lam, raw in suite._by_degree([suite._pencil_draw(rng) for _ in range(300)]):
-        b = np.eye(m) + 0.3 * (raw[:, 0] + 1j * raw[:, 1])
-        q = np.linalg.qr(raw[:, 2] + 1j * raw[:, 3])[0]
-        base = _adjoint(q) @ (_adjoint(b) @ b) @ q
-        root = np.array([x ** (1.0 / p) for x in lam.tolist()])
-        lams = generalized_eigenvalues(root[:, None, None] * base, base)
-        cases += [(lams, p, lam), (lams * np.linspace(1.0, 1.05, m), p, lam)]
+    for p, lam, _, lams in suite._pencils(rng, 300):
+        cases += [(lams, p, lam), (lams * np.linspace(1.0, 1.05, lams.shape[-1]), p, lam)]
     top = rng.uniform(0.5, 2.0, size=(50, 3))
     cases.append((top, 3, np.prod(top, axis=-1)))
     seen = {"factor": 0, "spread": 0, "products": 0}
