@@ -13,18 +13,9 @@ import os
 import sys
 
 from .errors import KformError, ScenarioError
-from .scenarios import Report, report_to_json, run_scenario
+from .scenarios import CHECK_FIELDS, Report, report_to_json, run_scenario
 from .suite import run_paper_suite
 
-
-# how the optional fields of a check's JSON form print, in print order
-_FIELD_FORMATS = (
-    ("lambdaHat", lambda v: f"lambdaHat={v:.12g}"),
-    ("residual", lambda v: f"residual={v:.3e}"),
-    ("signature", lambda v: f"signature={tuple(v)}"),
-    ("rankTable", lambda v: "ranks=" + ",".join(f"{n}:{r}" for n, r in v)),
-    ("skipped", lambda v: f"skipped={v}"),
-)
 
 # the stderr prefix of an error that exits 2: the first class it is an instance of
 _ERROR_PREFIXES = ((ScenarioError, "scenario error"), (OSError, "cannot read scenario"), (KformError, "error"))
@@ -34,7 +25,7 @@ def _print_report(report: Report) -> None:
     for rec in report.checks:
         fields = rec.to_json_dict()
         parts = [f"{rec.name}: {rec.verdict}"]
-        parts += [fmt(fields[key]) for key, fmt in _FIELD_FORMATS if key in fields]
+        parts += [fmt(fields[key]) for key, _, fmt in CHECK_FIELDS if key in fields]
         print("  ".join(parts))
     print(f"overall: {report.overall}", flush=True)
 
@@ -84,6 +75,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # a --json path whose directory is missing fails here, before the run, with the
+        # error open() would raise after it; the trailing separator fails a file there too
+        try:
+            os.stat(os.path.join(os.path.dirname(args.json_path or "") or ".", ""))
+        except OSError as exc:
+            parser.exit(2, f"cannot write report: {OSError(exc.errno, exc.strerror, args.json_path)}\n")
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)

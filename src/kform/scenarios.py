@@ -72,7 +72,7 @@ from .errors import KformError, ScenarioError
 from .expressions import MapExpr, parse_map
 from .levi import levi_level_ceiling, levi_level_floor, levi_radius_fits, levi_signatures
 from .ppforms import DEFAULT_TOL, proportionality_test, relatives_test
-from .rigidity import product_rule, profiles_from_pullback, ricci_pullback_check
+from .rigidity import DEFAULT_TOL as RIGIDITY_TOL, product_rule, profiles_from_pullback, ricci_pullback_check
 from .spaceforms import SpaceForm, default_radius, radius_fits, sample_chart_points
 from .umehara import SERIES, as_map, rank_growth
 
@@ -100,6 +100,19 @@ MAX_WIDTH = 70
 MAX_ORDER = 240
 
 
+# a check's optional fields, in print order: the key, the JSON form of a value
+# that is not None (a JSON form of None leaves the field out) and the printed
+# form of the JSON form
+CHECK_FIELDS = (
+    ("lambdaHat", float, lambda v: f"lambdaHat={v:.12g}"),
+    ("residual", float, lambda v: f"residual={v:.3e}"),
+    ("signature", lambda v: [int(c) for c in v], lambda v: f"signature={tuple(v)}"),
+    ("rankTable", lambda v: [[int(n), int(r)] for n, r in v],
+     lambda v: "ranks=" + ",".join(f"{n}:{r}" for n, r in v)),
+    ("skipped", lambda v: int(v) or None, lambda v: f"skipped={v}"),
+)
+
+
 @dataclass(frozen=True)
 class CheckRecord:
     """One verification check: verdict plus whichever numbers it produced.
@@ -119,16 +132,10 @@ class CheckRecord:
 
     def to_json_dict(self) -> dict:
         out = {"name": self.name, "verdict": self.verdict}
-        if self.lambdaHat is not None:
-            out["lambdaHat"] = float(self.lambdaHat)
-        if self.residual is not None:
-            out["residual"] = float(self.residual)
-        if self.signature is not None:
-            out["signature"] = [int(v) for v in self.signature]
-        if self.rankTable is not None:
-            out["rankTable"] = [[int(n), int(r)] for n, r in self.rankTable]
-        if self.skipped:
-            out["skipped"] = int(self.skipped)
+        for key, to_json, _ in CHECK_FIELDS:
+            value = getattr(self, key)
+            if value is not None and (value := to_json(value)) is not None:
+                out[key] = value
         return out
 
 
@@ -513,7 +520,7 @@ _MODES = {
         ("source", "target", "map", "p"),
         lambda *args: _pullback_inputs(*args, definite_for="rigidity"),
         _run_rigidity,
-        {"rigidity": 1e-8, "factorSpread": 1e-6, "ricci": 1e-8},
+        {"rigidity": RIGIDITY_TOL, "factorSpread": 1e-6, "ricci": RIGIDITY_TOL},
         (),
     ),
     "suite": _Mode((), lambda *args: (), None, {}, ()),

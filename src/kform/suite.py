@@ -88,7 +88,7 @@ from .ppforms import (
     wedge_power_coeffs,
 )
 from .rigidity import product_rule
-from .scenarios import DEFAULT_COUNT, DEFAULT_SEED, Report, _assemble, report_to_json, run_checks
+from .scenarios import DEFAULT_SEED, Report, _assemble, parse_scenario, report_to_json, run_checks
 from .spaceforms import ball, euclidean, metric, projective, ricci, sample_chart_points
 from .umehara import BiSeries, ball_slice, coeff_rank, proj_slice, rank_growth, series_eval
 
@@ -376,10 +376,7 @@ def _c09(seed: int):
     yield "c09_relatives_ball_vs_projective", ok2, {"lambdaHat": res2.lambdaHat, "residual": spread}
 
 
-_ECHO = {
-    "mode": "suite",
-    "sampling": {"count": DEFAULT_COUNT, "seed": DEFAULT_SEED, "radius": None},
-}
+_ECHO = parse_scenario({"mode": "suite"}).echo
 
 
 def _battery() -> list:

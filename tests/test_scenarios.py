@@ -7,13 +7,14 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
-from kform import suite, umehara
+from kform import cli, suite, umehara
 from kform.cli import main
 from kform.errors import ScenarioError
 from kform.levi import levi_level_ceiling, levi_level_floor, levi_radius_fits
-from kform.scenarios import parse_scenario, report_to_json, run_checks, run_scenario
+from kform.scenarios import CheckRecord, Report, parse_scenario, report_to_json, run_checks, run_scenario
 from kform.spaceforms import SpaceForm, default_radius, radius_fits
 from child import run_python
 
@@ -506,13 +507,65 @@ def test_cli_closed_stdout_keeps_the_report_and_the_verdict(tmp_path, monkeypatc
     assert out_path.read_text() == report_to_json(run_scenario(scenario()))
 
 
-def test_cli_unwritable_report_exits_two(tmp_path, capsys):
+def test_cli_unwritable_report_exits_two(tmp_path, monkeypatch, capsys):
     path = tmp_path / "identity.json"
     path.write_text(json.dumps(_identity_flat()))
-    assert main(["run", str(path), "--json", str(tmp_path / "missing" / "report.json")]) == 2
+    dest = tmp_path / "missing" / "report.json"
+    assert main(["run", str(path), "--json", str(dest)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("cannot write report: ") and "missing" in err
+    assert out == "" and err == f"cannot write report: [Errno 2] No such file or directory: {str(dest)!r}\n"
     assert not (tmp_path / "missing").exists()
+
+    # the destination is checked before the battery starts, and a file where
+    # the directory should be fails as open() would
+    monkeypatch.setattr(cli, "run_paper_suite", lambda: pytest.fail("the battery ran"))
+    assert main(["suite", "--json", str(dest)]) == 2
+    assert capsys.readouterr() == ("", err)
+    dest = path / "report.json"
+    assert main(["suite", "--json", str(dest)]) == 2
+    assert capsys.readouterr().err == f"cannot write report: [Errno 20] Not a directory: {str(dest)!r}\n"
+
+
+def test_check_fields_serialize_and_print_byte_for_byte(capsys):
+    full = CheckRecord(
+        name="full",
+        verdict="FAIL",
+        lambdaHat=np.float64(1 / 3),
+        residual=np.float64(3.5e-10),
+        signature=(np.int64(2), 1, 0),
+        rankTable=((np.int64(2), 3), (4, np.int64(5))),
+        skipped=np.int64(3),
+        seconds=1.5,
+    )
+    zero = CheckRecord(name="zero", verdict="PASS", lambdaHat=0.0, skipped=0)
+    assert full.to_json_dict() == {
+        "name": "full",
+        "verdict": "FAIL",
+        "lambdaHat": 1 / 3,
+        "residual": 3.5e-10,
+        "signature": [2, 1, 0],
+        "rankTable": [[2, 3], [4, 5]],
+        "skipped": 3,
+    }
+    assert zero.to_json_dict() == {"name": "zero", "verdict": "PASS", "lambdaHat": 0.0}
+    for fields in (full.to_json_dict(), zero.to_json_dict()):
+        assert [type(v) for v in fields.values()] == [type(json.loads(json.dumps(v))) for v in fields.values()]
+    report = Report(scenario={"mode": "suite"}, checks=(full, zero), overall="FAIL")
+    assert report_to_json(report) == (
+        '{\n  "checks": [\n    {\n      "lambdaHat": 0.3333333333333333,\n      "name": "full",\n'
+        '      "rankTable": [\n        [\n          2,\n          3\n        ],\n        [\n'
+        '          4,\n          5\n        ]\n      ],\n      "residual": 3.5e-10,\n'
+        '      "signature": [\n        2,\n        1,\n        0\n      ],\n      "skipped": 3,\n'
+        '      "verdict": "FAIL"\n    },\n    {\n      "lambdaHat": 0.0,\n      "name": "zero",\n'
+        '      "verdict": "PASS"\n    }\n  ],\n  "overall": "FAIL",\n  "scenario": {\n'
+        '    "mode": "suite"\n  }\n}\n'
+    )
+    cli._print_report(report)
+    assert capsys.readouterr().out == (
+        "full: FAIL  lambdaHat=0.333333333333  residual=3.500e-10  signature=(2, 1, 0)  ranks=2:3,4:5  skipped=3\n"
+        "zero: PASS  lambdaHat=0\n"
+        "overall: FAIL\n"
+    )
 
 
 def test_cli_parse_errors_exit_two(tmp_path, capsys):
