@@ -75,15 +75,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        # a --json path whose directory is missing fails here, before the run, with the
-        # error open() would raise after it; the trailing separator fails a file there too
-        try:
-            os.stat(os.path.join(os.path.dirname(args.json_path or "") or ".", ""))
-        except OSError as exc:
-            parser.exit(2, f"cannot write report: {OSError(exc.errno, exc.strerror, args.json_path)}\n")
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
+    if args.json_path is not None:
+        # a --json path whose directory is missing fails here, before the run, with the
+        # error open() would raise after it; the trailing separator fails a file there too
+        try:
+            os.stat(os.path.join(os.path.dirname(args.json_path) or ".", ""))
+        except OSError as exc:
+            print(f"cannot write report: {OSError(exc.errno, exc.strerror, args.json_path)}", file=sys.stderr)
+            return 2
 
     try:
         if args.command == "run":

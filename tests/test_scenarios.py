@@ -525,6 +525,16 @@ def test_cli_unwritable_report_exits_two(tmp_path, monkeypatch, capsys):
     assert main(["suite", "--json", str(dest)]) == 2
     assert capsys.readouterr().err == f"cannot write report: [Errno 20] Not a directory: {str(dest)!r}\n"
 
+    # a directory standing at the path passes the early check; the write after
+    # the run fails, and nothing is printed
+    assert main(["run", str(path), "--json", str(tmp_path)]) == 2
+    assert capsys.readouterr() == ("", f"cannot write report: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+
+    # with no --json no directory is looked up: "./" may not be searchable
+    monkeypatch.setattr(os, "stat", lambda *args, **kwargs: pytest.fail("a directory was looked up"))
+    assert main(["run", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("overall: PASS\n")
+
 
 def test_check_fields_serialize_and_print_byte_for_byte(capsys):
     full = CheckRecord(
