@@ -25,10 +25,22 @@ Grammar of one component, as read by :func:`parse_map`::
 Both the ASCII hyphen and the unicode minus sign are accepted, as are the
 unicode multiplication and division signs.  Complex literals are written in
 the form ``a+bi``.  A literal that overflows to infinity is a syntax error.
+
+Each component is lexed by one ``_TOKEN`` scan into a list of token texts,
+and the list is parsed by one loop that keeps operands and pending
+operators on two stacks (precedence climbing), so parentheses nest without
+limit.  An operator is emitted once all its operands are, which is the
+order a recursive descent over the grammar would emit in, so equal sources
+give equal programs.  A fault in a token (a malformed number, a bare 'z',
+a stray character) is raised only when the loop reaches that token, so the
+first error reached is the one reported; error positions come from a
+second scan, which only a failing parse makes.  Number and variable tokens
+already read in the map are looked up, not converted again.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -128,128 +140,137 @@ def fold(f: MapExpr, const, var, div=operator.truediv) -> list:
 # ---------------------------------------------------------------------------
 # parsing
 
+# One token per match, leading whitespace skipped; the scan never fails, and
+# its last token is the empty string at the end
 _TOKEN = re.compile(
-    r"\s*(?:(?P<number>[\d.]+(?:[eE][-+−]?\d+)?i?)"
-    r"|(?P<var>z\d*)"
-    r"|(?P<op>[-+−*×/÷()^])"
-    r"|(?P<i>i)"
-    r"|(?P<end>\Z)"
-    r"|(?P<bad>.))",
+    r"\s*([\d.]+(?:[eE][-+−]?\d+)?i?"  # a number
+    r"|z\d*"  # a variable
+    r"|[-+−*×/÷()^]"  # an operator or a parenthesis
+    r"|i|\Z|.)",  # the imaginary unit, the end, or a stray character
     re.DOTALL,
 )
-_ASCII = {"−": "-", "×": "*", "÷": "/"}
+_NUMBER_START = frozenset("0123456789.")  # the ASCII starts of a number; \d also has unicode digits
+# The infix operators, each as (its ASCII symbol, how tightly it binds)
+_INFIX = {"+": ("+", 1), "-": ("-", 1), "−": ("-", 1), "*": ("*", 3), "×": ("*", 3),
+          "/": ("/", 3), "÷": ("/", 3)}
+_NOT_INFIX = (None, 1)  # ')', the end and strays close every operator up to the open '('
+# The tokens that are neither numbers, variables nor strays
+_SYMBOLS = frozenset(["(", ")", "^", "i", "", *_INFIX])
+# How tightly each pending operator binds; a pending '(' holds back the operators outside it
+_BINDS = {"(": 0, "neg": 2, **dict(_INFIX.values())}
 
 
-def _number(text: str, start: int) -> complex:
-    imag = text.endswith("i")
+def _is_number(text: str) -> bool:
+    return text[:1] in _NUMBER_START or text[:1].isdecimal()
+
+
+def _position(src: str, at: int) -> int:
+    """Where token ``at`` of ``src`` starts, from a second scan: only an error needs it."""
+    return next(itertools.islice(_TOKEN.finditer(src), at, None)).start(1)
+
+
+def _number(text: str, src: str, at: int) -> complex:
+    """The value of the number token ``at``; a malformed or infinite literal raises."""
+    imag = text[-1] == "i"
     digits = text[:-1] if imag else text
-    second_dot = digits.find(".", digits.find(".") + 1)
-    if second_dot >= 0:
-        raise ExprSyntaxError("malformed number", position=start + second_dot)
-    digits = digits.replace("−", "-")
     try:
-        value = float(digits)
+        value = float(digits)  # refuses a second '.' and a unicode minus
     except ValueError:
-        raise ExprSyntaxError(f"malformed number {digits!r}", position=start) from None
+        start = _position(src, at)
+        second_dot = digits.find(".", digits.find(".") + 1)
+        if second_dot >= 0:
+            raise ExprSyntaxError("malformed number", position=start + second_dot) from None
+        digits = digits.replace("−", "-")
+        try:
+            value = float(digits)
+        except ValueError:
+            raise ExprSyntaxError(f"malformed number {digits!r}", position=start) from None
     if not math.isfinite(value):
-        raise ExprSyntaxError(f"number {digits!r} is not finite", position=start)
+        raise ExprSyntaxError(f"number {digits!r} is not finite", position=_position(src, at))
     return complex(0.0, value) if imag else complex(value)
 
 
-def _tokens(src: str):
-    """Yield (kind, value, position) tokens of ``src``; ("end", ...) repeats."""
-    pos = 0
-    while True:
-        m = _TOKEN.match(src, pos)
-        kind = m.lastgroup
-        text, start, pos = m.group(kind), m.start(kind), m.end()
-        if kind == "number":
-            yield "number", _number(text, start), start
-        elif kind == "var":
-            if len(text) == 1:
-                raise ExprSyntaxError("expected a variable index after 'z'", position=start)
-            yield "var", int(text[1:]), start
-        elif kind == "op":
-            yield _ASCII.get(text, text), None, start
-        elif kind == "i":
-            yield "number", 1j, start
-        elif kind == "end":
-            yield "end", None, start
+def _error(src: str, at: int, text: str, message: str) -> ExprSyntaxError:
+    """The error at token ``at``: the token's own fault if it has one, else ``message``."""
+    if _is_number(text):
+        _number(text, src, at)
+    elif text == "z":
+        message = "expected a variable index after 'z'"
+    elif text[:1] != "z" and text not in _SYMBOLS:
+        message = f"unexpected character {text!r}"
+    return ExprSyntaxError(message, position=_position(src, at))
+
+
+def _parse(src: str, arity: int, emit, leaves: dict) -> int:
+    """Position of the instruction that computes ``src``, its program emitted through ``emit``.
+
+    ``leaves`` maps the number and variable tokens read so far, in this and
+    earlier components of the map, to their instructions.  A token's own
+    fault (a malformed number, a bare 'z', a stray character) is raised only
+    when the loop reaches it, as are the grammar's errors.  Operands wait on
+    ``values`` and operators on ``pending`` until every operand they take is
+    emitted; ``operand`` says whether the next token begins one (``sign``:
+    it may start with '+' or '-'), ``power`` whether a '^' may follow.
+    """
+    if not isinstance(src, str):
+        raise ExprSyntaxError(f"expression source must be a string, got {type(src).__name__}")
+    values, pending = [], []
+    push = values.append
+    operand, sign, power = True, True, False
+    tokens = enumerate(_TOKEN.findall(src))
+    for at, text in tokens:
+        if operand:
+            if text == "(":
+                pending.append("(")
+                sign = True
+                continue
+            leaf = leaves.get(text)
+            if leaf is not None:
+                push(leaf)
+            elif _is_number(text):
+                leaves[text] = leaf = emit("const", _number(text, src, at))
+                push(leaf)
+            elif text[:1] == "z" and len(text) > 1:
+                k = int(text[1:])
+                if k < 1 or k > arity:
+                    pos = _position(src, at)
+                    raise IndexError(f"variable z{k} out of range for arity {arity} (position {pos})")
+                leaves[text] = leaf = emit("var", k - 1)
+                push(leaf)
+            elif text == "i":
+                leaves[text] = leaf = emit("const", 1j)
+                push(leaf)
+            elif sign and _INFIX.get(text, _NOT_INFIX)[0] in ("+", "-"):
+                if text != "+":
+                    pending.append("neg")
+                sign = False
+                continue
+            else:
+                raise _error(src, at, text, "expected a number, variable, or '('")
+            operand, power = False, True
+        elif text == "^" and power:
+            at, text = next(tokens)
+            value = _number(text, src, at) if _is_number(text) else None
+            if value is None or value.imag != 0 or value.real != int(value.real) or value.real < 0:
+                raise _error(src, at, text, "exponent must be a nonnegative integer")
+            values[-1] = emit("^", values[-1], int(value.real))
+            power = False
         else:
-            raise ExprSyntaxError(f"unexpected character {text!r}", position=start)
-
-
-class _Parser:
-    """Recursive descent over a lazy token stream: a token is lexed only when
-    the grammar looks at it, so the first fault reached is the one reported.
-    Every rule returns the position of its value's instruction in ``program``."""
-
-    def __init__(self, src: str, arity: int, program: _Program):
-        if not isinstance(src, str):
-            raise ExprSyntaxError(f"expression source must be a string, got {type(src).__name__}")
-        self.tokens = _tokens(src)
-        self.ahead = None
-        self.arity = arity
-        self.emit = program.emit
-
-    def peek(self):
-        if self.ahead is None:
-            self.ahead = next(self.tokens)
-        return self.ahead
-
-    def next(self):
-        tok = self.peek()
-        self.ahead = None
-        return tok
-
-    def parse(self) -> int:
-        node = self.expr()
-        kind, _, pos = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError("unexpected trailing input", position=pos)
-        return node
-
-    def chain(self, ops, operand, node: int) -> int:
-        """Left-associative ``node (op operand)*`` for the operators ``ops``."""
-        while self.peek()[0] in ops:
-            node = self.emit(self.next()[0], node, operand())
-        return node
-
-    def expr(self) -> int:
-        sign = self.next()[0] if self.peek()[0] in ("+", "-") else "+"
-        node = self.term()
-        return self.chain(("+", "-"), self.term, self.emit("neg", node) if sign == "-" else node)
-
-    def term(self) -> int:
-        return self.chain(("*", "/"), self.factor, self.factor())
-
-    def factor(self) -> int:
-        node = self.base()
-        if self.peek()[0] == "^":
-            self.next()
-            kind, value, pos = self.next()
-            if kind != "number" or value.imag != 0 or value.real != int(value.real) or value.real < 0:
-                raise ExprSyntaxError("exponent must be a nonnegative integer", position=pos)
-            node = self.emit("^", node, int(value.real))
-        return node
-
-    def base(self) -> int:
-        kind, value, pos = self.next()
-        if kind == "number":
-            return self.emit("const", value)
-        if kind == "var":
-            if value < 1 or value > self.arity:
-                raise IndexError(
-                    f"variable z{value} out of range for arity {self.arity} (position {pos})"
-                )
-            return self.emit("var", value - 1)
-        if kind == "(":
-            node = self.expr()
-            kind, _, pos = self.next()
-            if kind != ")":
-                raise ExprSyntaxError("expected ')'", position=pos)
-            return node
-        raise ExprSyntaxError("expected a number, variable, or '('", position=pos)
+            op, binds = _INFIX.get(text, _NOT_INFIX)
+            while pending and _BINDS[pending[-1]] >= binds:
+                top = pending.pop()
+                b = None if top == "neg" else values.pop()
+                values[-1] = emit(top, values[-1], b)
+            if op is not None:
+                pending.append(op)
+                operand, sign = True, False
+            elif text == ")" and pending:
+                pending.pop()
+                power = True
+            elif text == "" and not pending:
+                return values[0]
+            else:
+                raise _error(src, at, text, "expected ')'" if pending else "unexpected trailing input")
 
 
 def parse_map(sources, arity: int) -> MapExpr:
@@ -259,11 +280,8 @@ def parse_map(sources, arity: int) -> MapExpr:
     sources = tuple(sources)
     if not sources:
         raise DimensionError("a map needs at least one component")
-    program = _Program()
-    try:
-        outputs = tuple(_Parser(src, arity, program).parse() for src in sources)
-    except RecursionError:
-        raise ExprSyntaxError("expression nests too deeply") from None
+    program, leaves = _Program(), {}
+    outputs = tuple(_parse(src, arity, program.emit, leaves) for src in sources)
     return MapExpr(tuple(program), outputs, arity)
 
 

@@ -17,10 +17,15 @@ for ``proportionality_test`` and G*omega_2^p for ``relatives_test``.  lambdaHat
 is the least-squares real ratio pooled over every entry and point.  The
 residual is base-relative: at each point the worst entry of |theta -
 lambdaHat base| over that point's largest |base| coefficient, worst over
-the points.  The identity holds when it is below tol (1 + |lambdaHat|).
-Since the omega^p coefficients scale like u^-(p+1), an absolute residual
-would fail true isometries where they grow (near the ball's edge) and pass
-false maps where they decay (far out in the projective chart).
+the points.  The identity holds when it is at most tol |lambdaHat|, so the
+verdict is relative to lambdaHat as well: replacing F by s F between flat
+forms multiplies theta, lambdaHat and the residual by |s|^(2p) and leaves
+the verdict as it was.  An absolute floor would pass any map whose pullback
+is small, whatever its shape.  A constant map (theta = 0, lambdaHat = 0,
+residual 0) passes, since 0 <= 0.  Since the omega^p coefficients scale like
+u^-(p+1), an absolute residual would fail true isometries where they grow
+(near the ball's edge) and pass false maps where they decay (far out in the
+projective chart).
 """
 
 from __future__ import annotations
@@ -176,9 +181,11 @@ def pooled_fit(base, theta, tol: float = DEFAULT_TOL) -> PullbackResult:
     reduced over its (K, K) entries and the points added in sample order.
     maxResidual is the worst over the points of max |theta_s - lambdaHat
     base_s| / max |base_s|, so it does not grow or shrink with the scale of
-    the coefficients, and the verdict passes iff it is below tol * (1 +
-    |lambdaHat|).  A point whose base coefficients all vanish raises a
-    degenerate-sample error that names its 0-based index.
+    the coefficients, and the verdict passes iff it is at most tol *
+    |lambdaHat|, so it does not move with the scale of theta either.  A
+    vanishing theta passes (lambdaHat and the residual are both 0).  A point
+    whose base coefficients all vanish raises a degenerate-sample error that
+    names its 0-based index.
     """
     scale = np.abs(base).max(axis=(-2, -1))
     if not scale.all():
@@ -190,7 +197,7 @@ def pooled_fit(base, theta, tol: float = DEFAULT_TOL) -> PullbackResult:
         raise DegenerateSampleError("base form coefficients underflow at every sample point")
     lam /= total
     resid = float((np.abs(theta - lam * base).max(axis=(-2, -1)) / scale).max())
-    return PullbackResult(lambdaHat=lam, maxResidual=resid, passed=bool(resid < tol * (1.0 + abs(lam))))
+    return PullbackResult(lambdaHat=lam, maxResidual=resid, passed=bool(resid <= tol * abs(lam)))
 
 
 def _stacks(pair, points):

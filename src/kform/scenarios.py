@@ -480,7 +480,7 @@ def _run_relatives(sc: Scenario, source, targets, maps, p):
     expected = sc.expect.get("lambdaHat")
     if expected is not None:
         dev = abs(res.lambdaHat - float(expected))
-        ok = dev <= sc.tolerances["lambdaMatch"] * max(1.0, abs(float(expected)))
+        ok = dev <= sc.tolerances["lambdaMatch"] * abs(float(expected))
         yield "lambda_matches", ok, {"lambdaHat": res.lambdaHat, "residual": dev}
 
 

@@ -20,19 +20,23 @@ compares ``ricci`` with its closed form and finite differences).
 ``sample_chart_points_reference`` is the per-point loop
 ``kform.spaceforms.sample_chart_points`` ran before it normalized the whole
 stack in one pass, kept so that the sampler's points stay bit for bit the
-ones it always drew.
+ones it always drew.  ``parse_map_reference`` is the recursive descent over
+a lazily lexed token stream that ``kform.expressions.parse_map`` ran before
+it lexed each component in one scan and parsed it in one loop, kept so that
+the programs and the errors stay the ones it gave.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from itertools import combinations
 
 import numpy as np
 
-from kform.errors import DegenerateSampleError, DomainError
-from kform.expressions import map_jet, parse_map
+from kform.errors import DegenerateSampleError, DimensionError, DomainError, ExprSyntaxError
+from kform.expressions import MapExpr, _Program, map_jet, parse_map
 from kform.levi import bundle_point, tangent_basis
 from kform.linalg import det, finite, generalized_eigenvalues, hermitize, pow2_scaled
 from kform.numdiff import wirtinger_hessian
@@ -306,3 +310,141 @@ def sample_chart_points_reference(sf, count: int, seed: int, radius: float | Non
         rho = r * rng.uniform() ** (1.0 / (2 * n))
         pts[k] = rho * (v[:n] + 1j * v[n:])
     return pts
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"\s*(?:(?P<number>[\d.]+(?:[eE][-+−]?\d+)?i?)"
+    r"|(?P<var>z\d*)"
+    r"|(?P<op>[-+−*×/÷()^])"
+    r"|(?P<i>i)"
+    r"|(?P<end>\Z)"
+    r"|(?P<bad>.))",
+    re.DOTALL,
+)
+_REFERENCE_ASCII = {"−": "-", "×": "*", "÷": "/"}
+
+
+def _reference_number(text: str, start: int) -> complex:
+    imag = text.endswith("i")
+    digits = text[:-1] if imag else text
+    second_dot = digits.find(".", digits.find(".") + 1)
+    if second_dot >= 0:
+        raise ExprSyntaxError("malformed number", position=start + second_dot)
+    digits = digits.replace("−", "-")
+    try:
+        value = float(digits)
+    except ValueError:
+        raise ExprSyntaxError(f"malformed number {digits!r}", position=start) from None
+    if not math.isfinite(value):
+        raise ExprSyntaxError(f"number {digits!r} is not finite", position=start)
+    return complex(0.0, value) if imag else complex(value)
+
+
+def _reference_tokens(src: str):
+    """Yield (kind, value, position) tokens of ``src``; ("end", ...) repeats."""
+    pos = 0
+    while True:
+        m = _REFERENCE_TOKEN.match(src, pos)
+        kind = m.lastgroup
+        text, start, pos = m.group(kind), m.start(kind), m.end()
+        if kind == "number":
+            yield "number", _reference_number(text, start), start
+        elif kind == "var":
+            if len(text) == 1:
+                raise ExprSyntaxError("expected a variable index after 'z'", position=start)
+            yield "var", int(text[1:]), start
+        elif kind == "op":
+            yield _REFERENCE_ASCII.get(text, text), None, start
+        elif kind == "i":
+            yield "number", 1j, start
+        elif kind == "end":
+            yield "end", None, start
+        else:
+            raise ExprSyntaxError(f"unexpected character {text!r}", position=start)
+
+
+class _ReferenceParser:
+    """Recursive descent over a lazy token stream: a token is lexed only when
+    the grammar looks at it, so the first fault reached is the one reported.
+    Every rule returns the position of its value's instruction in ``program``."""
+
+    def __init__(self, src: str, arity: int, program: _Program):
+        if not isinstance(src, str):
+            raise ExprSyntaxError(f"expression source must be a string, got {type(src).__name__}")
+        self.tokens = _reference_tokens(src)
+        self.ahead = None
+        self.arity = arity
+        self.emit = program.emit
+
+    def peek(self):
+        if self.ahead is None:
+            self.ahead = next(self.tokens)
+        return self.ahead
+
+    def next(self):
+        tok = self.peek()
+        self.ahead = None
+        return tok
+
+    def parse(self) -> int:
+        node = self.expr()
+        kind, _, pos = self.peek()
+        if kind != "end":
+            raise ExprSyntaxError("unexpected trailing input", position=pos)
+        return node
+
+    def chain(self, ops, operand, node: int) -> int:
+        while self.peek()[0] in ops:
+            node = self.emit(self.next()[0], node, operand())
+        return node
+
+    def expr(self) -> int:
+        sign = self.next()[0] if self.peek()[0] in ("+", "-") else "+"
+        node = self.term()
+        return self.chain(("+", "-"), self.term, self.emit("neg", node) if sign == "-" else node)
+
+    def term(self) -> int:
+        return self.chain(("*", "/"), self.factor, self.factor())
+
+    def factor(self) -> int:
+        node = self.base()
+        if self.peek()[0] == "^":
+            self.next()
+            kind, value, pos = self.next()
+            if kind != "number" or value.imag != 0 or value.real != int(value.real) or value.real < 0:
+                raise ExprSyntaxError("exponent must be a nonnegative integer", position=pos)
+            node = self.emit("^", node, int(value.real))
+        return node
+
+    def base(self) -> int:
+        kind, value, pos = self.next()
+        if kind == "number":
+            return self.emit("const", value)
+        if kind == "var":
+            if value < 1 or value > self.arity:
+                raise IndexError(
+                    f"variable z{value} out of range for arity {self.arity} (position {pos})"
+                )
+            return self.emit("var", value - 1)
+        if kind == "(":
+            node = self.expr()
+            kind, _, pos = self.next()
+            if kind != ")":
+                raise ExprSyntaxError("expected ')'", position=pos)
+            return node
+        raise ExprSyntaxError("expected a number, variable, or '('", position=pos)
+
+
+def parse_map_reference(sources, arity: int) -> MapExpr:
+    """``parse_map`` by recursive descent over lazily lexed tokens, as it read maps before.
+
+    Parentheses nest only as deep as Python's recursion limit allows.
+    """
+    if not isinstance(arity, int) or arity < 1:
+        raise DimensionError(f"arity must be a positive integer, got {arity!r}")
+    sources = tuple(sources)
+    if not sources:
+        raise DimensionError("a map needs at least one component")
+    program = _Program()
+    outputs = tuple(_ReferenceParser(src, arity, program).parse() for src in sources)
+    return MapExpr(tuple(program), outputs, arity)

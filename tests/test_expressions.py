@@ -22,7 +22,7 @@ from kform.expressions import (
 from kform.spaceforms import ball
 from kform.umehara import rank_growth
 
-from oracles import fd_wirtinger_gradient, identity_map, mobius_map, random_ball_point
+from oracles import fd_wirtinger_gradient, identity_map, mobius_map, parse_map_reference, random_ball_point
 
 
 def _one(src, arity: int):
@@ -99,21 +99,21 @@ def test_parse_errors_carry_position():
     assert exc.value.position == 0
 
 
-@pytest.mark.parametrize(
-    "src, message, position",
-    [
-        ("1.2.3", "malformed number", 3),
-        ("3 + .", "malformed number '.'", 4),
-        ("3 + .e5", "malformed number '.e5'", 4),
-        ("z1 + z", "expected a variable index after 'z'", 5),
-        ("z1 + $", "unexpected character '$'", 5),
-        ("z1^2.5", "exponent must be a nonnegative integer", 3),
-        ("z1 ^ (2)", "exponent must be a nonnegative integer", 5),
-        ("z1 z1", "unexpected trailing input", 3),
-        ("(z1 ", "expected ')'", 4),
-        ("z1 * ", "expected a number, variable, or '('", 5),
-    ],
-)
+_PARSE_ERRORS = [
+    ("1.2.3", "malformed number", 3),
+    ("3 + .", "malformed number '.'", 4),
+    ("3 + .e5", "malformed number '.e5'", 4),
+    ("z1 + z", "expected a variable index after 'z'", 5),
+    ("z1 + $", "unexpected character '$'", 5),
+    ("z1^2.5", "exponent must be a nonnegative integer", 3),
+    ("z1 ^ (2)", "exponent must be a nonnegative integer", 5),
+    ("z1 z1", "unexpected trailing input", 3),
+    ("(z1 ", "expected ')'", 4),
+    ("z1 * ", "expected a number, variable, or '('", 5),
+]
+
+
+@pytest.mark.parametrize("src, message, position", _PARSE_ERRORS)
 def test_parse_error_messages_and_positions(src, message, position):
     with pytest.raises(ExprSyntaxError) as exc:
         parse_map([src], 1)
@@ -323,10 +323,48 @@ def test_evaluator_limits_raise_kform_errors():
         for run in (_value, _jet):
             with pytest.raises(EvaluationLimitError, match="overflows"):
                 run(huge, pt)
-    with pytest.raises(ExprSyntaxError, match="nests too deeply"):
-        parse_map(["(" * 600 + "z1" + ")" * 600], 1)
+    # parentheses nest without a depth limit
+    for depth in (600, 10_000):
+        deep = parse_map(["(" * depth + "z1" + ")" * depth], 1)
+        assert deep.program == (("var", 0, None),) and deep.outputs == (0,)
     # coefficients that overflow the slice series cannot be ranked
     with np.errstate(over="ignore"), pytest.raises(EvaluationLimitError, match="series coefficients overflow"):
         rank_growth("abs_square", {"map": ["1e200*z1+1e200*z1^2"]}, [2, 4, 6])
     # the limits leave shorter sums evaluable
     assert _value("+".join(["z1"] * 100), [0.5]) == 50.0
+
+
+def _parsed(parse, sources, arity: int):
+    """A parse's program and outputs, or the type, text and position of what it raised."""
+    try:
+        f = parse(sources, arity)
+    except (ExprSyntaxError, IndexError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return f.program, f.outputs
+
+
+def _same_parse(sources, arity: int = 2):
+    assert _parsed(parse_map, sources, arity) == _parsed(parse_map_reference, sources, arity)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_GRAMMAR_TEXT, min_size=1, max_size=3))
+def test_parse_map_matches_the_reference_on_grammar_text(sources):
+    _same_parse(sources)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_EXPR_TEXT, min_size=1, max_size=3))
+def test_parse_map_matches_the_reference_on_expressions(sources):
+    _same_parse(sources)
+
+
+@pytest.mark.parametrize(
+    "src",
+    [src for src, _, _ in _PARSE_ERRORS]
+    # unicode digits and whitespace, a fault after the first error, and faults as exponents
+    + ["z\u0661+\u0663.5", "\tz1\n*\u00a0z2 ", "z1 z1 1.2.3", "z1^z", "z1^$", "z1^i", "z1^2^3", "(z1)^2", "(z1", "z1)", "z9", "z0"],
+)
+def test_parse_map_matches_the_reference_on_the_error_table(src):
+    _same_parse([src])
+    _same_parse(["z1*z2", src, "z1*z2"])

@@ -436,6 +436,48 @@ def test_ricci_check_skips_singular_jacobians():
             ricci_pullback_check(constant, euclidean(2), euclidean(2), pts)
 
 
+def _flat_rigidity(comps, p: int) -> dict:
+    return {"mode": "rigidity", "source": {"kind": "euclidean", "dim": 2}, "target": {"kind": "euclidean", "dim": 2},
+            "map": comps, "p": p, "sampling": {"count": 5, "seed": 1}}
+
+
+def test_default_rigidity_tol_is_pinned_from_both_sides():
+    # F = (z1, sqrt(1 + d) z2) has the pencil row (1, 1 + d) at every point and
+    # the p = 1 target 1 + d/2, so each product is off by (d/2) / (1 + d/2):
+    # 5e-9 passes and 2e-8 fails the default 1e-8
+    for d, verdict in ((1e-8, "PASS"), (4e-8, "FAIL")):
+        report = run_scenario(_flat_rigidity(["z1", f"{math.sqrt(1 + d)!r}*z2"], 1))
+        verdicts = {rec.name: rec.verdict for rec in report.checks}
+        assert verdicts == {"eigen_products": verdict, "isometry_factor": verdict, "ricci_pullback": "PASS"}, d
+
+
+def test_singular_jacobian_bound_is_pinned_from_both_sides():
+    # J = [[1, 1], [1, 1 + e]] scales to [[1/2, 1/2], [1/2, (1 + e)/2]], whose
+    # determinant is e/4: 2.5e-13 is below 1e-12 and skips every sample, 4e-12 keeps them
+    pts = sample_chart_points(euclidean(2), 5, seed=1)
+    inside = parse_map(["z1+z2", f"z1+{1 + 1e-12!r}*z2"], 2)
+    with pytest.warns(UserWarning, match="singular Jacobian"):
+        with pytest.raises(DegenerateSampleError, match="all samples had singular Jacobians"):
+            ricci_pullback_check(inside, euclidean(2), euclidean(2), pts)
+    outside = parse_map(["z1+z2", f"z1+{1 + 1.6e-11!r}*z2"], 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ricci_pullback_check(outside, euclidean(2), euclidean(2), pts) == (True, 0.0, 0)
+
+
+def test_flat_row_factor_is_pinned_from_both_sides():
+    # at top degree one product holds whatever the spread, so the spread bound
+    # 10 tol |mean| decides alone: the row (1 - e, 1 + e) spreads 2e around
+    # mean 1, and at tol = 1e-6 a spread of 5e-6 is flat while 2e-5 is not
+    pts = sample_chart_points(euclidean(2), 5, seed=1)
+    for e, flat in ((2.5e-6, True), (1e-5, False)):
+        F = parse_map([f"{math.sqrt(1 - e)!r}*z1", f"{math.sqrt(1 + e)!r}*z2"], 2)
+        lams, targets = profiles_from_pullback(F, euclidean(2), euclidean(2), 2, pts)
+        products, factors = product_rule(lams, 2, targets, 1e-6)
+        assert products.all(), e
+        assert np.isfinite(factors).all() if flat else np.isnan(factors).all(), e
+
+
 def test_ricci_check_requires_equal_dimensions():
     F = parse_map(["z1", "z2", "0"], 2)
     with pytest.raises(PreconditionError):

@@ -172,6 +172,86 @@ def test_relatives_scenario_veronese_vs_identity():
     assert report.overall == "PASS"
 
 
+def _verdicts(scenario) -> dict:
+    return {rec.name: rec.verdict for rec in run_scenario(scenario).checks}
+
+
+def _space(kind: str, dim: int) -> dict:
+    return {"kind": kind, "dim": dim}
+
+
+def _pullback(source, target, comps, p: int) -> dict:
+    return {"mode": "pullback", "source": source, "target": target, "map": comps, "p": p,
+            "sampling": {"count": 10, "seed": 3}}
+
+
+def _flat_relatives(F, G) -> dict:
+    """Relatives at p = 1 of F and G, both into flat targets, from C^len(G)."""
+    return {"mode": "relatives", "source": _space("euclidean", len(G)),
+            "targets": [_space("euclidean", len(F)), _space("euclidean", len(G))],
+            "maps": [F, G], "p": 1, "sampling": {"count": 10, "seed": 3}}
+
+
+def _scaled(scenario, s: float) -> dict:
+    """The scenario with its map F replaced by s*F."""
+    def scale(comps):
+        return [f"{s!r}*({c})" for c in comps]
+
+    if scenario["mode"] == "pullback":
+        return dict(scenario, map=scale(scenario["map"]))
+    F, G = scenario["maps"]
+    return dict(scenario, maps=[scale(F), G])
+
+
+def test_pp_verdicts_are_relative_to_lambda():
+    # a small pullback is not a proportional one: residual / lambdaHat is the
+    # same at every scale of these maps, which an absolute floor would pass
+    B2, C2 = _space("ball", 2), _space("euclidean", 2)
+    for source, comps in [
+        (B2, ["1e-3*z1", "1e-3*z2"]),
+        (B2, ["1e-5*z1", "1e-5*z2"]),
+        (B2, ["1e-5*(z1+z1^2)", "1e-5*z2"]),
+        (C2, ["1e-6*(z1+z2^2)", "1e-6*z2"]),
+    ]:
+        assert _verdicts(_pullback(source, source, comps, 1)) == {"pullback_p1": "FAIL"}, comps
+    # a large lambdaHat (1e6, residual about 3.5e-10) and a constant map (0 <= 0) pass
+    assert _verdicts(_pullback(C2, C2, ["1000*z1", "1000*z2"], 1)) == {"pullback_p1": "PASS"}
+    report = run_scenario(_pullback(C2, C2, ["0.1", "0.2"], 1))
+    assert [(r.name, r.verdict, r.lambdaHat, r.residual) for r in report.checks] == [("pullback_p1", "PASS", 0.0, 0.0)]
+    # lambda_matches is relative to the expected factor: 1e-10 is not 3e-10
+    pair = dict(_flat_relatives(["1e-5*z1"], ["z1"]), expect={"lambdaHat": 3e-10})
+    assert _verdicts(pair) == {"relatives_p1": "PASS", "lambda_matches": "FAIL"}
+
+
+_C2 = _space("euclidean", 2)
+_PASS_P2_FAIL_P1 = {"pullback_p2": "PASS", "pullback_p1": "FAIL"}
+
+
+@pytest.mark.parametrize(
+    "scenario, expected",
+    [
+        (_pullback(_C2, _C2, ["z1", "z2"], 1), {"pullback_p1": "PASS"}),
+        (_pullback(_C2, _C2, ["(0.6+0.8i)*z1", "0.5*z2-z1"], 2), _PASS_P2_FAIL_P1),
+        (_pullback(_C2, _space("euclidean", 4), ["z1+1/(1-z2)", "z2", "0", "0"], 2), _PASS_P2_FAIL_P1),
+        (_pullback(_space("euclidean", 3), _space("euclidean", 3), ["2*z1", "0.5*z2", "z3"], 3),
+         {"pullback_p3": "PASS", "pullback_p1": "FAIL"}),
+        (_pullback(_C2, _space("euclidean", 3), ["z1", "z2", "0.5*z1*z2"], 1), {"pullback_p1": "FAIL"}),
+        (_pullback(_space("ball", 2), _C2, ["z1", "z2"], 1), {"pullback_p1": "FAIL"}),
+        (_pullback(_space("projective", 1), _space("euclidean", 1), ["z1"], 1), {"pullback_p1": "FAIL"}),
+        (_flat_relatives(["z1", "0"], ["z1"]), {"relatives_p1": "PASS"}),
+        (_flat_relatives(["2*z1+z2", "z1-2*z2"], ["z1", "z2"]), {"relatives_p1": "PASS"}),
+        (_flat_relatives(["1.4142135623730951*z1", "z1^2"], ["z1"]), {"relatives_p1": "FAIL"}),
+        (_flat_relatives(["z1^2", "z2"], ["z1", "z2"]), {"relatives_p1": "FAIL"}),
+    ],
+)
+def test_flat_target_verdicts_do_not_move_with_the_maps_scale(scenario, expected):
+    # on a flat target s*F multiplies every (p,p) coefficient by |s|^(2p),
+    # so no verdict may depend on s; an absolute floor turns the paper's flat
+    # example at p = 1 from FAIL to PASS at s = 1e-6
+    for s in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        assert _verdicts(_scaled(scenario, s)) == expected, s
+
+
 def test_relatives_sample_inside_indefinite_projective_charts():
     # with no radius given, relatives sample at the smallest default radius of
     # their targets, 0.9 on P^n_s with s < n, whose chart ends at |z|_s^2 = -1;
@@ -610,7 +690,6 @@ def test_cli_malformed_scenario_fields_exit_two(tmp_path, capsys):
         (dict(_identity_flat(), map=["z1^1e999", "z2"]), "position 3"),
         (dict(_identity_flat(), tolerances={"ricci": None}), "tolerances.ricci"),
         (_umehara({"map": ["z1"]}), "series.params.p"),
-        (dict(_identity_flat(), map=["(" * 600 + "z1" + ")" * 600, "z2"]), "map: expression nests too deeply"),
         (dict(_identity_flat(), map=["9^999*z1", "z2"]), "overflows"),
         (_umehara({"map": ["1e200*z1+1e200*z1^2"]}, name="abs_square"), "series coefficients overflow"),
         (_relatives({"kind": "ball", "dim": 1}), "source.kind"),
@@ -682,12 +761,14 @@ def test_cli_malformed_scenario_fields_exit_two(tmp_path, capsys):
 
 
 def test_cli_runs_a_10000_term_component(tmp_path, capsys):
-    # the evaluator has no depth limit: a long sum is one pass over its program
+    # the evaluator has no depth limit: a long sum is one pass over its program,
+    # and the parser none either: 600-deep parentheses are one loop over their tokens
     path = tmp_path / "long.json"
     long = "+".join(["0.0001*z1"] * 10_000)
-    path.write_text(json.dumps(dict(_identity_flat(), map=[long, "z2"])))
-    assert main(["run", str(path)]) == 0
-    assert "PASS" in capsys.readouterr().out
+    for comps in ([long, "z2"], ["(" * 600 + "z1" + ")" * 600, "z2"]):
+        path.write_text(json.dumps(dict(_identity_flat(), map=comps)))
+        assert main(["run", str(path)]) == 0
+        assert "PASS" in capsys.readouterr().out
 
 
 def test_cli_overflow_prints_only_the_error(tmp_path, capsys):
