@@ -25,9 +25,11 @@ base-base Hessian block of rho is
 
 with c the curvature sign and S[k, K, I] = (-1)^(position of k in I) when
 I = K with k inserted, else 0, so that row k of V is the contraction
-e_k _| xi.  The probe and ``levi_spectra`` take this closed form;
-``levi_form`` still sums one ``wedge_curvature_block`` per (I, J) pair and
-builds its tangent basis from ``rho_gradient``.
+e_k _| xi.  The probe and ``levi_spectra`` take this closed form.
+``levi_form`` takes g(0) = W(0) = I as well, so its Hessian is I over the
+fiber and its pencil's base is M^T conj(M) for the tangent basis M; only its
+pair-sum block, one ``wedge_curvature_block`` per (I, J) pair, and its
+tangent basis from ``rho_gradient`` still differ from ``levi_spectra``.
 
 ``obstruction_probes`` runs the probe as one array pass over an (N, m) stack
 of points and their fibers: chart checks, centering frames, compounds,
@@ -138,13 +140,6 @@ def _fiber_vector(xi, size: int) -> np.ndarray:
     if arr.size != size:
         raise DimensionError(f"fiber vector has {arr.size} entries, expected {size}")
     return arr
-
-
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    m = a.shape[0]
-    out = np.zeros((m + b.shape[0],) * 2, dtype=np.complex128)
-    out[:m, :m], out[m:, m:] = a, b
-    return out
 
 
 def _quads(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -394,9 +389,9 @@ def _center_block(sf: SpaceForm, p: int, xi: np.ndarray) -> np.ndarray:
 def levi_form(sf: SpaceForm, p: int, r: float, z, xi) -> np.ndarray:
     """Ascending eigenvalues of the restricted Levi form of S_r at (z, xi).
 
-    They solve det(M^T H conj(M) - lambda M^T G conj(M)) = 0 for the tangent
-    basis M, the complex Hessian H of rho and G = diag(g, W), so they do not
-    depend on the choice of M or of the centering frame; there are
+    They solve det(M^T H conj(M) - lambda M^T conj(M)) = 0 for the tangent
+    basis M and the complex Hessian H of rho at the chart center, so they do
+    not depend on the choice of M or of the centering frame; there are
     m + C(m, p) - 1 of them (just m at top degree), the complex dimension of
     the holomorphic tangent space of S_r, and ``sign_counts`` of the row is
     the signature.  It agrees to roundoff with ``levi_spectra``'s row for
@@ -405,23 +400,24 @@ def levi_form(sf: SpaceForm, p: int, r: float, z, xi) -> np.ndarray:
     The point is first normalized onto S_r and moved to the chart center by
     a metric automorphism (fiber transported by the compound of the
     differential); there the complex Hessian of rho is block diagonal with
-    the curvature block over the base and the constant wedge matrix over the
-    fiber, and the form is restricted to the tangent basis.  The restriction
+    the curvature block over the base and W(0) = I over the fiber, and the
+    form is restricted to the tangent basis.  The restriction
     pairs columns as M^T H conj(M): H's first index is the holomorphic slot,
     so this sandwich evaluates the form on span(M) itself (the conjugate
     sandwich would restrict to the conjugated span, which is not invariant
     under the translation automorphism).  The eigenvalues are taken against
-    the induced metric M^T G conj(M), G = diag(g(0), W(0)) at the center.
+    the induced metric M^T diag(g(0), W(0)) conj(M), which is M^T conj(M)
+    because g(0) = W(0) = I at the center of a definite form.  Only the
+    pair-sum block (``_wedge_hessian_block``) and the tangent basis
+    (``tangent_basis``) differ from ``levi_spectra``'s route.
     """
     z, xi = bundle_point(sf, p, r, z, xi)
     xi0 = compound_matrix(center_automorphism(sf, z), p) @ xi
     center = np.zeros(sf.dim, dtype=np.complex128)
-    g0 = metric(sf, center)
-    fiber_block = wedge_power_coeffs(g0, p)
-    h = _block_diag(_wedge_hessian_block(sf, center, p, xi0), fiber_block)
-    g = _block_diag(g0, fiber_block)
+    h = np.eye(sf.dim + len(xi0), dtype=np.complex128)
+    h[: sf.dim, : sf.dim] = _wedge_hessian_block(sf, center, p, xi0)
     cols = tangent_basis(sf, p, center, xi0)
-    return generalized_eigenvalues(hermitize(cols.T @ h @ cols.conj()), cols.T @ g @ cols.conj())
+    return generalized_eigenvalues(hermitize(cols.T @ h @ cols.conj()), cols.T @ cols.conj())
 
 
 def levi_spectra(sf: SpaceForm, p: int, r: float, points, fibers) -> np.ndarray:
@@ -530,10 +526,11 @@ def obstruction_probes(
 
     pushed_eta = _apply(jg, eta)
     pushed_xi = _apply(compound_matrix(jg, p), xi0)
-    inconclusive = (sing[:, -1] <= _TINY**2) | (np.linalg.norm(pushed_xi, axis=-1) <= _TINY)
-    # the pushed fibers onto S_1 at the target center; inconclusive rows are left unscaled
-    tgt_norm2 = _quads(wedge_power_coeffs(metric(tgt, np.zeros(n)), p), pushed_xi)
-    scale = np.sqrt(1.0 / np.where(inconclusive, 1.0, tgt_norm2))
+    norm = np.linalg.norm(pushed_xi, axis=-1)
+    inconclusive = (sing[:, -1] <= _TINY**2) | (norm <= _TINY)
+    # the pushed fibers onto S_1 at the target center, where W = I, so the
+    # wedge norm is the plain one; inconclusive rows are left unscaled
+    scale = 1.0 / np.where(inconclusive, 1.0, norm)
     z_tgt = _center_block(tgt, p, pushed_xi * scale[:, None])
     rhs = np.where(inconclusive, 0.0, _quads(z_tgt, pushed_eta))
     conflict = (lhs <= _PROBE_TOL) & (rhs > _PROBE_TOL)

@@ -140,6 +140,12 @@ def test_jet_singular_division():
         _jet("1/z1", [0.0])
     with pytest.raises(SingularEvaluationError):
         _value("1/(1-z1)", [1.0])
+    # the bound 1e-15 from both sides: 0.5 + 2e-15 and 0.5 + 5e-16 round to 18
+    # and 4 ulps of 0.5 above it, so the denominators are exactly 1.998e-15 and 4.44e-16
+    value, grad = _jet("1/(z1-0.5)", [0.5 + 2e-15])
+    assert np.isfinite(value) and np.isfinite(grad).all()
+    with pytest.raises(SingularEvaluationError):
+        _jet("1/(z1-0.5)", [0.5 + 5e-16])
 
 
 def test_jacobian_identity_and_example_map():

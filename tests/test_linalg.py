@@ -187,6 +187,10 @@ def test_generalized_eigenvalues_requires_positive_base():
         generalized_eigenvalues(h, np.diag([1.0, 0.0]))
     with pytest.raises(DimensionError):
         generalized_eigenvalues(np.eye(2), np.eye(3))
+    # the smallest base eigenvalue must exceed 1e-10: 2e-10 solves, 5e-11 does not
+    assert_allclose(generalized_eigenvalues(np.eye(2), np.diag([2e-10, 1.0])), [1.0, 5e9])
+    with pytest.raises(DefinitenessError, match="min eigenvalue 5.000e-11"):
+        generalized_eigenvalues(np.eye(2), np.diag([5e-11, 1.0]))
 
 
 def test_stacked_eigen_solves_equal_per_matrix_calls():

@@ -345,6 +345,20 @@ def test_pooled_fit_lambda_matches_fsum_oracle():
         pooled_fit(np.full((2, 1, 1), 1e-170), np.ones((2, 1, 1)))
 
 
+def test_default_tol_is_pinned_from_both_sides():
+    # base I at two points and theta = lam (base + eps E) with E = diag(1, 0)
+    # at the first point only: lambdaHat = lam (1 + eps/4), and the first
+    # point's residual is (3/4) eps lam, against the bound 1e-9 lambdaHat
+    base = np.broadcast_to(np.eye(2, dtype=complex), (2, 2, 2))
+    bump = np.zeros((2, 2, 2), dtype=complex)
+    bump[0, 0, 0] = 1.0
+    for lam in (3.0, -1e6):
+        for eps, passed in ((1e-9, True), (2e-9, False)):
+            res = pooled_fit(base, lam * (base + eps * bump))
+            assert res.maxResidual == pytest.approx(0.75 * eps * abs(lam), rel=1e-6), (lam, eps)
+            assert res.passed is passed, (lam, eps)
+
+
 def test_pooled_fit_reads_the_stacks_of_both_tests():
     pts = sample_chart_points(projective(2), 20, seed=3)
     F = parse_map(["z1", "z2", "0.5*z1*z2"], 2)

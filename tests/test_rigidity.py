@@ -476,6 +476,13 @@ def test_flat_row_factor_is_pinned_from_both_sides():
         products, factors = product_rule(lams, 2, targets, 1e-6)
         assert products.all(), e
         assert np.isfinite(factors).all() if flat else np.isnan(factors).all(), e
+    # below top degree at a zero target: a rank-one pullback has pencil rows
+    # (0, 0, x) and the degree-2 target 0, which every 2-fold product meets
+    # exactly at any x, so the flat bound alone refuses the factor x/3, while
+    # the zero row keeps the factor 0 of a constant map
+    products, factors = product_rule([[0.0, 0.0, 4.0], [0.0, 0.0, 0.0]], 2, [0.0, 0.0])
+    assert products.all()
+    assert np.isnan(factors[0]) and factors[1] == 0.0
 
 
 def test_ricci_check_requires_equal_dimensions():

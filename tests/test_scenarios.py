@@ -121,6 +121,28 @@ def test_rigidity_scenario_scaled_embedding():
     assert report.overall == "PASS"
 
 
+def test_rigidity_scenario_rank_one_map_is_no_isometry():
+    # a rank-one map pulls omega^2 back to 0, so every 2-fold product of a
+    # pencil row (0, 0, x) meets the target 0 exactly; only the flat-row
+    # bound of product_rule refuses the factor x/3 (one sample on the ball
+    # target, so that no spread across samples decides in its place)
+    for target, comps, count in (("euclidean", ["2*z1", "0", "0", "0"], 5), ("ball", ["0.5*z1", "0", "0", "0"], 1)):
+        scenario = {
+            "mode": "rigidity",
+            "source": {"kind": "euclidean", "dim": 3},
+            "target": {"kind": target, "dim": 4},
+            "map": comps,
+            "p": 2,
+            "sampling": {"count": count, "seed": 1},
+        }
+        report = run_scenario(scenario)
+        assert {rec.name: rec.verdict for rec in report.checks} == {
+            "eigen_products": "PASS",
+            "isometry_factor": "FAIL",
+        }, target
+        assert report.overall == "FAIL"
+
+
 def test_rigidity_scenario_equidimensional_adds_ricci():
     scenario = {
         "mode": "rigidity",
@@ -153,23 +175,26 @@ def test_umehara_scenario_rank_growth():
 
 
 def test_relatives_scenario_veronese_vs_identity():
-    scenario = {
-        "mode": "relatives",
-        "source": {"kind": "euclidean", "dim": 1},
-        "targets": [
-            {"kind": "projective", "dim": 2},
-            {"kind": "projective", "dim": 1},
-        ],
-        "maps": [["1.4142135623730951*z1", "z1^2"], ["z1"]],
-        "p": 1,
-        "sampling": {"count": 25, "seed": 6},
-        "expect": {"lambdaHat": 2},
-    }
-    report = run_scenario(scenario)
-    by_name = {rec.name: rec for rec in report.checks}
-    assert by_name["relatives_p1"].verdict == "PASS"
-    assert by_name["lambda_matches"].verdict == "PASS"
-    assert report.overall == "PASS"
+    # lambdaHat is 2 to roundoff, so an expected value off by the relative
+    # 0.5e-8 is within lambdaMatch = 1e-8 of it, and one off by 2e-8 is not
+    for expected, verdict in ((2, "PASS"), (2.0 * (1.0 + 0.5e-8), "PASS"), (2.0 * (1.0 + 2e-8), "FAIL")):
+        scenario = {
+            "mode": "relatives",
+            "source": {"kind": "euclidean", "dim": 1},
+            "targets": [
+                {"kind": "projective", "dim": 2},
+                {"kind": "projective", "dim": 1},
+            ],
+            "maps": [["1.4142135623730951*z1", "z1^2"], ["z1"]],
+            "p": 1,
+            "sampling": {"count": 25, "seed": 6},
+            "expect": {"lambdaHat": expected},
+        }
+        report = run_scenario(scenario)
+        by_name = {rec.name: rec for rec in report.checks}
+        assert by_name["relatives_p1"].verdict == "PASS"
+        assert by_name["lambda_matches"].verdict == verdict, expected
+        assert report.overall == verdict
 
 
 def _verdicts(scenario) -> dict:
@@ -716,6 +741,11 @@ def test_cli_malformed_scenario_fields_exit_two(tmp_path, capsys):
         # sizes past the parser's limits
         (dict(_identity_flat(), source={"kind": "euclidean", "dim": 71}), "source.dim must be at most 70"),
         (dict(_identity_flat(), target={"kind": "euclidean", "dim": 10**6}), "target.dim must be at most 70"),
+        # a signature that is not three counts, maps that are not a pair, a real past the float range
+        (dict(mode="levi", source={"kind": "ball", "dim": 3}, p=1, expect={"signature": [0, 3]}),
+         "expect.signature must list three integers"),
+        (dict(_relatives({"kind": "euclidean", "dim": 1}), maps=[["z1"]]), "maps must be a list of exactly two"),
+        (dict(mode="levi", source={"kind": "ball", "dim": 3}, p=1, r=10**400), "r must be a finite number"),
     ]:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
